@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .evaluate import AllocationProfile, evaluate
+from .evaluate import AllocationProfile, effective_discounts, evaluate
 from .market import Market
 from .numeric import default_tol
 from .stepfn import Jump, StepFunction, segment_refinement
@@ -96,9 +96,6 @@ class SolveReport:
     seed: int
     tol: object
     rejected_negative_payments: int = 0
-
-    def best_start(self) -> StartRecord:
-        return max(self.starts, key=lambda s: s.revenue)
 
 
 def _tail_probe(at, closed: bool) -> StepFunction | None:
@@ -402,7 +399,8 @@ def normalize_staircase(market: Market, profile: AllocationProfile, *, tol=None)
     surplus, the welfare, and the revenue unchanged while making the rules
     pointwise larger. The slope is taken from the pointwise recursion
     ``g_t = delta_t r_t + (1 - r_t) g_{t+1}``, which agrees with the
-    derivative of U_t almost everywhere and is well defined on the atoms.
+    derivative of U_t almost everywhere and is well defined on the atoms
+    (:func:`dynration.evaluate.effective_discounts`).
 
     Later runs are processed first since their modifications feed the
     earlier periods' slopes.
@@ -424,17 +422,15 @@ def normalize_staircase(market: Market, profile: AllocationProfile, *, tol=None)
         partition = segment_refinement(steps)
         npieces = partition.npieces
         values = [partition.values(r) for r in steps]
-        g = [0] * npieces
         tails = {}
-        for t in range(market.T - 1, block.start - 1, -1):
-            d = delta[t]
-            rt = values[t]
-            g = [d * rt[p] + (1 - rt[p]) * g[p] for p in range(npieces)]
+        for t, g in effective_discounts(delta, values):
             if t in block:
                 cut = npieces
-                while cut > 0 and abs(g[cut - 1] - d) <= tol:
+                while cut > 0 and abs(g[cut - 1] - delta[t]) <= tol:
                     cut -= 1
                 tails[t] = cut
+            if t == block.start:
+                break
         for t, cut in tails.items():
             if cut == npieces:
                 continue

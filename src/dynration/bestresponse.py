@@ -145,6 +145,24 @@ def best_response(market: Market, mech: PricedMechanism, *, tol=None) -> Equilib
     )
 
 
+def menu_violations(market: Market, report: EquilibriumReport, *, tol=None) -> list:
+    """Checks that need only the menu's simulated outcome, not a profile.
+
+    Each posted lottery quantity must equal its service probability times
+    the simulated demand, and sales must respect the inventory.
+    """
+    if tol is None:
+        tol = default_tol(market.mode)
+    violations = [
+        f"ServiceResidual: t={t + 1} residual {res}"
+        for t, res in enumerate(report.service_residual)
+        if res is not None and abs(res) > tol
+    ]
+    if not market.unbounded and report.realized_sales > market.inventory + tol:
+        violations.append(f"Oversold: {report.realized_sales} beyond inventory {market.inventory}")
+    return violations
+
+
 def verify(
     market: Market,
     profile: AllocationProfile,
@@ -156,10 +174,11 @@ def verify(
     """Round-trip and consistency checks; returns violations, never raises.
 
     Passes iff (1) the simulated plan reproduces the allocation at every
-    atom, (2) posted service probabilities match quantity over demand,
-    (3) realized revenue equals formula revenue, (4) sales respect the
-    inventory, (5) no type prefers a deviation, and (6) simulated utilities
-    equal the closed-form curves at every atom.
+    atom, (2) the menu checks of :func:`menu_violations` pass (service
+    probabilities match quantity over demand, sales respect the inventory),
+    (3) realized revenue equals formula revenue, (4) no type prefers a
+    deviation, and (5) simulated utilities equal the closed-form curves at
+    every atom.
     """
     if tol is None:
         tol = default_tol(market.mode)
@@ -177,16 +196,10 @@ def verify(
                 violations.append(
                     f"PlanMismatch: t={t + 1} v={v}: plan {report.plan[t][i]} gives {got}, allocation says {want}"
                 )
-    for t, res in enumerate(report.service_residual):
-        if res is not None and abs(res) > tol:
-            violations.append(f"ServiceResidual: t={t + 1} residual {res}")
+    violations += menu_violations(market, report, tol=tol)
     if abs(report.realized_revenue - ev.revenue) > tol:
         violations.append(
             f"RevenueMismatch: simulated {report.realized_revenue}, formula {ev.revenue}"
-        )
-    if not market.unbounded and report.realized_sales > market.inventory + tol:
-        violations.append(
-            f"Oversold: {report.realized_sales} beyond inventory {market.inventory}"
         )
     for t in range(market.T):
         for i in range(market.num_atoms):

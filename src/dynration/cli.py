@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import report as report_mod
 from .ascent import coordinate_ascent
-from .bestresponse import best_response, verify
+from .bestresponse import best_response, menu_violations, verify
 from .evaluate import evaluate
 from .market import MarketError, ParseError, parse_market
 from .mechanism import extract, mechanism_from_json, mechanism_to_json
@@ -154,13 +154,7 @@ def _dispatch(args, market) -> int:
             passed, violations = result.passed, result.violations
         else:
             rep = best_response(market, mech)
-            violations = [
-                f"ServiceResidual: t={t + 1} residual {format_number(res)}"
-                for t, res in enumerate(rep.service_residual)
-                if res is not None and abs(res) > (_tol(args, market) or 0)
-            ]
-            if not market.unbounded and rep.realized_sales > market.inventory:
-                violations.append("Oversold")
+            violations = menu_violations(market, rep, tol=_tol(args, market))
             passed = not violations
         (out / f"{stem}.equilibrium.csv").write_text(report_mod.verification_csv(market, rep))
         print(f"realized_revenue: {format_number(rep.realized_revenue)}")

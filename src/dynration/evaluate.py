@@ -14,15 +14,20 @@ Given per-period monotone allocation rules ``r_t`` this computes, exactly:
 
 Payments are defined only through the incentive identity; nonnegativity is
 checked and flagged rather than assumed.
+
+The recursion itself (:func:`formula_layer`) is written once, over per-piece
+rule values ``R[t][p]`` that may be Python scalars (exact ``Fraction`` or
+``float``) or numpy columns holding one value per candidate profile. The
+evaluator calls it with scalars and adds its self-checks; the grid oracle
+calls it with candidate columns to score a whole batch at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple
 
 from .market import Market
-from .numeric import default_tol
 from .stepfn import Partition, PiecewiseLinear, StepFunction, segment_refinement
 
 
@@ -107,44 +112,57 @@ class Evaluation:
         return rows
 
 
-def evaluate(market: Market, profile: AllocationProfile, *, partition: Partition | None = None) -> Evaluation:
-    """Run the full formula layer; pure and deterministic."""
+class Formulas(NamedTuple):
+    """Output of :func:`formula_layer`; entries are scalars or columns like ``R``."""
+
+    utility_points: list   # [t][k] U_t at partition point k, t = 0..T
+    r_at: list             # [t][i] allocation at atom i
+    u_at: list             # [t][i] U_t at atom i, t = 0..T
+    fstar: list            # [t][i] presence mass
+    payments: list         # [t][i] expected payment as charged
+    revenue: object
+    used: object
+
+
+def effective_discounts(delta, R):
+    """Yield ``(t, g_t)`` for t = T-1 down to 0, one value per piece.
+
+    ``g_t = delta_t r_t + (1 - r_t) g_{t+1}`` with ``g_T = 0`` is the
+    expected discount of the eventual purchase of a buyer present at t,
+    and the slope of ``U_t``.
+    """
+    g = [0] * len(R[0])
+    for t in range(len(R) - 1, -1, -1):
+        rt = R[t]
+        d = delta[t]
+        g = [d * rt[p] + (1 - rt[p]) * g[p] for p in range(len(g))]
+        yield t, g
+
+
+def formula_layer(market: Market, partition: Partition, R) -> Formulas:
+    """Presence, utilities, payments, revenue and usage of per-piece rules.
+
+    ``R[t][p]`` is period t's rule on piece p of ``partition``; the market's
+    numbers must be of the same kind as the entries (float with numpy
+    columns). The operation order is fixed, so a column gives bit for bit
+    the values that each of its entries gives as a float scalar.
+    """
     T = market.T
-    if profile.T != T:
-        raise ValueError(f"profile has {profile.T} periods, market has {T}")
+    n = market.num_atoms
     delta = market.discounts.delta
     lam_s = market.discounts.lambda_s
     lam_b = market.discounts.lambda_b
-    if partition is None:
-        partition = segment_refinement(profile.steps, market.atoms)
-    pts = partition.points
-    npieces = partition.npieces
-
-    R = [partition.values(r) for r in profile.steps]
     atom_pc = [partition.piece_of_point(a) for a in market.atoms]
-    atom_pt = [pc // 2 for pc in atom_pc]
     r_at = [[R[t][pc] for pc in atom_pc] for t in range(T)]
 
-    # Effective discount from t on: g_t = delta_t r_t + (1 - r_t) g_{t+1}.
-    g = [None] * (T + 1)
-    g[T] = [0] * npieces
-    for t in range(T - 1, -1, -1):
-        gt1 = g[t + 1]
-        rt = R[t]
-        d = delta[t]
-        g[t] = [d * rt[p] + (1 - rt[p]) * gt1[p] for p in range(npieces)]
+    points = [None] * T + [partition.prefix_integrals([0] * partition.npieces)]
+    for t, g in effective_discounts(delta, R):
+        points[t] = partition.prefix_integrals(g)
+    u_at = [[points[t][pc // 2] for pc in atom_pc] for t in range(T + 1)]
 
-    utilities = [PiecewiseLinear(pts, partition.prefix_integrals(g[t])) for t in range(T + 1)]
-    u_at = [[utilities[t].values[k] for k in atom_pt] for t in range(T + 1)]
-
-    n = market.num_atoms
-    fstar = [[0] * n for _ in range(T)]
-    for i in range(n):
-        fstar[0][i] = market.mass[0][i]
+    fstar = [list(market.mass[0])]
     for t in range(1, T):
-        for i in range(n):
-            fstar[t][i] = market.mass[t][i] + fstar[t - 1][i] * (1 - r_at[t - 1][i])
-    _check_fstar_closed_form(market, r_at, fstar)
+        fstar.append([market.mass[t][i] + fstar[t - 1][i] * (1 - r_at[t - 1][i]) for i in range(n)])
 
     payments = [
         [
@@ -154,15 +172,31 @@ def evaluate(market: Market, profile: AllocationProfile, *, partition: Partition
         ]
         for t in range(T)
     ]
-
     revenue = sum(lam_s[t] * sum(payments[t][i] * fstar[t][i] for i in range(n)) for t in range(T))
+    used = sum(r_at[t][i] * fstar[t][i] for t in range(T) for i in range(n))
+    return Formulas(points, r_at, u_at, fstar, payments, revenue, used)
+
+
+def evaluate(market: Market, profile: AllocationProfile, *, partition: Partition | None = None) -> Evaluation:
+    """Run the full formula layer; pure and deterministic."""
+    T = market.T
+    if profile.T != T:
+        raise ValueError(f"profile has {profile.T} periods, market has {T}")
+    delta = market.discounts.delta
+    lam_b = market.discounts.lambda_b
+    if partition is None:
+        partition = segment_refinement(profile.steps, market.atoms)
+    f = formula_layer(market, partition, [partition.values(r) for r in profile.steps])
+    r_at, u_at, fstar, payments = f.r_at, f.u_at, f.fstar, f.payments
+    _check_fstar_closed_form(market, r_at, fstar)
+
+    n = market.num_atoms
     base_cash = sum(lam_b[t] * payments[t][i] * fstar[t][i] for t in range(T) for i in range(n))
     welfare = sum(
         delta[t] * market.atoms[i] * r_at[t][i] * fstar[t][i] for t in range(T) for i in range(n)
     )
     total_utility = sum(u_at[t][i] * market.mass[t][i] for t in range(T) for i in range(n))
 
-    used = sum(r_at[t][i] * fstar[t][i] for t in range(T) for i in range(n))
     used_by_cohort = 0
     for t in range(T):
         for i in range(n):
@@ -170,7 +204,7 @@ def evaluate(market: Market, profile: AllocationProfile, *, partition: Partition
             for j in range(t, T):
                 survive *= 1 - r_at[j][i]
             used_by_cohort += (1 - survive) * market.mass[t][i]
-    _require_equal(used, used_by_cohort, market.mode, "inventory accounting")
+    _require_equal(f.used, used_by_cohort, market.mode, "inventory accounting")
 
     noise = 0 if market.mode == "rational" else 1e-12
     negative = [
@@ -185,10 +219,10 @@ def evaluate(market: Market, profile: AllocationProfile, *, partition: Partition
         profile=profile,
         partition=partition,
         fstar=fstar,
-        utilities=utilities,
+        utilities=[PiecewiseLinear(partition.points, vals) for vals in f.utility_points],
         payments=payments,
-        revenue=revenue,
-        inventory_used=used,
+        revenue=f.revenue,
+        inventory_used=f.used,
         welfare=welfare,
         base_cash=base_cash,
         total_buyer_utility=total_utility,

@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .numeric import FLOAT, MODES, RATIONAL, NumberParseError, format_number, parse_number
+from .numeric import MODES, RATIONAL, NumberParseError, format_number, json_number, parse_number
 
 
 class ParseError(ValueError):
@@ -187,22 +187,38 @@ _REQUIRED = ("T", "atoms", "mass", "inventory", "delta")
 _OPTIONAL = ("lambdaS", "lambdaB")
 
 
+def load_json(text: str):
+    """Decode a JSON document; a syntax error becomes a ParseError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+
+
+def require_array(raw, where: str) -> list:
+    if not isinstance(raw, list):
+        raise ParseError(f"{where}: must be an array")
+    return raw
+
+
+def require_keys(raw, where: str, required, optional=()) -> dict:
+    """``raw`` must be an object with every required key and no unknown one."""
+    if not isinstance(raw, dict):
+        raise ParseError(f"{where}: must be a JSON object")
+    unknown = set(raw) - set(required) - set(optional)
+    if unknown:
+        raise ParseError(f"{where}: unknown keys: {sorted(unknown)}")
+    for key in required:
+        if key not in raw:
+            raise ParseError(f"{where}: missing key {key!r}")
+    return raw
+
+
 def parse_market(text: str, mode: str = RATIONAL) -> Market:
     """Parse a market-spec document; fractions given as strings stay exact."""
     if mode not in MODES:
         raise ParseError(f"unknown numeric mode {mode!r}")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("top level must be a JSON object")
-    unknown = set(doc) - set(_REQUIRED) - set(_OPTIONAL)
-    if unknown:
-        raise ParseError(f"unknown keys: {sorted(unknown)}")
-    for key in _REQUIRED:
-        if key not in doc:
-            raise ParseError(f"missing key {key!r}")
+    doc = require_keys(load_json(text), "top level", _REQUIRED, _OPTIONAL)
 
     def num(raw, where):
         try:
@@ -215,8 +231,7 @@ def parse_market(text: str, mode: str = RATIONAL) -> Market:
     T = doc["T"]
 
     def numeric_list(key, raw, expect=None):
-        if not isinstance(raw, list):
-            raise ParseError(f"{key}: must be an array")
+        require_array(raw, key)
         if expect is not None and len(raw) != expect:
             raise ParseError(f"{key}: expected {expect} entries, got {len(raw)}")
         return [num(x, f"{key}[{i}]") for i, x in enumerate(raw)]
@@ -251,26 +266,16 @@ def parse_market(text: str, mode: str = RATIONAL) -> Market:
     return market.validated()
 
 
-def _encode(x):
-    if isinstance(x, float):
-        return x
-    rendered = format_number(x)
-    try:
-        return int(rendered)
-    except ValueError:
-        return rendered
-
-
 def serialize_market(m: Market) -> str:
     """Inverse of :func:`parse_market` on validated markets, bit-exact."""
     doc = {
         "T": m.T,
-        "atoms": [_encode(a) for a in m.atoms],
-        "mass": [[_encode(x) for x in row] for row in m.mass],
-        "inventory": "inf" if m.inventory is None else _encode(m.inventory),
-        "delta": [_encode(x) for x in m.discounts.delta],
-        "lambdaS": [_encode(x) for x in m.discounts.lambda_s],
-        "lambdaB": [_encode(x) for x in m.discounts.lambda_b],
+        "atoms": [json_number(a) for a in m.atoms],
+        "mass": [[json_number(x) for x in row] for row in m.mass],
+        "inventory": "inf" if m.inventory is None else json_number(m.inventory),
+        "delta": [json_number(x) for x in m.discounts.delta],
+        "lambdaS": [json_number(x) for x in m.discounts.lambda_s],
+        "lambdaB": [json_number(x) for x in m.discounts.lambda_b],
     }
     return json.dumps(doc, indent=2) + "\n"
 

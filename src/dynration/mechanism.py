@@ -30,8 +30,8 @@ import json
 from dataclasses import dataclass, fields
 
 from .evaluate import AllocationProfile, Evaluation, evaluate
-from .market import Market
-from .numeric import format_number, parse_number
+from .market import Market, load_json, require_array, require_keys
+from .numeric import json_number, parse_number
 
 CLOSED_MODE = "closed"
 POSTED = "posted"
@@ -132,31 +132,28 @@ def extract(market: Market, profile: AllocationProfile, evaluation: Evaluation |
             menus.append(PeriodMenu(mode=CLOSED_MODE))
             continue
 
+        def threshold_price(q):
+            # makes type q indifferent between a sure item now and waiting
+            return (delta[t] * q - u_next.eval(q)) / lam_b[t]
+
         menu_kwargs = {}
-        per_winner = None
         if q_low is not None:
-            per_winner = (delta[t] * q_low - u_next.eval(q_low)) / lam_b[t]
-            demand = sum(
-                ev.fstar[t][i]
-                for i, v in enumerate(market.atoms)
-                if step.eval(v) == r_low
-            )
+            per_winner = threshold_price(q_low)
             menu_kwargs.update(
                 q_low=q_low,
                 q_low_inclusive=low_incl,
                 service_prob=r_low,
                 per_winner_price=per_winner,
-                lottery_quantity=r_low * demand,
+                lottery_quantity=r_low * _lottery_demand(market, ev, step, t, r_low),
             )
         if q_high is not None:
             if q_low is None:
-                p_high = (delta[t] * q_high - u_next.eval(q_high)) / lam_b[t]
+                p_high = threshold_price(q_high)
             else:
-                p_low_expected = r_low * (delta[t] * q_low - u_next.eval(q_low))
-                p_high = (
-                    delta[t] * q_high
-                    - (r_low * delta[t] * q_high - p_low_expected + (1 - r_low) * u_next.eval(q_high))
-                ) / lam_b[t]
+                # type q_high is indifferent between the sure item and the
+                # lottery; written around per_winner so that a closed/open
+                # pair at one location gives exactly p_high == per_winner
+                p_high = per_winner + (1 - r_low) * (threshold_price(q_high) - per_winner)
             menu_kwargs.update(q_high=q_high, q_high_inclusive=high_incl, p_high=p_high)
             mode = POSTED_LOTTERY if q_low is not None else POSTED
         else:
@@ -192,25 +189,18 @@ def lottery_quantity_audit(
     for t, menu in enumerate(mech.periods):
         if not menu.has_lottery:
             continue
-        demand = sum(
-            ev.fstar[t][i]
-            for i, v in enumerate(market.atoms)
-            if profile.steps[t].eval(v) == menu.service_prob
-        )
+        demand = _lottery_demand(market, ev, profile.steps[t], t, menu.service_prob)
         residuals[t] = menu.lottery_quantity - menu.service_prob * demand
     return residuals
 
 
+def _lottery_demand(market: Market, ev: Evaluation, step, t: int, prob):
+    """Mass present at t on the atoms that ``step`` serves with ``prob``."""
+    return sum(ev.fstar[t][i] for i, v in enumerate(market.atoms) if step.eval(v) == prob)
+
+
 # -- files ------------------------------------------------------------------
 
-_NUM_FIELDS = (
-    "q_high",
-    "p_high",
-    "q_low",
-    "service_prob",
-    "per_winner_price",
-    "lottery_quantity",
-)
 _JSON_KEYS = {
     "q_high": "qHigh",
     "q_high_inclusive": "qHighInclusive",
@@ -233,25 +223,16 @@ def mechanism_to_json(mech: PricedMechanism) -> str:
             value = getattr(menu, f.name)
             if value is None:
                 continue
-            key = _JSON_KEYS[f.name]
-            entry[key] = value if isinstance(value, (bool, float)) else _encode_num(value)
+            entry[_JSON_KEYS[f.name]] = json_number(value)
         doc.append(entry)
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _encode_num(x):
-    rendered = format_number(x)
-    try:
-        return int(rendered)
-    except ValueError:
-        return rendered
-
-
 def mechanism_from_json(text: str, mode: str) -> PricedMechanism:
-    doc = json.loads(text)
     menus = []
     inverse = {v: k for k, v in _JSON_KEYS.items()}
-    for entry in doc:
+    for t, entry in enumerate(require_array(load_json(text), "mechanism")):
+        require_keys(entry, f"mechanism period {t + 1}", ("mode",), inverse)
         kwargs = {"mode": entry["mode"]}
         for key, value in entry.items():
             if key == "mode":

@@ -53,13 +53,18 @@ def format_number(x):
     return repr(float(x))
 
 
-def mode_of(x) -> str:
-    return RATIONAL if isinstance(x, (Fraction, int)) else FLOAT
+def json_number(x):
+    """JSON value of a scalar: floats and bools as they are, exact numbers
+    as integers or fraction strings, so that :func:`parse_number` reads
+    them back unchanged."""
+    if isinstance(x, (bool, float)):
+        return x
+    rendered = format_number(x)
+    try:
+        return int(rendered)
+    except ValueError:
+        return rendered
 
 
 def default_tol(mode: str):
     return DEFAULT_TOL[mode]
-
-
-def close(a, b, tol) -> bool:
-    return abs(a - b) <= tol

@@ -4,7 +4,9 @@ The grid oracle enumerates every monotone step profile whose jumps sit on
 the atom boundaries (both inclusion flags, realized as free point values
 between the neighboring segment levels) and whose levels come from a fixed
 grid, then maximizes exact revenue subject to the inventory cap. The
-search runs vectorized in floating point; on rational markets the
+search scores a chunk of candidates at a time with the evaluator's own
+recursion (:func:`dynration.evaluate.formula_layer`), fed numpy columns
+with one entry per candidate, in floating point; on rational markets the
 near-optimal candidates are re-evaluated exactly so the reported optimum
 is exact. Enumeration order is canonical (lexicographic over per-period
 descriptors, earliest period most significant) and ties keep the first
@@ -23,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluate import AllocationProfile, evaluate
-from .market import Market
-from .numeric import RATIONAL, parse_number
+from .evaluate import AllocationProfile, evaluate, formula_layer
+from .market import Market, make_market
+from .numeric import FLOAT, RATIONAL, parse_number
 from .stepfn import Partition, StepFunction
 
 
@@ -94,45 +96,6 @@ def _period_candidates(market: Market, levels: list) -> list[list]:
     return out
 
 
-def _batch_revenue(market: Market, cand: np.ndarray, combos: np.ndarray, candidate_matrix: np.ndarray):
-    """Vectorized formula layer over a chunk of candidate profiles."""
-    T = market.T
-    pts = Partition(market.atoms).points
-    widths = np.array([float(b - a) for a, b in zip(pts, pts[1:])])
-    atom_point = [pts.index(a) for a in market.atoms]
-    atom_piece = [2 * k for k in atom_point]
-    atoms = np.array([float(a) for a in market.atoms])
-    mass = np.array([[float(x) for x in row] for row in market.mass])
-    delta = [float(x) for x in market.discounts.delta]
-    lam_s = [float(x) for x in market.discounts.lambda_s]
-    lam_b = [float(x) for x in market.discounts.lambda_b]
-
-    R = candidate_matrix[combos]  # (T, chunk, npieces)
-    npieces = candidate_matrix.shape[1]
-    gap_idx = np.arange(1, npieces, 2)
-
-    u_at = [None] * (T + 1)
-    u_at[T] = np.zeros((combos.shape[1], len(atoms)))
-    g = np.zeros((combos.shape[1], npieces))
-    for t in range(T - 1, -1, -1):
-        g = delta[t] * R[t] + (1 - R[t]) * g
-        cum = np.cumsum(g[:, gap_idx] * widths, axis=1)
-        u_pts = np.concatenate([np.zeros((g.shape[0], 1)), cum], axis=1)
-        u_at[t] = u_pts[:, atom_point]
-
-    r_at = R[:, :, atom_piece]  # (T, chunk, natoms)
-    fstar = np.broadcast_to(mass[0], r_at[0].shape).copy()
-    revenue = np.zeros(combos.shape[1])
-    used = np.zeros(combos.shape[1])
-    for t in range(T):
-        p = (delta[t] * atoms * r_at[t] + (1 - r_at[t]) * u_at[t + 1] - u_at[t]) / lam_b[t]
-        revenue += lam_s[t] * (p * fstar).sum(axis=1)
-        used += (r_at[t] * fstar).sum(axis=1)
-        if t + 1 < T:
-            fstar = mass[t + 1] + fstar * (1 - r_at[t])
-    return revenue, used
-
-
 def brute_force_optimal(market: Market, grid: OracleGrid | None = None) -> OracleResult:
     """Exact maximum of revenue over the grid, subject to the inventory cap."""
     grid = grid or OracleGrid()
@@ -147,20 +110,29 @@ def brute_force_optimal(market: Market, grid: OracleGrid | None = None) -> Oracl
     if total > grid.max_candidates:
         raise InstanceTooLarge(f"{total} profiles beyond oracle cap {grid.max_candidates}")
 
-    candidate_matrix = np.array([[float(x) for x in row] for row in candidates])
+    # the search runs in float: Fraction times an ndarray makes slow object arrays
+    d = market.discounts
+    search = market if market.mode == FLOAT else make_market(
+        market.T, market.atoms, market.mass, market.inventory, d.delta, d.lambda_s, d.lambda_b, mode=FLOAT
+    )
+    partition = Partition(search.atoms)
+    columns = np.array([[float(x) for x in row] for row in candidates]).T  # (pieces, K)
     T = market.T
-    inv = None if market.unbounded else float(market.inventory)
+    inv = search.inventory
     ftol = 1e-9
 
     best_rev = -np.inf
     best_id = None
     near_ids: list[int] = []
-    chunk_size = 1 << 16
+    # the recursion keeps every period's utility, presence and payment
+    # columns for a whole chunk, so the chunk size bounds peak memory
+    chunk_size = 1 << 15
     strides = [K ** (T - 1 - t) for t in range(T)]
     for lo in range(0, total, chunk_size):
         ids = np.arange(lo, min(lo + chunk_size, total))
-        combos = np.stack([(ids // s) % K for s in strides])
-        revenue, used = _batch_revenue(market, None, combos, candidate_matrix)
+        batch = formula_layer(search, partition, [columns[:, (ids // s) % K] for s in strides])
+        # a market without atoms sums to scalars
+        revenue, used = (np.broadcast_to(x, ids.shape) for x in (batch.revenue, batch.used))
         feasible = np.ones(len(ids), bool) if inv is None else used <= inv + ftol
         if not feasible.any():
             continue

@@ -15,22 +15,10 @@ import json
 from .ascent import SolveReport
 from .bestresponse import EquilibriumReport, verification_rows
 from .evaluate import AllocationProfile, Evaluation
-from .market import Market
+from .market import Market, load_json, require_array, require_keys
 from .mechanism import PricedMechanism, price_path_rows
-from .numeric import format_number, parse_number
+from .numeric import format_number, json_number, parse_number
 from .stepfn import Jump, StepFunction
-
-
-def _encode(x):
-    if x is None:
-        return None
-    if isinstance(x, (bool, float)):
-        return x
-    rendered = format_number(x)
-    try:
-        return int(rendered)
-    except ValueError:
-        return rendered
 
 
 # -- profile files -----------------------------------------------------------
@@ -41,8 +29,8 @@ def _encode(x):
 def profile_to_json(profile: AllocationProfile) -> str:
     doc = [
         {
-            "levels": [_encode(lvl) for lvl in r.levels],
-            "jumps": [{"at": _encode(j.at), "closed": j.closed} for j in r.jumps],
+            "levels": [json_number(lvl) for lvl in r.levels],
+            "jumps": [{"at": json_number(j.at), "closed": j.closed} for j in r.jumps],
         }
         for r in profile.steps
     ]
@@ -50,11 +38,15 @@ def profile_to_json(profile: AllocationProfile) -> str:
 
 
 def profile_from_json(text: str, mode: str) -> AllocationProfile:
-    doc = json.loads(text)
     steps = []
-    for entry in doc:
-        levels = [parse_number(x, mode) for x in entry["levels"]]
-        jumps = [Jump(parse_number(j["at"], mode), bool(j["closed"])) for j in entry["jumps"]]
+    for t, entry in enumerate(require_array(load_json(text), "profile")):
+        where = f"profile period {t + 1}"
+        require_keys(entry, where, ("levels", "jumps"))
+        levels = [parse_number(x, mode) for x in require_array(entry["levels"], f"{where} levels")]
+        jumps = []
+        for j in require_array(entry["jumps"], f"{where} jumps"):
+            require_keys(j, f"{where} jump", ("at", "closed"))
+            jumps.append(Jump(parse_number(j["at"], mode), bool(j["closed"])))
         steps.append(StepFunction(levels, jumps))
     return AllocationProfile(tuple(steps))
 

@@ -303,10 +303,6 @@ class PiecewiseLinear:
         self._slopes = None
 
     @property
-    def breakpoints(self) -> tuple:
-        return self.points
-
-    @property
     def value_at_0(self):
         return self.values[0]
 

@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 
 from dynration import AllocationProfile, Jump, StepFunction, make_market
+from dynration.ascent import _shrink_to_feasible
 from dynration.numeric import RATIONAL
 
 ATOM_POOL = [Fraction(k, 12) for k in range(1, 13)]
@@ -94,16 +95,4 @@ def random_profile(rng: random.Random, market) -> AllocationProfile:
 
 def random_feasible_profile(rng: random.Random, market) -> AllocationProfile:
     """Random profile shrunk until it respects the inventory cap."""
-    from dynration import evaluate
-
-    profile = random_profile(rng, market)
-    if market.unbounded:
-        return profile
-    half = Fraction(1, 2) if market.mode == RATIONAL else 0.5
-    for _ in range(12):
-        if evaluate(market, profile).inventory_used <= market.inventory:
-            return profile
-        profile = AllocationProfile(
-            tuple(StepFunction([l * half for l in r.levels], r.jumps) for r in profile.steps)
-        )
-    return AllocationProfile.zero(market.T)
+    return _shrink_to_feasible(market, random_profile(rng, market))

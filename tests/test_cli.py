@@ -135,3 +135,47 @@ def test_seeded_runs_are_byte_identical(market_files, tmp_path):
     for name in ("ex_ration.profile.json", "ex_ration.mechanism.json", "ex_ration.report.csv",
                  "ex_ration.prices.csv", "ex_ration.run.txt"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+# Solved in float mode, this market's period-2 lottery quantity differs from
+# service probability times simulated demand by about 1e-16.
+ROUNDED_RESIDUAL_MARKET = {
+    "T": 2,
+    "atoms": ["13/40", "7/20", "27/40", "33/40"],
+    "mass": [["3/4", "1", "1/2", "3/4"], ["3/4", "0", "1/4", "0"]],
+    "inventory": "2",
+    "delta": ["5/6", "3/4"],
+}
+
+
+def test_menu_only_verify_uses_mode_tolerance(tmp_path, capsys):
+    market = tmp_path / "m.json"
+    market.write_text(json.dumps(ROUNDED_RESIDUAL_MARKET))
+    assert main(["solve", str(market), "--mode", "float", "--starts", "0", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    code = main(["verify", str(market), str(tmp_path / "m.mechanism.json"), "--mode", "float", "--out", str(tmp_path)])
+    assert code == 0, capsys.readouterr().err
+    assert "verification: pass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "kind, text",
+    [
+        pytest.param("mechanism", '[{"mode": "closed"}, {"mode": "posted", "pHihg": 1}]', id="mechanism-unknown-key"),
+        pytest.param("mechanism", '[{"mode": "closed"}, {"pHigh": 1}]', id="mechanism-missing-mode"),
+        pytest.param("mechanism", '{"mode": "closed"}', id="mechanism-not-array"),
+        pytest.param("mechanism", '["closed", "closed"]', id="mechanism-entry-not-object"),
+        pytest.param("profile", '[{"levels": [0]}, {"levels": [0]}]', id="profile-missing-jumps"),
+        pytest.param("profile", '[{"levels": [0], "jumps": [], "extra": 1}, {"levels": [0], "jumps": []}]', id="profile-unknown-key"),
+        pytest.param("profile", '[{"levels": [0], "jumps": {}}, {"levels": [0], "jumps": []}]', id="profile-jumps-not-array"),
+        pytest.param("profile", '[{"levels": [0, 1], "jumps": [{"at": 1}]}, {"levels": [0], "jumps": []}]', id="profile-jump-missing-closed"),
+        pytest.param("profile", "[[0], [0]]", id="profile-entry-not-object"),
+    ],
+)
+def test_malformed_files_exit_2(market_files, tmp_path, capsys, kind, text):
+    ration, _ = market_files
+    bad = tmp_path / f"bad.{kind}.json"
+    bad.write_text(text)
+    command = ["verify", str(ration), str(bad)] if kind == "mechanism" else ["eval", str(ration), str(bad)]
+    assert main(command + ["--out", str(tmp_path)]) == 2
+    assert "error:" in capsys.readouterr().err

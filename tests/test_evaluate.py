@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from dynration import (
+    FLOAT,
     AllocationProfile,
+    Partition,
     StepFunction,
     compute_fstar,
     compute_payments,
@@ -16,6 +19,7 @@ from dynration import (
     revenue,
     welfare,
 )
+from dynration.evaluate import formula_layer
 
 from gen import random_feasible_profile, random_market, random_profile
 
@@ -212,3 +216,19 @@ def test_report_rows_shape(ration_market, ration_optimum):
 def test_profile_length_mismatch(ration_market):
     with pytest.raises(ValueError):
         evaluate(ration_market, AllocationProfile.zero(3))
+
+
+def test_batch_columns_match_scalar_evaluation():
+    # the grid oracle feeds the recursion numpy columns, one entry per
+    # profile; each entry must be the scalar evaluation, bit for bit
+    rng = random.Random(17)
+    for _ in range(8):
+        m = random_market(rng, mode=FLOAT, max_periods=4, max_atoms=4)
+        part = Partition(m.atoms)
+        profiles = [random_profile(rng, m) for _ in range(12)]
+        columns = [np.array([part.values(p.steps[t]) for p in profiles]).T for t in range(m.T)]
+        batch = formula_layer(m, part, columns)
+        for k, prof in enumerate(profiles):
+            ev = evaluate(m, prof, partition=part)
+            assert float(batch.revenue[k]).hex() == ev.revenue.hex()
+            assert float(batch.used[k]).hex() == ev.inventory_used.hex()

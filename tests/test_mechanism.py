@@ -124,6 +124,21 @@ def test_two_tier_indifference_at_high_threshold():
     assert menu.per_winner_price < menu.p_high
 
 
+def test_shared_location_pair_prices_exactly_equal_in_float():
+    # a closed/open pair at one atom puts both tiers at one threshold, so the
+    # posted and the lottery price must agree to the last bit; a rounding
+    # that left the lottery price one ulp above raised NegativePriceError
+    m = make_market(
+        T=2, atoms=["19/40", "7/8"], mass=[["1/4", "1/2"], ["3/4", "1/4"]], delta=["3/4", "3/4"], mode="float"
+    )
+    q = m.atoms[1]
+    pair = StepFunction([0, 0.2, 1], [Jump(q, True), Jump(q, False)])
+    menu = extract(m, AllocationProfile((pair, StepFunction.step(m.atoms[0])))).periods[0]
+    assert menu.mode == POSTED_LOTTERY
+    assert menu.q_low == menu.q_high == q
+    assert menu.p_high == menu.per_winner_price
+
+
 def test_free_lottery_base_level():
     m = make_market(T=1, atoms=["1/2", 1], mass=[[1, 1]], inventory=1)
     half_everywhere = StepFunction.constant(F(1, 2))

@@ -34,6 +34,8 @@ def test_twogen_oracle(twogen_market):
 def test_trivial_single_atom():
     m = make_market(T=1, atoms=[1], mass=[[1]], inventory=2)
     assert brute_force_optimal(m).revenue == 1
+    no_buyers = make_market(T=1, atoms=[], mass=[[]], inventory=2)
+    assert brute_force_optimal(no_buyers).revenue == 0
 
 
 def test_posted_only_grid_on_ration(ration_market):
