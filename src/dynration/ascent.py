@@ -8,9 +8,12 @@ is a step function with at most two jumps, and with exactly two it reaches
 one at the top; the solver enumerates that candidate family exhaustively.
 
 The affine coefficients are not expanded symbolically; they are probed out
-of the evaluator with single-step indicators whose closed/open flag pairs
-isolate the atom terms. Each build re-verifies affinity on a held-out
-probe, so a disagreement surfaces as an error instead of a silent drift.
+of the formula layer with single-step tail indicators whose closed/open
+flag pairs isolate the atom terms. All probes of one build run as a single
+batched :func:`dynration.evaluate.formula_layer` call, the period's rule
+carried as one numpy column per piece with one entry per probe. Each build
+re-verifies affinity on a held-out candidate through the full evaluator,
+so a disagreement surfaces as an error instead of a silent drift.
 """
 
 from __future__ import annotations
@@ -19,9 +22,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .evaluate import AllocationProfile, effective_discounts, evaluate
+import numpy as np
+
+from .evaluate import AllocationProfile, effective_discounts, evaluate, formula_layer
 from .market import Market
-from .numeric import default_tol
+from .numeric import RATIONAL, default_tol
 from .stepfn import Jump, StepFunction, segment_refinement
 
 
@@ -98,15 +103,8 @@ class SolveReport:
     rejected_negative_payments: int = 0
 
 
-def _tail_probe(at, closed: bool) -> StepFunction | None:
-    """Single-step indicator 1[at <= x] or 1[at < x]; None for the empty one."""
-    if at == 1 and not closed:
-        return None
-    return StepFunction.step(at, closed)
-
-
 def build_coordinate_lp(market: Market, profile: AllocationProfile, t: int) -> CoordinateLP:
-    """Probe the evaluator into the affine model for period ``t``.
+    """Probe the formula layer into the affine model for period ``t``.
 
     Jumps of optimal candidates may sit at segment boundaries only (the
     functionals are affine in a jump's position between boundaries), so the
@@ -119,21 +117,28 @@ def build_coordinate_lp(market: Market, profile: AllocationProfile, t: int) -> C
     atoms = set(market.atoms)
     is_atom = tuple(p in atoms for p in pts)
 
-    def probe(h: StepFunction):
-        ev = evaluate(market, profile.with_step(t, h), partition=partition)
-        return ev.revenue, ev.inventory_used
-
-    base_rev, base_used = probe(StepFunction.zero())
-
-    closed_vals = [None] * len(pts)
-    open_vals = [None] * len(pts)
-    for k, p in enumerate(pts):
-        opened = _tail_probe(p, False)
-        open_vals[k] = probe(opened) if opened is not None else (base_rev, base_used)
+    # Probe j is one on the pieces >= first[j]: the zero rule, then at each
+    # boundary k the open tail 1[p_k < x] (pieces >= 2k+1) and, on atoms
+    # only, the closed tail 1[p_k <= x] (pieces >= 2k). The open tail at the
+    # point 1 is the zero rule; off the atoms the two flags cannot differ.
+    first = [partition.npieces]
+    for k in range(len(pts)):
+        if k + 1 < len(pts):
+            first.append(2 * k + 1)
         if is_atom[k]:
-            closed_vals[k] = probe(_tail_probe(p, True))
-        else:
-            closed_vals[k] = open_vals[k]  # no mass at p: flags cannot differ
+            first.append(2 * k)
+
+    dtype = object if market.mode == RATIONAL else float
+    R = [partition.values(r) for r in others]
+    R.insert(t, [np.array([1 if p >= f else 0 for f in first], dtype=dtype) for p in range(partition.npieces)])
+    batch = formula_layer(market, partition, R)
+    # tolist() hands back Python scalars, so no numpy scalar reaches the
+    # model; without atoms the sums stay scalars and are broadcast.
+    revenue, used = (np.broadcast_to(x, (len(first),)).tolist() for x in (batch.revenue, batch.used))
+    tail = dict(zip(first, zip(revenue, used)))
+    base_rev, base_used = tail[partition.npieces]
+    open_vals = [tail[2 * k + 1] for k in range(len(pts))]
+    closed_vals = [tail[2 * k] if is_atom[k] else tail[2 * k + 1] for k in range(len(pts))]
 
     obj_atom, inv_atom = [], []
     for k in range(len(pts)):
@@ -157,23 +162,28 @@ def build_coordinate_lp(market: Market, profile: AllocationProfile, t: int) -> C
         base_revenue=base_rev,
         base_used=base_used,
     )
-    _assert_affine(lp, probe)
+    _assert_affine(lp, market, profile, partition)
     return lp
 
 
-def _assert_affine(lp: CoordinateLP, probe):
-    """Check the model on a held-out candidate the probes never saw."""
-    pts = lp.boundaries
-    half = Fraction(1, 2) if isinstance(pts[-1], (int, Fraction)) else 0.5
-    if len(pts) >= 3:
-        check = StepFunction([0, half, 1], [Jump(pts[1], True), Jump(pts[-2], False)]) \
-            if pts[1] != pts[-2] else StepFunction.step(pts[1], True, high=half)
-    else:
-        check = StepFunction.constant(half)
-    want_rev, want_used = probe(check)
+def _held_out_candidate(pts, mode) -> StepFunction:
+    """A rule on ``pts`` that none of the build's tail probes equals."""
+    half = Fraction(1, 2) if mode == RATIONAL else 0.5
+    if len(pts) < 3:
+        return StepFunction.constant(half)
+    if pts[1] == pts[-2]:
+        return StepFunction.step(pts[1], True, high=half)
+    return StepFunction([0, half, 1], [Jump(pts[1], True), Jump(pts[-2], False)])
+
+
+def _assert_affine(lp: CoordinateLP, market: Market, profile: AllocationProfile, partition):
+    """Check the model against the full evaluator on a held-out candidate."""
+    check = _held_out_candidate(lp.boundaries, market.mode)
+    ev = evaluate(market, profile.with_step(lp.period, check), partition=partition)
+    want_rev, want_used = ev.revenue, ev.inventory_used
     got_j, got_g = lp.value_of(check)
     scale = max(1, abs(want_rev), abs(want_used))
-    tol = 0 if isinstance(want_rev, (int, Fraction)) else 1e-8 * scale
+    tol = 0 if market.mode == RATIONAL else 1e-8 * scale
     if abs(lp.base_revenue + got_j - want_rev) > tol or abs(lp.base_used + got_g - want_used) > tol:
         raise AffinityError(
             f"period {lp.period}: probe reconstruction off by "

@@ -201,6 +201,12 @@ def require_array(raw, where: str) -> list:
     return raw
 
 
+def require_bool(raw, where: str) -> bool:
+    if not isinstance(raw, bool):
+        raise ParseError(f"{where}: must be true or false")
+    return raw
+
+
 def require_keys(raw, where: str, required, optional=()) -> dict:
     """``raw`` must be an object with every required key and no unknown one."""
     if not isinstance(raw, dict):

@@ -30,13 +30,14 @@ import json
 from dataclasses import dataclass, fields
 
 from .evaluate import AllocationProfile, Evaluation, evaluate
-from .market import Market, load_json, require_array, require_keys
-from .numeric import json_number, parse_number
+from .market import Market, ParseError, load_json, require_array, require_bool, require_keys
+from .numeric import FLOAT, json_number, parse_number
 
 CLOSED_MODE = "closed"
 POSTED = "posted"
 LOTTERY_ONLY = "lottery-only"
 POSTED_LOTTERY = "posted+lottery"
+MENU_MODES = (CLOSED_MODE, POSTED, LOTTERY_ONLY, POSTED_LOTTERY)
 
 # Threshold stored for an unreachable posted tier: above the value range by
 # a unit offset, so no bid can ever land in the tier.
@@ -154,6 +155,9 @@ def extract(market: Market, profile: AllocationProfile, evaluation: Evaluation |
                 # lottery; written around per_winner so that a closed/open
                 # pair at one location gives exactly p_high == per_winner
                 p_high = per_winner + (1 - r_low) * (threshold_price(q_high) - per_winner)
+                if market.mode == FLOAT and per_winner > p_high and per_winner - p_high <= 1e-12 * abs(per_winner):
+                    # float rounding only: the tiers tie, as at a shared location
+                    p_high = per_winner
             menu_kwargs.update(q_high=q_high, q_high_inclusive=high_incl, p_high=p_high)
             mode = POSTED_LOTTERY if q_low is not None else POSTED
         else:
@@ -232,13 +236,19 @@ def mechanism_from_json(text: str, mode: str) -> PricedMechanism:
     menus = []
     inverse = {v: k for k, v in _JSON_KEYS.items()}
     for t, entry in enumerate(require_array(load_json(text), "mechanism")):
-        require_keys(entry, f"mechanism period {t + 1}", ("mode",), inverse)
+        where = f"mechanism period {t + 1}"
+        require_keys(entry, where, ("mode",), inverse)
+        if entry["mode"] not in MENU_MODES:
+            raise ParseError(f"{where}: unknown mode {entry['mode']!r}")
         kwargs = {"mode": entry["mode"]}
         for key, value in entry.items():
             if key == "mode":
                 continue
             name = inverse[key]
-            kwargs[name] = bool(value) if name.endswith("inclusive") else parse_number(value, mode)
+            if name.endswith("inclusive"):
+                kwargs[name] = require_bool(value, f"{where} {key}")
+            else:
+                kwargs[name] = parse_number(value, mode)
         menus.append(PeriodMenu(**kwargs))
     return PricedMechanism(tuple(menus))
 

@@ -15,7 +15,7 @@ import json
 from .ascent import SolveReport
 from .bestresponse import EquilibriumReport, verification_rows
 from .evaluate import AllocationProfile, Evaluation
-from .market import Market, load_json, require_array, require_keys
+from .market import Market, load_json, require_array, require_bool, require_keys
 from .mechanism import PricedMechanism, price_path_rows
 from .numeric import format_number, json_number, parse_number
 from .stepfn import Jump, StepFunction
@@ -46,7 +46,7 @@ def profile_from_json(text: str, mode: str) -> AllocationProfile:
         jumps = []
         for j in require_array(entry["jumps"], f"{where} jumps"):
             require_keys(j, f"{where} jump", ("at", "closed"))
-            jumps.append(Jump(parse_number(j["at"], mode), bool(j["closed"])))
+            jumps.append(Jump(parse_number(j["at"], mode), require_bool(j["closed"], f"{where} jump closed")))
         steps.append(StepFunction(levels, jumps))
     return AllocationProfile(tuple(steps))
 

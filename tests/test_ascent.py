@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import dynration.ascent as ascent
 from dynration import (
     AllocationProfile,
     CoordinateLP,
@@ -14,8 +15,10 @@ from dynration import (
     normalize_staircase,
     solve_coordinate,
 )
+from dynration.numeric import FLOAT, RATIONAL
+from dynration.stepfn import segment_refinement
 
-from gen import random_market, random_profile
+from gen import MASS_POOL, random_market, random_profile, random_step
 
 
 def test_ration_solve(ration_market):
@@ -67,6 +70,115 @@ def test_lp_zero_when_no_mass_remains():
     assert all(x == 0 for x in lp.obj_atom)
     assert all(x == 0 for x in lp.obj_density)
     assert all(x == 0 for x in lp.inv_atom)
+
+
+def _probed_lp(market, profile, t):
+    """Reference coordinate model from 2m + 2 separate ``evaluate`` probes.
+
+    Probes are the zero rule and, at every boundary, the open tail
+    ``1[p < x]`` (none at the point 1) and, on atoms, the closed tail
+    ``1[p <= x]``; differences of neighbouring tails give the atom and
+    density coefficients.
+    """
+    partition = segment_refinement([r for s, r in enumerate(profile.steps) if s != t], market.atoms)
+    pts = partition.points
+
+    def probe(h):
+        ev = evaluate(market, profile.with_step(t, h), partition=partition)
+        return ev.revenue, ev.inventory_used
+
+    base = probe(StepFunction.zero())
+    opened = [probe(StepFunction.step(p, False)) if p < 1 else base for p in pts]
+    closed = [probe(StepFunction.step(p, True)) if p in market.atoms else opened[k] for k, p in enumerate(pts)]
+    widths = [b - a for a, b in zip(pts, pts[1:])]
+    return {
+        "boundaries": pts,
+        "base": base,
+        "obj_atom": [c[0] - o[0] for c, o in zip(closed, opened)],
+        "inv_atom": [c[1] - o[1] for c, o in zip(closed, opened)],
+        "obj_density": [(opened[s][0] - closed[s + 1][0]) / w for s, w in enumerate(widths)],
+        "inv_density": [(opened[s][1] - closed[s + 1][1]) / w for s, w in enumerate(widths)],
+    }
+
+
+def _oracle_market(rng, mode):
+    """Random market with general lambdas or tied deltas, and atoms at 0 and 1."""
+    m = random_market(
+        rng, max_atoms=4, general_lambda=rng.random() < 0.5, tied_delta=rng.random() < 0.3
+    )
+    atoms, mass = list(m.atoms), [list(row) for row in m.mass]
+    if rng.random() < 0.5:
+        atoms.insert(0, F(0))
+        for row in mass:
+            row.insert(0, rng.choice(MASS_POOL))
+    if atoms[-1] != 1 and rng.random() < 0.5:
+        atoms.append(F(1))
+        for row in mass:
+            row.append(rng.choice(MASS_POOL))
+    d = m.discounts
+    return make_market(m.T, atoms, mass, m.inventory, d.delta, d.lambda_s, d.lambda_b, mode=mode)
+
+
+def _oracle_profile(rng, market):
+    """Random profile with jumps on the atoms and on points between them."""
+    grid = [F(k, 24) for k in range(1, 24)]
+    if market.mode == FLOAT:
+        grid = [float(x) for x in grid]
+    steps = []
+    for _ in range(market.T):
+        locs = sorted(set(market.atoms) | set(rng.sample(grid, 2)))
+        steps.append(random_step(rng, locs, market.mode))
+    return AllocationProfile(tuple(steps))
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_batched_build_matches_probe_oracle(mode):
+    rng = random.Random(31)
+    key = (lambda x: x) if mode == RATIONAL else (lambda x: x.hex())
+    kinds = (int, F) if mode == RATIONAL else (float,)
+    for _ in range(40):
+        m = _oracle_market(rng, mode)
+        prof = _oracle_profile(rng, m)
+        for t in range(m.T):
+            want = _probed_lp(m, prof, t)
+            lp = build_coordinate_lp(m, prof, t)
+            assert lp.boundaries == want["boundaries"]
+            got = {
+                "base": (lp.base_revenue, lp.base_used),
+                "obj_atom": lp.obj_atom,
+                "inv_atom": lp.inv_atom,
+                "obj_density": lp.obj_density,
+                "inv_density": lp.inv_density,
+            }
+            for name, values in got.items():
+                assert all(type(x) in kinds for x in values), name
+                assert [key(x) for x in values] == [key(x) for x in want[name]], (name, t)
+            budget = None if m.unbounded else m.inventory - want["base"][1]
+            assert lp.budget == budget
+
+
+def test_build_calls_evaluate_once(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(ascent, "evaluate", counting)
+    rng = random.Random(32)
+    m = _oracle_market(rng, RATIONAL)
+    prof = _oracle_profile(rng, m)
+    build_coordinate_lp(m, prof, m.T - 1)
+    assert len(calls) == 1
+
+
+def test_float_held_out_candidate_has_float_levels():
+    pts_cases = [(0.0, 1.0), (0.0, 0.5, 1.0), (0.0, 0.25, 0.75, 1.0)]
+    for pts in pts_cases:
+        cand = ascent._held_out_candidate(pts, FLOAT)
+        assert not any(isinstance(x, F) for x in cand.levels)
+        assert 0.5 in cand.levels and all(type(x) is float for x in cand.levels if x not in (0, 1))
+    assert F(1, 2) in ascent._held_out_candidate((F(0), F(1, 2), F(1)), RATIONAL).levels
 
 
 def _lp(boundaries, obj_atom, obj_density, inv_atom, budget):

@@ -158,6 +158,18 @@ def test_menu_only_verify_uses_mode_tolerance(tmp_path, capsys):
     assert "verification: pass" in capsys.readouterr().out
 
 
+def test_float_lottery_price_rounded_above_posted_is_tied(tmp_path, capsys):
+    # In float mode this market's period-5 per-winner price computes one ulp
+    # above the two-tier posted price, which used to raise NegativePriceError.
+    market = FIXTURES / "lottery_price_ulp_tie.json"
+    argv = ["solve", str(market), "--mode", "float", "--starts", "0", "--sweeps", "1", "--out", str(tmp_path)]
+    assert main(argv) == 0, capsys.readouterr().err
+    assert "verification: pass" in capsys.readouterr().out
+    menu = json.loads((tmp_path / "lottery_price_ulp_tie.mechanism.json").read_text())[4]
+    assert menu["mode"] == "posted+lottery"
+    assert menu["pHigh"] == menu["perWinnerPrice"]
+
+
 @pytest.mark.parametrize(
     "kind, text",
     [
@@ -170,6 +182,12 @@ def test_menu_only_verify_uses_mode_tolerance(tmp_path, capsys):
         pytest.param("profile", '[{"levels": [0], "jumps": {}}, {"levels": [0], "jumps": []}]', id="profile-jumps-not-array"),
         pytest.param("profile", '[{"levels": [0, 1], "jumps": [{"at": 1}]}, {"levels": [0], "jumps": []}]', id="profile-jump-missing-closed"),
         pytest.param("profile", "[[0], [0]]", id="profile-entry-not-object"),
+        pytest.param("profile", '[{"levels": [0, 1], "jumps": [{"at": 1, "closed": "false"}]}, {"levels": [0], "jumps": []}]', id="profile-closed-string"),
+        pytest.param("profile", '[{"levels": [0, 1], "jumps": [{"at": 1, "closed": 1}]}, {"levels": [0], "jumps": []}]', id="profile-closed-number"),
+        pytest.param("mechanism", '[{"mode": "bogus"}, {"mode": "closed"}]', id="mechanism-unknown-mode"),
+        pytest.param("mechanism", '[{"mode": ["closed"]}, {"mode": "closed"}]', id="mechanism-mode-not-string"),
+        pytest.param("mechanism", '[{"mode": "closed"}, {"mode": "posted", "qHigh": 1, "qHighInclusive": "false", "pHigh": 1}]', id="mechanism-qhigh-inclusive-string"),
+        pytest.param("mechanism", '[{"mode": "closed"}, {"mode": "lottery-only", "qHigh": 2, "qHighInclusive": true, "qLow": "2/3", "qLowInclusive": 0, "serviceProb": "1/2", "perWinnerPrice": "2/3", "lotteryQuantity": "1/2"}]', id="mechanism-qlow-inclusive-number"),
     ],
 )
 def test_malformed_files_exit_2(market_files, tmp_path, capsys, kind, text):
