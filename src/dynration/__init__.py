@@ -22,13 +22,7 @@ from .bestresponse import EquilibriumReport, VerificationResult, best_response, 
 from .evaluate import (
     AllocationProfile,
     Evaluation,
-    compute_fstar,
-    compute_payments,
-    compute_utilities,
     evaluate,
-    inventory_used,
-    revenue,
-    welfare,
 )
 from .market import (
     DiscountSchedule,
@@ -66,7 +60,6 @@ from .stepfn import (
     Partition,
     PiecewiseLinear,
     StepFunction,
-    lebesgue_integral_product,
     mixture,
     pointwise,
     segment_refinement,

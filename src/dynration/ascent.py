@@ -7,13 +7,16 @@ small exact program: maximize an affine functional of a monotone function
 is a step function with at most two jumps, and with exactly two it reaches
 one at the top; the solver enumerates that candidate family exhaustively.
 
-The affine coefficients are not expanded symbolically; they are probed out
-of the formula layer with single-step tail indicators whose closed/open
-flag pairs isolate the atom terms. All probes of one build run as a single
-batched :func:`dynration.evaluate.formula_layer` call, the period's rule
-carried as one numpy column per piece with one entry per probe. Each build
-re-verifies affinity on a held-out candidate through the full evaluator,
-so a disagreement surfaces as an error instead of a silent drift.
+A monotone step function whose jumps sit on the segment boundaries is a
+nonnegative combination of tail indicators, the closed ``1[p <= x]`` and
+the open ``1[p < x]`` at each boundary, so the affine model of a period is
+nothing but the values of those tails. They are measured, not expanded
+symbolically: all tails of one build run as a single batched
+:func:`dynration.evaluate.formula_layer` call, the period's rule carried
+as one numpy column per piece with one entry per tail. The solver's
+candidates are single tails and mixtures of two. Each build re-verifies
+affinity on a held-out candidate through the full evaluator, so a
+disagreement surfaces as an error instead of a silent drift.
 """
 
 from __future__ import annotations
@@ -38,38 +41,39 @@ class AffinityError(AssertionError):
 class CoordinateLP:
     """Affine model of revenue and inventory in one period's allocation.
 
-    For any step function ``h`` with jumps on ``boundaries``::
+    ``closed[k]`` and ``opened[k]`` are the (revenue, inventory) changes,
+    over the zeroed coordinate, of the tails ``1[p_k <= x]`` and
+    ``1[p_k < x]`` at ``p_k = boundaries[k]``. A step function ``h`` with
+    jumps on ``boundaries`` is its base level times the constant one
+    (``closed[0]``) plus, for each jump, the jump's height times its tail
+    (closed or open by the jump's flag), so::
 
-        revenue(h)   = base_revenue + sum_s obj_density[s] * int_s h
-                                    + sum_k obj_atom[k] * h(boundaries[k])
-        inventory(h) = base_used    + (same with inv_*)
+        revenue(h)   = base_revenue + levels[0] * closed[0][0]
+                                    + sum_jumps height * tail[0]
+        inventory(h) = base_used    + (the same with index 1)
 
-    ``budget`` is the inventory headroom ``I - base_used`` (None when
-    supply is unbounded); it is the slack left once this coordinate is
-    zeroed, so it already contains the coordinate's own current usage.
+    The open tail at the point 1 is the zero rule. ``budget`` is the
+    inventory headroom ``I - base_used`` (None when supply is unbounded);
+    it is the slack left once this coordinate is zeroed, so it already
+    contains the coordinate's own current usage.
     """
 
     period: int
     boundaries: tuple
-    is_atom: tuple
-    obj_atom: tuple
-    obj_density: tuple
-    inv_atom: tuple
-    inv_density: tuple
+    closed: tuple
+    opened: tuple
     budget: object
     base_revenue: object
     base_used: object
 
     def value_of(self, h: StepFunction):
-        """(revenue delta, inventory delta) of an arbitrary candidate."""
-        pts = self.boundaries
-        j = sum(self.obj_atom[k] * h.eval(p) for k, p in enumerate(pts) if self.is_atom[k])
-        gcons = sum(self.inv_atom[k] * h.eval(p) for k, p in enumerate(pts) if self.is_atom[k])
-        for s in range(len(pts) - 1):
-            seg = h.integral(pts[s], pts[s + 1])
-            j += self.obj_density[s] * seg
-            gcons += self.inv_density[s] * seg
-        return j, gcons
+        """(revenue delta, inventory delta) of a candidate jumping on the boundaries."""
+        j, g = (h.levels[0] * x for x in self.closed[0])
+        for jump, lo, hi in zip(h.jumps, h.levels, h.levels[1:]):
+            tj, tg = (self.closed if jump.closed else self.opened)[self.boundaries.index(jump.at)]
+            j += (hi - lo) * tj
+            g += (hi - lo) * tg
+        return j, g
 
 
 @dataclass
@@ -104,7 +108,7 @@ class SolveReport:
 
 
 def build_coordinate_lp(market: Market, profile: AllocationProfile, t: int) -> CoordinateLP:
-    """Probe the formula layer into the affine model for period ``t``.
+    """Measure the tails of period ``t`` in the formula layer.
 
     Jumps of optimal candidates may sit at segment boundaries only (the
     functionals are affine in a jump's position between boundaries), so the
@@ -137,27 +141,18 @@ def build_coordinate_lp(market: Market, profile: AllocationProfile, t: int) -> C
     revenue, used = (np.broadcast_to(x, (len(first),)).tolist() for x in (batch.revenue, batch.used))
     tail = dict(zip(first, zip(revenue, used)))
     base_rev, base_used = tail[partition.npieces]
-    open_vals = [tail[2 * k + 1] for k in range(len(pts))]
-    closed_vals = [tail[2 * k] if is_atom[k] else tail[2 * k + 1] for k in range(len(pts))]
 
-    obj_atom, inv_atom = [], []
-    for k in range(len(pts)):
-        obj_atom.append(closed_vals[k][0] - open_vals[k][0])
-        inv_atom.append(closed_vals[k][1] - open_vals[k][1])
-    obj_density, inv_density = [], []
-    for s in range(len(pts) - 1):
-        width = pts[s + 1] - pts[s]
-        obj_density.append((open_vals[s][0] - closed_vals[s + 1][0]) / width)
-        inv_density.append((open_vals[s][1] - closed_vals[s + 1][1]) / width)
+    def change(f):
+        rev, used = tail[f]
+        return rev - base_rev, used - base_used
 
+    opened = tuple(change(2 * k + 1) for k in range(len(pts)))
+    closed = tuple(change(2 * k) if is_atom[k] else opened[k] for k in range(len(pts)))
     lp = CoordinateLP(
         period=t,
         boundaries=pts,
-        is_atom=is_atom,
-        obj_atom=tuple(obj_atom),
-        obj_density=tuple(obj_density),
-        inv_atom=tuple(inv_atom),
-        inv_density=tuple(inv_density),
+        closed=closed,
+        opened=opened,
         budget=None if market.unbounded else market.inventory - base_used,
         base_revenue=base_rev,
         base_used=base_used,
@@ -186,7 +181,7 @@ def _assert_affine(lp: CoordinateLP, market: Market, profile: AllocationProfile,
     tol = 0 if market.mode == RATIONAL else 1e-8 * scale
     if abs(lp.base_revenue + got_j - want_rev) > tol or abs(lp.base_used + got_g - want_used) > tol:
         raise AffinityError(
-            f"period {lp.period}: probe reconstruction off by "
+            f"period {lp.period}: tail model off by "
             f"{lp.base_revenue + got_j - want_rev} / {lp.base_used + got_g - want_used}"
         )
 
@@ -200,34 +195,11 @@ def solve_coordinate(lp: CoordinateLP) -> CoordinateSolution:
     pair at one shared location). Ties break toward fewer steps, then less
     inventory, then lower jumps with closed before open.
     """
-    pts = lp.boundaries
-    m = len(pts)
-
-    # Tail values of J and G for 1[p_k <= x] (closed) and 1[p_k < x] (open).
-    atom_j = list(lp.obj_atom)
-    atom_g = list(lp.inv_atom)
-    dens_j = list(lp.obj_density)
-    dens_g = list(lp.inv_density)
-    widths = [pts[s + 1] - pts[s] for s in range(m - 1)]
-    jc = [0] * m
-    gc = [0] * m
-    jo = [0] * m
-    go = [0] * m
-    run_j, run_g = 0, 0
-    for k in range(m - 1, -1, -1):
-        jo[k] = run_j
-        go[k] = run_g
-        jc[k] = run_j + atom_j[k]
-        gc[k] = run_g + atom_g[k]
-        if k > 0:
-            run_j = jc[k] + dens_j[k - 1] * widths[k - 1]
-            run_g = gc[k] + dens_g[k - 1] * widths[k - 1]
-
     singles = []  # (at, closed, J, G)
-    for k in range(m):
-        singles.append((pts[k], True, jc[k], gc[k]))
-        if k < m - 1 or pts[k] < 1:
-            singles.append((pts[k], False, jo[k], go[k]))
+    for k, at in enumerate(lp.boundaries):
+        singles.append((at, True, *lp.closed[k]))
+        if at < 1:
+            singles.append((at, False, *lp.opened[k]))
 
     budget = lp.budget
     feasible = lambda g: budget is None or g <= budget

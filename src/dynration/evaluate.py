@@ -248,31 +248,3 @@ def _require_equal(a, b, mode, what):
     if abs(a - b) > tol:
         raise EvaluatorInternalError(f"{what}: {a} != {b}")
 
-
-# -- spec-facing wrappers ---------------------------------------------------
-
-def compute_fstar(market: Market, profile: AllocationProfile):
-    """Presence masses by the arrival recursion (closed-form checked)."""
-    return evaluate(market, profile).fstar
-
-
-def compute_utilities(market: Market, profile: AllocationProfile):
-    """Utility curves U_1..U_{T+1} (index 0 is period one; last is zero)."""
-    return evaluate(market, profile).utilities
-
-
-def compute_payments(market: Market, profile: AllocationProfile):
-    """Expected truthful payments per atom-period, as charged."""
-    return evaluate(market, profile).payments
-
-
-def revenue(market: Market, profile: AllocationProfile):
-    return evaluate(market, profile).revenue
-
-
-def inventory_used(market: Market, profile: AllocationProfile):
-    return evaluate(market, profile).inventory_used
-
-
-def welfare(market: Market, profile: AllocationProfile):
-    return evaluate(market, profile).welfare

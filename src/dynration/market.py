@@ -17,7 +17,7 @@ never a sentinel float.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .numeric import MODES, RATIONAL, NumberParseError, format_number, json_number, parse_number
@@ -49,16 +49,6 @@ class DiscountSchedule:
     lambda_s: tuple
     lambda_b: tuple
 
-    @classmethod
-    def flat(cls, periods: int, mode: str = RATIONAL) -> "DiscountSchedule":
-        one = parse_number(1, mode)
-        ones = (one,) * periods
-        return cls(ones, ones, ones)
-
-    def is_flat_money(self) -> bool:
-        """True when lambdaS and lambdaB are identically one (base model)."""
-        return all(x == 1 for x in self.lambda_s) and all(x == 1 for x in self.lambda_b)
-
 
 @dataclass(frozen=True)
 class Market:
@@ -89,12 +79,6 @@ class Market:
     @property
     def unbounded(self) -> bool:
         return self.inventory is None
-
-    def atom_index(self, v) -> int:
-        return self.atoms.index(v)
-
-    def total_mass(self):
-        return sum(sum(row) for row in self.mass)
 
     def validated(self) -> "Market":
         violations = validate_market(self)

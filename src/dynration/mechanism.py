@@ -216,6 +216,16 @@ _JSON_KEYS = {
     "lottery_quantity": "lotteryQuantity",
 }
 
+# The keys that extract writes for each menu mode, besides "mode" itself.
+_POSTED_KEYS = ("qHigh", "qHighInclusive", "pHigh")
+_LOTTERY_KEYS = ("qLow", "qLowInclusive", "serviceProb", "perWinnerPrice", "lotteryQuantity")
+_MODE_KEYS = {
+    CLOSED_MODE: (),
+    POSTED: _POSTED_KEYS,
+    LOTTERY_ONLY: ("qHigh", "qHighInclusive") + _LOTTERY_KEYS,
+    POSTED_LOTTERY: _POSTED_KEYS + _LOTTERY_KEYS,
+}
+
 
 def mechanism_to_json(mech: PricedMechanism) -> str:
     doc = []
@@ -240,6 +250,9 @@ def mechanism_from_json(text: str, mode: str) -> PricedMechanism:
         require_keys(entry, where, ("mode",), inverse)
         if entry["mode"] not in MENU_MODES:
             raise ParseError(f"{where}: unknown mode {entry['mode']!r}")
+        expected = {"mode", *_MODE_KEYS[entry["mode"]]}
+        if set(entry) != expected:
+            raise ParseError(f"{where}: a {entry['mode']!r} menu takes exactly the keys {sorted(expected)}")
         kwargs = {"mode": entry["mode"]}
         for key, value in entry.items():
             if key == "mode":

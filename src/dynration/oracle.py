@@ -50,6 +50,8 @@ class OracleGrid:
 
     def level_values(self, mode: str) -> list:
         vals = sorted({parse_number(x, mode) for x in self.levels})
+        if vals[0] < 0 or vals[-1] > 1:
+            raise ValueError("grid levels must lie in [0, 1]")
         if vals[0] != 0 or vals[-1] != 1:
             raise ValueError("the level grid must contain 0 and 1")
         return vals

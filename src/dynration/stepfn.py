@@ -191,15 +191,8 @@ class Partition:
     def npieces(self) -> int:
         return 2 * len(self.points) - 1
 
-    def point_index(self, v) -> int:
-        return self._index[v]
-
     def piece_of_point(self, v) -> int:
         return 2 * self._index[v]
-
-    def gap_lengths(self) -> list:
-        pts = self.points
-        return [b - a for a, b in zip(pts, pts[1:])]
 
     def values(self, f: StepFunction) -> list:
         """Per-piece values of ``f``; raises if a jump sits off the points."""
@@ -221,18 +214,6 @@ class Partition:
         for k in range(len(pts) - 1):
             out.append(out[-1] + piece_values[2 * k + 1] * (pts[k + 1] - pts[k]))
         return out
-
-    def integrate(self, piece_values: Sequence, upper=1):
-        if upper < 0 or upper > 1:
-            raise DomainError(f"upper limit {upper} outside [0, 1]")
-        pts = self.points
-        total = 0
-        for k in range(len(pts) - 1):
-            if pts[k] >= upper:
-                break
-            width = min(pts[k + 1], upper) - pts[k]
-            total += piece_values[2 * k + 1] * width
-        return total
 
 
 def segment_refinement(fs: Iterable[StepFunction], points: Iterable = ()) -> Partition:
@@ -257,31 +238,6 @@ def pointwise(op: Callable, *fs: StepFunction) -> StepFunction:
 def mixture(f0: StepFunction, f1: StepFunction, theta) -> StepFunction:
     """Pointwise convex combination ``theta * f1 + (1 - theta) * f0``."""
     return pointwise(lambda a, b: theta * b + (1 - theta) * a, f0, f1)
-
-
-def lebesgue_integral_product(
-    fs: Sequence[StepFunction],
-    upper=1,
-    weights: Sequence | None = None,
-    combine: Callable | None = None,
-):
-    """Exact ``∫_0^{upper}`` of a per-point expression in the step functions.
-
-    By default the integrand is the weighted sum of the functions; a
-    ``combine`` callable receiving one value per function overrides it and
-    covers product/sum-of-product integrands. The integrand is piecewise
-    constant on the common refinement, so the integral is a finite sum of
-    segment-length times value terms; jump inclusion flags never matter.
-    """
-    part = segment_refinement(fs)
-    columns = [part.values(f) for f in fs]
-    if combine is None:
-        w = list(weights) if weights is not None else [1] * len(fs)
-        if len(w) != len(fs):
-            raise ValueError("one weight per function required")
-        combine = lambda *vals: sum(wi * v for wi, v in zip(w, vals))
-    values = [combine(*vals) for vals in zip(*columns)]
-    return part.integrate(values, upper)
 
 
 class PiecewiseLinear:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from dynration import AllocationProfile, Jump, StepFunction, make_market
+from dynration import AllocationProfile, CoordinateLP, Jump, StepFunction, make_market
 from dynration.ascent import _shrink_to_feasible
 from dynration.numeric import RATIONAL
 
@@ -96,3 +96,33 @@ def random_profile(rng: random.Random, market) -> AllocationProfile:
 def random_feasible_profile(rng: random.Random, market) -> AllocationProfile:
     """Random profile shrunk until it respects the inventory cap."""
     return _shrink_to_feasible(market, random_profile(rng, market))
+
+
+def lp_from_coefficients(boundaries, obj_atom, obj_density, inv_atom, inv_density, budget) -> CoordinateLP:
+    """Coordinate model, as tail values, of hand-drawn atom and density weights.
+
+    ``obj_atom[k]`` is the revenue weight of the point ``boundaries[k]`` and
+    ``obj_density[s]`` the revenue per unit length between ``boundaries[s]``
+    and ``boundaries[s + 1]`` (``inv_*`` likewise for inventory). Tails
+    accumulate from the top: the open tail at boundary k integrates the
+    segments above it, and the closed tail adds the point's own weight.
+    """
+    pts = tuple(boundaries)
+    closed, opened = [None] * len(pts), [None] * len(pts)
+    run_j, run_g = 0, 0
+    for k in range(len(pts) - 1, -1, -1):
+        opened[k] = (run_j, run_g)
+        closed[k] = (run_j + obj_atom[k], run_g + inv_atom[k])
+        if k > 0:
+            width = pts[k] - pts[k - 1]
+            run_j = closed[k][0] + obj_density[k - 1] * width
+            run_g = closed[k][1] + inv_density[k - 1] * width
+    return CoordinateLP(
+        period=0,
+        boundaries=pts,
+        closed=tuple(closed),
+        opened=tuple(opened),
+        budget=budget,
+        base_revenue=0,
+        base_used=0,
+    )

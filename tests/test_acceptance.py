@@ -18,7 +18,6 @@ import pytest
 
 from dynration import (
     AllocationProfile,
-    CoordinateLP,
     OracleGrid,
     StepFunction,
     brute_force_optimal,
@@ -39,7 +38,7 @@ from dynration.mechanism import mechanism_to_json
 from dynration.numeric import FLOAT, RATIONAL
 from dynration.report import profile_to_json
 
-from gen import random_market, random_profile, random_step
+from gen import lp_from_coefficients, random_market, random_profile, random_step
 
 TOL = 1e-9
 
@@ -116,27 +115,27 @@ def _grid_matrix(npieces: int) -> np.ndarray:
     return _CWR_CACHE[npieces]
 
 
-def _grid_solve(lp: CoordinateLP) -> float:
+def _grid_solve(pts, obj_atom, obj_density, inv_atom, inv_density, budget) -> float:
     """Independent oracle: every monotone piece-value vector on the 1/8 grid."""
-    pts = lp.boundaries
     npieces = 2 * len(pts) - 1
     w_j = np.zeros(npieces)
     w_g = np.zeros(npieces)
     for k in range(len(pts)):
-        w_j[2 * k] = lp.obj_atom[k]
-        w_g[2 * k] = lp.inv_atom[k]
+        w_j[2 * k] = obj_atom[k]
+        w_g[2 * k] = inv_atom[k]
     for s in range(len(pts) - 1):
         width = pts[s + 1] - pts[s]
-        w_j[2 * s + 1] = lp.obj_density[s] * width
-        w_g[2 * s + 1] = lp.inv_density[s] * width
+        w_j[2 * s + 1] = obj_density[s] * width
+        w_g[2 * s + 1] = inv_density[s] * width
     M = _grid_matrix(npieces)
     j = M @ w_j
-    if lp.budget is not None:
-        j = np.where(M @ w_g <= lp.budget + 1e-12, j, -np.inf)
+    if budget is not None:
+        j = np.where(M @ w_g <= budget + 1e-12, j, -np.inf)
     return float(j.max())
 
 
-def _random_lp(rng: random.Random) -> CoordinateLP:
+def _random_coefficients(rng: random.Random) -> tuple:
+    """(boundaries, obj_atom, obj_density, inv_atom, inv_density, budget)."""
     nseg = rng.randint(3, 6)
     interior = sorted(rng.sample([k / 12 for k in range(1, 12)], nseg - 1))
     pts = (0.0, *interior, 1.0)
@@ -152,27 +151,17 @@ def _random_lp(rng: random.Random) -> CoordinateLP:
     else:
         inv_atom = [rng.uniform(0, 1) for _ in range(n)]
         budget = None if rng.random() < 0.5 else sum(inv_atom) + 1.0
-    return CoordinateLP(
-        period=0,
-        boundaries=pts,
-        is_atom=(True,) * n,
-        obj_atom=obj_atom,
-        obj_density=obj_density,
-        inv_atom=tuple(inv_atom),
-        inv_density=(0.0,) * (n - 1),
-        budget=budget,
-        base_revenue=0.0,
-        base_used=0.0,
-    )
+    return pts, obj_atom, obj_density, tuple(inv_atom), (0.0,) * (n - 1), budget
 
 
 def test_criterion_4_per_period_solve_matches_grid_oracle():
     t0 = time.monotonic()
     rng = random.Random(1004)
     for k in range(200):
-        lp = _random_lp(rng)
+        coefficients = _random_coefficients(rng)
+        lp = lp_from_coefficients(*coefficients)
         sol = solve_coordinate(lp)
-        grid_best = _grid_solve(lp)
+        grid_best = _grid_solve(*coefficients)
         assert abs(sol.objective - grid_best) <= TOL, (
             f"LP {k}: solver {sol.objective} vs grid {grid_best}"
         )

@@ -6,7 +6,7 @@ import pytest
 import dynration.ascent as ascent
 from dynration import (
     AllocationProfile,
-    CoordinateLP,
+    Jump,
     StepFunction,
     build_coordinate_lp,
     coordinate_ascent,
@@ -18,7 +18,7 @@ from dynration import (
 from dynration.numeric import FLOAT, RATIONAL
 from dynration.stepfn import segment_refinement
 
-from gen import MASS_POOL, random_market, random_profile, random_step
+from gen import MASS_POOL, lp_from_coefficients, random_market, random_profile, random_step
 
 
 def test_ration_solve(ration_market):
@@ -45,17 +45,19 @@ def test_three_atom_posted_price():
 def test_lp_single_atom_coefficients():
     m = make_market(T=1, atoms=[1], mass=[[1]])
     lp = build_coordinate_lp(m, AllocationProfile.zero(1), 0)
-    assert lp.obj_atom[lp.boundaries.index(1)] == 1
-    assert lp.obj_density == (-1,)
+    assert lp.boundaries == (0, 1)
+    # serving everyone earns nothing; serving value 1 only earns 1
+    assert lp.closed == ((0, 1), (1, 1))
+    assert lp.opened == ((0, 1), (0, 0))
     assert lp.budget is None
 
 
 def test_lp_ration_second_period(ration_market):
     prof = AllocationProfile((StepFunction.step(1), StepFunction.zero()))
     lp = build_coordinate_lp(ration_market, prof, 1)
-    assert lp.obj_atom[lp.boundaries.index(F(2, 3))] == F(2, 3)
-    assert lp.inv_atom[lp.boundaries.index(F(2, 3))] == 1
-    assert lp.inv_density == (0, 0)
+    assert lp.boundaries == (0, F(2, 3), 1)
+    assert lp.closed == ((-1, 1), (F(1, 3), 1), (0, 0))
+    assert lp.opened == ((-1, 1), (F(-1, 3), 0), (0, 0))
     assert lp.budget == F(1, 2)
     sol = solve_coordinate(lp)
     assert sol.step == StepFunction.step(F(2, 3), high=F(1, 2))
@@ -67,9 +69,7 @@ def test_lp_zero_when_no_mass_remains():
     m = make_market(T=2, atoms=["1/2", 1], mass=[[1, 1], [0, 0]])
     prof = AllocationProfile((StepFunction.one(), StepFunction.zero()))
     lp = build_coordinate_lp(m, prof, 1)
-    assert all(x == 0 for x in lp.obj_atom)
-    assert all(x == 0 for x in lp.obj_density)
-    assert all(x == 0 for x in lp.inv_atom)
+    assert all(tail == (0, 0) for tail in lp.closed + lp.opened)
 
 
 def _probed_lp(market, profile, t):
@@ -77,8 +77,7 @@ def _probed_lp(market, profile, t):
 
     Probes are the zero rule and, at every boundary, the open tail
     ``1[p < x]`` (none at the point 1) and, on atoms, the closed tail
-    ``1[p <= x]``; differences of neighbouring tails give the atom and
-    density coefficients.
+    ``1[p <= x]``; each tail's change over the zero rule is its value.
     """
     partition = segment_refinement([r for s, r in enumerate(profile.steps) if s != t], market.atoms)
     pts = partition.points
@@ -90,14 +89,12 @@ def _probed_lp(market, profile, t):
     base = probe(StepFunction.zero())
     opened = [probe(StepFunction.step(p, False)) if p < 1 else base for p in pts]
     closed = [probe(StepFunction.step(p, True)) if p in market.atoms else opened[k] for k, p in enumerate(pts)]
-    widths = [b - a for a, b in zip(pts, pts[1:])]
+    change = lambda tail: (tail[0] - base[0], tail[1] - base[1])
     return {
         "boundaries": pts,
         "base": base,
-        "obj_atom": [c[0] - o[0] for c, o in zip(closed, opened)],
-        "inv_atom": [c[1] - o[1] for c, o in zip(closed, opened)],
-        "obj_density": [(opened[s][0] - closed[s + 1][0]) / w for s, w in enumerate(widths)],
-        "inv_density": [(opened[s][1] - closed[s + 1][1]) / w for s, w in enumerate(widths)],
+        "closed": [change(c) for c in closed],
+        "opened": [change(o) for o in opened],
     }
 
 
@@ -143,16 +140,10 @@ def test_batched_build_matches_probe_oracle(mode):
             want = _probed_lp(m, prof, t)
             lp = build_coordinate_lp(m, prof, t)
             assert lp.boundaries == want["boundaries"]
-            got = {
-                "base": (lp.base_revenue, lp.base_used),
-                "obj_atom": lp.obj_atom,
-                "inv_atom": lp.inv_atom,
-                "obj_density": lp.obj_density,
-                "inv_density": lp.inv_density,
-            }
-            for name, values in got.items():
-                assert all(type(x) in kinds for x in values), name
-                assert [key(x) for x in values] == [key(x) for x in want[name]], (name, t)
+            got = [x for tail in [(lp.base_revenue, lp.base_used), *lp.closed, *lp.opened] for x in tail]
+            expected = [x for tail in [want["base"], *want["closed"], *want["opened"]] for x in tail]
+            assert all(type(x) in kinds for x in got), t
+            assert [key(x) for x in got] == [key(x) for x in expected], t
             budget = None if m.unbounded else m.inventory - want["base"][1]
             assert lp.budget == budget
 
@@ -182,19 +173,38 @@ def test_float_held_out_candidate_has_float_levels():
 
 
 def _lp(boundaries, obj_atom, obj_density, inv_atom, budget):
-    n = len(boundaries)
-    return CoordinateLP(
-        period=0,
-        boundaries=tuple(boundaries),
-        is_atom=(True,) * n,
-        obj_atom=tuple(obj_atom),
-        obj_density=tuple(obj_density),
-        inv_atom=tuple(inv_atom),
-        inv_density=(0,) * (n - 1),
-        budget=budget,
-        base_revenue=0,
-        base_used=0,
-    )
+    return lp_from_coefficients(boundaries, obj_atom, obj_density, inv_atom, (0,) * (len(boundaries) - 1), budget)
+
+
+def _boundary_candidate(rng, pts, mode):
+    """Random rule jumping on ``pts``: a nonzero base level and a closed+open pair at one point."""
+    pair = rng.choice(pts[1:-1] or pts)
+    others = rng.sample([p for p in pts if p != pair], min(2, len(pts) - 1))
+    jumps = sorted([Jump(pair, True), Jump(pair, False)] + [Jump(p, rng.random() < 0.5) for p in others],
+                   key=Jump.token)
+    levels = sorted(rng.sample([F(k, 8) for k in range(1, 9)], len(jumps) + 1))
+    if mode == FLOAT:
+        levels = [float(x) for x in levels]
+    return StepFunction(levels, jumps)
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_value_of_matches_evaluate_on_boundary_candidates(mode):
+    rng = random.Random(33)
+    for _ in range(40):
+        m = _oracle_market(rng, mode)
+        prof = _oracle_profile(rng, m)
+        t = rng.randrange(m.T)
+        lp = build_coordinate_lp(m, prof, t)
+        for _ in range(3):
+            h = _boundary_candidate(rng, lp.boundaries, mode)
+            ev = evaluate(m, prof.with_step(t, h))
+            j, g = lp.value_of(h)
+            got = (lp.base_revenue + j, lp.base_used + g)
+            if mode == RATIONAL:
+                assert got == (ev.revenue, ev.inventory_used)
+            else:
+                assert got == pytest.approx((ev.revenue, ev.inventory_used), rel=1e-9, abs=1e-12)
 
 
 def test_solve_all_positive_takes_everything():

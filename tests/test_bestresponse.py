@@ -21,8 +21,8 @@ from gen import random_market
 def test_ration_plan(ration_market, ration_optimum):
     mech = extract(ration_market, ration_optimum)
     rep = best_response(ration_market, mech)
-    hi = ration_market.atom_index(1)
-    lo = ration_market.atom_index(F(2, 3))
+    hi = ration_market.atoms.index(1)
+    lo = ration_market.atoms.index(F(2, 3))
     # the value-one buyer ties between buying now and gambling later (both 1/6)
     assert rep.plan[0][hi] == BUY_HIGH
     assert rep.utility[0][hi] == F(1, 6)
@@ -66,7 +66,7 @@ def test_perturbed_price_flips_plan(ration_market, ration_optimum):
     )
     bad = PricedMechanism((bumped, mech.periods[1]))
     rep = best_response(ration_market, bad)
-    assert rep.plan[0][ration_market.atom_index(1)] == WAIT
+    assert rep.plan[0][ration_market.atoms.index(1)] == WAIT
     assert rep.realized_revenue < F(7, 6)
     result = verify(ration_market, ration_optimum, bad)
     assert not result.passed

@@ -188,6 +188,10 @@ def test_float_lottery_price_rounded_above_posted_is_tied(tmp_path, capsys):
         pytest.param("mechanism", '[{"mode": ["closed"]}, {"mode": "closed"}]', id="mechanism-mode-not-string"),
         pytest.param("mechanism", '[{"mode": "closed"}, {"mode": "posted", "qHigh": 1, "qHighInclusive": "false", "pHigh": 1}]', id="mechanism-qhigh-inclusive-string"),
         pytest.param("mechanism", '[{"mode": "closed"}, {"mode": "lottery-only", "qHigh": 2, "qHighInclusive": true, "qLow": "2/3", "qLowInclusive": 0, "serviceProb": "1/2", "perWinnerPrice": "2/3", "lotteryQuantity": "1/2"}]', id="mechanism-qlow-inclusive-number"),
+        pytest.param("mechanism", '[{"mode": "closed"}, {"mode": "lottery-only", "qHigh": 2, "qHighInclusive": true, "qLow": "2/3", "qLowInclusive": true, "serviceProb": "1/2", "lotteryQuantity": "1/2"}]', id="mechanism-lottery-without-price"),
+        pytest.param("mechanism", '[{"mode": "posted", "qHigh": 1, "qHighInclusive": true}, {"mode": "closed"}]', id="mechanism-posted-without-price"),
+        pytest.param("mechanism", '[{"mode": "closed", "pHigh": "5/6"}, {"mode": "closed"}]', id="mechanism-closed-with-price"),
+        pytest.param("mechanism", '[{"mode": "posted", "qHigh": 1, "qHighInclusive": true, "pHigh": "5/6", "serviceProb": "1/2"}, {"mode": "closed"}]', id="mechanism-posted-with-lottery-key"),
     ],
 )
 def test_malformed_files_exit_2(market_files, tmp_path, capsys, kind, text):

@@ -9,15 +9,9 @@ from dynration import (
     AllocationProfile,
     Partition,
     StepFunction,
-    compute_fstar,
-    compute_payments,
-    compute_utilities,
     evaluate,
-    inventory_used,
     make_market,
     mixture,
-    revenue,
-    welfare,
 )
 from dynration.evaluate import formula_layer
 
@@ -25,13 +19,13 @@ from gen import random_feasible_profile, random_market, random_profile
 
 
 def test_fstar_nobody_served(twogen_market):
-    fstar = compute_fstar(twogen_market, AllocationProfile.zero(2))
+    fstar = evaluate(twogen_market, AllocationProfile.zero(2)).fstar
     assert fstar[1] == [1, 1]  # atoms are (1/2, 1)
 
 
 def test_fstar_value_one_served_first(ration_market):
     prof = AllocationProfile((StepFunction.step(1), StepFunction.zero()))
-    fstar = compute_fstar(ration_market, prof)
+    fstar = evaluate(ration_market, prof).fstar
     assert fstar[1] == [1, 0]  # atoms are (2/3, 1)
 
 
@@ -39,7 +33,7 @@ def test_fstar_everyone_served_on_arrival():
     rng = random.Random(1)
     for _ in range(10):
         m = random_market(rng)
-        fstar = compute_fstar(m, AllocationProfile.ones(m.T))
+        fstar = evaluate(m, AllocationProfile.ones(m.T)).fstar
         assert fstar == [list(row) for row in m.mass]
 
 
@@ -59,7 +53,7 @@ def test_fstar_conservation():
 def test_utilities_guaranteed_free_item_last_period():
     m = make_market(T=3, atoms=["1/3", "2/3"], mass=[[1, 1]] * 3, delta=[1, "3/4", "1/2"])
     prof = AllocationProfile((StepFunction.zero(), StepFunction.zero(), StepFunction.one()))
-    us = compute_utilities(m, prof)
+    us = evaluate(m, prof).utilities
     for t in range(3):
         for v in (F(1, 3), F(2, 3), 1):
             assert us[t].eval(v) == F(1, 2) * v
@@ -67,45 +61,45 @@ def test_utilities_guaranteed_free_item_last_period():
 
 
 def test_utilities_ration_profile(ration_market, ration_optimum):
-    us = compute_utilities(ration_market, ration_optimum)
+    us = evaluate(ration_market, ration_optimum).utilities
     assert us[1].eval(1) == F(1, 6)
     assert us[0].eval(1) == F(1, 6)
     assert us[1].eval(F(2, 3)) == 0
 
 
 def test_utilities_zero_profile(ration_market):
-    us = compute_utilities(ration_market, AllocationProfile.zero(2))
+    us = evaluate(ration_market, AllocationProfile.zero(2)).utilities
     assert all(u.eval(1) == 0 for u in us)
 
 
 def test_payments_ration(ration_market, ration_optimum):
-    p = compute_payments(ration_market, ration_optimum)
-    i1 = ration_market.atom_index(1)
-    i23 = ration_market.atom_index(F(2, 3))
+    p = evaluate(ration_market, ration_optimum).payments
+    i1 = ration_market.atoms.index(1)
+    i23 = ration_market.atoms.index(F(2, 3))
     assert p[0][i1] == F(5, 6)
     assert p[1][i23] == F(1, 3)  # expected; per-winner price is 2/3
-    assert compute_payments(ration_market, AllocationProfile.zero(2)) == [[0, 0], [0, 0]]
+    assert evaluate(ration_market, AllocationProfile.zero(2)).payments == [[0, 0], [0, 0]]
 
 
 def test_revenue_examples(ration_market, ration_optimum, twogen_market, twogen_optimum):
-    assert revenue(ration_market, ration_optimum) == F(7, 6)
-    assert revenue(twogen_market, twogen_optimum) == 1
-    assert revenue(ration_market, AllocationProfile.zero(2)) == 0
+    assert evaluate(ration_market, ration_optimum).revenue == F(7, 6)
+    assert evaluate(twogen_market, twogen_optimum).revenue == 1
+    assert evaluate(ration_market, AllocationProfile.zero(2)).revenue == 0
 
 
 def test_inventory_examples(ration_market, ration_optimum):
-    assert inventory_used(ration_market, ration_optimum) == F(3, 2)
-    assert inventory_used(ration_market, AllocationProfile.zero(2)) == 0
+    assert evaluate(ration_market, ration_optimum).inventory_used == F(3, 2)
+    assert evaluate(ration_market, AllocationProfile.zero(2)).inventory_used == 0
     m = make_market(T=2, atoms=["1/2", 1], mass=[["3/4", "1/2"], [1, 1]])
     first_only = AllocationProfile((StepFunction.one(), StepFunction.zero()))
-    assert inventory_used(m, first_only) == F(5, 4)
+    assert evaluate(m, first_only).inventory_used == F(5, 4)
 
 
 def test_welfare_examples(ration_market, ration_optimum):
-    assert welfare(ration_market, ration_optimum) == F(4, 3)
-    assert welfare(ration_market, AllocationProfile.zero(2)) == 0
+    assert evaluate(ration_market, ration_optimum).welfare == F(4, 3)
+    assert evaluate(ration_market, AllocationProfile.zero(2)).welfare == 0
     m = make_market(T=1, atoms=["3/5"], mass=[[1]], delta=["5/6"])
-    assert welfare(m, AllocationProfile.ones(1)) == F(1, 2)
+    assert evaluate(m, AllocationProfile.ones(1)).welfare == F(1, 2)
 
 
 def test_accounting_identity():

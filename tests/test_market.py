@@ -31,7 +31,7 @@ def test_fixtures_are_valid():
 def test_minimal_single_period_instance():
     m = make_market(T=1, atoms=["0.5"], mass=[[2]], inventory=None)
     assert m.atoms == (F(1, 2),)
-    assert m.total_mass() == 2
+    assert m.mass == ((2,),)
 
 
 def test_non_monotone_discount_rejected():
@@ -76,7 +76,6 @@ def test_lambda_defaults_to_ones():
     m = parse_market(text)
     assert m.discounts.lambda_s == (1,)
     assert m.discounts.lambda_b == (1,)
-    assert m.discounts.is_flat_money()
 
 
 def test_duplicate_atom_is_parse_error():

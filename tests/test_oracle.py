@@ -31,6 +31,14 @@ def test_twogen_oracle(twogen_market):
     assert brute_force_optimal(twogen_market).revenue == 1
 
 
+def test_level_grid_rejects_levels_outside_unit_interval():
+    for levels in (("0", "1/2", "1", "2"), ("-1/4", "0", "1")):
+        with pytest.raises(ValueError, match=r"grid levels must lie in \[0, 1\]"):
+            OracleGrid(levels=levels).level_values("rational")
+    with pytest.raises(ValueError, match="must contain 0 and 1"):
+        OracleGrid(levels=("0", "1/2")).level_values("rational")
+
+
 def test_trivial_single_atom():
     m = make_market(T=1, atoms=[1], mass=[[1]], inventory=2)
     assert brute_force_optimal(m).revenue == 1

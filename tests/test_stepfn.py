@@ -10,7 +10,6 @@ from dynration.stepfn import (
     Partition,
     PiecewiseLinear,
     StepFunction,
-    lebesgue_integral_product,
     mixture,
     pointwise,
     segment_refinement,
@@ -90,7 +89,7 @@ def test_segment_refinement_examples():
     part = segment_refinement([StepFunction.step(F(1, 2))])
     assert part.points == (0, F(1, 2), 1)
     part3 = segment_refinement([StepFunction.step(F(1, 3)), StepFunction.step(F(2, 3))])
-    assert len(part3.gap_lengths()) == 3
+    assert part3.points == (0, F(1, 3), F(2, 3), 1)
     # EX-RATION profile splits at 2/3 and 1
     prof = [StepFunction.step(1), StepFunction.step(F(2, 3), high=F(1, 2))]
     assert segment_refinement(prof).points == (0, F(2, 3), 1)
@@ -105,15 +104,6 @@ def test_refinement_inputs_constant_on_open_segments():
         for a, b in zip(part.points, part.points[1:]):
             samples = [a + F(k, 7) * (b - a) for k in (1, 3, 6)]
             assert len({f.eval(s) for s in samples}) == 1
-
-
-def test_lebesgue_integral_product_expression():
-    r1 = StepFunction.step(1)
-    r2 = StepFunction.step(F(2, 3), high=F(1, 2))
-    got = lebesgue_integral_product([r1, r2], combine=lambda a, b: a + (1 - a) * b)
-    assert got == F(1, 6)
-    assert lebesgue_integral_product([r1, r2], weights=[1, 0]) == 0
-    assert lebesgue_integral_product([r2], upper=F(2, 3)) == 0
 
 
 def test_from_values_round_trip():
@@ -154,7 +144,6 @@ def test_eval_monotone_in_v(seed):
 def test_partition_integrate_partial_gap():
     part = Partition([F(1, 2)])
     vals = part.values(StepFunction.step(F(1, 2)))
-    assert part.integrate(vals, F(3, 4)) == F(1, 4)
     assert part.prefix_integrals(vals) == [0, 0, F(1, 2)]
 
 
