@@ -17,6 +17,15 @@ as one numpy column per piece with one entry per tail. The solver's
 candidates are single tails and mixtures of two. Each build re-verifies
 affinity on a held-out candidate through the full evaluator, so a
 disagreement surfaces as an error instead of a silent drift.
+
+Period t's model reads only the other periods' rules (the held-out check
+substitutes its own rule for period t), so its solution is a function of
+those rules. :func:`coordinate_ascent` keeps one memo per call, keyed by
+``t`` and the other periods' rules by value, and builds and solves a model
+only the first time it meets those rules. Revisits are common: every
+period of a converging sweep, and starts that meet at the same profile.
+Each distinct model is still checked for affinity, and every trial update
+still runs the full evaluator and the prediction check.
 """
 
 from __future__ import annotations
@@ -195,60 +204,46 @@ def solve_coordinate(lp: CoordinateLP) -> CoordinateSolution:
     pair at one shared location). Ties break toward fewer steps, then less
     inventory, then lower jumps with closed before open.
     """
-    singles = []  # (at, closed, J, G)
+    singles = []  # (jump token, J, G)
     for k, at in enumerate(lp.boundaries):
-        singles.append((at, True, *lp.closed[k]))
+        singles.append(((at, 0), *lp.closed[k]))
         if at < 1:
-            singles.append((at, False, *lp.opened[k]))
+            singles.append(((at, 1), *lp.opened[k]))
 
     budget = lp.budget
     feasible = lambda g: budget is None or g <= budget
 
-    candidates = []  # (J, steps, G, jump token tuple, StepFunction)
-
-    candidates.append((0, 0, 0, (), StepFunction.zero()))
-    for at, closed, j, gval in singles:
+    # (J, steps, G, jump tokens, levels above 0); only the winner becomes a
+    # StepFunction.
+    candidates = [(0, 0, 0, (), ())]
+    for tok, j, gval in singles:
         if feasible(gval):
-            candidates.append((j, 1, gval, ((at, 0 if closed else 1),), StepFunction.step(at, closed)))
+            candidates.append((j, 1, gval, (tok,), (1,)))
         elif budget is not None and gval > 0 and budget > 0:
             alpha = budget / gval
-            candidates.append(
-                (
-                    alpha * j,
-                    1,
-                    budget,
-                    ((at, 0 if closed else 1),),
-                    StepFunction.step(at, closed, high=alpha),
-                )
-            )
+            candidates.append((alpha * j, 1, budget, (tok,), (alpha,)))
     if budget is not None:
         for ia in range(len(singles)):
-            at_a, cl_a, j_a, g_a = singles[ia]
+            tok_a, j_a, g_a = singles[ia]
             for ib in range(ia + 1, len(singles)):
-                at_b, cl_b, j_b, g_b = singles[ib]
+                tok_b, j_b, g_b = singles[ib]
                 if g_a == g_b:
                     continue
                 # singles are token-ordered, so 1[a..] dominates 1[b..]
                 alpha = (budget - g_b) / (g_a - g_b)
                 if not 0 < alpha < 1:
                     continue
-                jumps = (Jump(at_a, cl_a), Jump(at_b, cl_b))
-                try:
-                    two = StepFunction([0, alpha, 1], jumps)
-                except ValueError:
-                    continue
-                tok = tuple((j.at, 0 if j.closed else 1) for j in jumps)
-                candidates.append((alpha * j_a + (1 - alpha) * j_b, 2, budget, tok, two))
+                candidates.append((alpha * j_a + (1 - alpha) * j_b, 2, budget, (tok_a, tok_b), (alpha, 1)))
 
     best = None
-    for j, steps, gval, tok, fn in candidates:
-        key = (steps, gval, tok)
-        if best is None or j > best[0] or (j == best[0] and key < best[1]):
-            best = (j, key, gval, fn)
+    for cand in candidates:
+        j, key = cand[0], cand[1:4]
+        if best is None or j > best[0] or (j == best[0] and key < best[1:4]):
+            best = cand
 
-    j, _, gval, fn = best
+    j, _, gval, tokens, levels = best
     return CoordinateSolution(
-        step=fn,
+        step=StepFunction((0, *levels), [Jump(at, flag == 0) for at, flag in tokens]),
         objective=j,
         used=gval,
         predicted_revenue=lp.base_revenue + j,
@@ -321,6 +316,8 @@ def coordinate_ascent(
     best = None  # (revenue, profile, record)
     records = []
     rejected_negative = 0
+    # (t, periods before t, periods after t) -> solution of period t's model
+    solved = {}
     for label, profile in initials:
         current = evaluate(market, profile)
         rev = current.revenue
@@ -330,8 +327,10 @@ def coordinate_ascent(
             sweeps += 1
             improved = False
             for t in range(market.T):
-                lp = build_coordinate_lp(market, profile, t)
-                sol = solve_coordinate(lp)
+                key = (t, profile.steps[:t], profile.steps[t + 1:])
+                sol = solved.get(key)
+                if sol is None:
+                    sol = solved[key] = solve_coordinate(build_coordinate_lp(market, profile, t))
                 if sol.predicted_revenue <= rev + tol:
                     continue
                 trial = profile.with_step(t, sol.step)

@@ -197,12 +197,13 @@ def evaluate(market: Market, profile: AllocationProfile, *, partition: Partition
     )
     total_utility = sum(u_at[t][i] * market.mass[t][i] for t in range(T) for i in range(n))
 
+    # Each cohort is served unless it survives every period from its arrival
+    # on; the survival products are suffix products over t.
     used_by_cohort = 0
-    for t in range(T):
-        for i in range(n):
-            survive = 1
-            for j in range(t, T):
-                survive *= 1 - r_at[j][i]
+    for i in range(n):
+        survive = 1
+        for t in range(T - 1, -1, -1):
+            survive *= 1 - r_at[t][i]
             used_by_cohort += (1 - survive) * market.mass[t][i]
     _require_equal(f.used, used_by_cohort, market.mode, "inventory accounting")
 
@@ -231,15 +232,15 @@ def evaluate(market: Market, profile: AllocationProfile, *, partition: Partition
 
 
 def _check_fstar_closed_form(market: Market, r_at, fstar):
-    # f*_t(v) must equal sum_j f_j(v) prod_{j <= i < t} (1 - r_i(v)).
+    # f*_t(v) must equal sum_j f_j(v) prod_{j <= k < t} (1 - r_k(v)); walking
+    # j down from t extends the product by one factor per term.
+    mass = market.mass
     for t in range(market.T):
         for i in range(market.num_atoms):
-            total = 0
-            for j in range(t + 1):
-                term = market.mass[j][i]
-                for k in range(j, t):
-                    term *= 1 - r_at[k][i]
-                total += term
+            total, survive = mass[t][i], 1
+            for j in range(t - 1, -1, -1):
+                survive *= 1 - r_at[j][i]
+                total += mass[j][i] * survive
             _require_equal(fstar[t][i], total, market.mode, f"fstar closed form at t={t}")
 
 

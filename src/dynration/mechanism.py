@@ -262,7 +262,17 @@ def mechanism_from_json(text: str, mode: str) -> PricedMechanism:
                 kwargs[name] = require_bool(value, f"{where} {key}")
             else:
                 kwargs[name] = parse_number(value, mode)
-        menus.append(PeriodMenu(**kwargs))
+        menu = PeriodMenu(**kwargs)
+        # the bounds that extract guarantees for its own menus
+        for name in ("p_high", "per_winner_price", "lottery_quantity"):
+            value = getattr(menu, name)
+            if value is not None and value < 0:
+                raise ParseError(f"{where}: {_JSON_KEYS[name]} must be nonnegative")
+        if menu.has_lottery and not 0 <= menu.service_prob <= 1:
+            raise ParseError(f"{where}: serviceProb must lie in [0, 1]")
+        if menu.has_posted and menu.has_lottery and menu.per_winner_price > menu.p_high:
+            raise ParseError(f"{where}: perWinnerPrice above pHigh")
+        menus.append(menu)
     return PricedMechanism(tuple(menus))
 
 

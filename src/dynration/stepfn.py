@@ -195,16 +195,25 @@ class Partition:
         return 2 * self._index[v]
 
     def values(self, f: StepFunction) -> list:
-        """Per-piece values of ``f``; raises if a jump sits off the points."""
-        for at in f.jump_locations:
-            if at not in self._index:
-                raise ValueError(f"jump at {at} is not a partition point")
+        """Per-piece values of ``f``; raises if a jump sits off the points.
+
+        One merge pass: at each point the closed jump there (if any) is
+        passed before the point's value is read, the open one before the
+        gap's value is read.
+        """
+        jumps, levels = f.jumps, f.levels
+        j, nj, last = 0, len(jumps), len(self.points) - 1
         out = []
-        pts = self.points
-        for k, p in enumerate(pts):
-            out.append(f.eval(p))
-            if k + 1 < len(pts):
-                out.append(f.value_above(p))
+        for k, p in enumerate(self.points):
+            if j < nj and jumps[j].at < p:
+                raise ValueError(f"jump at {jumps[j].at} is not a partition point")
+            if j < nj and jumps[j].at == p and jumps[j].closed:
+                j += 1
+            out.append(levels[j])
+            if k < last:
+                if j < nj and jumps[j].at == p:
+                    j += 1
+                out.append(levels[j])
         return out
 
     def prefix_integrals(self, piece_values: Sequence) -> list:

@@ -126,3 +126,24 @@ def lp_from_coefficients(boundaries, obj_atom, obj_density, inv_atom, inv_densit
         base_revenue=0,
         base_used=0,
     )
+
+
+def random_lp_coefficients(rng: random.Random) -> tuple:
+    """Float arguments for :func:`lp_from_coefficients`: (boundaries,
+    obj_atom, obj_density, inv_atom, inv_density, budget)."""
+    nseg = rng.randint(3, 6)
+    interior = sorted(rng.sample([k / 12 for k in range(1, 12)], nseg - 1))
+    pts = (0.0, *interior, 1.0)
+    n = len(pts)
+    obj_atom = tuple(rng.uniform(-1, 1) for _ in range(n))
+    obj_density = tuple(rng.uniform(-1, 1) for _ in range(n - 1))
+    if rng.random() < 0.5:
+        # binding: one boundary carries the inventory weight and the budget
+        # sits on the 1/8 grid, so every tight level is grid-representable
+        inv_atom = [0.0] * n
+        inv_atom[rng.randrange(n)] = 1.0
+        budget = rng.randint(1, 7) / 8
+    else:
+        inv_atom = [rng.uniform(0, 1) for _ in range(n)]
+        budget = None if rng.random() < 0.5 else sum(inv_atom) + 1.0
+    return pts, obj_atom, obj_density, tuple(inv_atom), (0.0,) * (n - 1), budget

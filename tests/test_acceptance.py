@@ -38,7 +38,7 @@ from dynration.mechanism import mechanism_to_json
 from dynration.numeric import FLOAT, RATIONAL
 from dynration.report import profile_to_json
 
-from gen import lp_from_coefficients, random_market, random_profile, random_step
+from gen import lp_from_coefficients, random_lp_coefficients, random_market, random_profile, random_step
 
 TOL = 1e-9
 
@@ -134,31 +134,11 @@ def _grid_solve(pts, obj_atom, obj_density, inv_atom, inv_density, budget) -> fl
     return float(j.max())
 
 
-def _random_coefficients(rng: random.Random) -> tuple:
-    """(boundaries, obj_atom, obj_density, inv_atom, inv_density, budget)."""
-    nseg = rng.randint(3, 6)
-    interior = sorted(rng.sample([k / 12 for k in range(1, 12)], nseg - 1))
-    pts = (0.0, *interior, 1.0)
-    n = len(pts)
-    obj_atom = tuple(rng.uniform(-1, 1) for _ in range(n))
-    obj_density = tuple(rng.uniform(-1, 1) for _ in range(n - 1))
-    if rng.random() < 0.5:
-        # binding: one boundary carries the inventory weight and the budget
-        # sits on the 1/8 grid, so every tight level is grid-representable
-        inv_atom = [0.0] * n
-        inv_atom[rng.randrange(n)] = 1.0
-        budget = rng.randint(1, 7) / 8
-    else:
-        inv_atom = [rng.uniform(0, 1) for _ in range(n)]
-        budget = None if rng.random() < 0.5 else sum(inv_atom) + 1.0
-    return pts, obj_atom, obj_density, tuple(inv_atom), (0.0,) * (n - 1), budget
-
-
 def test_criterion_4_per_period_solve_matches_grid_oracle():
     t0 = time.monotonic()
     rng = random.Random(1004)
     for k in range(200):
-        coefficients = _random_coefficients(rng)
+        coefficients = random_lp_coefficients(rng)
         lp = lp_from_coefficients(*coefficients)
         sol = solve_coordinate(lp)
         grid_best = _grid_solve(*coefficients)

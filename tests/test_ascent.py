@@ -18,7 +18,7 @@ from dynration import (
 from dynration.numeric import FLOAT, RATIONAL
 from dynration.stepfn import segment_refinement
 
-from gen import MASS_POOL, lp_from_coefficients, random_market, random_profile, random_step
+from gen import MASS_POOL, lp_from_coefficients, random_lp_coefficients, random_market, random_profile, random_step
 
 
 def test_ration_solve(ration_market):
@@ -326,3 +326,102 @@ def test_staircase_point_region_override():
     assert got.eval(F(3, 4)) == 1
     before, after = evaluate(m, prof), evaluate(m, norm)
     assert before.revenue == after.revenue and before.welfare == after.welfare
+
+
+def _reference_ascent(market, *, starts, max_sweeps=40, seed=0):
+    """coordinate_ascent without its memo: build and solve at every visit.
+
+    Returns the report and the number of models built.
+    """
+    tol = ascent.default_tol(market.mode)
+    rng = random.Random(seed)
+    initials = [
+        ("zero", AllocationProfile.zero(market.T)),
+        ("ones", ascent._shrink_to_feasible(market, AllocationProfile.ones(market.T))),
+    ]
+    for _ in range(starts):
+        sub_seed = rng.randrange(2**32)
+        prof = ascent._random_profile(market, random.Random(sub_seed))
+        initials.append((sub_seed, ascent._shrink_to_feasible(market, prof)))
+    best, records, rejected, builds = None, [], 0, 0
+    for label, profile in initials:
+        rev = evaluate(market, profile).revenue
+        converged, sweeps = False, 0
+        for _ in range(max_sweeps):
+            sweeps += 1
+            improved = False
+            for t in range(market.T):
+                sol = solve_coordinate(build_coordinate_lp(market, profile, t))
+                builds += 1
+                if sol.predicted_revenue <= rev + tol:
+                    continue
+                trial = profile.with_step(t, sol.step)
+                ev = evaluate(market, trial)
+                if ev.negative_payments:
+                    rejected += 1
+                    continue
+                profile, rev, improved = trial, ev.revenue, True
+            if not improved:
+                converged = True
+                break
+        records.append(ascent.StartRecord(label, rev, sweeps, converged))
+        if best is None or rev > best[0]:
+            best = (rev, profile, records[-1])
+    rev, profile, record = best
+    final = evaluate(market, profile)
+    report = ascent.SolveReport(
+        profile=profile,
+        revenue=final.revenue,
+        inventory_used=final.inventory_used,
+        sweeps=record.sweeps,
+        starts=records,
+        binding=(not market.unbounded) and abs(final.inventory_used - market.inventory) <= tol,
+        converged=all(r.converged for r in records),
+        seed=seed,
+        tol=tol,
+        rejected_negative_payments=rejected,
+    )
+    return report, builds
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_memoized_ascent_matches_memo_free_reference(monkeypatch, mode):
+    rng = random.Random(34)
+    memo_builds = reference_builds = 0
+    for _ in range(20):
+        m = random_market(rng, mode=mode, max_periods=4, max_atoms=3, general_lambda=rng.random() < 0.3)
+        starts, seed = rng.randint(3, 5), rng.randrange(1000)
+        want, builds = _reference_ascent(m, starts=starts, seed=seed)
+        keys = []
+
+        def recording(market, profile, t):
+            keys.append((t, profile.steps[:t], profile.steps[t + 1:]))
+            return build_coordinate_lp(market, profile, t)
+
+        monkeypatch.setattr(ascent, "build_coordinate_lp", recording)
+        got = coordinate_ascent(m, starts=starts, seed=seed)
+        monkeypatch.undo()
+        assert got == want
+        assert len(keys) == len(set(keys)), "a period model was built twice for the same other periods"
+        memo_builds += len(keys)
+        reference_builds += builds
+    assert memo_builds < reference_builds
+
+
+def test_value_of_reproduces_the_solution_exactly():
+    rng = random.Random(35)
+    for _ in range(100):
+        pts, obj_atom, obj_density, inv_atom, inv_density, budget = random_lp_coefficients(rng)
+        exact = lambda xs: [F(x) for x in xs]
+        lp = lp_from_coefficients(
+            [F(p) for p in pts], exact(obj_atom), exact(obj_density), exact(inv_atom), exact(inv_density),
+            None if budget is None else F(budget),
+        )
+        sol = solve_coordinate(lp)
+        assert lp.value_of(sol.step) == (sol.objective, sol.used)
+    for _ in range(30):
+        m = _oracle_market(rng, RATIONAL)
+        prof = _oracle_profile(rng, m)
+        lp = build_coordinate_lp(m, prof, rng.randrange(m.T))
+        sol = solve_coordinate(lp)
+        assert lp.value_of(sol.step) == (sol.objective, sol.used)

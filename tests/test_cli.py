@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -170,6 +171,13 @@ def test_float_lottery_price_rounded_above_posted_is_tied(tmp_path, capsys):
     assert menu["pHigh"] == menu["perWinnerPrice"]
 
 
+# The solver's period-2 menu on ex_ration.
+RATION_PERIOD_2 = (
+    '{"mode": "lottery-only", "qHigh": 2, "qHighInclusive": true, "qLow": "2/3", "qLowInclusive": true, '
+    '"serviceProb": "1/2", "perWinnerPrice": "2/3", "lotteryQuantity": "1/2"}'
+)
+
+
 @pytest.mark.parametrize(
     "kind, text",
     [
@@ -192,6 +200,12 @@ def test_float_lottery_price_rounded_above_posted_is_tied(tmp_path, capsys):
         pytest.param("mechanism", '[{"mode": "posted", "qHigh": 1, "qHighInclusive": true}, {"mode": "closed"}]', id="mechanism-posted-without-price"),
         pytest.param("mechanism", '[{"mode": "closed", "pHigh": "5/6"}, {"mode": "closed"}]', id="mechanism-closed-with-price"),
         pytest.param("mechanism", '[{"mode": "posted", "qHigh": 1, "qHighInclusive": true, "pHigh": "5/6", "serviceProb": "1/2"}, {"mode": "closed"}]', id="mechanism-posted-with-lottery-key"),
+        pytest.param("mechanism", '[{"mode": "posted", "qHigh": 1, "qHighInclusive": true, "pHigh": "-1"}, ' + RATION_PERIOD_2 + "]", id="mechanism-negative-posted-price"),
+        pytest.param("mechanism", '[{"mode": "posted", "qHigh": 1, "qHighInclusive": true, "pHigh": "5/6"}, ' + RATION_PERIOD_2.replace('"perWinnerPrice": "2/3"', '"perWinnerPrice": "-2/3"') + "]", id="mechanism-negative-lottery-price"),
+        pytest.param("mechanism", '[{"mode": "posted+lottery", "qHigh": 1, "qHighInclusive": true, "pHigh": "1/2", "qLow": "2/3", "qLowInclusive": true, "serviceProb": "1/2", "perWinnerPrice": "2/3", "lotteryQuantity": "1/2"}, {"mode": "closed"}]', id="mechanism-lottery-price-above-posted"),
+        pytest.param("mechanism", '[{"mode": "lottery-only", "qHigh": 2, "qHighInclusive": true, "qLow": "1", "qLowInclusive": true, "serviceProb": "3/2", "perWinnerPrice": "1/2", "lotteryQuantity": "3/2"}, {"mode": "closed"}]', id="mechanism-service-prob-above-one"),
+        pytest.param("mechanism", '[{"mode": "closed"}, ' + RATION_PERIOD_2.replace('"serviceProb": "1/2"', '"serviceProb": "-1/2"') + "]", id="mechanism-negative-service-prob"),
+        pytest.param("mechanism", '[{"mode": "closed"}, ' + RATION_PERIOD_2.replace('"lotteryQuantity": "1/2"', '"lotteryQuantity": "-1/2"') + "]", id="mechanism-negative-lottery-quantity"),
     ],
 )
 def test_malformed_files_exit_2(market_files, tmp_path, capsys, kind, text):
@@ -201,3 +215,33 @@ def test_malformed_files_exit_2(market_files, tmp_path, capsys, kind, text):
     command = ["verify", str(ration), str(bad)] if kind == "mechanism" else ["eval", str(ration), str(bad)]
     assert main(command + ["--out", str(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_solver_period_2_menu_verifies(market_files, tmp_path, capsys):
+    # the menu the negative-price cases above start from is a valid one
+    ration, _ = market_files
+    mech = tmp_path / "m.json"
+    mech.write_text('[{"mode": "posted", "qHigh": 1, "qHighInclusive": true, "pHigh": "5/6"}, ' + RATION_PERIOD_2 + "]")
+    assert main(["verify", str(ration), str(mech), "--out", str(tmp_path)]) == 0
+    assert "verification: pass" in capsys.readouterr().out
+
+
+DEMOS = Path(__file__).parent.parent / "demos" / "markets"
+SOLVE_ARTIFACTS = ("profile.json", "mechanism.json", "report.csv", "prices.csv", "run.txt")
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_demo_artifacts_match_pinned_hashes(mode, tmp_path):
+    # sha256 of every solve artifact of the demo markets at the default --starts
+    pinned = {}
+    for line in (FIXTURES / "demo_artifacts.sha256").read_text().splitlines():
+        digest, name = line.split()
+        pinned[name] = digest
+    got = {}
+    for market in sorted(DEMOS.glob("*.json")):
+        assert main(["solve", str(market), "--mode", mode, "--out", str(tmp_path)]) == 0
+        for suffix in SOLVE_ARTIFACTS:
+            name = f"{market.stem}.{suffix}"
+            got[f"{mode}/{name}"] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert got == {name: digest for name, digest in pinned.items() if name.startswith(f"{mode}/")}
+    assert len(got) == 15

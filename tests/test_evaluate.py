@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction as F
 
@@ -6,6 +7,7 @@ import pytest
 
 from dynration import (
     FLOAT,
+    RATIONAL,
     AllocationProfile,
     Partition,
     StepFunction,
@@ -13,9 +15,12 @@ from dynration import (
     make_market,
     mixture,
 )
-from dynration.evaluate import formula_layer
+from dynration.evaluate import EvaluatorInternalError, formula_layer
 
 from gen import random_feasible_profile, random_market, random_profile
+
+# the module; the package's ``evaluate`` attribute is the function
+evaluate_mod = importlib.import_module("dynration.evaluate")
 
 
 def test_fstar_nobody_served(twogen_market):
@@ -226,3 +231,31 @@ def test_batch_columns_match_scalar_evaluation():
             ev = evaluate(m, prof, partition=part)
             assert float(batch.revenue[k]).hex() == ev.revenue.hex()
             assert float(batch.used[k]).hex() == ev.inventory_used.hex()
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+@pytest.mark.parametrize("target", ["fstar", "used"])
+def test_self_checks_catch_a_perturbed_formula_layer(monkeypatch, mode, target):
+    # one f* entry, or one usage term, off by a little: the f* closed form
+    # or the cohort inventory identity must disagree with the recursion
+    rng = random.Random(43)
+    eps = F(1, 97) if mode == RATIONAL else 1e-6
+    what = "fstar closed form" if target == "fstar" else "inventory accounting"
+    for _ in range(10):
+        m = random_market(rng, mode=mode, min_periods=2, max_atoms=3)
+        prof = random_profile(rng, m)
+        t, i = rng.randrange(m.T), rng.randrange(m.num_atoms)
+
+        def perturbed(*args):
+            f = formula_layer(*args)
+            if target == "fstar":
+                fstar = [list(row) for row in f.fstar]
+                fstar[t][i] += eps
+                return f._replace(fstar=fstar)
+            return f._replace(used=f.used + eps)
+
+        evaluate(m, prof)
+        monkeypatch.setattr(evaluate_mod, "formula_layer", perturbed)
+        with pytest.raises(EvaluatorInternalError, match=what):
+            evaluate(m, prof)
+        monkeypatch.undo()

@@ -157,3 +157,46 @@ def test_piecewise_linear_eval_and_convexity():
     assert diff.eval(1) == F(1, 6)
     concave = PiecewiseLinear((0, F(1, 2), 1), (0, F(1, 2), F(3, 4)))
     assert not concave.is_convex()
+
+
+def _random_partition_step(rng):
+    """Partition with 0 and 1 plus random points; a step on some of them.
+
+    Jumps may sit at 0 and at 1, and one point may carry a closed+open pair.
+    """
+    pts = sorted({F(0), F(1), *rng.sample([F(k, 12) for k in range(1, 12)], rng.randint(0, 4))})
+    tokens = {(p, rng.random() < 0.5) for p in rng.sample(pts, rng.randint(0, len(pts)))}
+    if rng.random() < 0.5:
+        pair = rng.choice(pts)
+        tokens |= {(pair, True), (pair, False)}
+    jumps = sorted((Jump(p, c) for p, c in tokens), key=Jump.token)
+    levels = sorted(rng.sample([F(k, 16) for k in range(17)], len(jumps) + 1))
+    return Partition(pts), StepFunction(levels, jumps)
+
+
+def test_partition_values_match_pointwise_evaluation():
+    rng = random.Random(41)
+    for _ in range(300):
+        part, f = _random_partition_step(rng)
+        want = []
+        for k, p in enumerate(part.points):
+            want.append(f.eval(p))
+            if k + 1 < len(part.points):
+                want.append(f.value_above(p))
+        assert part.values(f) == want, f
+
+
+def test_partition_values_pair_and_endpoint_jumps():
+    f = StepFunction([0, F(1, 4), F(1, 2), F(3, 4), 1],
+                     [Jump(0, False), Jump(F(1, 2), True), Jump(F(1, 2), False), Jump(1, True)])
+    assert Partition([F(1, 2)]).values(f) == [0, F(1, 4), F(1, 2), F(3, 4), 1]
+
+
+def test_partition_values_reject_jumps_off_the_points():
+    rng = random.Random(42)
+    for _ in range(100):
+        part, _ = _random_partition_step(rng)
+        off = rng.choice([x for x in (F(k, 24) for k in range(1, 24)) if x not in part.points])
+        for closed in (True, False):
+            with pytest.raises(ValueError, match="not a partition point"):
+                part.values(StepFunction.step(off, closed, high=F(1, 2)))
