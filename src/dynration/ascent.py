@@ -7,25 +7,26 @@ small exact program: maximize an affine functional of a monotone function
 is a step function with at most two jumps, and with exactly two it reaches
 one at the top; the solver enumerates that candidate family exhaustively.
 
-A monotone step function whose jumps sit on the segment boundaries is a
-nonnegative combination of tail indicators, the closed ``1[p <= x]`` and
-the open ``1[p < x]`` at each boundary, so the affine model of a period is
-nothing but the values of those tails. They are measured, not expanded
-symbolically: all tails of one build run as a single batched
-:func:`dynration.evaluate.formula_layer` call, the period's rule carried
-as one numpy column per piece with one entry per tail. The solver's
-candidates are single tails and mixtures of two. Each build re-verifies
-affinity on a held-out candidate through the full evaluator, so a
-disagreement surfaces as an error instead of a silent drift.
+A run holds every rule as a row of piece values on one partition:
+:func:`coordinate_ascent` refines it once, from the start rules and the
+market atoms, and the solver's rules jump only on its points. Step
+functions come back only in the returned report.
 
-Period t's model reads only the other periods' rules (the held-out check
-substitutes its own rule for period t), so its solution is a function of
-those rules. :func:`coordinate_ascent` keeps one memo per call, keyed by
-``t`` and the other periods' rules by value, and builds and solves a model
-only the first time it meets those rules. Revisits are common: every
-period of a converging sweep, and starts that meet at the same profile.
-Each distinct model is still checked for affinity, and every trial update
-still runs the full evaluator and the prediction check.
+A monotone row is a nonnegative combination of tails, the rows that are one
+on the pieces ``>= f``, so the affine model of a period is the values of
+its tails, indexed by ``f``. All tails of one build are measured in a
+single batched :func:`dynration.evaluate.formula_layer` call, the period's
+rule carried as one numpy column per piece. The solver's candidates are
+single tails and mixtures of two. Each build re-verifies affinity on a
+held-out row through the full evaluator, so a disagreement surfaces as an
+error instead of a silent drift.
+
+Period t's model reads only the other periods' rows, so
+:func:`coordinate_ascent` memoizes its solution keyed by ``t`` and those
+rows. Revisits are common: every period of a converging sweep, and starts
+that meet at the same profile. Each distinct model is still checked for
+affinity, and every trial update still runs the full evaluator and the
+prediction check.
 """
 
 from __future__ import annotations
@@ -36,10 +37,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .evaluate import AllocationProfile, effective_discounts, evaluate, formula_layer
+from .evaluate import AllocationProfile, effective_discounts, evaluate, evaluate_rows, formula_layer
 from .market import Market
 from .numeric import RATIONAL, default_tol
-from .stepfn import Jump, StepFunction, segment_refinement
+from .stepfn import Jump, Partition, StepFunction, segment_refinement
 
 
 class AffinityError(AssertionError):
@@ -50,44 +51,36 @@ class AffinityError(AssertionError):
 class CoordinateLP:
     """Affine model of revenue and inventory in one period's allocation.
 
-    ``closed[k]`` and ``opened[k]`` are the (revenue, inventory) changes,
-    over the zeroed coordinate, of the tails ``1[p_k <= x]`` and
-    ``1[p_k < x]`` at ``p_k = boundaries[k]``. A step function ``h`` with
-    jumps on ``boundaries`` is its base level times the constant one
-    (``closed[0]``) plus, for each jump, the jump's height times its tail
-    (closed or open by the jump's flag), so::
-
-        revenue(h)   = base_revenue + levels[0] * closed[0][0]
-                                    + sum_jumps height * tail[0]
-        inventory(h) = base_used    + (the same with index 1)
-
-    The open tail at the point 1 is the zero rule. ``budget`` is the
-    inventory headroom ``I - base_used`` (None when supply is unbounded);
-    it is the slack left once this coordinate is zeroed, so it already
+    ``tails[f]`` is the (revenue, inventory) change, over the zeroed
+    coordinate, of the rule that is one on the pieces ``>= f``: the closed
+    tail ``1[p_k <= x]`` at point k is ``tails[2k]``, the open tail
+    ``1[p_k < x]`` is ``tails[2k + 1]`` (at the point 1 it is the zero rule
+    and has no entry). A row is its first value times ``tails[0]`` plus each
+    step up times the tail starting there. ``budget`` is the inventory
+    headroom ``I - base_used`` (None when supply is unbounded); it already
     contains the coordinate's own current usage.
     """
 
     period: int
-    boundaries: tuple
-    closed: tuple
-    opened: tuple
+    tails: tuple
     budget: object
     base_revenue: object
     base_used: object
 
-    def value_of(self, h: StepFunction):
-        """(revenue delta, inventory delta) of a candidate jumping on the boundaries."""
-        j, g = (h.levels[0] * x for x in self.closed[0])
-        for jump, lo, hi in zip(h.jumps, h.levels, h.levels[1:]):
-            tj, tg = (self.closed if jump.closed else self.opened)[self.boundaries.index(jump.at)]
-            j += (hi - lo) * tj
-            g += (hi - lo) * tg
+    def value_of(self, row):
+        """(revenue delta, inventory delta) of a row of piece values."""
+        j, g = (row[0] * x for x in self.tails[0])
+        for f in range(1, len(row)):
+            if row[f] != row[f - 1]:
+                tj, tg = self.tails[f]
+                j += (row[f] - row[f - 1]) * tj
+                g += (row[f] - row[f - 1]) * tg
         return j, g
 
 
 @dataclass
 class CoordinateSolution:
-    step: StepFunction
+    row: tuple                 # piece values of the maximizer
     objective: object          # revenue delta over the zeroed coordinate
     used: object               # inventory delta over the zeroed coordinate
     predicted_revenue: object
@@ -116,74 +109,61 @@ class SolveReport:
     rejected_negative_payments: int = 0
 
 
-def build_coordinate_lp(market: Market, profile: AllocationProfile, t: int) -> CoordinateLP:
+def build_coordinate_lp(market: Market, partition: Partition, rows, t: int) -> CoordinateLP:
     """Measure the tails of period ``t`` in the formula layer.
 
-    Jumps of optimal candidates may sit at segment boundaries only (the
-    functionals are affine in a jump's position between boundaries), so the
-    boundary set is the other coordinates' jump locations merged with the
-    market atoms and the endpoints.
+    ``rows[s]`` is period s's rule on ``partition``; row ``t`` is ignored.
+    Jumps of optimal candidates may sit on the partition points only (the
+    functionals are affine in a jump's position between points), so the
+    partition must hold the market atoms.
     """
-    others = [r for s, r in enumerate(profile.steps) if s != t]
-    partition = segment_refinement(others, market.atoms)
-    pts = partition.points
+    npieces = partition.npieces
     atoms = set(market.atoms)
-    is_atom = tuple(p in atoms for p in pts)
+    is_atom = [p in atoms for p in partition.points]
 
-    # Probe j is one on the pieces >= first[j]: the zero rule, then at each
-    # boundary k the open tail 1[p_k < x] (pieces >= 2k+1) and, on atoms
-    # only, the closed tail 1[p_k <= x] (pieces >= 2k). The open tail at the
-    # point 1 is the zero rule; off the atoms the two flags cannot differ.
-    first = [partition.npieces]
-    for k in range(len(pts)):
-        if k + 1 < len(pts):
-            first.append(2 * k + 1)
-        if is_atom[k]:
-            first.append(2 * k)
+    # Probe j is one on the pieces >= first[j]: the zero rule, then every
+    # tail except a closed one off the atoms. That point piece has no mass,
+    # so its tail equals the open tail that follows it.
+    first = [npieces] + [f for f in range(npieces) if f % 2 or is_atom[f // 2]]
 
     dtype = object if market.mode == RATIONAL else float
-    R = [partition.values(r) for r in others]
-    R.insert(t, [np.array([1 if p >= f else 0 for f in first], dtype=dtype) for p in range(partition.npieces)])
+    R = list(rows)
+    R[t] = [np.array([1 if p >= f else 0 for f in first], dtype=dtype) for p in range(npieces)]
     batch = formula_layer(market, partition, R)
     # tolist() hands back Python scalars, so no numpy scalar reaches the
     # model; without atoms the sums stay scalars and are broadcast.
     revenue, used = (np.broadcast_to(x, (len(first),)).tolist() for x in (batch.revenue, batch.used))
-    tail = dict(zip(first, zip(revenue, used)))
-    base_rev, base_used = tail[partition.npieces]
+    probed = dict(zip(first, zip(revenue, used)))
+    base_rev, base_used = probed[npieces]
 
     def change(f):
-        rev, used = tail[f]
+        rev, used = probed[f] if f in probed else probed[f + 1]
         return rev - base_rev, used - base_used
 
-    opened = tuple(change(2 * k + 1) for k in range(len(pts)))
-    closed = tuple(change(2 * k) if is_atom[k] else opened[k] for k in range(len(pts)))
     lp = CoordinateLP(
         period=t,
-        boundaries=pts,
-        closed=closed,
-        opened=opened,
+        tails=tuple(change(f) for f in range(npieces)),
         budget=None if market.unbounded else market.inventory - base_used,
         base_revenue=base_rev,
         base_used=base_used,
     )
-    _assert_affine(lp, market, profile, partition)
+    _assert_affine(lp, market, partition, rows)
     return lp
 
 
-def _held_out_candidate(pts, mode) -> StepFunction:
-    """A rule on ``pts`` that none of the build's tail probes equals."""
+def _held_out_row(npieces: int, mode) -> tuple:
+    """A row that no tail probe equals: zero, then a half, then one."""
     half = Fraction(1, 2) if mode == RATIONAL else 0.5
-    if len(pts) < 3:
-        return StepFunction.constant(half)
-    if pts[1] == pts[-2]:
-        return StepFunction.step(pts[1], True, high=half)
-    return StepFunction([0, half, 1], [Jump(pts[1], True), Jump(pts[-2], False)])
+    lo, hi = (1, 2) if npieces == 3 else (2, npieces - 2)
+    return tuple(0 if p < lo else half if p < hi else 1 for p in range(npieces))
 
 
-def _assert_affine(lp: CoordinateLP, market: Market, profile: AllocationProfile, partition):
-    """Check the model against the full evaluator on a held-out candidate."""
-    check = _held_out_candidate(lp.boundaries, market.mode)
-    ev = evaluate(market, profile.with_step(lp.period, check), partition=partition)
+def _assert_affine(lp: CoordinateLP, market: Market, partition: Partition, rows):
+    """Check the model against the full evaluator on a held-out row."""
+    check = _held_out_row(partition.npieces, market.mode)
+    R = list(rows)
+    R[lp.period] = check
+    ev = evaluate_rows(market, partition, R)
     want_rev, want_used = ev.revenue, ev.inventory_used
     got_j, got_g = lp.value_of(check)
     scale = max(1, abs(want_rev), abs(want_used))
@@ -196,44 +176,37 @@ def _assert_affine(lp: CoordinateLP, market: Market, profile: AllocationProfile,
 
 
 def solve_coordinate(lp: CoordinateLP) -> CoordinateSolution:
-    """Exact maximizer of the affine model over monotone step functions.
+    """Exact maximizer of the affine model over monotone rows.
 
-    Candidates: the zero function; level-one single steps at every boundary
-    and flag; budget-tight scalings of those; and budget-tight convex pairs
-    of two single steps (the two-jump family, including the closed/open
-    pair at one shared location). Ties break toward fewer steps, then less
-    inventory, then lower jumps with closed before open.
+    Candidates: the zero row; level-one single tails; budget-tight scalings
+    of those; and budget-tight convex pairs of two single tails (the
+    two-jump family, including the closed/open pair at one shared point).
+    Ties break toward fewer steps, then less inventory, then tails starting
+    on lower pieces: lower points first, closed before open.
     """
-    singles = []  # (jump token, J, G)
-    for k, at in enumerate(lp.boundaries):
-        singles.append(((at, 0), *lp.closed[k]))
-        if at < 1:
-            singles.append(((at, 1), *lp.opened[k]))
-
     budget = lp.budget
     feasible = lambda g: budget is None or g <= budget
 
-    # (J, steps, G, jump tokens, levels above 0); only the winner becomes a
-    # StepFunction.
+    # (J, steps, G, first pieces, levels from each); only the winner becomes
+    # a row.
     candidates = [(0, 0, 0, (), ())]
-    for tok, j, gval in singles:
+    for f, (j, gval) in enumerate(lp.tails):
         if feasible(gval):
-            candidates.append((j, 1, gval, (tok,), (1,)))
+            candidates.append((j, 1, gval, (f,), (1,)))
         elif budget is not None and gval > 0 and budget > 0:
             alpha = budget / gval
-            candidates.append((alpha * j, 1, budget, (tok,), (alpha,)))
+            candidates.append((alpha * j, 1, budget, (f,), (alpha,)))
     if budget is not None:
-        for ia in range(len(singles)):
-            tok_a, j_a, g_a = singles[ia]
-            for ib in range(ia + 1, len(singles)):
-                tok_b, j_b, g_b = singles[ib]
+        for fa, (j_a, g_a) in enumerate(lp.tails):
+            for fb in range(fa + 1, len(lp.tails)):
+                j_b, g_b = lp.tails[fb]
                 if g_a == g_b:
                     continue
-                # singles are token-ordered, so 1[a..] dominates 1[b..]
+                # the tail from fa dominates the tail from fb
                 alpha = (budget - g_b) / (g_a - g_b)
                 if not 0 < alpha < 1:
                     continue
-                candidates.append((alpha * j_a + (1 - alpha) * j_b, 2, budget, (tok_a, tok_b), (alpha, 1)))
+                candidates.append((alpha * j_a + (1 - alpha) * j_b, 2, budget, (fa, fb), (alpha, 1)))
 
     best = None
     for cand in candidates:
@@ -241,9 +214,12 @@ def solve_coordinate(lp: CoordinateLP) -> CoordinateSolution:
         if best is None or j > best[0] or (j == best[0] and key < best[1:4]):
             best = cand
 
-    j, _, gval, tokens, levels = best
+    j, _, gval, firsts, levels = best
+    row = [0] * len(lp.tails)
+    for f, level in zip(firsts, levels):
+        row[f:] = [level] * (len(row) - f)
     return CoordinateSolution(
-        step=StepFunction((0, *levels), [Jump(at, flag == 0) for at, flag in tokens]),
+        row=tuple(row),
         objective=j,
         used=gval,
         predicted_revenue=lp.base_revenue + j,
@@ -261,10 +237,7 @@ def _random_profile(market: Market, rng: random.Random) -> AllocationProfile:
         locs = sorted(rng.sample(list(market.atoms), njumps))
         levels = sorted(rng.choice(grid) for _ in range(njumps + 1))
         jumps = [Jump(at, rng.random() < 0.5) for at in locs]
-        try:
-            steps.append(StepFunction(levels, jumps))
-        except ValueError:
-            steps.append(StepFunction.zero())
+        steps.append(StepFunction(levels, jumps))
     return AllocationProfile(tuple(steps))
 
 
@@ -313,42 +286,44 @@ def coordinate_ascent(
         prof = _random_profile(market, random.Random(sub_seed))
         initials.append((sub_seed, _shrink_to_feasible(market, prof)))
 
-    best = None  # (revenue, profile, record)
+    partition = segment_refinement([r for _, prof in initials for r in prof.steps], market.atoms)
+    best = None  # (revenue, rows, record)
     records = []
     rejected_negative = 0
-    # (t, periods before t, periods after t) -> solution of period t's model
+    # (t, rows before t, rows after t) -> solution of period t's model
     solved = {}
     for label, profile in initials:
-        current = evaluate(market, profile)
-        rev = current.revenue
+        rows = tuple(tuple(partition.values(r)) for r in profile.steps)
+        rev = evaluate_rows(market, partition, rows).revenue
         converged = False
         sweeps = 0
         for _ in range(max_sweeps):
             sweeps += 1
             improved = False
             for t in range(market.T):
-                key = (t, profile.steps[:t], profile.steps[t + 1:])
+                key = (t, rows[:t], rows[t + 1:])
                 sol = solved.get(key)
                 if sol is None:
-                    sol = solved[key] = solve_coordinate(build_coordinate_lp(market, profile, t))
+                    sol = solved[key] = solve_coordinate(build_coordinate_lp(market, partition, rows, t))
                 if sol.predicted_revenue <= rev + tol:
                     continue
-                trial = profile.with_step(t, sol.step)
-                ev = evaluate(market, trial)
+                trial = rows[:t] + (sol.row,) + rows[t + 1:]
+                ev = evaluate_rows(market, partition, trial)
                 _require_prediction(ev.revenue, sol.predicted_revenue, market.mode)
                 if ev.negative_payments:
                     rejected_negative += 1
                     continue
-                profile, rev = trial, ev.revenue
+                rows, rev = trial, ev.revenue
                 improved = True
             if not improved:
                 converged = True
                 break
         records.append(StartRecord(label, rev, sweeps, converged))
         if best is None or rev > best[0]:
-            best = (rev, profile, records[-1])
+            best = (rev, rows, records[-1])
 
-    rev, profile, best_record = best
+    rev, rows, best_record = best
+    profile = AllocationProfile(tuple(StepFunction.from_values(partition, row) for row in rows))
     final = evaluate(market, profile)
     binding = (not market.unbounded) and abs(final.inventory_used - market.inventory) <= tol
     return SolveReport(

@@ -15,6 +15,7 @@ byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -79,8 +80,23 @@ def _load_market(args):
     return parse_market(args.market.read_text(encoding="utf-8"), args.mode)
 
 
+def _bad_number(args):
+    """Why a numeric option is out of range, or None."""
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):
+        return f"--tol must be a finite number >= 0, got {args.tol}"
+    if getattr(args, "starts", 0) < 0:
+        return f"--starts must be >= 0, got {args.starts}"
+    if getattr(args, "sweeps", 1) < 1:
+        return f"--sweeps must be >= 1, got {args.sweeps}"
+    return None
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    problem = _bad_number(args)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return 2
     try:
         market = _load_market(args)
     except (OSError, ParseError, MarketError) as exc:

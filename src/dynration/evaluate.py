@@ -18,8 +18,11 @@ checked and flagged rather than assumed.
 The recursion itself (:func:`formula_layer`) is written once, over per-piece
 rule values ``R[t][p]`` that may be Python scalars (exact ``Fraction`` or
 ``float``) or numpy columns holding one value per candidate profile. The
-evaluator calls it with scalars and adds its self-checks; the grid oracle
-calls it with candidate columns to score a whole batch at once.
+grid oracle calls it with candidate columns to score a whole batch at once.
+
+:func:`evaluate` takes any profile, jumps anywhere in [0, 1], and refines
+its partition and rows; a caller that holds rows on one partition already,
+as the coordinate ascent does, calls :func:`evaluate_rows` directly.
 """
 
 from __future__ import annotations
@@ -73,8 +76,8 @@ class Evaluation:
     """Everything the formulas say about one (market, profile) pair."""
 
     market: Market
-    profile: AllocationProfile
     partition: Partition
+    r_at: list             # [t][i] allocation at atom i
     fstar: list            # [t][i] mass of value atoms[i] present at t
     utilities: list        # PiecewiseLinear for t = 0..T (index T is the zero tail)
     payments: list         # [t][i] expected payment as charged (lambdaB applied)
@@ -84,12 +87,6 @@ class Evaluation:
     base_cash: object      # undiscounted transfer sum: lambdaB_t * p * fstar
     total_buyer_utility: object
     negative_payments: list  # (t, i, value) triples with p < 0 beyond noise
-
-    def utility_at(self, t: int, v):
-        return self.utilities[t].eval(v)
-
-    def r_at(self, t: int, i: int):
-        return self.profile.steps[t].eval(self.market.atoms[i])
 
     def report_rows(self):
         """Per atom-period rows: (t, v, fstar, r, U, p, cashflow)."""
@@ -103,7 +100,7 @@ class Evaluation:
                         t + 1,
                         v,
                         self.fstar[t][i],
-                        self.r_at(t, i),
+                        self.r_at[t][i],
                         self.utilities[t].value_at_point(v),
                         p,
                         m.discounts.lambda_s[t] * p * self.fstar[t][i],
@@ -177,16 +174,20 @@ def formula_layer(market: Market, partition: Partition, R) -> Formulas:
     return Formulas(points, r_at, u_at, fstar, payments, revenue, used)
 
 
-def evaluate(market: Market, profile: AllocationProfile, *, partition: Partition | None = None) -> Evaluation:
-    """Run the full formula layer; pure and deterministic."""
+def evaluate(market: Market, profile: AllocationProfile) -> Evaluation:
+    """Run the full formula layer on any profile; pure and deterministic."""
+    if profile.T != market.T:
+        raise ValueError(f"profile has {profile.T} periods, market has {market.T}")
+    partition = segment_refinement(profile.steps, market.atoms)
+    return evaluate_rows(market, partition, [partition.values(r) for r in profile.steps])
+
+
+def evaluate_rows(market: Market, partition: Partition, R) -> Evaluation:
+    """:func:`evaluate` of the rules whose piece values on ``partition`` are ``R[t]``."""
     T = market.T
-    if profile.T != T:
-        raise ValueError(f"profile has {profile.T} periods, market has {T}")
     delta = market.discounts.delta
     lam_b = market.discounts.lambda_b
-    if partition is None:
-        partition = segment_refinement(profile.steps, market.atoms)
-    f = formula_layer(market, partition, [partition.values(r) for r in profile.steps])
+    f = formula_layer(market, partition, R)
     r_at, u_at, fstar, payments = f.r_at, f.u_at, f.fstar, f.payments
     _check_fstar_closed_form(market, r_at, fstar)
 
@@ -217,8 +218,8 @@ def evaluate(market: Market, profile: AllocationProfile, *, partition: Partition
 
     return Evaluation(
         market=market,
-        profile=profile,
         partition=partition,
+        r_at=r_at,
         fstar=fstar,
         utilities=[PiecewiseLinear(partition.points, vals) for vals in f.utility_points],
         payments=payments,

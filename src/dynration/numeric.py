@@ -37,9 +37,9 @@ def parse_number(raw, mode=RATIONAL):
         raise NumberParseError(f"not a number: {raw!r}")
     try:
         value = raw if isinstance(raw, Fraction) else Fraction(str(raw) if isinstance(raw, str) else raw)
+        return value if mode == RATIONAL else float(value)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise NumberParseError(f"bad numeric literal: {raw!r}") from exc
-    return value if mode == RATIONAL else float(value)
 
 
 def format_number(x):

@@ -103,25 +103,26 @@ def lp_from_coefficients(boundaries, obj_atom, obj_density, inv_atom, inv_densit
 
     ``obj_atom[k]`` is the revenue weight of the point ``boundaries[k]`` and
     ``obj_density[s]`` the revenue per unit length between ``boundaries[s]``
-    and ``boundaries[s + 1]`` (``inv_*`` likewise for inventory). Tails
-    accumulate from the top: the open tail at boundary k integrates the
-    segments above it, and the closed tail adds the point's own weight.
+    and ``boundaries[s + 1]`` (``inv_*`` likewise for inventory). The model
+    lives on the partition of ``boundaries``, so its piece ``2k`` is the
+    point ``boundaries[k]`` and its piece ``2k + 1`` the gap above it. Tails
+    accumulate from the top piece down: each adds its own piece's weight.
     """
     pts = tuple(boundaries)
-    closed, opened = [None] * len(pts), [None] * len(pts)
+    weights = []
+    for k in range(len(pts)):
+        weights.append((obj_atom[k], inv_atom[k]))
+        if k + 1 < len(pts):
+            width = pts[k + 1] - pts[k]
+            weights.append((obj_density[k] * width, inv_density[k] * width))
+    tails = []
     run_j, run_g = 0, 0
-    for k in range(len(pts) - 1, -1, -1):
-        opened[k] = (run_j, run_g)
-        closed[k] = (run_j + obj_atom[k], run_g + inv_atom[k])
-        if k > 0:
-            width = pts[k] - pts[k - 1]
-            run_j = closed[k][0] + obj_density[k - 1] * width
-            run_g = closed[k][1] + inv_density[k - 1] * width
+    for w_j, w_g in reversed(weights):
+        run_j, run_g = run_j + w_j, run_g + w_g
+        tails.append((run_j, run_g))
     return CoordinateLP(
         period=0,
-        boundaries=pts,
-        closed=tuple(closed),
-        opened=tuple(opened),
+        tails=tuple(reversed(tails)),
         budget=budget,
         base_revenue=0,
         base_used=0,

@@ -19,6 +19,7 @@ import pytest
 from dynration import (
     AllocationProfile,
     OracleGrid,
+    Partition,
     StepFunction,
     brute_force_optimal,
     coordinate_ascent,
@@ -145,9 +146,10 @@ def test_criterion_4_per_period_solve_matches_grid_oracle():
         assert abs(sol.objective - grid_best) <= TOL, (
             f"LP {k}: solver {sol.objective} vs grid {grid_best}"
         )
-        assert sol.step.num_steps <= 2
-        if sol.step.num_steps == 2:
-            assert sol.step.eval(1) == 1
+        step = StepFunction.from_values(Partition(coefficients[0]), sol.row)
+        assert step.num_steps <= 2
+        if step.num_steps == 2:
+            assert step.eval(1) == 1
         if lp.budget is not None:
             assert sol.used <= lp.budget + TOL
     elapsed = time.monotonic() - t0

@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction as F
 
@@ -7,6 +8,7 @@ import dynration.ascent as ascent
 from dynration import (
     AllocationProfile,
     Jump,
+    Partition,
     StepFunction,
     build_coordinate_lp,
     coordinate_ascent,
@@ -15,6 +17,7 @@ from dynration import (
     normalize_staircase,
     solve_coordinate,
 )
+from dynration.evaluate import evaluate_rows
 from dynration.numeric import FLOAT, RATIONAL
 from dynration.stepfn import segment_refinement
 
@@ -42,25 +45,40 @@ def test_three_atom_posted_price():
     assert report.profile.steps[0] == StepFunction.step(F(2, 3))
 
 
+def _rows(market, profile, t):
+    """Period t's model inputs: the other periods' partition and every row on it.
+
+    Row t is zero; the build ignores it.
+    """
+    partition = segment_refinement([r for s, r in enumerate(profile.steps) if s != t], market.atoms)
+    zero = [0] * partition.npieces
+    return partition, [zero if s == t else partition.values(r) for s, r in enumerate(profile.steps)]
+
+
+def _build(market, profile, t):
+    partition, rows = _rows(market, profile, t)
+    return build_coordinate_lp(market, partition, rows, t)
+
+
 def test_lp_single_atom_coefficients():
     m = make_market(T=1, atoms=[1], mass=[[1]])
-    lp = build_coordinate_lp(m, AllocationProfile.zero(1), 0)
-    assert lp.boundaries == (0, 1)
-    # serving everyone earns nothing; serving value 1 only earns 1
-    assert lp.closed == ((0, 1), (1, 1))
-    assert lp.opened == ((0, 1), (0, 0))
+    lp = _build(m, AllocationProfile.zero(1), 0)
+    # pieces {0}, (0, 1), {1}: serving everyone earns nothing; serving
+    # value 1 only earns 1
+    assert lp.tails == ((0, 1), (0, 1), (1, 1))
     assert lp.budget is None
 
 
 def test_lp_ration_second_period(ration_market):
     prof = AllocationProfile((StepFunction.step(1), StepFunction.zero()))
-    lp = build_coordinate_lp(ration_market, prof, 1)
-    assert lp.boundaries == (0, F(2, 3), 1)
-    assert lp.closed == ((-1, 1), (F(1, 3), 1), (0, 0))
-    assert lp.opened == ((-1, 1), (F(-1, 3), 0), (0, 0))
+    partition, rows = _rows(ration_market, prof, 1)
+    assert partition.points == (0, F(2, 3), 1)
+    lp = build_coordinate_lp(ration_market, partition, rows, 1)
+    assert lp.tails == ((-1, 1), (-1, 1), (F(1, 3), 1), (F(-1, 3), 0), (0, 0))
     assert lp.budget == F(1, 2)
     sol = solve_coordinate(lp)
-    assert sol.step == StepFunction.step(F(2, 3), high=F(1, 2))
+    assert sol.row == (0, 0, F(1, 2), F(1, 2), F(1, 2))
+    assert StepFunction.from_values(partition, sol.row) == StepFunction.step(F(2, 3), high=F(1, 2))
     assert sol.predicted_revenue == F(7, 6)
     assert sol.predicted_used == F(3, 2)
 
@@ -68,34 +86,32 @@ def test_lp_ration_second_period(ration_market):
 def test_lp_zero_when_no_mass_remains():
     m = make_market(T=2, atoms=["1/2", 1], mass=[[1, 1], [0, 0]])
     prof = AllocationProfile((StepFunction.one(), StepFunction.zero()))
-    lp = build_coordinate_lp(m, prof, 1)
-    assert all(tail == (0, 0) for tail in lp.closed + lp.opened)
+    lp = _build(m, prof, 1)
+    assert all(tail == (0, 0) for tail in lp.tails)
 
 
 def _probed_lp(market, profile, t):
-    """Reference coordinate model from 2m + 2 separate ``evaluate`` probes.
+    """Reference coordinate model from 2m + 2 separate evaluator probes.
 
-    Probes are the zero rule and, at every boundary, the open tail
-    ``1[p < x]`` (none at the point 1) and, on atoms, the closed tail
-    ``1[p <= x]``; each tail's change over the zero rule is its value.
+    Probes are the zero rule and, at every partition point, the closed tail
+    ``1[p <= x]`` and the open tail ``1[p < x]`` (none at the point 1); each
+    tail's change over the zero rule is its value. The build skips the
+    closed tails off the atoms, so they check its shortcut.
     """
-    partition = segment_refinement([r for s, r in enumerate(profile.steps) if s != t], market.atoms)
-    pts = partition.points
+    partition, rows = _rows(market, profile, t)
 
     def probe(h):
-        ev = evaluate(market, profile.with_step(t, h), partition=partition)
+        ev = evaluate_rows(market, partition, rows[:t] + [partition.values(h)] + rows[t + 1:])
         return ev.revenue, ev.inventory_used
 
     base = probe(StepFunction.zero())
-    opened = [probe(StepFunction.step(p, False)) if p < 1 else base for p in pts]
-    closed = [probe(StepFunction.step(p, True)) if p in market.atoms else opened[k] for k, p in enumerate(pts)]
     change = lambda tail: (tail[0] - base[0], tail[1] - base[1])
-    return {
-        "boundaries": pts,
-        "base": base,
-        "closed": [change(c) for c in closed],
-        "opened": [change(o) for o in opened],
-    }
+    tails = []
+    for p in partition.points:
+        tails.append(change(probe(StepFunction.step(p, True))))
+        if p < 1:
+            tails.append(change(probe(StepFunction.step(p, False))))
+    return {"base": base, "tails": tails}
 
 
 def _oracle_market(rng, mode):
@@ -138,10 +154,9 @@ def test_batched_build_matches_probe_oracle(mode):
         prof = _oracle_profile(rng, m)
         for t in range(m.T):
             want = _probed_lp(m, prof, t)
-            lp = build_coordinate_lp(m, prof, t)
-            assert lp.boundaries == want["boundaries"]
-            got = [x for tail in [(lp.base_revenue, lp.base_used), *lp.closed, *lp.opened] for x in tail]
-            expected = [x for tail in [want["base"], *want["closed"], *want["opened"]] for x in tail]
+            lp = _build(m, prof, t)
+            got = [x for tail in [(lp.base_revenue, lp.base_used), *lp.tails] for x in tail]
+            expected = [x for tail in [want["base"], *want["tails"]] for x in tail]
             assert all(type(x) in kinds for x in got), t
             assert [key(x) for x in got] == [key(x) for x in expected], t
             budget = None if m.unbounded else m.inventory - want["base"][1]
@@ -153,27 +168,33 @@ def test_build_calls_evaluate_once(monkeypatch):
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return evaluate(*args, **kwargs)
+        return evaluate_rows(*args, **kwargs)
 
-    monkeypatch.setattr(ascent, "evaluate", counting)
     rng = random.Random(32)
     m = _oracle_market(rng, RATIONAL)
     prof = _oracle_profile(rng, m)
-    build_coordinate_lp(m, prof, m.T - 1)
+    partition, rows = _rows(m, prof, m.T - 1)
+    monkeypatch.setattr(ascent, "evaluate_rows", counting)
+    build_coordinate_lp(m, partition, rows, m.T - 1)
     assert len(calls) == 1
 
 
 def test_float_held_out_candidate_has_float_levels():
-    pts_cases = [(0.0, 1.0), (0.0, 0.5, 1.0), (0.0, 0.25, 0.75, 1.0)]
-    for pts in pts_cases:
-        cand = ascent._held_out_candidate(pts, FLOAT)
-        assert not any(isinstance(x, F) for x in cand.levels)
-        assert 0.5 in cand.levels and all(type(x) is float for x in cand.levels if x not in (0, 1))
-    assert F(1, 2) in ascent._held_out_candidate((F(0), F(1, 2), F(1)), RATIONAL).levels
+    for npieces in (3, 5, 7):
+        row = ascent._held_out_row(npieces, FLOAT)
+        assert len(row) == npieces and list(row) == sorted(row)
+        assert not any(isinstance(x, F) for x in row)
+        assert 0.5 in row and all(type(x) is float for x in row if x not in (0, 1))
+    assert F(1, 2) in ascent._held_out_row(5, RATIONAL)
 
 
 def _lp(boundaries, obj_atom, obj_density, inv_atom, budget):
     return lp_from_coefficients(boundaries, obj_atom, obj_density, inv_atom, (0,) * (len(boundaries) - 1), budget)
+
+
+def _solved_step(boundaries, lp):
+    sol = solve_coordinate(lp)
+    return sol, StepFunction.from_values(Partition(boundaries), sol.row)
 
 
 def _boundary_candidate(rng, pts, mode):
@@ -195,11 +216,12 @@ def test_value_of_matches_evaluate_on_boundary_candidates(mode):
         m = _oracle_market(rng, mode)
         prof = _oracle_profile(rng, m)
         t = rng.randrange(m.T)
-        lp = build_coordinate_lp(m, prof, t)
+        partition, rows = _rows(m, prof, t)
+        lp = build_coordinate_lp(m, partition, rows, t)
         for _ in range(3):
-            h = _boundary_candidate(rng, lp.boundaries, mode)
+            h = _boundary_candidate(rng, partition.points, mode)
             ev = evaluate(m, prof.with_step(t, h))
-            j, g = lp.value_of(h)
+            j, g = lp.value_of(partition.values(h))
             got = (lp.base_revenue + j, lp.base_used + g)
             if mode == RATIONAL:
                 assert got == (ev.revenue, ev.inventory_used)
@@ -208,39 +230,33 @@ def test_value_of_matches_evaluate_on_boundary_candidates(mode):
 
 
 def test_solve_all_positive_takes_everything():
-    lp = _lp([0, F(1, 2), 1], [F(1, 4), F(1, 2), 1], [F(1, 8), F(1, 8)], [1, 1, 1], None)
-    sol = solve_coordinate(lp)
-    assert sol.step == StepFunction.one()
+    pts = [0, F(1, 2), 1]
+    sol, step = _solved_step(pts, _lp(pts, [F(1, 4), F(1, 2), 1], [F(1, 8), F(1, 8)], [1, 1, 1], None))
+    assert step == StepFunction.one()
 
 
 def test_solve_all_negative_stays_closed():
-    lp = _lp([0, F(1, 2), 1], [0, -1, -1], [F(-1, 8), F(-1, 8)], [1, 1, 1], None)
-    sol = solve_coordinate(lp)
-    assert sol.step.is_zero()
+    pts = [0, F(1, 2), 1]
+    sol, step = _solved_step(pts, _lp(pts, [0, -1, -1], [F(-1, 8), F(-1, 8)], [1, 1, 1], None))
+    assert step.is_zero()
     assert sol.objective == 0
 
 
 def test_solve_budget_tight_scaled_step():
-    lp = _lp([0, F(2, 3), 1], [0, F(2, 3), 0], [-2, -1], [0, 1, 0], F(1, 2))
-    sol = solve_coordinate(lp)
-    assert sol.step == StepFunction.step(F(2, 3), high=F(1, 2))
+    pts = [0, F(2, 3), 1]
+    sol, step = _solved_step(pts, _lp(pts, [0, F(2, 3), 0], [-2, -1], [0, 1, 0], F(1, 2)))
+    assert step == StepFunction.step(F(2, 3), high=F(1, 2))
     assert sol.used == F(1, 2)
 
 
 def test_solve_two_step_when_high_atom_worth_full_service():
     # one unit of budget headroom, two weighted atoms: serve the top atom
     # for sure and ration the cheap one with the leftovers
-    lp = _lp(
-        [0, F(1, 2), 1],
-        [0, F(1, 4), 1],
-        [F(-1, 100), F(-1, 100)],
-        [0, 1, 1],
-        F(3, 2),
-    )
-    sol = solve_coordinate(lp)
-    assert sol.step.num_steps == 2
-    assert sol.step.eval(1) == 1
-    assert sol.step.eval(F(1, 2)) == F(1, 2)
+    pts = [0, F(1, 2), 1]
+    sol, step = _solved_step(pts, _lp(pts, [0, F(1, 4), 1], [F(-1, 100), F(-1, 100)], [0, 1, 1], F(3, 2)))
+    assert step.num_steps == 2
+    assert step.eval(1) == 1
+    assert step.eval(F(1, 2)) == F(1, 2)
     assert sol.used == F(3, 2)
 
 
@@ -329,7 +345,10 @@ def test_staircase_point_region_override():
 
 
 def _reference_ascent(market, *, starts, max_sweeps=40, seed=0):
-    """coordinate_ascent without its memo: build and solve at every visit.
+    """coordinate_ascent without its memo or its one partition.
+
+    The profile stays a tuple of step functions; every visit refines the
+    other periods' partition, then builds and solves period t's model.
 
     Returns the report and the number of models built.
     """
@@ -351,11 +370,12 @@ def _reference_ascent(market, *, starts, max_sweeps=40, seed=0):
             sweeps += 1
             improved = False
             for t in range(market.T):
-                sol = solve_coordinate(build_coordinate_lp(market, profile, t))
+                partition, rows = _rows(market, profile, t)
+                sol = solve_coordinate(build_coordinate_lp(market, partition, rows, t))
                 builds += 1
                 if sol.predicted_revenue <= rev + tol:
                     continue
-                trial = profile.with_step(t, sol.step)
+                trial = profile.with_step(t, StepFunction.from_values(partition, sol.row))
                 ev = evaluate(market, trial)
                 if ev.negative_payments:
                     rejected += 1
@@ -394,9 +414,9 @@ def test_memoized_ascent_matches_memo_free_reference(monkeypatch, mode):
         want, builds = _reference_ascent(m, starts=starts, seed=seed)
         keys = []
 
-        def recording(market, profile, t):
-            keys.append((t, profile.steps[:t], profile.steps[t + 1:]))
-            return build_coordinate_lp(market, profile, t)
+        def recording(market, partition, rows, t):
+            keys.append((t, rows[:t], rows[t + 1:]))
+            return build_coordinate_lp(market, partition, rows, t)
 
         monkeypatch.setattr(ascent, "build_coordinate_lp", recording)
         got = coordinate_ascent(m, starts=starts, seed=seed)
@@ -418,10 +438,96 @@ def test_value_of_reproduces_the_solution_exactly():
             None if budget is None else F(budget),
         )
         sol = solve_coordinate(lp)
-        assert lp.value_of(sol.step) == (sol.objective, sol.used)
+        assert lp.value_of(sol.row) == (sol.objective, sol.used)
     for _ in range(30):
         m = _oracle_market(rng, RATIONAL)
         prof = _oracle_profile(rng, m)
-        lp = build_coordinate_lp(m, prof, rng.randrange(m.T))
+        lp = _build(m, prof, rng.randrange(m.T))
         sol = solve_coordinate(lp)
-        assert lp.value_of(sol.step) == (sol.objective, sol.used)
+        assert lp.value_of(sol.row) == (sol.objective, sol.used)
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_ascent_refines_the_partition_once(monkeypatch, mode):
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return segment_refinement(*args)
+
+    monkeypatch.setattr(ascent, "segment_refinement", counting)
+    rng = random.Random(36)
+    for _ in range(8):
+        m = random_market(rng, mode=mode, max_periods=4, max_atoms=3)
+        calls.clear()
+        coordinate_ascent(m, starts=rng.randint(0, 4), seed=rng.randrange(1000))
+        assert len(calls) == 1
+
+
+def test_build_neither_refines_nor_expands(monkeypatch):
+    evaluate_mod, stepfn_mod = (importlib.import_module(f"dynration.{m}") for m in ("evaluate", "stepfn"))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the build re-derived the partition or a row")
+
+    rng = random.Random(37)
+    cases = []
+    for mode in (RATIONAL, FLOAT):
+        for _ in range(5):
+            m = _oracle_market(rng, mode)
+            prof = _oracle_profile(rng, m)
+            t = rng.randrange(m.T)
+            cases.append((m, *_rows(m, prof, t), t))
+    for module in (ascent, evaluate_mod, stepfn_mod):
+        monkeypatch.setattr(module, "segment_refinement", refuse)
+    monkeypatch.setattr(Partition, "values", refuse)
+    for m, partition, rows, t in cases:
+        build_coordinate_lp(m, partition, rows, t)
+
+
+def _round_trips(partition, row):
+    return tuple(partition.values(StepFunction.from_values(partition, row))) == row
+
+
+def test_solution_rows_round_trip(monkeypatch):
+    # Force every candidate shape on partitions of atoms strictly inside
+    # (0, 1): single tails from every piece (jumps closed and open at 0 and
+    # at 1 among them), their budget-tight scalings, and every pair, the
+    # closed+open pairs at one point included. Tail fa alone is worth 3 for
+    # 2 units, tail fb worth 1 for none, and one unit is available.
+    rng = random.Random(38)
+    for _ in range(6):
+        atoms = sorted(rng.sample([F(k, 12) for k in range(1, 12)], rng.randint(1, 3)))
+        partition = Partition(atoms)
+        n = partition.npieces
+        for f in range(n):
+            for tail, budget, level in (((1, 0), None, 1), ((1, 2), F(1), F(1, 2))):
+                tails = [(0, 0)] * n
+                tails[f] = tail
+                sol = solve_coordinate(ascent.CoordinateLP(0, tuple(tails), budget, 0, 0))
+                assert sol.row == (0,) * f + (level,) * (n - f)
+                assert _round_trips(partition, sol.row)
+        for fa in range(n):
+            for fb in range(fa + 1, n):
+                tails = [(0, 0)] * n
+                tails[fa], tails[fb] = (3, 2), (1, 0)
+                sol = solve_coordinate(ascent.CoordinateLP(0, tuple(tails), F(1), 0, 0))
+                assert sol.row == (0,) * fa + (F(1, 2),) * (fb - fa) + (1,) * (n - fb)
+                assert _round_trips(partition, sol.row)
+
+    # and every row that runs of the ascent solve for
+    seen = []
+
+    def recording(lp):
+        sol = solve_coordinate(lp)
+        seen.append(sol.row)
+        return sol
+
+    monkeypatch.setattr(ascent, "solve_coordinate", recording)
+    for mode in (RATIONAL, FLOAT):
+        for _ in range(6):
+            m = random_market(rng, mode=mode, max_atoms=3)
+            seen.clear()
+            coordinate_ascent(m, starts=3, seed=rng.randrange(1000))
+            partition = Partition(m.atoms)
+            assert seen and all(_round_trips(partition, row) for row in seen)

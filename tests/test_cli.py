@@ -245,3 +245,32 @@ def test_demo_artifacts_match_pinned_hashes(mode, tmp_path):
             got[f"{mode}/{name}"] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
     assert got == {name: digest for name, digest in pinned.items() if name.startswith(f"{mode}/")}
     assert len(got) == 15
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--tol", "-1"],
+        ["solve", "--tol", "nan"],
+        ["oracle", "--tol", "inf"],
+        ["solve", "--starts", "-3"],
+        ["compare", "--starts", "-3"],
+        ["solve", "--sweeps", "0"],
+        ["solve", "--sweeps", "-2"],
+    ],
+)
+def test_out_of_range_numbers_exit_2(market_files, tmp_path, capsys, argv):
+    ration, _ = market_files
+    code = main([argv[0], str(ration), "--out", str(tmp_path), *argv[1:]])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and argv[1] in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("literal", ['"1e400"', "1" + "0" * 400])
+def test_float_mode_literal_beyond_float_range_exits_2(tmp_path, capsys, literal):
+    market = tmp_path / "m.json"
+    market.write_text('{"T": 1, "atoms": [1], "mass": [[%s]], "inventory": "inf", "delta": [1]}' % literal)
+    assert main(["solve", str(market), "--mode", "float", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: mass[0][0]: ")

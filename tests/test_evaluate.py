@@ -15,7 +15,7 @@ from dynration import (
     make_market,
     mixture,
 )
-from dynration.evaluate import EvaluatorInternalError, formula_layer
+from dynration.evaluate import EvaluatorInternalError, evaluate_rows, formula_layer
 
 from gen import random_feasible_profile, random_market, random_profile
 
@@ -228,7 +228,7 @@ def test_batch_columns_match_scalar_evaluation():
         columns = [np.array([part.values(p.steps[t]) for p in profiles]).T for t in range(m.T)]
         batch = formula_layer(m, part, columns)
         for k, prof in enumerate(profiles):
-            ev = evaluate(m, prof, partition=part)
+            ev = evaluate_rows(m, part, [part.values(r) for r in prof.steps])
             assert float(batch.revenue[k]).hex() == ev.revenue.hex()
             assert float(batch.used[k]).hex() == ev.inventory_used.hex()
 
