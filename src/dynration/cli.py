@@ -26,7 +26,7 @@ from .evaluate import evaluate
 from .market import MarketError, ParseError, parse_market
 from .mechanism import extract, mechanism_from_json, mechanism_to_json
 from .numeric import FLOAT, RATIONAL, format_number, parse_number
-from .oracle import OracleGrid, brute_force_optimal, non_anonymous_benchmark
+from .oracle import OracleGrid, brute_force_optimal, grid_candidates, non_anonymous_benchmark
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -193,8 +193,10 @@ def _dispatch(args, market) -> int:
         return 0
 
     if args.command == "compare":
+        posted_grid = OracleGrid(levels=("0", "1"))
+        grid_candidates(market, posted_grid)  # an oversized market fails before the ascent
         report = coordinate_ascent(market, starts=args.starts, seed=args.seed)
-        posted = brute_force_optimal(market, OracleGrid(levels=("0", "1")))
+        posted = brute_force_optimal(market, posted_grid)
         rows = [
             ("anonymous optimum (solver)", report.revenue),
             ("posted prices only (oracle, levels {0,1})", posted.revenue),

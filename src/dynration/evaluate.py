@@ -17,8 +17,9 @@ checked and flagged rather than assumed.
 
 The recursion itself (:func:`formula_layer`) is written once, over per-piece
 rule values ``R[t][p]`` that may be Python scalars (exact ``Fraction`` or
-``float``) or numpy columns holding one value per candidate profile. The
-grid oracle calls it with candidate columns to score a whole batch at once.
+``float``) or numpy arrays that broadcast against each other, with one
+entry per candidate profile. The grid oracle calls it with each period's
+candidates on their own axis to score a whole batch at once.
 
 :func:`evaluate` takes any profile, jumps anywhere in [0, 1], and refines
 its partition and rows; a caller that holds rows on one partition already,
@@ -141,8 +142,10 @@ def formula_layer(market: Market, partition: Partition, R) -> Formulas:
 
     ``R[t][p]`` is period t's rule on piece p of ``partition``; the market's
     numbers must be of the same kind as the entries (float with numpy
-    columns). The operation order is fixed, so a column gives bit for bit
-    the values that each of its entries gives as a float scalar.
+    arrays). ``R[t]`` may be an ndarray with the pieces on axis 0, and the
+    periods' arrays may have different shapes that broadcast against each
+    other. The operation order is fixed, so every array entry is bit for
+    bit the value that its own float scalars give.
     """
     T = market.T
     n = market.num_atoms

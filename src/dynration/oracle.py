@@ -4,13 +4,20 @@ The grid oracle enumerates every monotone step profile whose jumps sit on
 the atom boundaries (both inclusion flags, realized as free point values
 between the neighboring segment levels) and whose levels come from a fixed
 grid, then maximizes exact revenue subject to the inventory cap. The
-search scores a chunk of candidates at a time with the evaluator's own
-recursion (:func:`dynration.evaluate.formula_layer`), fed numpy columns
-with one entry per candidate, in floating point; on rational markets the
-near-optimal candidates are re-evaluated exactly so the reported optimum
-is exact. Enumeration order is canonical (lexicographic over per-period
-descriptors, earliest period most significant) and ties keep the first
-candidate, so oracle runs are reproducible.
+search scores the candidates in floating point with the evaluator's own
+recursion (:func:`dynration.evaluate.formula_layer`), fed numpy arrays in
+which each period's K per-period candidates lie on that period's own axis.
+Broadcasting then runs period t's backward recursion once per combination
+of periods t..T-1, not once per profile, and only the quantities that
+depend on every period (period-0 utilities, late presence, revenue and
+usage) reach the full K^T size. The leading periods are enumerated in
+chunks of at most ``_CHUNK`` profiles, which bounds peak memory. On
+rational markets every candidate within 1e-9 of the float optimum (the
+first 512 in canonical order) is re-evaluated exactly, so the reported
+optimum is exact. Enumeration order is canonical (lexicographic over
+per-period descriptors, earliest period most significant) and ties keep
+the first candidate, so oracle runs are reproducible and do not depend on
+the chunking.
 
 Baselines: the static monopoly price over one atom list, and the
 non-anonymous benchmark that treats each generation as its own market and
@@ -29,6 +36,12 @@ from .evaluate import AllocationProfile, evaluate, formula_layer
 from .market import Market, make_market
 from .numeric import FLOAT, RATIONAL, parse_number
 from .stepfn import Partition, StepFunction
+
+
+# Profiles per chunk of the search: the recursion keeps every period's
+# utility, presence and payment columns for a whole chunk, so the chunk
+# size bounds peak memory.
+_CHUNK = 1 << 15
 
 
 class InstanceTooLarge(ValueError):
@@ -98,56 +111,101 @@ def _period_candidates(market: Market, levels: list) -> list[list]:
     return out
 
 
-def brute_force_optimal(market: Market, grid: OracleGrid | None = None) -> OracleResult:
-    """Exact maximum of revenue over the grid, subject to the inventory cap."""
-    grid = grid or OracleGrid()
+def grid_candidates(market: Market, grid: OracleGrid) -> list[list]:
+    """The grid's per-period candidates on ``market``, after its size caps.
+
+    Raises :class:`InstanceTooLarge` when the market has too many periods or
+    atoms, or the K^T candidate profiles exceed the grid's cap; callers that
+    would do other work before the search check here first.
+    """
     if market.T > grid.max_periods:
         raise InstanceTooLarge(f"T={market.T} beyond oracle cap {grid.max_periods}")
     if market.num_atoms > grid.max_atoms:
         raise InstanceTooLarge(f"{market.num_atoms} atoms beyond oracle cap {grid.max_atoms}")
-    levels = grid.level_values(market.mode)
-    candidates = _period_candidates(market, levels)
-    K = len(candidates)
-    total = K**market.T
+    candidates = _period_candidates(market, grid.level_values(market.mode))
+    total = len(candidates) ** market.T
     if total > grid.max_candidates:
         raise InstanceTooLarge(f"{total} profiles beyond oracle cap {grid.max_candidates}")
+    return candidates
+
+
+def _scored_chunks(market: Market, candidates: list[list]):
+    """Yield ``(first, revenue, used)`` over every candidate profile of a float market.
+
+    ``first`` is the flat id of the chunk's first profile; ``revenue`` and
+    ``used`` hold one value per profile, in canonical order. Period t of
+    profile ``id`` is ``candidates[(id // K**(T-1-t)) % K]``.
+
+    The periods from ``lead`` on get one numpy axis each, holding all K
+    candidates, so the recursion of period t runs once per combination of
+    periods t..T-1 that the chunk needs, not once per profile. The first
+    ``lead`` periods are enumerated as one super-index L, a slice of L per
+    chunk, so that no column exceeds ``_CHUNK`` values.
+    """
+    K = len(candidates)
+    T = market.T
+    partition = Partition(market.atoms)
+    columns = np.array([[float(x) for x in row] for row in candidates]).T  # (pieces, K)
+    lead = next(k for k in range(1, T + 1) if K ** (T - k) <= _CHUNK)
+    inner = K ** (T - lead)
+    step = _CHUNK // inner
+    # candidate axes after the piece axis: L's slice, then periods lead..T-1
+    tail = [
+        columns.reshape((-1,) + tuple(K if a == t - lead + 1 else 1 for a in range(T - lead + 1)))
+        for t in range(lead, T)
+    ]
+    for lo in range(0, K**lead, step):
+        L = np.arange(lo, min(lo + step, K**lead))
+        shape = (len(L),) + (K,) * (T - lead)
+        head = [
+            columns[:, (L // K ** (lead - 1 - t)) % K].reshape((-1, len(L)) + (1,) * (T - lead))
+            for t in range(lead)
+        ]
+        batch = formula_layer(market, partition, head + tail)
+        # a market without atoms sums to scalars
+        revenue, used = (np.broadcast_to(x, shape).reshape(-1) for x in (batch.revenue, batch.used))
+        yield lo * inner, revenue, used
+
+
+def brute_force_optimal(market: Market, grid: OracleGrid | None = None) -> OracleResult:
+    """Exact maximum of revenue over the grid, subject to the inventory cap."""
+    grid = grid or OracleGrid()
+    candidates = grid_candidates(market, grid)
+    K = len(candidates)
+    T = market.T
+    total = K**T
 
     # the search runs in float: Fraction times an ndarray makes slow object arrays
     d = market.discounts
     search = market if market.mode == FLOAT else make_market(
         market.T, market.atoms, market.mass, market.inventory, d.delta, d.lambda_s, d.lambda_b, mode=FLOAT
     )
-    partition = Partition(search.atoms)
-    columns = np.array([[float(x) for x in row] for row in candidates]).T  # (pieces, K)
-    T = market.T
     inv = search.inventory
+    exact = market.mode == RATIONAL
     ftol = 1e-9
 
     best_rev = -np.inf
     best_id = None
-    near_ids: list[int] = []
-    # the recursion keeps every period's utility, presence and payment
-    # columns for a whole chunk, so the chunk size bounds peak memory
-    chunk_size = 1 << 15
-    strides = [K ** (T - 1 - t) for t in range(T)]
-    for lo in range(0, total, chunk_size):
-        ids = np.arange(lo, min(lo + chunk_size, total))
-        batch = formula_layer(search, partition, [columns[:, (ids // s) % K] for s in strides])
-        # a market without atoms sums to scalars
-        revenue, used = (np.broadcast_to(x, ids.shape) for x in (batch.revenue, batch.used))
-        feasible = np.ones(len(ids), bool) if inv is None else used <= inv + ftol
-        if not feasible.any():
-            continue
-        rev_f = np.where(feasible, revenue, -np.inf)
-        top = int(np.argmax(rev_f))
-        if rev_f[top] > best_rev:
-            best_rev = rev_f[top]
-            best_id = int(ids[top])
-            near_ids = [int(i) for i in ids[rev_f >= best_rev - 1e-9]]
-        elif rev_f[top] >= best_rev - 1e-9:
-            near_ids.extend(int(i) for i in ids[rev_f >= best_rev - 1e-9])
+    # rational mode: per chunk, the ids and revenues within 1e-9 of the
+    # running best, a superset of those within 1e-9 of the final best
+    near = []
+    for first, revenue, used in _scored_chunks(search, candidates):
+        if inv is not None:
+            feasible = used <= inv + ftol
+            if not feasible.any():
+                continue
+            revenue = np.where(feasible, revenue, -np.inf)
+        top = int(np.argmax(revenue))
+        if revenue[top] > best_rev:
+            best_rev = revenue[top]
+            best_id = first + top
+        if exact:
+            keep = np.flatnonzero(revenue >= best_rev - 1e-9)
+            near.append((first + keep, revenue[keep]))
     if best_id is None:
         raise AssertionError("no feasible profile; the zero profile is always feasible")
+
+    strides = [K ** (T - 1 - t) for t in range(T)]
 
     def rebuild(flat: int) -> AllocationProfile:
         part = Partition(market.atoms)
@@ -156,9 +214,12 @@ def brute_force_optimal(market: Market, grid: OracleGrid | None = None) -> Oracl
             steps.append(StepFunction.from_values(part, candidates[(flat // s) % K]))
         return AllocationProfile(tuple(steps))
 
-    if market.mode == RATIONAL:
-        # exact re-evaluation of the float near-ties keeps the result exact
-        pool = sorted(set(near_ids))[:512] or [best_id]
+    if exact:
+        # exact re-evaluation of the float near-ties keeps the result exact:
+        # the first 512, in canonical order, within 1e-9 of the final best
+        ids = np.concatenate([i for i, _ in near])
+        revs = np.concatenate([r for _, r in near])
+        pool = ids[revs >= best_rev - 1e-9][:512].tolist()
         best_exact = None
         for flat in pool:
             prof = rebuild(flat)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from dynration import ex_ration, ex_twogen, serialize_market
+from dynration import cli, ex_ration, ex_twogen, make_market, serialize_market
 from dynration.cli import main
 
 FIXTURES = Path(__file__).parent / "data"
@@ -111,6 +111,17 @@ def test_compare_command(market_files, capsys):
     assert "3/2" in out
     lines = [l for l in out.splitlines() if l.strip()]
     assert any("anonymous optimum" in l and l.rstrip().endswith("1") for l in lines)
+
+
+def test_compare_checks_the_oracle_caps_before_the_ascent(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the ascent ran before the oracle's size check")
+
+    monkeypatch.setattr(cli, "coordinate_ascent", refuse)
+    path = tmp_path / "four.json"
+    path.write_text(serialize_market(make_market(T=4, atoms=[1], mass=[[1]] * 4)))
+    assert main(["compare", str(path)]) == 2
+    assert "error: T=4 beyond oracle cap 3" in capsys.readouterr().err
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

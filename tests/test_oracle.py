@@ -1,20 +1,28 @@
 import random
+import tracemalloc
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from dynration import (
+    AllocationProfile,
     BoundedInventoryUnsupported,
     InstanceTooLarge,
     OracleGrid,
+    Partition,
+    StepFunction,
     brute_force_optimal,
     coordinate_ascent,
     evaluate,
     make_market,
     non_anonymous_benchmark,
+    oracle,
     static_monopoly,
 )
+from dynration.evaluate import formula_layer
 from dynration.numeric import FLOAT
+from dynration.oracle import grid_candidates
 
 from gen import random_market
 
@@ -121,3 +129,173 @@ def test_float_mode_matches_rational(ration_market):
 
     got = brute_force_optimal(ex_ration(mode=FLOAT))
     assert abs(got.revenue - 7 / 6) < 1e-9
+
+
+def _flat_search(market, candidates):
+    """Reference search: every profile's float revenue and usage, flat.
+
+    Each chunk of flat ids gathers period t's column of every profile,
+    ``columns[:, (ids // K**(T-1-t)) % K]``, so the recursion runs once per
+    profile and period, with no sharing between profiles.
+    """
+    K, T = len(candidates), market.T
+    total = K**T
+    columns = np.array([[float(x) for x in row] for row in candidates]).T
+    strides = [K ** (T - 1 - t) for t in range(T)]
+    revenue, used = [], []
+    for lo in range(0, total, 1 << 15):
+        ids = np.arange(lo, min(lo + (1 << 15), total))
+        R = [columns[:, (ids // s) % K] for s in strides]
+        batch = formula_layer(market, Partition(market.atoms), R)
+        revenue.append(np.broadcast_to(batch.revenue, ids.shape))
+        used.append(np.broadcast_to(batch.used, ids.shape))
+    return np.concatenate(revenue), np.concatenate(used)
+
+
+def _kernel_search(market, candidates):
+    revenue, used, nxt = [], [], 0
+    for first, rev, use in oracle._scored_chunks(market, candidates):
+        assert first == nxt and rev.shape == use.shape
+        nxt += len(rev)
+        revenue.append(rev)
+        used.append(use)
+    assert nxt == len(candidates) ** market.T
+    return np.concatenate(revenue), np.concatenate(used)
+
+
+def _profile(market, candidates, flat):
+    K, part = len(candidates), Partition(market.atoms)
+    rows = [candidates[(flat // K ** (market.T - 1 - t)) % K] for t in range(market.T)]
+    return AllocationProfile(tuple(StepFunction.from_values(part, row) for row in rows))
+
+
+def _kernel_markets():
+    """Small float markets: T = 1..3, n = 0..3, both supplies, zero-mass periods."""
+    rng = random.Random(77)
+    for T in (1, 2, 3):
+        yield make_market(T=T, atoms=[], mass=[[]] * T, inventory=1, mode=FLOAT)
+        for n in (1, 2, 3):
+            for opts in ({}, {"general_lambda": True}, {"tied_delta": True}, {"unbounded": True}):
+                m = random_market(rng, mode=FLOAT, min_periods=T, max_periods=T, max_atoms=n, **opts)
+                yield m
+            # period T // 2 brings no buyers
+            mass = [list(row) for row in m.mass]
+            mass[T // 2] = [0] * m.num_atoms
+            d = m.discounts
+            yield make_market(T, m.atoms, mass, m.inventory, d.delta, d.lambda_s, d.lambda_b, mode=FLOAT)
+
+
+def _small_grid(market):
+    levels = ("0", "1/2", "1") if market.T * market.num_atoms > 4 else ("0", "1/3", "2/3", "1")
+    return OracleGrid(levels=levels)
+
+
+@pytest.mark.parametrize("chunk", [1 << 15, 3, 7, 200])
+def test_broadcast_kernel_matches_flat_gather(monkeypatch, chunk):
+    monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    seen = set()
+    for m in _kernel_markets():
+        candidates = grid_candidates(m, _small_grid(m))
+        if chunk < 1 << 15 and len(candidates) ** m.T > 1300:
+            continue
+        seen.add((m.T, m.num_atoms))
+        want = _flat_search(m, candidates)
+        got = _kernel_search(m, candidates)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert g.dtype == np.float64 or not m.num_atoms
+            assert np.array_equal(g, w), (m, chunk)
+    assert {(T, n) for T in (1, 2, 3) for n in (0, 1)} <= seen
+
+
+@pytest.mark.parametrize("chunk", [1 << 15, 5, 64])
+def test_ties_return_the_first_profile_in_canonical_order(monkeypatch, chunk):
+    # the point value at a massless atom changes nothing, so ties are many
+    monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    for inventory in (None, 1):
+        m = make_market(
+            T=2, atoms=["1/3", "2/3", 1], mass=[[1, 0, 1], [0, 0, 1]], inventory=inventory, mode=FLOAT
+        )
+        grid = OracleGrid(levels=("0", "1/2", "1"))
+        candidates = grid_candidates(m, grid)
+        revenue, used = _flat_search(m, candidates)
+        if inventory is not None:
+            revenue = np.where(used <= inventory + 1e-9, revenue, -np.inf)
+        first = int(np.argmax(revenue))
+        assert np.count_nonzero(revenue == revenue[first]) > 1
+        res = brute_force_optimal(m, grid)
+        assert res.profile == _profile(m, candidates, first)
+        assert res.revenue == revenue[first]
+
+
+def _exact_pool(monkeypatch, market, grid=None):
+    """The profiles that a rational search re-evaluates exactly, and its result."""
+    pool = []
+
+    def recording(m, profile):
+        pool.append(profile)
+        return evaluate(m, profile)
+
+    monkeypatch.setattr(oracle, "evaluate", recording)
+    return pool, brute_force_optimal(market, grid)
+
+
+def test_near_tie_pool_does_not_depend_on_chunk_boundaries(monkeypatch):
+    rng = random.Random(5)
+    markets = [
+        # float near-ties of one exact optimum, spread over many chunks
+        make_market(T=2, atoms=["1/12", "5/12"], mass=[["1/2", "1/4"], ["1/2", "3/4"]]),
+        make_market(T=3, atoms=["5/6"], mass=[["3/4"]] * 3, delta=["5/6"] * 3),
+        make_market(
+            T=2, atoms=["7/12", "2/3"], mass=[["1/2", "1/2"], ["1/4", 1]], inventory="9/16", delta=["11/12"] * 2
+        ),
+    ]
+    markets += [random_market(rng, max_periods=3, max_atoms=2, general_lambda=k % 2 == 1) for k in range(4)]
+    grid = OracleGrid(levels=("0", "1/3", "2/3", "1"))
+    for m in markets:
+        K = len(grid_candidates(m, grid))
+        runs = []
+        for chunk in (1 << 15, K ** (m.T - 1), K - 1, 3 * K + 1):
+            monkeypatch.setattr(oracle, "_CHUNK", chunk)
+            runs.append(_exact_pool(monkeypatch, m, grid))
+        pool, res = runs[0]
+        assert pool
+        for other_pool, other in runs[1:]:
+            assert other_pool == pool
+            assert (other.revenue, other.profile, other.candidates) == (
+                res.revenue, res.profile, res.candidates
+            )
+
+
+def test_near_tie_pool_is_every_candidate_near_the_final_best(monkeypatch):
+    # a later chunk's best beats an earlier one by less than 1e-9; the
+    # earlier near-ties stay in the pool, and the first exact optimum wins
+    m = make_market(
+        T=3,
+        atoms=["7/12", "2/3"],
+        mass=[["3/4", 1], ["3/4", 0], [1, "1/4"]],
+        delta=["11/12", "11/12", "2/3"],
+    )
+    candidates = grid_candidates(m, OracleGrid())
+    search = make_market(m.T, m.atoms, m.mass, m.inventory, m.discounts.delta, mode=FLOAT)
+    revenue, _ = _flat_search(search, candidates)
+    ids = np.flatnonzero(revenue >= revenue.max() - 1e-9)[:512]
+    pool, res = _exact_pool(monkeypatch, m)
+    assert pool == [_profile(m, candidates, int(i)) for i in ids]
+    assert res.revenue == F(175, 96)
+    sell = StepFunction.step(F(7, 12))
+    assert res.profile == AllocationProfile((StepFunction.zero(), sell, sell))
+
+
+def test_float_all_ties_stay_small():
+    m = make_market(T=3, atoms=["1/4", "1/2"], mass=[[0, 0]] * 3, inventory=1, mode=FLOAT)
+    tracemalloc.start()
+    try:
+        res = brute_force_optimal(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.candidates == 126**3
+    assert res.revenue == 0
+    assert res.profile == AllocationProfile.zero(3)
+    assert peak < 32 * 2**20
