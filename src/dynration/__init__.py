@@ -42,7 +42,6 @@ from .mechanism import (
     PricedMechanism,
     TooManySteps,
     extract,
-    lottery_quantity_audit,
 )
 from .numeric import FLOAT, RATIONAL, default_tol, format_number, parse_number
 from .oracle import (
@@ -61,7 +60,6 @@ from .stepfn import (
     PiecewiseLinear,
     StepFunction,
     mixture,
-    pointwise,
     segment_refinement,
 )
 

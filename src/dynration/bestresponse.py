@@ -12,7 +12,8 @@ selection shared with the extractor: a type belonging to a tier (by
 threshold and inclusion flag) takes that tier's action when it ties with
 the best alternative, so earlier purchases win ties and a type excluded by
 an open threshold stays out. Service probabilities are taken from the
-menu as posted; the quantity/demand audit reports how consistent they are.
+menu as posted; each lottery's residual ``quantity - prob * demand`` on the
+simulated demand reports how consistent they are.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ class EquilibriumReport:
     service_residual: list     # [t] quantity - service_prob * demand, None without lottery
     realized_revenue: object
     realized_sales: object
-    present: list              # [t][i] mass present when period t opens
 
 
 @dataclass
@@ -103,18 +103,16 @@ def best_response(market: Market, mech: PricedMechanism, *, tol=None) -> Equilib
             slack[t][i] = options[choice] - max(others) if others else 0
             plan[t][i] = choice
 
-    present = [[0] * n for _ in range(T + 1)]
+    present = list(market.mass[0])  # [i] mass present when period t opens
     demand = [0] * T
     residual = [None] * T
     revenue = 0
     sales = 0
-    for i in range(n):
-        present[0][i] = market.mass[0][i]
     for t in range(T):
         menu = mech.periods[t]
         lottery_mass = 0
         for i in range(n):
-            mass = present[t][i]
+            mass = present[i]
             action = plan[t][i]
             if action == BUY_HIGH:
                 revenue += lam_s[t] * menu.p_high * mass
@@ -128,7 +126,7 @@ def best_response(market: Market, mech: PricedMechanism, *, tol=None) -> Equilib
                 carry = mass - served
             else:
                 carry = mass
-            present[t + 1][i] = carry + (market.mass[t + 1][i] if t + 1 < T else 0)
+            present[i] = carry + (market.mass[t + 1][i] if t + 1 < T else 0)
         demand[t] = lottery_mass
         if menu.has_lottery:
             residual[t] = menu.lottery_quantity - menu.service_prob * lottery_mass
@@ -141,7 +139,6 @@ def best_response(market: Market, mech: PricedMechanism, *, tol=None) -> Equilib
         service_residual=residual,
         realized_revenue=revenue,
         realized_sales=sales,
-        present=present,
     )
 
 
@@ -173,12 +170,12 @@ def verify(
 ) -> VerificationResult:
     """Round-trip and consistency checks; returns violations, never raises.
 
-    Passes iff (1) the simulated plan reproduces the allocation at every
-    atom, (2) the menu checks of :func:`menu_violations` pass (service
-    probabilities match quantity over demand, sales respect the inventory),
-    (3) realized revenue equals formula revenue, (4) no type prefers a
-    deviation, and (5) simulated utilities equal the closed-form curves at
-    every atom.
+    Passes iff (1) the simulated plan reproduces the allocation table
+    ``r_at`` at every atom, (2) the menu checks of :func:`menu_violations`
+    pass (service probabilities match quantity over simulated demand, sales
+    respect the inventory), (3) realized revenue equals formula revenue,
+    (4) no type prefers a deviation, and (5) simulated utilities equal the
+    formula layer's ``u_at`` at every atom.
     """
     if tol is None:
         tol = default_tol(market.mode)
@@ -190,7 +187,7 @@ def verify(
     for t in range(market.T):
         menu = mech.periods[t]
         for i, v in enumerate(market.atoms):
-            want = profile.steps[t].eval(v)
+            want = ev.r_at[t][i]
             got = implied[report.plan[t][i]](menu)
             if abs(want - (got or 0)) > tol:
                 violations.append(
@@ -211,19 +208,10 @@ def verify(
                 violations.append(
                     f"NegativeUtility: t={t + 1} v={market.atoms[i]}"
                 )
-            formula_u = ev.utilities[t].value_at_point(market.atoms[i])
+            formula_u = ev.u_at[t][i]
             if abs(report.utility[t][i] - formula_u) > tol:
                 violations.append(
                     f"UtilityMismatch: t={t + 1} v={market.atoms[i]}: "
                     f"simulated {report.utility[t][i]}, formula {formula_u}"
                 )
     return VerificationResult(passed=not violations, violations=violations, report=report)
-
-
-def verification_rows(market: Market, report: EquilibriumReport):
-    """CSV rows (t, v, action, utility, icSlack)."""
-    return [
-        (t + 1, v, report.plan[t][i], report.utility[t][i], report.ic_slack[t][i])
-        for t in range(market.T)
-        for i, v in enumerate(market.atoms)
-    ]

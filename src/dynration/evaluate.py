@@ -15,6 +15,15 @@ Given per-period monotone allocation rules ``r_t`` this computes, exactly:
 Payments are defined only through the incentive identity; nonnegativity is
 checked and flagged rather than assumed.
 
+An :class:`Evaluation` keeps the per-atom tables of the formula layer:
+``r_at[t][i]`` (period t's allocation at atom i), ``u_at[t][i]`` (U_t at
+atom i, t = 0..T), ``fstar`` and ``payments``, plus the curves ``U_t`` at
+every partition point. These tables are the one route to those facts:
+``verify`` compares the simulated plan and utilities with ``r_at`` and
+``u_at``, ``extract`` sizes lotteries from ``r_at`` and ``fstar`` and
+prices thresholds from the curves at partition points, and the evaluation
+CSV prints the tables as they stand.
+
 The recursion itself (:func:`formula_layer`) is written once, over per-piece
 rule values ``R[t][p]`` that may be Python scalars (exact ``Fraction`` or
 ``float``) or numpy arrays that broadcast against each other, with one
@@ -79,6 +88,7 @@ class Evaluation:
     market: Market
     partition: Partition
     r_at: list             # [t][i] allocation at atom i
+    u_at: list             # [t][i] U_t at atom i, t = 0..T
     fstar: list            # [t][i] mass of value atoms[i] present at t
     utilities: list        # PiecewiseLinear for t = 0..T (index T is the zero tail)
     payments: list         # [t][i] expected payment as charged (lambdaB applied)
@@ -88,26 +98,6 @@ class Evaluation:
     base_cash: object      # undiscounted transfer sum: lambdaB_t * p * fstar
     total_buyer_utility: object
     negative_payments: list  # (t, i, value) triples with p < 0 beyond noise
-
-    def report_rows(self):
-        """Per atom-period rows: (t, v, fstar, r, U, p, cashflow)."""
-        m = self.market
-        rows = []
-        for t in range(m.T):
-            for i, v in enumerate(m.atoms):
-                p = self.payments[t][i]
-                rows.append(
-                    (
-                        t + 1,
-                        v,
-                        self.fstar[t][i],
-                        self.r_at[t][i],
-                        self.utilities[t].value_at_point(v),
-                        p,
-                        m.discounts.lambda_s[t] * p * self.fstar[t][i],
-                    )
-                )
-        return rows
 
 
 class Formulas(NamedTuple):
@@ -223,6 +213,7 @@ def evaluate_rows(market: Market, partition: Partition, R) -> Evaluation:
         market=market,
         partition=partition,
         r_at=r_at,
+        u_at=u_at,
         fstar=fstar,
         utilities=[PiecewiseLinear(partition.points, vals) for vals in f.utility_points],
         payments=payments,

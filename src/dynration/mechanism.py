@@ -135,7 +135,8 @@ def extract(market: Market, profile: AllocationProfile, evaluation: Evaluation |
 
         def threshold_price(q):
             # makes type q indifferent between a sure item now and waiting
-            return (delta[t] * q - u_next.eval(q)) / lam_b[t]
+            # q is 0 or a jump of the rule, so a point of the partition
+            return (delta[t] * q - u_next.value_at_point(q)) / lam_b[t]
 
         menu_kwargs = {}
         if q_low is not None:
@@ -145,7 +146,7 @@ def extract(market: Market, profile: AllocationProfile, evaluation: Evaluation |
                 q_low_inclusive=low_incl,
                 service_prob=r_low,
                 per_winner_price=per_winner,
-                lottery_quantity=r_low * _lottery_demand(market, ev, step, t, r_low),
+                lottery_quantity=r_low * _lottery_demand(market, ev, t, r_low),
             )
         if q_high is not None:
             if q_low is None:
@@ -176,31 +177,9 @@ def extract(market: Market, profile: AllocationProfile, evaluation: Evaluation |
     return PricedMechanism(tuple(menus))
 
 
-def lottery_quantity_audit(
-    market: Market,
-    profile: AllocationProfile,
-    mech: PricedMechanism,
-    evaluation: Evaluation | None = None,
-) -> dict[int, object]:
-    """Recompute each lottery's quantity from the presence table.
-
-    The residual ``quantity - service_prob * demand`` must vanish: the
-    quantity was sized so that demand served at the posted probability
-    exactly exhausts it. Periods without a lottery are absent.
-    """
-    ev = evaluation if evaluation is not None else evaluate(market, profile)
-    residuals = {}
-    for t, menu in enumerate(mech.periods):
-        if not menu.has_lottery:
-            continue
-        demand = _lottery_demand(market, ev, profile.steps[t], t, menu.service_prob)
-        residuals[t] = menu.lottery_quantity - menu.service_prob * demand
-    return residuals
-
-
-def _lottery_demand(market: Market, ev: Evaluation, step, t: int, prob):
-    """Mass present at t on the atoms that ``step`` serves with ``prob``."""
-    return sum(ev.fstar[t][i] for i, v in enumerate(market.atoms) if step.eval(v) == prob)
+def _lottery_demand(market: Market, ev: Evaluation, t: int, prob):
+    """Mass present at t on the atoms that period t serves with ``prob``."""
+    return sum(ev.fstar[t][i] for i in range(market.num_atoms) if ev.r_at[t][i] == prob)
 
 
 # -- files ------------------------------------------------------------------
@@ -274,11 +253,3 @@ def mechanism_from_json(text: str, mode: str) -> PricedMechanism:
             raise ParseError(f"{where}: perWinnerPrice above pHigh")
         menus.append(menu)
     return PricedMechanism(tuple(menus))
-
-
-def price_path_rows(mech: PricedMechanism):
-    """CSV rows (t, pHigh, perWinnerPrice, lotteryQuantity) for plotting."""
-    return [
-        (t + 1, menu.p_high, menu.per_winner_price, menu.lottery_quantity)
-        for t, menu in enumerate(mech.periods)
-    ]

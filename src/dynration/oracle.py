@@ -27,6 +27,7 @@ only).
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 
@@ -43,6 +44,14 @@ from .stepfn import Partition, StepFunction
 # size bounds peak memory.
 _CHUNK = 1 << 15
 
+# Instance caps: periods, atoms, and candidate profiles K^T.
+_MAX_PERIODS = 3
+_MAX_ATOMS = 3
+_MAX_CANDIDATES = 4_000_000
+
+# Rational mode re-evaluates at most this many float near-ties exactly.
+_POOL = 512
+
 
 class InstanceTooLarge(ValueError):
     """The instance exceeds the oracle's enumeration caps."""
@@ -54,12 +63,9 @@ class BoundedInventoryUnsupported(ValueError):
 
 @dataclass(frozen=True)
 class OracleGrid:
-    """Search space: level grid, jumps pinned to atom boundaries, size caps."""
+    """Search space: level grid, jumps pinned to atom boundaries."""
 
     levels: tuple = ("0", "1/4", "1/2", "3/4", "1")
-    max_periods: int = 3
-    max_atoms: int = 3
-    max_candidates: int = 4_000_000
 
     def level_values(self, mode: str) -> list:
         vals = sorted({parse_number(x, mode) for x in self.levels})
@@ -112,20 +118,20 @@ def _period_candidates(market: Market, levels: list) -> list[list]:
 
 
 def grid_candidates(market: Market, grid: OracleGrid) -> list[list]:
-    """The grid's per-period candidates on ``market``, after its size caps.
+    """The grid's per-period candidates on ``market``, after the size caps.
 
     Raises :class:`InstanceTooLarge` when the market has too many periods or
-    atoms, or the K^T candidate profiles exceed the grid's cap; callers that
-    would do other work before the search check here first.
+    atoms, or the K^T candidate profiles exceed the cap; callers that would
+    do other work before the search check here first.
     """
-    if market.T > grid.max_periods:
-        raise InstanceTooLarge(f"T={market.T} beyond oracle cap {grid.max_periods}")
-    if market.num_atoms > grid.max_atoms:
-        raise InstanceTooLarge(f"{market.num_atoms} atoms beyond oracle cap {grid.max_atoms}")
+    if market.T > _MAX_PERIODS:
+        raise InstanceTooLarge(f"T={market.T} beyond oracle cap {_MAX_PERIODS}")
+    if market.num_atoms > _MAX_ATOMS:
+        raise InstanceTooLarge(f"{market.num_atoms} atoms beyond oracle cap {_MAX_ATOMS}")
     candidates = _period_candidates(market, grid.level_values(market.mode))
     total = len(candidates) ** market.T
-    if total > grid.max_candidates:
-        raise InstanceTooLarge(f"{total} profiles beyond oracle cap {grid.max_candidates}")
+    if total > _MAX_CANDIDATES:
+        raise InstanceTooLarge(f"{total} profiles beyond oracle cap {_MAX_CANDIDATES}")
     return candidates
 
 
@@ -187,8 +193,11 @@ def brute_force_optimal(market: Market, grid: OracleGrid | None = None) -> Oracl
     best_rev = -np.inf
     best_id = None
     # rational mode: per chunk, the ids and revenues within 1e-9 of the
-    # running best, a superset of those within 1e-9 of the final best
-    near = []
+    # running best, a superset of those within 1e-9 of the final best. An
+    # entry with _POOL earlier kept entries of no lower revenue is never
+    # among the first _POOL of those, so it is dropped; ``heap`` is a
+    # min-heap of the _POOL largest kept revenues.
+    near, heap = [], []
     for first, revenue, used in _scored_chunks(search, candidates):
         if inv is not None:
             feasible = used <= inv + ftol
@@ -201,7 +210,19 @@ def brute_force_optimal(market: Market, grid: OracleGrid | None = None) -> Oracl
             best_id = first + top
         if exact:
             keep = np.flatnonzero(revenue >= best_rev - 1e-9)
-            near.append((first + keep, revenue[keep]))
+            if len(heap) == _POOL:
+                keep = keep[revenue[keep] > heap[0]]
+            kept = []
+            for k, r in zip(keep.tolist(), revenue[keep].tolist()):
+                if len(heap) < _POOL:
+                    heapq.heappush(heap, r)
+                elif r > heap[0]:
+                    heapq.heapreplace(heap, r)
+                else:
+                    continue
+                kept.append(k)
+            kept = np.array(kept, dtype=np.int64)
+            near.append((first + kept, revenue[kept]))
     if best_id is None:
         raise AssertionError("no feasible profile; the zero profile is always feasible")
 
@@ -216,10 +237,10 @@ def brute_force_optimal(market: Market, grid: OracleGrid | None = None) -> Oracl
 
     if exact:
         # exact re-evaluation of the float near-ties keeps the result exact:
-        # the first 512, in canonical order, within 1e-9 of the final best
+        # the first _POOL, in canonical order, within 1e-9 of the final best
         ids = np.concatenate([i for i, _ in near])
         revs = np.concatenate([r for _, r in near])
-        pool = ids[revs >= best_rev - 1e-9][:512].tolist()
+        pool = ids[revs >= best_rev - 1e-9][:_POOL].tolist()
         best_exact = None
         for flat in pool:
             prof = rebuild(flat)
@@ -256,17 +277,21 @@ def non_anonymous_benchmark(market: Market):
     """Per-generation monopoly pricing with full arrival-time discrimination.
 
     Only defined for unbounded supply, where generations decouple and the
-    seller simply charges each cohort its monopoly price on arrival; the
-    cohort's values are discounted by that period's delta and the cash by
-    lambdaS.
+    seller simply charges each cohort its monopoly price on arrival. A buyer
+    of value v who pays p at t keeps delta_t * v - lambdaB_t * p, so the
+    price that sells to values q and up is delta_t * q / lambdaB_t; the
+    seller counts lambdaS_t times its cash. It bounds the anonymous optimum
+    only while delta_t * lambdaS_t / lambdaB_t never rises over t: otherwise
+    a sale after arrival pays more.
     """
     if not market.unbounded:
         raise BoundedInventoryUnsupported("finite inventory couples the generations")
+    d = market.discounts
     total = 0
     for t in range(market.T):
         pairs = [(v, m) for v, m in zip(market.atoms, market.mass[t]) if m > 0]
         if not pairs:
             continue
         _, rev = static_monopoly(pairs)
-        total += market.discounts.lambda_s[t] * market.discounts.delta[t] * rev
+        total += d.lambda_s[t] * d.delta[t] * rev / d.lambda_b[t]
     return total

@@ -13,10 +13,10 @@ import io
 import json
 
 from .ascent import SolveReport
-from .bestresponse import EquilibriumReport, verification_rows
+from .bestresponse import EquilibriumReport
 from .evaluate import AllocationProfile, Evaluation
 from .market import Market, load_json, require_array, require_bool, require_keys
-from .mechanism import PricedMechanism, price_path_rows
+from .mechanism import PricedMechanism
 from .numeric import format_number, json_number, parse_number
 from .stepfn import Jump, StepFunction
 
@@ -63,23 +63,37 @@ def _write_csv(header, rows) -> str:
 
 
 def evaluation_csv(evaluation: Evaluation) -> str:
+    """One row per atom and period: the formula layer's tables as they stand."""
+    ev, m = evaluation, evaluation.market
     return _write_csv(
         ("t", "v", "fstar", "r", "U", "p", "cashflow"),
-        evaluation.report_rows(),
+        (
+            (t + 1, v, ev.fstar[t][i], ev.r_at[t][i], ev.u_at[t][i], ev.payments[t][i],
+             m.discounts.lambda_s[t] * ev.payments[t][i] * ev.fstar[t][i])
+            for t in range(m.T)
+            for i, v in enumerate(m.atoms)
+        ),
     )
 
 
 def verification_csv(market: Market, report: EquilibriumReport) -> str:
     return _write_csv(
         ("t", "v", "action", "utility", "icSlack"),
-        verification_rows(market, report),
+        (
+            (t + 1, v, report.plan[t][i], report.utility[t][i], report.ic_slack[t][i])
+            for t in range(market.T)
+            for i, v in enumerate(market.atoms)
+        ),
     )
 
 
 def price_path_csv(mech: PricedMechanism) -> str:
     return _write_csv(
         ("t", "pHigh", "perWinnerPrice", "lotteryQuantity"),
-        price_path_rows(mech),
+        (
+            (t + 1, menu.p_high, menu.per_winner_price, menu.lottery_quantity)
+            for t, menu in enumerate(mech.periods)
+        ),
     )
 
 

@@ -15,7 +15,7 @@ the exact per-period optimizer needs them as candidates.
 from __future__ import annotations
 
 import bisect
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class DomainError(ValueError):
@@ -123,10 +123,6 @@ class StepFunction:
 
     __call__ = eval
 
-    def value_above(self, a):
-        """Level on the open interval just right of ``a`` (no jump inside)."""
-        return self.levels[bisect.bisect_right(self._tokens, (a, 1))]
-
     # -- structure -------------------------------------------------------
 
     @property
@@ -139,16 +135,6 @@ class StepFunction:
 
     def is_zero(self) -> bool:
         return not self.jumps and self.levels[0] == 0
-
-    def integral(self, lo=0, hi=1):
-        """Lebesgue integral over [lo, hi]; inclusion flags are irrelevant."""
-        if lo < 0 or hi > 1 or lo > hi:
-            raise DomainError(f"bad integration range [{lo}, {hi}]")
-        cuts = sorted({j.at for j in self.jumps if lo < j.at < hi})
-        pts = [lo, *cuts, hi]
-        return sum(
-            self.value_above(a) * (b - a) for a, b in zip(pts, pts[1:])
-        )
 
     def __eq__(self, other):
         return (
@@ -237,16 +223,12 @@ def segment_refinement(fs: Iterable[StepFunction], points: Iterable = ()) -> Par
     return Partition(cuts)
 
 
-def pointwise(op: Callable, *fs: StepFunction) -> StepFunction:
-    """Apply ``op`` to the functions pointwise; result must be monotone."""
-    part = segment_refinement(fs)
-    columns = [part.values(f) for f in fs]
-    return StepFunction.from_values(part, [op(*vals) for vals in zip(*columns)])
-
-
 def mixture(f0: StepFunction, f1: StepFunction, theta) -> StepFunction:
     """Pointwise convex combination ``theta * f1 + (1 - theta) * f0``."""
-    return pointwise(lambda a, b: theta * b + (1 - theta) * a, f0, f1)
+    part = segment_refinement((f0, f1))
+    return StepFunction.from_values(
+        part, [theta * b + (1 - theta) * a for a, b in zip(part.values(f0), part.values(f1))]
+    )
 
 
 class PiecewiseLinear:
@@ -281,18 +263,6 @@ class PiecewiseLinear:
                 )
             )
         return self._slopes
-
-    def eval(self, v):
-        if v < 0 or v > 1:
-            raise DomainError(f"value {v} outside [0, 1]")
-        k = bisect.bisect_right(self.points, v) - 1
-        if k == len(self.points) - 1:
-            return self.values[-1]
-        p0, p1 = self.points[k], self.points[k + 1]
-        w = (v - p0) / (p1 - p0)
-        return self.values[k] + w * (self.values[k + 1] - self.values[k])
-
-    __call__ = eval
 
     def value_at_point(self, v):
         """Exact stored value at a breakpoint (no interpolation)."""

@@ -1,3 +1,4 @@
+import csv
 import random
 from fractions import Fraction as F
 
@@ -13,7 +14,8 @@ from dynration import (
     make_market,
     verify,
 )
-from dynration.bestresponse import BUY_HIGH, ENTER_LOTTERY, WAIT, verification_rows
+from dynration.bestresponse import BUY_HIGH, ENTER_LOTTERY, WAIT
+from dynration.report import verification_csv
 
 from gen import random_market
 
@@ -112,6 +114,8 @@ def test_oversold_detection():
 def test_verification_rows(ration_market, ration_optimum):
     mech = extract(ration_market, ration_optimum)
     result = verify(ration_market, ration_optimum, mech)
-    rows = verification_rows(ration_market, result.report)
-    assert (1, 1, BUY_HIGH, F(1, 6), 0) in rows
-    assert (2, F(2, 3), ENTER_LOTTERY, 0, 0) in rows
+    rows = list(csv.reader(verification_csv(ration_market, result.report).splitlines()))
+    assert rows[0] == ["t", "v", "action", "utility", "icSlack"]
+    assert len(rows) == 5
+    assert ["1", "1", BUY_HIGH, "1/6", "0"] in rows
+    assert ["2", "2/3", ENTER_LOTTERY, "0", "0"] in rows

@@ -1,3 +1,4 @@
+import csv
 import importlib
 import random
 from fractions import Fraction as F
@@ -16,6 +17,7 @@ from dynration import (
     mixture,
 )
 from dynration.evaluate import EvaluatorInternalError, evaluate_rows, formula_layer
+from dynration.report import evaluation_csv
 
 from gen import random_feasible_profile, random_market, random_profile
 
@@ -61,20 +63,20 @@ def test_utilities_guaranteed_free_item_last_period():
     us = evaluate(m, prof).utilities
     for t in range(3):
         for v in (F(1, 3), F(2, 3), 1):
-            assert us[t].eval(v) == F(1, 2) * v
-    assert us[3].eval(1) == 0
+            assert us[t].value_at_point(v) == F(1, 2) * v
+    assert us[3].value_at_point(1) == 0
 
 
 def test_utilities_ration_profile(ration_market, ration_optimum):
     us = evaluate(ration_market, ration_optimum).utilities
-    assert us[1].eval(1) == F(1, 6)
-    assert us[0].eval(1) == F(1, 6)
-    assert us[1].eval(F(2, 3)) == 0
+    assert us[1].value_at_point(1) == F(1, 6)
+    assert us[0].value_at_point(1) == F(1, 6)
+    assert us[1].value_at_point(F(2, 3)) == 0
 
 
 def test_utilities_zero_profile(ration_market):
     us = evaluate(ration_market, AllocationProfile.zero(2)).utilities
-    assert all(u.eval(1) == 0 for u in us)
+    assert all(u.value_at_point(1) == 0 for u in us)
 
 
 def test_payments_ration(ration_market, ration_optimum):
@@ -143,7 +145,7 @@ def test_slope_difference_reconstructs_allocation():
             s_next = ev.utilities[t + 1].slopes
             d = m.discounts.delta[t]
             for k in range(len(pts) - 1):
-                r = prof.steps[t].value_above(pts[k])
+                r = prof.steps[t].eval((pts[k] + pts[k + 1]) / 2)
                 assert s_now[k] - s_next[k] == r * (d - s_next[k])
                 if d > s_next[k]:
                     assert (s_now[k] - s_next[k]) / (d - s_next[k]) == r
@@ -204,12 +206,11 @@ def test_payment_zero_at_value_zero_atom():
 
 
 def test_report_rows_shape(ration_market, ration_optimum):
-    ev = evaluate(ration_market, ration_optimum)
-    rows = ev.report_rows()
-    assert len(rows) == 4
-    t, v, fstar, r, u, p, cash = rows[1]  # period 1, atom v=1
-    assert (t, v) == (1, 1)
-    assert (fstar, r, p, cash) == (1, 1, F(5, 6), F(5, 6))
+    rows = list(csv.reader(evaluation_csv(evaluate(ration_market, ration_optimum)).splitlines()))
+    assert rows[0] == ["t", "v", "fstar", "r", "U", "p", "cashflow"]
+    assert len(rows) == 5
+    assert rows[2] == ["1", "1", "1", "1", "1/6", "5/6", "5/6"]  # period 1, atom v=1
+    assert rows[3] == ["2", "2/3", "1", "1/2", "0", "1/3", "1/3"]  # the lottery tier
 
 
 def test_profile_length_mismatch(ration_market):

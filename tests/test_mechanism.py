@@ -1,3 +1,4 @@
+import csv
 import random
 from fractions import Fraction as F
 
@@ -11,8 +12,8 @@ from dynration import (
     coordinate_ascent,
     evaluate,
     extract,
-    lottery_quantity_audit,
     make_market,
+    verify,
 )
 from dynration.mechanism import (
     LOTTERY_ONLY,
@@ -21,8 +22,8 @@ from dynration.mechanism import (
     UNREACHABLE_THRESHOLD,
     mechanism_from_json,
     mechanism_to_json,
-    price_path_rows,
 )
+from dynration.report import price_path_csv
 
 from gen import random_market
 
@@ -55,7 +56,9 @@ def test_twogen_posted_prices(twogen_market, twogen_optimum):
 
 def test_audit_residuals(ration_market, ration_optimum):
     mech = extract(ration_market, ration_optimum)
-    assert lottery_quantity_audit(ration_market, ration_optimum, mech) == {1: 0}
+    result = verify(ration_market, ration_optimum, mech, tol=0)
+    assert result.passed, result.violations
+    assert result.report.service_residual == [None, 0]
 
 
 def test_audit_random_instances():
@@ -65,10 +68,11 @@ def test_audit_random_instances():
         m = random_market(rng, unbounded=False, max_periods=3)
         report = coordinate_ascent(m, starts=4, seed=rng.randrange(10**6))
         mech = extract(m, report.profile)
-        residuals = lottery_quantity_audit(m, report.profile, mech)
-        for t, res in residuals.items():
+        result = verify(m, report.profile, mech, tol=0)
+        assert result.passed, result.violations
+        for t in mech.lottery_periods():
             count += 1
-            assert res == 0, (t, res)
+            assert result.report.service_residual[t] == 0, t
     assert count > 0  # the sweep must actually exercise some lotteries
 
 
@@ -103,11 +107,11 @@ def test_threshold_indifference(ration_market, ration_optimum):
     u_next = ev.utilities[2]
     low_utility = menu.service_prob * (d * menu.q_low - menu.per_winner_price) + (
         1 - menu.service_prob
-    ) * u_next.eval(menu.q_low)
-    assert low_utility == u_next.eval(menu.q_low)
+    ) * u_next.value_at_point(menu.q_low)
+    assert low_utility == u_next.value_at_point(menu.q_low)
     posted = mech.periods[0]
     u2 = ev.utilities[1]
-    assert ration_market.discounts.delta[0] * posted.q_high - posted.p_high == u2.eval(posted.q_high)
+    assert ration_market.discounts.delta[0] * posted.q_high - posted.p_high == u2.value_at_point(posted.q_high)
 
 
 def test_two_tier_indifference_at_high_threshold():
@@ -173,6 +177,9 @@ def test_mechanism_json_round_trip(ration_market, ration_optimum):
 
 def test_price_path_rows(ration_market, ration_optimum):
     mech = extract(ration_market, ration_optimum)
-    rows = price_path_rows(mech)
-    assert rows[0] == (1, F(5, 6), None, None)
-    assert rows[1] == (2, None, F(2, 3), F(1, 2))
+    rows = list(csv.reader(price_path_csv(mech).splitlines()))
+    assert rows == [
+        ["t", "pHigh", "perWinnerPrice", "lotteryQuantity"],
+        ["1", "5/6", "", ""],
+        ["2", "", "2/3", "1/2"],
+    ]

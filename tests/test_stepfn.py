@@ -11,7 +11,6 @@ from dynration.stepfn import (
     PiecewiseLinear,
     StepFunction,
     mixture,
-    pointwise,
     segment_refinement,
 )
 
@@ -68,23 +67,6 @@ def test_same_location_pair():
         StepFunction([0, F(1, 2), 1], [Jump(F(1, 3), False), Jump(F(1, 3), True)])
 
 
-def test_integral_examples():
-    assert StepFunction.zero().integral() == 0
-    assert StepFunction.step(F(2, 3), high=F(1, 2)).integral() == F(1, 6)
-
-
-def test_integral_flag_invariance_and_additivity():
-    rng = random.Random(5)
-    atoms = [F(1, 6), F(1, 2), F(11, 12)]
-    for _ in range(50):
-        f = random_step(rng, atoms)
-        flipped = StepFunction(f.levels, [Jump(j.at, not j.closed) for j in f.jumps]) \
-            if len({j.at for j in f.jumps}) == len(f.jumps) else f
-        assert f.integral() == flipped.integral()
-        mid = rng.choice(atoms)
-        assert f.integral(0, mid) + f.integral(mid, 1) == f.integral()
-
-
 def test_segment_refinement_examples():
     part = segment_refinement([StepFunction.step(F(1, 2))])
     assert part.points == (0, F(1, 2), 1)
@@ -124,9 +106,12 @@ def test_mixture_is_pointwise():
 
 
 def test_pointwise_max_handles_tail_override():
+    # the max taken piece by piece on the common partition keeps the
+    # lottery level at the open tail's own point
     r = StepFunction.step(F(1, 2), high=F(1, 2))
     tail = StepFunction.step(F(3, 4), closed=False)
-    top = pointwise(max, r, tail)
+    part = segment_refinement((r, tail))
+    top = StepFunction.from_values(part, [max(a, b) for a, b in zip(part.values(r), part.values(tail))])
     assert top.eval(F(3, 4)) == F(1, 2)
     assert top.eval(F(4, 5)) == 1
 
@@ -149,12 +134,12 @@ def test_partition_integrate_partial_gap():
 
 def test_piecewise_linear_eval_and_convexity():
     pl = PiecewiseLinear((0, F(2, 3), 1), (0, 0, F(1, 6)))
-    assert pl.eval(F(5, 6)) == F(1, 12)
+    assert pl.slopes == (0, F(1, 2))
     assert pl.value_at_point(F(2, 3)) == 0
     assert pl.is_convex()
     assert pl.max_slope() == F(1, 2)
     diff = pl - PiecewiseLinear((0, F(2, 3), 1), (0, 0, 0))
-    assert diff.eval(1) == F(1, 6)
+    assert diff.value_at_point(1) == F(1, 6)
     concave = PiecewiseLinear((0, F(1, 2), 1), (0, F(1, 2), F(3, 4)))
     assert not concave.is_convex()
 
@@ -182,7 +167,7 @@ def test_partition_values_match_pointwise_evaluation():
         for k, p in enumerate(part.points):
             want.append(f.eval(p))
             if k + 1 < len(part.points):
-                want.append(f.value_above(p))
+                want.append(f.eval((p + part.points[k + 1]) / 2))
         assert part.values(f) == want, f
 
 
