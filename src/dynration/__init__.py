@@ -57,7 +57,6 @@ from .stepfn import (
     DomainError,
     Jump,
     Partition,
-    PiecewiseLinear,
     StepFunction,
     mixture,
     segment_refinement,

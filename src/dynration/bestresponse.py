@@ -58,11 +58,16 @@ def _in_tier(v, threshold, inclusive: bool) -> bool:
 
 
 def best_response(market: Market, mech: PricedMechanism, *, tol=None) -> EquilibriumReport:
-    """Simulate truthful buyers facing the menu; pure backward induction."""
+    """Simulate truthful buyers facing the menu; pure backward induction.
+
+    A tier's own action wins ties within ``tol``, always 0 in rational mode.
+    """
     if mech.T != market.T:
         raise ValueError("mechanism and market disagree on the horizon")
-    if tol is None:
-        tol = 0 if market.mode == "rational" else default_tol(market.mode)
+    if market.mode == "rational":
+        tol = 0
+    elif tol is None:
+        tol = default_tol(market.mode)
     T, atoms = market.T, market.atoms
     delta = market.discounts.delta
     lam_b = market.discounts.lambda_b
@@ -180,7 +185,7 @@ def verify(
     if tol is None:
         tol = default_tol(market.mode)
     ev = evaluation if evaluation is not None else evaluate(market, profile)
-    report = best_response(market, mech, tol=0 if market.mode == "rational" else tol)
+    report = best_response(market, mech, tol=tol)
     violations = []
 
     implied = {BUY_HIGH: lambda menu: 1, ENTER_LOTTERY: lambda menu: menu.service_prob, WAIT: lambda menu: 0}

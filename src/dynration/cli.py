@@ -26,7 +26,7 @@ from .evaluate import evaluate
 from .market import MarketError, ParseError, parse_market
 from .mechanism import extract, mechanism_from_json, mechanism_to_json
 from .numeric import FLOAT, RATIONAL, format_number, parse_number
-from .oracle import OracleGrid, brute_force_optimal, grid_candidates, non_anonymous_benchmark
+from .oracle import OracleGrid, brute_force_optimal, non_anonymous_benchmark
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -169,7 +169,7 @@ def _dispatch(args, market) -> int:
             rep = result.report
             passed, violations = result.passed, result.violations
         else:
-            rep = best_response(market, mech)
+            rep = best_response(market, mech, tol=_tol(args, market))
             violations = menu_violations(market, rep, tol=_tol(args, market))
             passed = not violations
         (out / f"{stem}.equilibrium.csv").write_text(report_mod.verification_csv(market, rep))
@@ -193,21 +193,25 @@ def _dispatch(args, market) -> int:
         return 0
 
     if args.command == "compare":
-        posted_grid = OracleGrid(levels=("0", "1"))
-        grid_candidates(market, posted_grid)  # an oversized market fails before the ascent
+        # the oracle first: an oversized market fails before the ascent
+        posted = brute_force_optimal(market, OracleGrid(levels=("0", "1")))
         report = coordinate_ascent(market, starts=args.starts, seed=args.seed)
-        posted = brute_force_optimal(market, posted_grid)
-        rows = [
-            ("anonymous optimum (solver)", report.revenue),
-            ("posted prices only (oracle, levels {0,1})", posted.revenue),
-        ]
-        if market.unbounded:
-            rows.append(("non-anonymous benchmark", non_anonymous_benchmark(market)))
+        d = market.discounts
+        pay = [d.delta[t] * d.lambda_s[t] / d.lambda_b[t] for t in range(market.T)]
+        if not market.unbounded:
+            benchmark = "n/a (finite inventory)"
+        elif any(b > a for a, b in zip(pay, pay[1:])):
+            # a sale after arrival pays more, so the benchmark is no bound
+            benchmark = "n/a (delta*lambdaS/lambdaB rises)"
         else:
-            rows.append(("non-anonymous benchmark", None))
+            benchmark = format_number(non_anonymous_benchmark(market))
+        rows = [
+            ("anonymous optimum (solver)", format_number(report.revenue)),
+            ("posted prices only (oracle, levels {0,1})", format_number(posted.revenue)),
+            ("non-anonymous benchmark", benchmark),
+        ]
         width = max(len(r[0]) for r in rows)
-        for name, value in rows:
-            shown = format_number(value) if value is not None else "n/a (finite inventory)"
+        for name, shown in rows:
             print(f"{name:<{width}}  {shown}")
         return 0
 

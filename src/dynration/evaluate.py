@@ -15,14 +15,15 @@ Given per-period monotone allocation rules ``r_t`` this computes, exactly:
 Payments are defined only through the incentive identity; nonnegativity is
 checked and flagged rather than assumed.
 
-An :class:`Evaluation` keeps the per-atom tables of the formula layer:
-``r_at[t][i]`` (period t's allocation at atom i), ``u_at[t][i]`` (U_t at
-atom i, t = 0..T), ``fstar`` and ``payments``, plus the curves ``U_t`` at
-every partition point. These tables are the one route to those facts:
-``verify`` compares the simulated plan and utilities with ``r_at`` and
-``u_at``, ``extract`` sizes lotteries from ``r_at`` and ``fstar`` and
-prices thresholds from the curves at partition points, and the evaluation
-CSV prints the tables as they stand.
+An :class:`Evaluation` keeps the formula layer's tables as it computes
+them: ``r_at[t][i]`` (period t's allocation at atom i), ``fstar``,
+``payments``, and U_t (t = 0..T, U_T = 0) at atom i, ``u_at[t][i]``, and at
+partition point k, ``u_points[t][k]``; U_t is linear between the points,
+so ``u_points[t]`` is the whole curve. These tables are the one route to
+those facts: ``verify`` compares the simulated plan and utilities with
+``r_at`` and ``u_at``, ``extract`` sizes lotteries from ``r_at`` and
+``fstar`` and prices a threshold q from ``u_points`` at q's point, and the
+evaluation CSV prints the tables as they stand.
 
 The recursion itself (:func:`formula_layer`) is written once, over per-piece
 rule values ``R[t][p]`` that may be Python scalars (exact ``Fraction`` or
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .market import Market
-from .stepfn import Partition, PiecewiseLinear, StepFunction, segment_refinement
+from .stepfn import Partition, StepFunction, segment_refinement
 
 
 class EvaluatorInternalError(AssertionError):
@@ -89,21 +90,19 @@ class Evaluation:
     partition: Partition
     r_at: list             # [t][i] allocation at atom i
     u_at: list             # [t][i] U_t at atom i, t = 0..T
+    u_points: list         # [t][k] U_t at partition point k, t = 0..T
     fstar: list            # [t][i] mass of value atoms[i] present at t
-    utilities: list        # PiecewiseLinear for t = 0..T (index T is the zero tail)
     payments: list         # [t][i] expected payment as charged (lambdaB applied)
     revenue: object
     inventory_used: object
     welfare: object
-    base_cash: object      # undiscounted transfer sum: lambdaB_t * p * fstar
-    total_buyer_utility: object
     negative_payments: list  # (t, i, value) triples with p < 0 beyond noise
 
 
 class Formulas(NamedTuple):
     """Output of :func:`formula_layer`; entries are scalars or columns like ``R``."""
 
-    utility_points: list   # [t][k] U_t at partition point k, t = 0..T
+    u_points: list         # [t][k] U_t at partition point k, t = 0..T
     r_at: list             # [t][i] allocation at atom i
     u_at: list             # [t][i] U_t at atom i, t = 0..T
     fstar: list            # [t][i] presence mass
@@ -145,10 +144,10 @@ def formula_layer(market: Market, partition: Partition, R) -> Formulas:
     atom_pc = [partition.piece_of_point(a) for a in market.atoms]
     r_at = [[R[t][pc] for pc in atom_pc] for t in range(T)]
 
-    points = [None] * T + [partition.prefix_integrals([0] * partition.npieces)]
+    u_points = [None] * T + [partition.prefix_integrals([0] * partition.npieces)]
     for t, g in effective_discounts(delta, R):
-        points[t] = partition.prefix_integrals(g)
-    u_at = [[points[t][pc // 2] for pc in atom_pc] for t in range(T + 1)]
+        u_points[t] = partition.prefix_integrals(g)
+    u_at = [[u_points[t][pc // 2] for pc in atom_pc] for t in range(T + 1)]
 
     fstar = [list(market.mass[0])]
     for t in range(1, T):
@@ -164,7 +163,7 @@ def formula_layer(market: Market, partition: Partition, R) -> Formulas:
     ]
     revenue = sum(lam_s[t] * sum(payments[t][i] * fstar[t][i] for i in range(n)) for t in range(T))
     used = sum(r_at[t][i] * fstar[t][i] for t in range(T) for i in range(n))
-    return Formulas(points, r_at, u_at, fstar, payments, revenue, used)
+    return Formulas(u_points, r_at, u_at, fstar, payments, revenue, used)
 
 
 def evaluate(market: Market, profile: AllocationProfile) -> Evaluation:
@@ -179,17 +178,14 @@ def evaluate_rows(market: Market, partition: Partition, R) -> Evaluation:
     """:func:`evaluate` of the rules whose piece values on ``partition`` are ``R[t]``."""
     T = market.T
     delta = market.discounts.delta
-    lam_b = market.discounts.lambda_b
     f = formula_layer(market, partition, R)
     r_at, u_at, fstar, payments = f.r_at, f.u_at, f.fstar, f.payments
     _check_fstar_closed_form(market, r_at, fstar)
 
     n = market.num_atoms
-    base_cash = sum(lam_b[t] * payments[t][i] * fstar[t][i] for t in range(T) for i in range(n))
     welfare = sum(
         delta[t] * market.atoms[i] * r_at[t][i] * fstar[t][i] for t in range(T) for i in range(n)
     )
-    total_utility = sum(u_at[t][i] * market.mass[t][i] for t in range(T) for i in range(n))
 
     # Each cohort is served unless it survives every period from its arrival
     # on; the survival products are suffix products over t.
@@ -214,14 +210,12 @@ def evaluate_rows(market: Market, partition: Partition, R) -> Evaluation:
         partition=partition,
         r_at=r_at,
         u_at=u_at,
+        u_points=f.u_points,
         fstar=fstar,
-        utilities=[PiecewiseLinear(partition.points, vals) for vals in f.utility_points],
         payments=payments,
         revenue=f.revenue,
         inventory_used=f.used,
         welfare=welfare,
-        base_cash=base_cash,
-        total_buyer_utility=total_utility,
         negative_payments=negative,
     )
 

@@ -128,7 +128,7 @@ def extract(market: Market, profile: AllocationProfile, evaluation: Evaluation |
     for t in range(market.T):
         step = profile.steps[t]
         q_low, low_incl, r_low, q_high, high_incl = _tier_structure(step)
-        u_next = ev.utilities[t + 1]
+        u_next = ev.u_points[t + 1]
         if q_low is None and q_high is None:
             menus.append(PeriodMenu(mode=CLOSED_MODE))
             continue
@@ -136,7 +136,7 @@ def extract(market: Market, profile: AllocationProfile, evaluation: Evaluation |
         def threshold_price(q):
             # makes type q indifferent between a sure item now and waiting
             # q is 0 or a jump of the rule, so a point of the partition
-            return (delta[t] * q - u_next.value_at_point(q)) / lam_b[t]
+            return (delta[t] * q - u_next[ev.partition.piece_of_point(q) // 2]) / lam_b[t]
 
         menu_kwargs = {}
         if q_low is not None:

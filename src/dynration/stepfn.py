@@ -230,55 +230,3 @@ def mixture(f0: StepFunction, f1: StepFunction, theta) -> StepFunction:
         part, [theta * b + (1 - theta) * a for a, b in zip(part.values(f0), part.values(f1))]
     )
 
-
-class PiecewiseLinear:
-    """Continuous piecewise-linear function via its values at breakpoints.
-
-    Holds the utility curves: breakpoints are partition points, the value
-    at 0 anchors the curve, and slopes are exact quotients of differences.
-    """
-
-    __slots__ = ("points", "values", "_slopes")
-
-    def __init__(self, points: Sequence, values: Sequence):
-        if len(points) != len(values):
-            raise ValueError("one value per breakpoint required")
-        if len(points) < 2 or points[0] != 0 or points[-1] != 1:
-            raise ValueError("breakpoints must run from 0 to 1")
-        self.points = tuple(points)
-        self.values = tuple(values)
-        self._slopes = None
-
-    @property
-    def value_at_0(self):
-        return self.values[0]
-
-    @property
-    def slopes(self) -> tuple:
-        if self._slopes is None:
-            self._slopes = tuple(
-                (v1 - v0) / (p1 - p0)
-                for (p0, v0), (p1, v1) in zip(
-                    zip(self.points, self.values), zip(self.points[1:], self.values[1:])
-                )
-            )
-        return self._slopes
-
-    def value_at_point(self, v):
-        """Exact stored value at a breakpoint (no interpolation)."""
-        return self.values[self.points.index(v)]
-
-    def is_convex(self, tol=0) -> bool:
-        s = self.slopes
-        return all(b >= a - tol for a, b in zip(s, s[1:]))
-
-    def max_slope(self):
-        return max(self.slopes)
-
-    def __sub__(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
-        if self.points != other.points:
-            raise ValueError("breakpoints must match")
-        return PiecewiseLinear(self.points, [a - b for a, b in zip(self.values, other.values)])
-
-    def __repr__(self):
-        return f"PiecewiseLinear({len(self.points)} points, max {max(self.values)!r})"

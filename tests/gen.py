@@ -93,6 +93,11 @@ def random_profile(rng: random.Random, market) -> AllocationProfile:
     )
 
 
+def slopes(points, values) -> list:
+    """Slopes of the piecewise-linear curve through ``(points[k], values[k])``."""
+    return [(v1 - v0) / (p1 - p0) for p0, p1, v0, v1 in zip(points, points[1:], values, values[1:])]
+
+
 def random_feasible_profile(rng: random.Random, market) -> AllocationProfile:
     """Random profile shrunk until it respects the inventory cap."""
     return _shrink_to_feasible(market, random_profile(rng, market))

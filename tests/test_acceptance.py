@@ -39,7 +39,7 @@ from dynration.mechanism import mechanism_to_json
 from dynration.numeric import FLOAT, RATIONAL
 from dynration.report import profile_to_json
 
-from gen import lp_from_coefficients, random_lp_coefficients, random_market, random_profile, random_step
+from gen import lp_from_coefficients, random_lp_coefficients, random_market, random_profile, random_step, slopes
 
 TOL = 1e-9
 
@@ -193,13 +193,13 @@ def test_criterion_6_utility_cross_check():
                     - m.discounts.lambda_b[t] * ev.payments[t][i]
                     + (1 - r) * nxt[i]
                 )
-            for i, v in enumerate(m.atoms):
-                assert abs(back[i] - ev.utilities[t].value_at_point(v)) <= TOL
+            for i in range(m.num_atoms):
+                assert abs(back[i] - ev.u_at[t][i]) <= TOL
         for t in range(m.T):
-            u = ev.utilities[t]
-            assert u.value_at_0 == 0
-            assert u.is_convex(1e-12)
-            assert u.max_slope() <= m.discounts.delta[t] + 1e-12
+            s = slopes(ev.partition.points, ev.u_points[t])
+            assert ev.u_points[t][0] == 0
+            assert all(b >= a - 1e-12 for a, b in zip(s, s[1:]))
+            assert max(s) <= m.discounts.delta[t] + 1e-12
     _passline(6, "100 profiles: integral U equals recursion U at every atom within 1e-9")
 
 
@@ -219,7 +219,9 @@ def test_criterion_6_difference_convexity_clause():
         prof = random_profile(rng, m)
         ev = evaluate(m, prof)
         for t in range(m.T):
-            assert (ev.utilities[t] - ev.utilities[t + 1]).is_convex(1e-12)
+            gap = [a - b for a, b in zip(ev.u_points[t], ev.u_points[t + 1])]
+            s = slopes(ev.partition.points, gap)
+            assert all(b >= a - 1e-12 for a, b in zip(s, s[1:]))
     _passline(6, "difference convexity over 100 random profiles")
 
 

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 from pathlib import Path
@@ -113,6 +114,17 @@ def test_compare_command(market_files, capsys):
     assert any("anonymous optimum" in l and l.rstrip().endswith("1") for l in lines)
 
 
+def test_compare_shows_no_benchmark_when_later_sales_pay_more(tmp_path, capsys):
+    # delta*lambdaS/lambdaB goes 1 -> 2: the posted oracle sells the t = 1
+    # cohort at t = 2 for 2, while the per-arrival benchmark reads 1.
+    path = tmp_path / "rising.json"
+    path.write_text(serialize_market(make_market(T=2, atoms=[1], mass=[[1], [0]], lambda_b=[1, "1/2"])))
+    assert main(["compare", str(path), "--starts", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].split()[-1] == "2"
+    assert lines[2].endswith("n/a (delta*lambdaS/lambdaB rises)")
+
+
 def test_compare_checks_the_oracle_caps_before_the_ascent(tmp_path, monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("the ascent ran before the oracle's size check")
@@ -168,6 +180,23 @@ def test_menu_only_verify_uses_mode_tolerance(tmp_path, capsys):
     code = main(["verify", str(market), str(tmp_path / "m.mechanism.json"), "--mode", "float", "--out", str(tmp_path)])
     assert code == 0, capsys.readouterr().err
     assert "verification: pass" in capsys.readouterr().out
+
+
+def test_menu_only_verify_simulates_with_the_given_tol(market_files, tmp_path, capsys):
+    # Raising period 1's price by 5e-8 makes type 1 prefer to wait; with
+    # --tol 0 the best responses must not let it buy on a 5e-8 tie margin.
+    ration, _ = market_files
+    assert main(["solve", str(ration), "--mode", "float", "--starts", "0", "--out", str(tmp_path)]) == 0
+    menus = json.loads((tmp_path / "ex_ration.mechanism.json").read_text())
+    menus[0]["pHigh"] += 5e-8
+    bumped = tmp_path / "bumped.json"
+    bumped.write_text(json.dumps(menus))
+    capsys.readouterr()
+    argv = ["verify", str(ration), str(bumped), "--mode", "float", "--tol", "0", "--out", str(tmp_path)]
+    assert main(argv) == 1
+    with open(tmp_path / "ex_ration.equilibrium.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["action"] for r in rows if r["t"] == "1" and float(r["v"]) == 1] == ["wait"]
 
 
 def test_float_lottery_price_rounded_above_posted_is_tied(tmp_path, capsys):

@@ -19,7 +19,7 @@ from dynration import (
 from dynration.evaluate import EvaluatorInternalError, evaluate_rows, formula_layer
 from dynration.report import evaluation_csv
 
-from gen import random_feasible_profile, random_market, random_profile
+from gen import random_feasible_profile, random_market, random_profile, slopes
 
 # the module; the package's ``evaluate`` attribute is the function
 evaluate_mod = importlib.import_module("dynration.evaluate")
@@ -60,23 +60,27 @@ def test_fstar_conservation():
 def test_utilities_guaranteed_free_item_last_period():
     m = make_market(T=3, atoms=["1/3", "2/3"], mass=[[1, 1]] * 3, delta=[1, "3/4", "1/2"])
     prof = AllocationProfile((StepFunction.zero(), StepFunction.zero(), StepFunction.one()))
-    us = evaluate(m, prof).utilities
+    ev = evaluate(m, prof)
     for t in range(3):
-        for v in (F(1, 3), F(2, 3), 1):
-            assert us[t].value_at_point(v) == F(1, 2) * v
-    assert us[3].value_at_point(1) == 0
+        for i, v in enumerate(m.atoms):
+            assert ev.u_at[t][i] == F(1, 2) * v
+        assert ev.u_points[t][-1] == F(1, 2)  # v = 1 is a partition point, not an atom
+    assert ev.u_points[3][-1] == 0
 
 
 def test_utilities_ration_profile(ration_market, ration_optimum):
-    us = evaluate(ration_market, ration_optimum).utilities
-    assert us[1].value_at_point(1) == F(1, 6)
-    assert us[0].value_at_point(1) == F(1, 6)
-    assert us[1].value_at_point(F(2, 3)) == 0
+    u_at = evaluate(ration_market, ration_optimum).u_at
+    i1 = ration_market.atoms.index(1)
+    i23 = ration_market.atoms.index(F(2, 3))
+    assert u_at[1][i1] == F(1, 6)
+    assert u_at[0][i1] == F(1, 6)
+    assert u_at[1][i23] == 0
 
 
 def test_utilities_zero_profile(ration_market):
-    us = evaluate(ration_market, AllocationProfile.zero(2)).utilities
-    assert all(u.value_at_point(1) == 0 for u in us)
+    u_at = evaluate(ration_market, AllocationProfile.zero(2)).u_at
+    i1 = ration_market.atoms.index(1)
+    assert all(u[i1] == 0 for u in u_at)
 
 
 def test_payments_ration(ration_market, ration_optimum):
@@ -114,7 +118,10 @@ def test_accounting_identity():
     for _ in range(25):
         m = random_market(rng, general_lambda=rng.random() < 0.4)
         ev = evaluate(m, random_profile(rng, m))
-        assert ev.welfare == ev.base_cash + ev.total_buyer_utility
+        cells = [(t, i) for t in range(m.T) for i in range(m.num_atoms)]
+        base_cash = sum(m.discounts.lambda_b[t] * ev.payments[t][i] * ev.fstar[t][i] for t, i in cells)
+        buyer_utility = sum(ev.u_at[t][i] * m.mass[t][i] for t, i in cells)
+        assert ev.welfare == base_cash + buyer_utility
 
 
 def test_utility_curve_invariants():
@@ -124,10 +131,10 @@ def test_utility_curve_invariants():
         prof = random_profile(rng, m)
         ev = evaluate(m, prof)
         for t in range(m.T):
-            u = ev.utilities[t]
-            assert u.value_at_0 == 0
-            assert u.is_convex()
-            assert u.max_slope() <= m.discounts.delta[t]
+            s = slopes(ev.partition.points, ev.u_points[t])
+            assert ev.u_points[t][0] == 0
+            assert all(b >= a for a, b in zip(s, s[1:]))
+            assert max(s) <= m.discounts.delta[t]
 
 
 def test_slope_difference_reconstructs_allocation():
@@ -141,8 +148,8 @@ def test_slope_difference_reconstructs_allocation():
         ev = evaluate(m, prof)
         pts = ev.partition.points
         for t in range(m.T):
-            s_now = ev.utilities[t].slopes
-            s_next = ev.utilities[t + 1].slopes
+            s_now = slopes(pts, ev.u_points[t])
+            s_next = slopes(pts, ev.u_points[t + 1])
             d = m.discounts.delta[t]
             for k in range(len(pts) - 1):
                 r = prof.steps[t].eval((pts[k] + pts[k + 1]) / 2)
@@ -167,8 +174,7 @@ def test_utility_recursion_consistency():
                 back.append(
                     m.discounts.delta[t] * v * r - lam_b[t] * ev.payments[t][i] + (1 - r) * nxt[i]
                 )
-            for i, v in enumerate(m.atoms):
-                assert back[i] == ev.utilities[t].value_at_point(v)
+            assert back == ev.u_at[t]
 
 
 def test_coordinate_affinity_three_point():

@@ -104,14 +104,23 @@ def test_threshold_indifference(ration_market, ration_optimum):
     mech = extract(ration_market, ration_optimum, ev)
     menu = mech.periods[1]
     d = ration_market.discounts.delta[1]
-    u_next = ev.utilities[2]
-    low_utility = menu.service_prob * (d * menu.q_low - menu.per_winner_price) + (
-        1 - menu.service_prob
-    ) * u_next.value_at_point(menu.q_low)
-    assert low_utility == u_next.value_at_point(menu.q_low)
+    u_low = ev.u_at[2][ration_market.atoms.index(menu.q_low)]
+    low_utility = menu.service_prob * (d * menu.q_low - menu.per_winner_price) + (1 - menu.service_prob) * u_low
+    assert low_utility == u_low
     posted = mech.periods[0]
-    u2 = ev.utilities[1]
-    assert ration_market.discounts.delta[0] * posted.q_high - posted.p_high == u2.value_at_point(posted.q_high)
+    u_high = ev.u_at[1][ration_market.atoms.index(posted.q_high)]
+    assert ration_market.discounts.delta[0] * posted.q_high - posted.p_high == u_high
+
+
+def test_threshold_price_at_a_jump_off_the_atoms():
+    # The period-1 jump at 1/2 is a partition point but no atom, and
+    # U_2(v) = 3v/4 is not zero there: the price is 1/2 - U_2(1/2) = 1/8.
+    m = make_market(T=2, atoms=["1/3", 1], mass=[[1, 1], [1, 1]], delta=[1, "3/4"])
+    prof = AllocationProfile((StepFunction.step(F(1, 2)), StepFunction.one()))
+    first, second = extract(m, prof).periods
+    assert (first.mode, first.q_high, first.q_high_inclusive) == (POSTED, F(1, 2), True)
+    assert first.p_high == F(1, 8)
+    assert second.p_high == 0
 
 
 def test_two_tier_indifference_at_high_threshold():

@@ -8,7 +8,6 @@ from dynration.stepfn import (
     DomainError,
     Jump,
     Partition,
-    PiecewiseLinear,
     StepFunction,
     mixture,
     segment_refinement,
@@ -130,18 +129,6 @@ def test_partition_integrate_partial_gap():
     part = Partition([F(1, 2)])
     vals = part.values(StepFunction.step(F(1, 2)))
     assert part.prefix_integrals(vals) == [0, 0, F(1, 2)]
-
-
-def test_piecewise_linear_eval_and_convexity():
-    pl = PiecewiseLinear((0, F(2, 3), 1), (0, 0, F(1, 6)))
-    assert pl.slopes == (0, F(1, 2))
-    assert pl.value_at_point(F(2, 3)) == 0
-    assert pl.is_convex()
-    assert pl.max_slope() == F(1, 2)
-    diff = pl - PiecewiseLinear((0, F(2, 3), 1), (0, 0, 0))
-    assert diff.value_at_point(1) == F(1, 6)
-    concave = PiecewiseLinear((0, F(1, 2), 1), (0, F(1, 2), F(3, 4)))
-    assert not concave.is_convex()
 
 
 def _random_partition_step(rng):
