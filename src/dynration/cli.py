@@ -15,6 +15,7 @@ byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -29,6 +30,7 @@ from .numeric import FLOAT, RATIONAL, format_number, parse_number
 from .oracle import OracleGrid, brute_force_optimal, non_anonymous_benchmark
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--mode", choices=(RATIONAL, FLOAT), default=RATIONAL, help="arithmetic backend")
@@ -195,7 +197,7 @@ def _dispatch(args, market) -> int:
     if args.command == "compare":
         # the oracle first: an oversized market fails before the ascent
         posted = brute_force_optimal(market, OracleGrid(levels=("0", "1")))
-        report = coordinate_ascent(market, starts=args.starts, seed=args.seed)
+        report = coordinate_ascent(market, starts=args.starts, tol=_tol(args, market), seed=args.seed)
         d = market.discounts
         pay = [d.delta[t] * d.lambda_s[t] / d.lambda_b[t] for t in range(market.T)]
         if not market.unbounded:

@@ -6,7 +6,8 @@ Given per-period monotone allocation rules ``r_t`` this computes, exactly:
   by recursion and cross-checked against its closed-form product;
 * the utility curves ``U_t`` as integrals of the effective-discount
   integrand ``g_t(u) = delta_t r_t(u) + (1 - r_t(u)) g_{t+1}(u)`` over the
-  value axis (utilities integrate over types, never over atom masses);
+  value axis, on the open gaps between partition points only: the points
+  have no length (utilities integrate over types, never over atom masses);
 * truthful expected payments from the incentive identity
   ``lambdaB_t p_t(v) = delta_t v r_t(v) + (1 - r_t(v)) U_{t+1}(v) - U_t(v)``;
 * revenue (seller-discounted), inventory usage (two equivalent forms,
@@ -112,7 +113,7 @@ class Formulas(NamedTuple):
 
 
 def effective_discounts(delta, R):
-    """Yield ``(t, g_t)`` for t = T-1 down to 0, one value per piece.
+    """Yield ``(t, g_t)`` for t = T-1 down to 0, one value per entry of ``R[t]``.
 
     ``g_t = delta_t r_t + (1 - r_t) g_{t+1}`` with ``g_T = 0`` is the
     expected discount of the eventual purchase of a buyer present at t,
@@ -144,8 +145,8 @@ def formula_layer(market: Market, partition: Partition, R) -> Formulas:
     atom_pc = [partition.piece_of_point(a) for a in market.atoms]
     r_at = [[R[t][pc] for pc in atom_pc] for t in range(T)]
 
-    u_points = [None] * T + [partition.prefix_integrals([0] * partition.npieces)]
-    for t, g in effective_discounts(delta, R):
+    u_points = [None] * T + [partition.prefix_integrals([0] * (len(partition.points) - 1))]
+    for t, g in effective_discounts(delta, [r[1::2] for r in R]):
         u_points[t] = partition.prefix_integrals(g)
     u_at = [[u_points[t][pc // 2] for pc in atom_pc] for t in range(T + 1)]
 

@@ -202,12 +202,12 @@ class Partition:
                 out.append(levels[j])
         return out
 
-    def prefix_integrals(self, piece_values: Sequence) -> list:
-        """``∫_0^{p_k}`` of the piecewise function, one entry per point."""
+    def prefix_integrals(self, gap_values: Sequence) -> list:
+        """``∫_0^{p_k}`` of the function worth ``gap_values[k]`` on gap k, one entry per point."""
         pts = self.points
         out = [0]
         for k in range(len(pts) - 1):
-            out.append(out[-1] + piece_values[2 * k + 1] * (pts[k + 1] - pts[k]))
+            out.append(out[-1] + gap_values[k] * (pts[k + 1] - pts[k]))
         return out
 
 

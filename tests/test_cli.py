@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import json
@@ -123,6 +124,51 @@ def test_compare_shows_no_benchmark_when_later_sales_pay_more(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[1].split()[-1] == "2"
     assert lines[2].endswith("n/a (delta*lambdaS/lambdaB rises)")
+
+
+def test_compare_solves_with_the_given_tol(tmp_path, capsys):
+    # the same --starts, --seed and --tol give compare's solver row the
+    # revenue that solve prints
+    market = str(DEMOS / "discounted_three.json")
+    flags = ["--starts", "2", "--seed", "0", "--tol", "0.2"]
+    assert main(["solve", market, *flags, "--out", str(tmp_path)]) == 0
+    revenue = capsys.readouterr().out.splitlines()[0].split()[-1]
+    assert main(["compare", market, *flags]) == 0
+    assert capsys.readouterr().out.splitlines()[0].split()[-1] == revenue
+
+
+def test_one_parser_serves_every_call_in_a_process(market_files, tmp_path, monkeypatch, capsys):
+    # the parser is built at the first call only, and no option or default
+    # of one call leaks into the next
+    ration, _ = market_files
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    last = ["solve", str(ration), "--starts", "2"]
+
+    def run(argv, out):
+        code = main([*argv, "--out", str(out)])
+        return code, capsys.readouterr().out, {p.name: p.read_bytes() for p in out.iterdir()}
+
+    cli._build_parser.cache_clear()
+    first = run(last, tmp_path / "first")
+    cli._build_parser.cache_clear()
+    built.clear()
+    with pytest.raises(SystemExit) as rejected:
+        main(["solve", str(ration), "--starts", "many"])
+    assert rejected.value.code == 2
+    capsys.readouterr()
+    built_by_first_call = len(built)
+    assert run(["solve", str(ration), "--mode", "float", "--tol", "0.1", "--starts", "2"], tmp_path / "float")[0] == 0
+    again = run(last, tmp_path / "last")
+    assert built.count("dynration") == 1
+    assert len(built) == built_by_first_call
+    assert first[0] == 0 and again == first
 
 
 def test_compare_checks_the_oracle_caps_before_the_ascent(tmp_path, monkeypatch, capsys):

@@ -16,7 +16,7 @@ from dynration import (
     make_market,
     mixture,
 )
-from dynration.evaluate import EvaluatorInternalError, evaluate_rows, formula_layer
+from dynration.evaluate import EvaluatorInternalError, Formulas, evaluate_rows, formula_layer
 from dynration.report import evaluation_csv
 
 from gen import random_feasible_profile, random_market, random_profile, slopes
@@ -238,6 +238,51 @@ def test_batch_columns_match_scalar_evaluation():
             ev = evaluate_rows(m, part, [part.values(r) for r in prof.steps])
             assert float(batch.revenue[k]).hex() == ev.revenue.hex()
             assert float(batch.used[k]).hex() == ev.inventory_used.hex()
+
+
+def _leaves(f: Formulas, key) -> list:
+    """Every number of the formula layer's tables and sums, in one flat list."""
+    out = []
+    stack = [f.u_points, f.r_at, f.u_at, f.fstar, f.payments, f.revenue, f.used]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, list):
+            stack.extend(x)
+        else:
+            out.extend(key(y) for y in np.ravel(np.asarray(x, dtype=object)))
+    return out
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_levels_at_massless_points_do_not_enter_the_formulas(mode):
+    # only the gaps have length and only the atoms have mass, so a rule's
+    # level at a partition point that holds no atom changes nothing: U_t,
+    # payments, revenue and usage stay the same, bit for bit in float mode
+    rng = random.Random(29)
+    num = float if mode == FLOAT else F
+    key = (lambda x: float(x).hex()) if mode == FLOAT else (lambda x: x)
+    dtype = float if mode == FLOAT else object
+    for _ in range(12):
+        m = random_market(rng, mode=mode, max_periods=4, max_atoms=3)
+        extra = [num(F(k, 24)) for k in rng.sample(range(1, 24, 2), 3)]  # never a k/12 atom
+        part = Partition([*m.atoms, *extra])
+        massless = {2 * k for k, p in enumerate(part.points) if p not in m.atoms}
+        rows = [[part.values(r) for r in random_profile(rng, m).steps] for _ in range(6)]
+        moved = [
+            [[num(F(rng.randint(0, 12), 12)) if pc in massless else v for pc, v in enumerate(r)] for r in R]
+            for R in rows
+        ]
+        for R, S in zip(rows, moved):
+            assert _leaves(formula_layer(m, part, S), key) == _leaves(formula_layer(m, part, R), key)
+
+        # batched: the oracle's (pieces, profiles) arrays in even periods,
+        # the build's list of per-piece columns in odd ones
+        def columns(Rs):
+            arrays = [np.array([R[t] for R in Rs], dtype=dtype).T for t in range(m.T)]
+            return [a if t % 2 == 0 else list(a) for t, a in enumerate(arrays)]
+
+        batch = _leaves(formula_layer(m, part, columns(moved)), key)
+        assert batch == _leaves(formula_layer(m, part, columns(rows)), key)
 
 
 @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])

@@ -142,7 +142,7 @@ def _run(argv):
         assert err.getvalue().startswith("error: "), (argv, err.getvalue())
 
 
-@settings(deadline=None, max_examples=50, derandomize=True)
+@settings(deadline=None, max_examples=100, derandomize=True)
 @given(_inputs())
 def test_every_subcommand_exits_cleanly_on_generated_files(inputs):
     market_text, profile_text, mechanism_text, mode = inputs

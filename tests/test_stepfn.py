@@ -128,7 +128,7 @@ def test_eval_monotone_in_v(seed):
 def test_partition_integrate_partial_gap():
     part = Partition([F(1, 2)])
     vals = part.values(StepFunction.step(F(1, 2)))
-    assert part.prefix_integrals(vals) == [0, 0, F(1, 2)]
+    assert part.prefix_integrals(vals[1::2]) == [0, 0, F(1, 2)]
 
 
 def _random_partition_step(rng):
