@@ -11,7 +11,7 @@ Given per-period monotone allocation rules ``r_t`` this computes, exactly:
 * truthful expected payments from the incentive identity
   ``lambdaB_t p_t(v) = delta_t v r_t(v) + (1 - r_t(v)) U_{t+1}(v) - U_t(v)``;
 * revenue (seller-discounted), inventory usage (two equivalent forms,
-  asserted equal), and social welfare.
+  asserted equal), and social welfare (summed when it is read).
 
 Payments are defined only through the incentive identity; nonnegativity is
 checked and flagged rather than assumed.
@@ -96,8 +96,18 @@ class Evaluation:
     payments: list         # [t][i] expected payment as charged (lambdaB applied)
     revenue: object
     inventory_used: object
-    welfare: object
     negative_payments: list  # (t, i, value) triples with p < 0 beyond noise
+
+    @property
+    def welfare(self):
+        """Discounted value of the served units, from ``r_at`` and ``fstar``."""
+        m = self.market
+        delta = m.discounts.delta
+        return sum(
+            delta[t] * m.atoms[i] * self.r_at[t][i] * self.fstar[t][i]
+            for t in range(m.T)
+            for i in range(m.num_atoms)
+        )
 
 
 class Formulas(NamedTuple):
@@ -178,15 +188,11 @@ def evaluate(market: Market, profile: AllocationProfile) -> Evaluation:
 def evaluate_rows(market: Market, partition: Partition, R) -> Evaluation:
     """:func:`evaluate` of the rules whose piece values on ``partition`` are ``R[t]``."""
     T = market.T
-    delta = market.discounts.delta
     f = formula_layer(market, partition, R)
     r_at, u_at, fstar, payments = f.r_at, f.u_at, f.fstar, f.payments
     _check_fstar_closed_form(market, r_at, fstar)
 
     n = market.num_atoms
-    welfare = sum(
-        delta[t] * market.atoms[i] * r_at[t][i] * fstar[t][i] for t in range(T) for i in range(n)
-    )
 
     # Each cohort is served unless it survives every period from its arrival
     # on; the survival products are suffix products over t.
@@ -216,7 +222,6 @@ def evaluate_rows(market: Market, partition: Partition, R) -> Evaluation:
         payments=payments,
         revenue=f.revenue,
         inventory_used=f.used,
-        welfare=welfare,
         negative_payments=negative,
     )
 

@@ -4,10 +4,31 @@ Every market carries one arithmetic mode. In ``rational`` mode all numbers
 are :class:`fractions.Fraction` and equalities are exact; in ``float`` mode
 everything is binary floating point and comparisons go through a tolerance.
 Plain ints interoperate with both, so 0 and 1 literals are safe everywhere.
+
+Reading a float-mode number takes a native route for the common spellings
+and gives the same float as ``float(Fraction(raw))``, bit for bit:
+
+* a finite float is its own value (-0.0 reads as 0.0, as the rational
+  route gives);
+* an int is ``float(raw)``;
+* a string in Fraction's integer/ratio grammar, ``"p"`` or ``"p/q"``
+  (sign, surrounding whitespace, underscores and leading zeros allowed),
+  is ``int(p) / int(q)``. Python's int true division rounds correctly, and
+  so does ``float(Fraction(p, q))``: both are the nearest float to the same
+  rational, so the two agree whether or not p/q is in lowest terms. A zero
+  q, an overflowing quotient and a part past Python's int-string digit
+  limit raise as the rational route does.
+
+Every other spelling goes through ``Fraction``: decimals and exponents
+(``float("-0.0")`` is -0.0 and ``float("1e400")`` is inf, where the
+rational route gives 0.0 and an error), non-finite floats, bools,
+``Fraction`` instances, and everything in rational mode.
 """
 
 from __future__ import annotations
 
+import math
+import re
 from fractions import Fraction
 
 RATIONAL = "rational"
@@ -21,6 +42,10 @@ MODES = (RATIONAL, FLOAT)
 DEFAULT_TOL = {RATIONAL: Fraction(1, 10**9), FLOAT: 1e-7}
 
 
+# Fraction's string grammar without decimals or exponents: "p" or "p/q".
+_RATIO = re.compile(r"\s*([-+]?\d+(?:_\d+)*)(?:/(\d+(?:_\d+)*))?\s*")
+
+
 class NumberParseError(ValueError):
     """A JSON-level value could not be read as a number."""
 
@@ -31,6 +56,16 @@ def parse_number(raw, mode=RATIONAL):
     Strings may hold a decimal literal or an exact fraction such as
     ``"2/3"``; both are read exactly in rational mode.
     """
+    if mode == FLOAT:
+        kind = type(raw)
+        if kind is float and math.isfinite(raw):
+            return raw or 0.0  # -0.0 reads as 0.0, as through Fraction
+        ratio = _RATIO.fullmatch(raw) if kind is str else None
+        if kind is int or ratio:
+            try:
+                return float(raw) if kind is int else int(ratio[1]) / int(ratio[2] or 1)
+            except (ValueError, ZeroDivisionError, OverflowError) as exc:
+                raise NumberParseError(f"bad numeric literal: {raw!r}") from exc
     if mode not in MODES:
         raise ValueError(f"unknown numeric mode: {mode!r}")
     if isinstance(raw, bool) or not isinstance(raw, (int, float, str, Fraction)):

@@ -54,11 +54,13 @@ def profile_from_json(text: str, mode: str) -> AllocationProfile:
 # -- CSV emitters ------------------------------------------------------------
 
 def _write_csv(header, rows) -> str:
+    # csv.writer already writes format_number's text: None as empty, str as
+    # is, int and Fraction through str() ("p/q" or "p") and floats through
+    # repr().
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(["" if x is None else format_number(x) if not isinstance(x, str) else x for x in row])
+    writer.writerows(rows)
     return buf.getvalue()
 
 

@@ -316,21 +316,55 @@ DEMOS = Path(__file__).parent.parent / "demos" / "markets"
 SOLVE_ARTIFACTS = ("profile.json", "mechanism.json", "report.csv", "prices.csv", "run.txt")
 
 
+def _pinned(filename, mode):
+    pinned = {}
+    for line in (FIXTURES / filename).read_text().splitlines():
+        digest, name = line.split()
+        pinned[name] = digest
+    return {name: digest for name, digest in pinned.items() if name.startswith(f"{mode}/")}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 @pytest.mark.parametrize("mode", ["rational", "float"])
 def test_demo_artifacts_match_pinned_hashes(mode, tmp_path):
     # sha256 of every solve artifact of the demo markets at the default --starts
-    pinned = {}
-    for line in (FIXTURES / "demo_artifacts.sha256").read_text().splitlines():
-        digest, name = line.split()
-        pinned[name] = digest
     got = {}
     for market in sorted(DEMOS.glob("*.json")):
         assert main(["solve", str(market), "--mode", mode, "--out", str(tmp_path)]) == 0
         for suffix in SOLVE_ARTIFACTS:
             name = f"{market.stem}.{suffix}"
-            got[f"{mode}/{name}"] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-    assert got == {name: digest for name, digest in pinned.items() if name.startswith(f"{mode}/")}
+            got[f"{mode}/{name}"] = _sha256((tmp_path / name).read_bytes())
+    assert got == _pinned("demo_artifacts.sha256", mode)
     assert len(got) == 15
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_demo_eval_and_verify_match_pinned_hashes(mode, tmp_path, capsys):
+    # sha256 of the stdout and the artifact of eval, verify --profile and
+    # menu-only verify on each demo market's solve output (default --starts)
+    solved = tmp_path / "solve"
+    got = {}
+    for market in sorted(DEMOS.glob("*.json")):
+        assert main(["solve", str(market), "--mode", mode, "--out", str(solved)]) == 0
+        profile = str(solved / f"{market.stem}.profile.json")
+        mechanism = str(solved / f"{market.stem}.mechanism.json")
+        for kind, argv, artifact in (
+            ("eval", ["eval", str(market), profile], "report.csv"),
+            ("verify-profile", ["verify", str(market), mechanism, "--profile", profile], "equilibrium.csv"),
+            ("verify-menu", ["verify", str(market), mechanism], "equilibrium.csv"),
+        ):
+            capsys.readouterr()
+            out = tmp_path / kind
+            assert main(argv + ["--mode", mode, "--out", str(out)]) == 0
+            stdout, stderr = capsys.readouterr()
+            assert stderr == ""
+            got[f"{mode}/{market.stem}.{kind}.stdout"] = _sha256(stdout.encode())
+            got[f"{mode}/{market.stem}.{kind}.{artifact}"] = _sha256((out / f"{market.stem}.{artifact}").read_bytes())
+    assert got == _pinned("demo_eval_verify.sha256", mode)
+    assert len(got) == 18
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,9 @@ effect on the optimum the model fixes in advance."""
 import random
 from fractions import Fraction as F
 
-from dynration import FLOAT, coordinate_ascent, make_market, parse_market, serialize_market
+import pytest
+
+from dynration import FLOAT, RATIONAL, coordinate_ascent, extract, make_market, parse_market, serialize_market, verify
 
 from gen import random_market
 
@@ -44,3 +46,20 @@ def test_float_copy_solves_to_the_rational_revenue():
         exact = coordinate_ascent(m, starts=2, seed=seed).revenue
         approx = coordinate_ascent(parse_market(serialize_market(m), FLOAT), starts=2, seed=seed).revenue
         assert abs(approx - float(exact)) <= 1e-7 * abs(float(exact)), m
+
+
+@pytest.mark.parametrize("unbounded", [False, True], ids=["bounded", "unbounded"])
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_extracted_menu_verifies_after_ascent(mode, unbounded):
+    # the menu extracted from any ascent output, offered to best-responding
+    # buyers, reproduces the profile, its revenue and its utilities
+    rng = random.Random(62)
+    lotteries = 0
+    for _ in range(30):
+        m = random_market(rng, mode=mode, unbounded=unbounded, max_periods=4, general_lambda=rng.random() < 0.5)
+        report = coordinate_ascent(m, starts=2, seed=rng.randrange(10**6))
+        mech = extract(m, report.profile)
+        result = verify(m, report.profile, mech)
+        assert result.passed, (m, result.violations)
+        lotteries += len(mech.lottery_periods())
+    assert unbounded or lotteries > 0
