@@ -132,7 +132,7 @@ def build_coordinate_lp(market: Market, partition: Partition, rows, t: int) -> C
     batch = formula_layer(market, partition, R)
     # tolist() hands back Python scalars, so no numpy scalar reaches the
     # model; without atoms the sums stay scalars and are broadcast.
-    revenue, used = (np.broadcast_to(x, (len(first),)).tolist() for x in (batch.revenue, batch.used))
+    revenue, used = (np.broadcast_to(x, (len(first),)).tolist() for x in (batch.revenue, batch.inventory_used))
     probed = dict(zip(first, zip(revenue, used)))
     base_rev, base_used = probed[npieces]
 
@@ -323,6 +323,9 @@ def coordinate_ascent(
             best = (rev, rows, records[-1])
 
     rev, rows, best_record = best
+    if market.mode != RATIONAL:
+        # the solver keeps whole levels as ints; a float profile holds floats
+        rows = tuple(tuple(float(x) for x in row) for row in rows)
     profile = AllocationProfile(tuple(StepFunction.from_values(partition, row) for row in rows))
     final = evaluate(market, profile)
     binding = (not market.unbounded) and abs(final.inventory_used - market.inventory) <= tol

@@ -43,12 +43,12 @@ class EquilibriumReport:
 
 @dataclass
 class VerificationResult:
-    passed: bool
     violations: list
     report: EquilibriumReport
 
-    def __bool__(self) -> bool:
-        return self.passed
+    @property
+    def passed(self) -> bool:
+        return not self.violations
 
 
 def _in_tier(v, threshold, inclusive: bool) -> bool:
@@ -219,4 +219,4 @@ def verify(
                     f"UtilityMismatch: t={t + 1} v={market.atoms[i]}: "
                     f"simulated {report.utility[t][i]}, formula {formula_u}"
                 )
-    return VerificationResult(passed=not violations, violations=violations, report=report)
+    return VerificationResult(violations, report)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import report as report_mod
 from .ascent import coordinate_ascent
-from .bestresponse import best_response, menu_violations, verify
+from .bestresponse import VerificationResult, best_response, menu_violations, verify
 from .evaluate import evaluate
 from .market import MarketError, ParseError, parse_market
 from .mechanism import extract, mechanism_from_json, mechanism_to_json
@@ -93,6 +93,17 @@ def _bad_number(args):
     return None
 
 
+def _verdict(result: VerificationResult) -> int:
+    """Print pass to stdout, or FAILED and the violations to stderr; the exit code."""
+    if result.passed:
+        print("verification: pass")
+        return 0
+    print("verification FAILED:", file=sys.stderr)
+    for v in result.violations:
+        print(f"  {v}", file=sys.stderr)
+    return 1
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     problem = _bad_number(args)
@@ -142,13 +153,7 @@ def _dispatch(args, market) -> int:
                     f" quantity={format_number(menu.lottery_quantity)}"
                 )
             print("  " + " ".join(bits))
-        if not result.passed:
-            print("verification FAILED:", file=sys.stderr)
-            for v in result.violations:
-                print(f"  {v}", file=sys.stderr)
-            return 1
-        print("verification: pass")
-        return 0
+        return _verdict(result)
 
     if args.command == "eval":
         out = _outdir(args, args.market)
@@ -168,22 +173,14 @@ def _dispatch(args, market) -> int:
         if args.profile is not None:
             profile = report_mod.profile_from_json(args.profile.read_text(encoding="utf-8"), market.mode)
             result = verify(market, profile, mech, tol=_tol(args, market))
-            rep = result.report
-            passed, violations = result.passed, result.violations
         else:
             rep = best_response(market, mech, tol=_tol(args, market))
-            violations = menu_violations(market, rep, tol=_tol(args, market))
-            passed = not violations
+            result = VerificationResult(menu_violations(market, rep, tol=_tol(args, market)), rep)
+        rep = result.report
         (out / f"{stem}.equilibrium.csv").write_text(report_mod.verification_csv(market, rep))
         print(f"realized_revenue: {format_number(rep.realized_revenue)}")
         print(f"realized_sales: {format_number(rep.realized_sales)}")
-        if passed:
-            print("verification: pass")
-            return 0
-        print("verification FAILED:", file=sys.stderr)
-        for v in violations:
-            print(f"  {v}", file=sys.stderr)
-        return 1
+        return _verdict(result)
 
     if args.command == "oracle":
         out = _outdir(args, args.market)

@@ -14,17 +14,25 @@ Given per-period monotone allocation rules ``r_t`` this computes, exactly:
   asserted equal), and social welfare (summed when it is read).
 
 Payments are defined only through the incentive identity; nonnegativity is
-checked and flagged rather than assumed.
+checked and flagged rather than assumed. On valid input it holds: with
+partition points ``x_0 < x_1 < ...``, the identity sums to
+``lambdaB_t p_t(v) = sum_j (r_t(v) - r_t(gap j)) (delta_t - g_{t+1}(gap j))
+(x_{j+1} - x_j)`` over the gaps j = (x_j, x_{j+1}) below v, and every term
+is >= 0 because r_t is monotone and ``g_{t+1} <= delta_t`` (it averages
+later, no larger deltas and 0). The flag stays as a guard: an input or a
+rounding that breaks those premises shows there.
 
-An :class:`Evaluation` keeps the formula layer's tables as it computes
-them: ``r_at[t][i]`` (period t's allocation at atom i), ``fstar``,
-``payments``, and U_t (t = 0..T, U_T = 0) at atom i, ``u_at[t][i]``, and at
-partition point k, ``u_points[t][k]``; U_t is linear between the points,
-so ``u_points[t]`` is the whole curve. These tables are the one route to
-those facts: ``verify`` compares the simulated plan and utilities with
-``r_at`` and ``u_at``, ``extract`` sizes lotteries from ``r_at`` and
-``fstar`` and prices a threshold q from ``u_points`` at q's point, and the
-evaluation CSV prints the tables as they stand.
+:func:`formula_layer` returns the :class:`Evaluation` itself, which keeps
+the formula layer's tables as it computes them: ``r_at[t][i]`` (period t's
+allocation at atom i), ``fstar``, ``payments``, and U_t (t = 0..T, U_T = 0)
+at atom i, ``u_at[t][i]``, and at partition point k, ``u_points[t][k]``;
+U_t is linear between the points, so ``u_points[t]`` is the whole curve.
+These tables are the one route to those facts: ``verify`` compares the
+simulated plan and utilities with ``r_at`` and ``u_at``, ``extract`` sizes
+lotteries from ``r_at`` and ``fstar`` and prices a threshold q from
+``u_points`` at q's point, and the evaluation CSV prints the tables as
+they stand. ``welfare`` and ``negative_payments`` are computed when read,
+and mean something for scalar rows only.
 
 The recursion itself (:func:`formula_layer`) is written once, over per-piece
 rule values ``R[t][p]`` that may be Python scalars (exact ``Fraction`` or
@@ -40,7 +48,6 @@ as the coordinate ascent does, calls :func:`evaluate_rows` directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .market import Market
 from .stepfn import Partition, StepFunction, segment_refinement
@@ -85,18 +92,21 @@ class AllocationProfile:
 
 @dataclass
 class Evaluation:
-    """Everything the formulas say about one (market, profile) pair."""
+    """Everything the formulas say about one (market, profile) pair.
+
+    In a batch from :func:`formula_layer` every table entry and both sums
+    are columns shaped like ``R``'s.
+    """
 
     market: Market
     partition: Partition
+    u_points: list         # [t][k] U_t at partition point k, t = 0..T
     r_at: list             # [t][i] allocation at atom i
     u_at: list             # [t][i] U_t at atom i, t = 0..T
-    u_points: list         # [t][k] U_t at partition point k, t = 0..T
     fstar: list            # [t][i] mass of value atoms[i] present at t
     payments: list         # [t][i] expected payment as charged (lambdaB applied)
     revenue: object
     inventory_used: object
-    negative_payments: list  # (t, i, value) triples with p < 0 beyond noise
 
     @property
     def welfare(self):
@@ -109,17 +119,16 @@ class Evaluation:
             for i in range(m.num_atoms)
         )
 
-
-class Formulas(NamedTuple):
-    """Output of :func:`formula_layer`; entries are scalars or columns like ``R``."""
-
-    u_points: list         # [t][k] U_t at partition point k, t = 0..T
-    r_at: list             # [t][i] allocation at atom i
-    u_at: list             # [t][i] U_t at atom i, t = 0..T
-    fstar: list            # [t][i] presence mass
-    payments: list         # [t][i] expected payment as charged
-    revenue: object
-    used: object
+    @property
+    def negative_payments(self) -> list:
+        """``(t, i, p)`` triples with p below zero beyond noise, t-major."""
+        noise = 0 if self.market.mode == "rational" else 1e-12
+        return [
+            (t, i, p)
+            for t, row in enumerate(self.payments)
+            for i, p in enumerate(row)
+            if p < -noise
+        ]
 
 
 def effective_discounts(delta, R):
@@ -137,7 +146,7 @@ def effective_discounts(delta, R):
         yield t, g
 
 
-def formula_layer(market: Market, partition: Partition, R) -> Formulas:
+def formula_layer(market: Market, partition: Partition, R) -> Evaluation:
     """Presence, utilities, payments, revenue and usage of per-piece rules.
 
     ``R[t][p]`` is period t's rule on piece p of ``partition``; the market's
@@ -174,7 +183,7 @@ def formula_layer(market: Market, partition: Partition, R) -> Formulas:
     ]
     revenue = sum(lam_s[t] * sum(payments[t][i] * fstar[t][i] for i in range(n)) for t in range(T))
     used = sum(r_at[t][i] * fstar[t][i] for t in range(T) for i in range(n))
-    return Formulas(u_points, r_at, u_at, fstar, payments, revenue, used)
+    return Evaluation(market, partition, u_points, r_at, u_at, fstar, payments, revenue, used)
 
 
 def evaluate(market: Market, profile: AllocationProfile) -> Evaluation:
@@ -187,43 +196,20 @@ def evaluate(market: Market, profile: AllocationProfile) -> Evaluation:
 
 def evaluate_rows(market: Market, partition: Partition, R) -> Evaluation:
     """:func:`evaluate` of the rules whose piece values on ``partition`` are ``R[t]``."""
-    T = market.T
-    f = formula_layer(market, partition, R)
-    r_at, u_at, fstar, payments = f.r_at, f.u_at, f.fstar, f.payments
-    _check_fstar_closed_form(market, r_at, fstar)
-
-    n = market.num_atoms
+    ev = formula_layer(market, partition, R)
+    r_at = ev.r_at
+    _check_fstar_closed_form(market, r_at, ev.fstar)
 
     # Each cohort is served unless it survives every period from its arrival
     # on; the survival products are suffix products over t.
     used_by_cohort = 0
-    for i in range(n):
+    for i in range(market.num_atoms):
         survive = 1
-        for t in range(T - 1, -1, -1):
+        for t in range(market.T - 1, -1, -1):
             survive *= 1 - r_at[t][i]
             used_by_cohort += (1 - survive) * market.mass[t][i]
-    _require_equal(f.used, used_by_cohort, market.mode, "inventory accounting")
-
-    noise = 0 if market.mode == "rational" else 1e-12
-    negative = [
-        (t, i, payments[t][i])
-        for t in range(T)
-        for i in range(n)
-        if payments[t][i] < -noise
-    ]
-
-    return Evaluation(
-        market=market,
-        partition=partition,
-        r_at=r_at,
-        u_at=u_at,
-        u_points=f.u_points,
-        fstar=fstar,
-        payments=payments,
-        revenue=f.revenue,
-        inventory_used=f.used,
-        negative_payments=negative,
-    )
+    _require_equal(ev.inventory_used, used_by_cohort, market.mode, "inventory accounting")
+    return ev
 
 
 def _check_fstar_closed_form(market: Market, r_at, fstar):

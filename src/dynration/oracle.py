@@ -169,7 +169,7 @@ def _scored_chunks(market: Market, candidates: list[list]):
         ]
         batch = formula_layer(market, partition, head + tail)
         # a market without atoms sums to scalars
-        revenue, used = (np.broadcast_to(x, shape).reshape(-1) for x in (batch.revenue, batch.used))
+        revenue, used = (np.broadcast_to(x, shape).reshape(-1) for x in (batch.revenue, batch.inventory_used))
         yield lo * inner, revenue, used
 
 

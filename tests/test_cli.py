@@ -2,12 +2,15 @@ import argparse
 import csv
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from dynration import cli, ex_ration, ex_twogen, make_market, serialize_market
 from dynration.cli import main
+
+from gen import random_market
 
 FIXTURES = Path(__file__).parent / "data"
 
@@ -365,6 +368,25 @@ def test_demo_eval_and_verify_match_pinned_hashes(mode, tmp_path, capsys):
             got[f"{mode}/{market.stem}.{kind}.{artifact}"] = _sha256((out / f"{market.stem}.{artifact}").read_bytes())
     assert got == _pinned("demo_eval_verify.sha256", mode)
     assert len(got) == 18
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_solve_writes_the_report_that_eval_gives_for_its_profile(mode, tmp_path, capsys):
+    # solve's report.csv is the evaluation of the profile it writes, so eval
+    # of that profile file must print the same cells, whole levels included
+    rng = random.Random(61)
+    markets = sorted(DEMOS.glob("*.json"))
+    for k in range(4):
+        seeded = tmp_path / f"seeded{k}.json"
+        seeded.write_text(serialize_market(random_market(rng, general_lambda=k % 2 == 1)))
+        markets.append(seeded)
+    for market in markets:
+        solved, evaluated = tmp_path / "solve", tmp_path / "eval"
+        assert main(["solve", str(market), "--mode", mode, "--starts", "2", "--out", str(solved)]) == 0
+        profile = str(solved / f"{market.stem}.profile.json")
+        assert main(["eval", str(market), profile, "--mode", mode, "--out", str(evaluated)]) == 0
+        report = f"{market.stem}.report.csv"
+        assert (solved / report).read_text() == (evaluated / report).read_text(), market.stem
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import importlib
+import math
 import random
 from fractions import Fraction as F
 
@@ -13,13 +15,14 @@ from dynration import (
     Partition,
     StepFunction,
     evaluate,
+    ex_ration,
     make_market,
     mixture,
 )
-from dynration.evaluate import EvaluatorInternalError, Formulas, evaluate_rows, formula_layer
+from dynration.evaluate import Evaluation, EvaluatorInternalError, evaluate_rows, formula_layer
 from dynration.report import evaluation_csv
 
-from gen import random_feasible_profile, random_market, random_profile, slopes
+from gen import random_feasible_profile, random_market, random_profile, random_step, slopes
 
 # the module; the package's ``evaluate`` attribute is the function
 evaluate_mod = importlib.import_module("dynration.evaluate")
@@ -204,6 +207,71 @@ def test_no_negative_payments_on_monotone_profiles():
         assert ev.negative_payments == []
 
 
+def _market_with_end_atoms(rng, mode):
+    # general lambda, sometimes tied delta, and atoms at both ends of [0, 1]
+    d = random_market(rng, max_periods=4, general_lambda=True, tied_delta=rng.random() < 0.5).discounts
+    atoms = sorted({F(0), F(1), *rng.sample([F(k, 12) for k in range(1, 12)], rng.randint(0, 2))})
+    mass = [[F(rng.randint(0, 4), 4) for _ in atoms] for _ in d.delta]
+    mass[0][-1] = F(1)
+    return make_market(len(d.delta), atoms, mass, None, d.delta, d.lambda_s, d.lambda_b, mode=mode)
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_payments_sum_nonnegative_terms_over_the_gaps_below(mode):
+    # lambdaB_t p_t(v) = sum over the gaps j = (x_j, x_{j+1}) below v of
+    # (r_t(v) - r_t(gap j)) (delta_t - g_{t+1}(gap j)) (x_{j+1} - x_j), with
+    # g_T = 0 and g_t = delta_t r_t + (1 - r_t) g_{t+1}; every term is >= 0
+    rng = random.Random(71)
+    num = float if mode == FLOAT else F
+    checked = 0
+    for _ in range(60):
+        m = _market_with_end_atoms(rng, mode)
+        extra = [num(F(k, 24)) for k in rng.sample(range(1, 24, 2), 2)]
+        prof = AllocationProfile(tuple(random_step(rng, sorted([*m.atoms, *extra]), mode) for _ in range(m.T)))
+        ev = evaluate(m, prof)
+        points = sorted({num(0), num(1), *m.atoms, *(j.at for r in prof.steps for j in r.jumps)})
+        gaps = list(zip(points, points[1:]))
+        r_gap = [[r.eval((a + b) / 2) for a, b in gaps] for r in prof.steps]
+        g = [[0] * len(gaps) for _ in range(m.T + 1)]
+        delta = m.discounts.delta
+        for t in range(m.T - 1, -1, -1):
+            g[t] = [delta[t] * r + (1 - r) * g[t + 1][j] for j, r in enumerate(r_gap[t])]
+        for t, r in enumerate(prof.steps):
+            for i, v in enumerate(m.atoms):
+                terms = [
+                    (r.eval(v) - r_gap[t][j]) * (delta[t] - g[t + 1][j]) * (b - a)
+                    for j, (a, b) in enumerate(gaps)
+                    if b <= v
+                ]
+                assert all(x >= 0 for x in terms)
+                want, got = sum(terms), m.discounts.lambda_b[t] * ev.payments[t][i]
+                if mode == RATIONAL:
+                    assert got == want, (t, v)
+                else:
+                    assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (t, v, got, want)
+                checked += 1
+        assert ev.negative_payments == []
+    assert checked > 300
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_negative_payments_flags_payments_below_the_noise(mode):
+    # rational mode flags any p < 0, float mode p < -1e-12; the triples come
+    # period by period, atom by atom
+    noise = F(0) if mode == RATIONAL else 1e-12
+    below = -F(1, 10**30) if mode == RATIONAL else math.nextafter(-1e-12, -math.inf)
+    far = F(-1, 2) if mode == RATIONAL else -0.5
+    m = ex_ration(mode)
+    for ev in (evaluate(m, AllocationProfile.ones(2)), evaluate(m, random_profile(random.Random(3), m))):
+        assert ev.negative_payments == []
+        payments = [list(row) for row in ev.payments]
+        payments[0][0] = -noise
+        payments[0][1] = below
+        payments[1][0] = far
+        flagged = dataclasses.replace(ev, payments=payments)
+        assert flagged.negative_payments == [(0, 1, below), (1, 0, far)]
+
+
 def test_payment_zero_at_value_zero_atom():
     m = make_market(T=1, atoms=[0, "1/2"], mass=[[1, 1]])
     prof = AllocationProfile((StepFunction.one(),))
@@ -237,13 +305,13 @@ def test_batch_columns_match_scalar_evaluation():
         for k, prof in enumerate(profiles):
             ev = evaluate_rows(m, part, [part.values(r) for r in prof.steps])
             assert float(batch.revenue[k]).hex() == ev.revenue.hex()
-            assert float(batch.used[k]).hex() == ev.inventory_used.hex()
+            assert float(batch.inventory_used[k]).hex() == ev.inventory_used.hex()
 
 
-def _leaves(f: Formulas, key) -> list:
+def _leaves(f: Evaluation, key) -> list:
     """Every number of the formula layer's tables and sums, in one flat list."""
     out = []
-    stack = [f.u_points, f.r_at, f.u_at, f.fstar, f.payments, f.revenue, f.used]
+    stack = [f.u_points, f.r_at, f.u_at, f.fstar, f.payments, f.revenue, f.inventory_used]
     while stack:
         x = stack.pop()
         if isinstance(x, list):
@@ -303,8 +371,8 @@ def test_self_checks_catch_a_perturbed_formula_layer(monkeypatch, mode, target):
             if target == "fstar":
                 fstar = [list(row) for row in f.fstar]
                 fstar[t][i] += eps
-                return f._replace(fstar=fstar)
-            return f._replace(used=f.used + eps)
+                return dataclasses.replace(f, fstar=fstar)
+            return dataclasses.replace(f, inventory_used=f.inventory_used + eps)
 
         evaluate(m, prof)
         monkeypatch.setattr(evaluate_mod, "formula_layer", perturbed)

@@ -176,7 +176,7 @@ def _flat_search(market, candidates):
         R = [columns[:, (ids // s) % K] for s in strides]
         batch = formula_layer(market, Partition(market.atoms), R)
         revenue.append(np.broadcast_to(batch.revenue, ids.shape))
-        used.append(np.broadcast_to(batch.used, ids.shape))
+        used.append(np.broadcast_to(batch.inventory_used, ids.shape))
     return np.concatenate(revenue), np.concatenate(used)
 
 
