@@ -229,7 +229,7 @@ def solve_coordinate(lp: CoordinateLP) -> CoordinateSolution:
 
 def _random_profile(market: Market, rng: random.Random) -> AllocationProfile:
     """Monotone step initialization with jumps on the atoms."""
-    grid = [Fraction(k, 4) for k in range(5)] if market.mode == "rational" else [k / 4 for k in range(5)]
+    grid = [Fraction(k, 4) for k in range(5)] if market.mode == RATIONAL else [k / 4 for k in range(5)]
     steps = []
     for _ in range(market.T):
         njumps = rng.choice((0, 1, 1, 2))
@@ -245,7 +245,7 @@ def _shrink_to_feasible(market: Market, profile: AllocationProfile) -> Allocatio
     """Halve every level until the inventory cap is met (zero always is)."""
     if market.unbounded:
         return profile
-    half = Fraction(1, 2) if market.mode == "rational" else 0.5
+    half = Fraction(1, 2) if market.mode == RATIONAL else 0.5
     for _ in range(12):
         if evaluate(market, profile).inventory_used <= market.inventory:
             return profile
@@ -344,7 +344,7 @@ def coordinate_ascent(
 
 
 def _require_prediction(actual, predicted, mode):
-    tol = 0 if mode == "rational" else 1e-8 * max(1.0, abs(actual))
+    tol = 0 if mode == RATIONAL else 1e-8 * max(1.0, abs(actual))
     if abs(actual - predicted) > tol:
         raise AffinityError(f"accepted update mispredicted revenue: {predicted} vs {actual}")
 
@@ -365,7 +365,7 @@ def normalize_staircase(market: Market, profile: AllocationProfile, *, tol=None)
     earlier periods' slopes.
     """
     if tol is None:
-        tol = 0 if market.mode == "rational" else 1e-9
+        tol = 0 if market.mode == RATIONAL else 1e-9
     delta = market.discounts.delta
     steps = list(profile.steps)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .evaluate import AllocationProfile, Evaluation, evaluate
 from .market import Market
 from .mechanism import PricedMechanism
-from .numeric import default_tol
+from .numeric import RATIONAL, default_tol
 
 BUY_HIGH = "buyHigh"
 ENTER_LOTTERY = "enterLottery"
@@ -64,7 +64,7 @@ def best_response(market: Market, mech: PricedMechanism, *, tol=None) -> Equilib
     """
     if mech.T != market.T:
         raise ValueError("mechanism and market disagree on the horizon")
-    if market.mode == "rational":
+    if market.mode == RATIONAL:
         tol = 0
     elif tol is None:
         tol = default_tol(market.mode)

@@ -50,6 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .market import Market
+from .numeric import RATIONAL
 from .stepfn import Partition, StepFunction, segment_refinement
 
 
@@ -122,7 +123,7 @@ class Evaluation:
     @property
     def negative_payments(self) -> list:
         """``(t, i, p)`` triples with p below zero beyond noise, t-major."""
-        noise = 0 if self.market.mode == "rational" else 1e-12
+        noise = 0 if self.market.mode == RATIONAL else 1e-12
         return [
             (t, i, p)
             for t, row in enumerate(self.payments)
@@ -226,7 +227,7 @@ def _check_fstar_closed_form(market: Market, r_at, fstar):
 
 
 def _require_equal(a, b, mode, what):
-    tol = 0 if mode == "rational" else 1e-9 * max(1.0, abs(a), abs(b))
+    tol = 0 if mode == RATIONAL else 1e-9 * max(1.0, abs(a), abs(b))
     if abs(a - b) > tol:
         raise EvaluatorInternalError(f"{what}: {a} != {b}")
 

@@ -12,6 +12,9 @@ is counting measure on the atom list), which keeps every quantity in the
 pipeline exactly computable. Per-period mass is not forced to 1;
 normalization is the caller's business. Unbounded supply is ``None``,
 never a sentinel float.
+
+:func:`make_market` is the one builder of a :class:`Market`, for files and
+callers alike, and :func:`validate_market` holds every invariant.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .numeric import MODES, RATIONAL, NumberParseError, format_number, json_number, parse_number
+from .numeric import MODES, RATIONAL, NumberParseError, json_number, parse_number
 
 
 class ParseError(ValueError):
@@ -80,12 +83,6 @@ class Market:
     def unbounded(self) -> bool:
         return self.inventory is None
 
-    def validated(self) -> "Market":
-        violations = validate_market(self)
-        if violations:
-            raise MarketError(violations)
-        return self
-
 
 def make_market(
     T: int,
@@ -97,21 +94,23 @@ def make_market(
     lambda_b: Sequence | None = None,
     mode: str = RATIONAL,
 ) -> Market:
-    """Build and validate a market, coercing every number into ``mode``."""
-    num = lambda x: parse_number(x, mode)
-    sched = DiscountSchedule(
-        tuple(num(x) for x in delta) if delta is not None else (num(1),) * T,
-        tuple(num(x) for x in lambda_s) if lambda_s is not None else (num(1),) * T,
-        tuple(num(x) for x in lambda_b) if lambda_b is not None else (num(1),) * T,
-    )
-    return Market(
-        T=int(T),
-        atoms=tuple(num(a) for a in atoms),
-        mass=tuple(tuple(num(x) for x in row) for row in mass),
-        inventory=None if inventory is None else num(inventory),
-        discounts=sched,
-        mode=mode,
-    ).validated()
+    """Build and validate a market, reading every number into ``mode``.
+
+    The one builder of a Market: a bad number or a non-array raises
+    ParseError naming its field, a violated invariant MarketError. An
+    omitted schedule is all ones, one per mass row, since ``T`` bounds nothing.
+    """
+    atoms = read_numbers(atoms, "atoms", mode)
+    mass = tuple(read_numbers(row, f"mass[{t}]", mode) for t, row in enumerate(require_array(mass, "mass")))
+    inventory = None if inventory is None else read_number(inventory, "inventory", mode)
+    ones = (parse_number(1, mode),) * len(mass)
+    schedules = (("delta", delta), ("lambdaS", lambda_s), ("lambdaB", lambda_b))
+    discounts = DiscountSchedule(*(ones if raw is None else read_numbers(raw, key, mode) for key, raw in schedules))
+    market = Market(int(T), atoms, mass, inventory, discounts, mode)
+    violations = validate_market(market)
+    if violations:
+        raise MarketError(violations)
+    return market
 
 
 def validate_market(m: Market) -> list[Violation]:
@@ -166,6 +165,10 @@ def validate_market(m: Market) -> list[Violation]:
 #   delta      array of T numbers
 #   lambdaS    array of T numbers   (optional, defaults to all ones)
 #   lambdaB    array of T numbers   (optional, defaults to all ones)
+#
+# parse_market checks only what the format adds (the keys, an integer T,
+# "inf", no null); make_market reads the numbers and validate_market checks
+# every shape, order and range.
 
 _REQUIRED = ("T", "atoms", "mass", "inventory", "delta")
 _OPTIONAL = ("lambdaS", "lambdaB")
@@ -179,8 +182,9 @@ def load_json(text: str):
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
 
 
-def require_array(raw, where: str) -> list:
-    if not isinstance(raw, list):
+def require_array(raw, where: str):
+    """``raw`` must be a JSON array; tuples pass too, as a market's own fields."""
+    if not isinstance(raw, (list, tuple)):
         raise ParseError(f"{where}: must be an array")
     return raw
 
@@ -204,56 +208,35 @@ def require_keys(raw, where: str, required, optional=()) -> dict:
     return raw
 
 
+def read_number(raw, where: str, mode: str):
+    """:func:`parse_number`, with a bad value a ParseError naming ``where``."""
+    try:
+        return parse_number(raw, mode)
+    except NumberParseError as exc:
+        raise ParseError(f"{where}: {exc}") from exc
+
+
+def read_numbers(raw, where: str, mode: str) -> tuple:
+    return tuple(read_number(x, f"{where}[{i}]", mode) for i, x in enumerate(require_array(raw, where)))
+
+
 def parse_market(text: str, mode: str = RATIONAL) -> Market:
     """Parse a market-spec document; fractions given as strings stay exact."""
     if mode not in MODES:
         raise ParseError(f"unknown numeric mode {mode!r}")
     doc = require_keys(load_json(text), "top level", _REQUIRED, _OPTIONAL)
-
-    def num(raw, where):
-        try:
-            return parse_number(raw, mode)
-        except NumberParseError as exc:
-            raise ParseError(f"{where}: {exc}") from exc
-
-    if not isinstance(doc["T"], int) or isinstance(doc["T"], bool):
-        raise ParseError("T: must be an integer")
     T = doc["T"]
-
-    def numeric_list(key, raw, expect=None):
-        require_array(raw, key)
-        if expect is not None and len(raw) != expect:
-            raise ParseError(f"{key}: expected {expect} entries, got {len(raw)}")
-        return [num(x, f"{key}[{i}]") for i, x in enumerate(raw)]
-
-    atoms = numeric_list("atoms", doc["atoms"])
-    for lo, hi in zip(atoms, atoms[1:]):
-        if not lo < hi:
-            raise ParseError(f"atoms: not strictly increasing at {format_number(hi)}")
-    if not isinstance(doc["mass"], list) or len(doc["mass"]) != T:
-        raise ParseError(f"mass: expected {T} rows")
-    mass = [numeric_list(f"mass[{t}]", row, expect=len(atoms)) for t, row in enumerate(doc["mass"])]
-    if doc["inventory"] == "inf":
-        inventory = None
-    else:
-        inventory = num(doc["inventory"], "inventory")
-    delta = numeric_list("delta", doc["delta"], expect=T)
-    lam_s = numeric_list("lambdaS", doc["lambdaS"], expect=T) if "lambdaS" in doc else None
-    lam_b = numeric_list("lambdaB", doc["lambdaB"], expect=T) if "lambdaB" in doc else None
-
-    market = Market(
-        T=T,
-        atoms=tuple(atoms),
-        mass=tuple(tuple(row) for row in mass),
-        inventory=inventory,
-        discounts=DiscountSchedule(
-            tuple(delta),
-            tuple(lam_s) if lam_s is not None else tuple(num(1, "lambdaS") for _ in range(T)),
-            tuple(lam_b) if lam_b is not None else tuple(num(1, "lambdaB") for _ in range(T)),
-        ),
-        mode=mode,
-    )
-    return market.validated()
+    if not isinstance(T, int) or isinstance(T, bool):
+        raise ParseError("T: must be an integer")
+    # make_market reads None as omitted; in a file, null is a bad value
+    inventory = doc["inventory"]
+    if inventory is None:
+        raise ParseError("inventory: not a number: None")
+    for key in ("delta", *_OPTIONAL):
+        if key in doc and doc[key] is None:
+            raise ParseError(f"{key}: must be an array")
+    inventory = None if inventory == "inf" else inventory
+    return make_market(T, doc["atoms"], doc["mass"], inventory, doc["delta"], doc.get("lambdaS"), doc.get("lambdaB"), mode)
 
 
 def serialize_market(m: Market) -> str:

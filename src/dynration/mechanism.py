@@ -30,8 +30,8 @@ import json
 from dataclasses import dataclass, fields
 
 from .evaluate import AllocationProfile, Evaluation, evaluate
-from .market import Market, ParseError, load_json, require_array, require_bool, require_keys
-from .numeric import FLOAT, json_number, parse_number
+from .market import Market, ParseError, load_json, read_number, require_array, require_bool, require_keys
+from .numeric import FLOAT, json_number
 
 CLOSED_MODE = "closed"
 POSTED = "posted"
@@ -240,7 +240,7 @@ def mechanism_from_json(text: str, mode: str) -> PricedMechanism:
             if name.endswith("inclusive"):
                 kwargs[name] = require_bool(value, f"{where} {key}")
             else:
-                kwargs[name] = parse_number(value, mode)
+                kwargs[name] = read_number(value, f"{where} {key}", mode)
         menu = PeriodMenu(**kwargs)
         # the bounds that extract guarantees for its own menus
         for name in ("p_high", "per_winner_price", "lottery_quantity"):

@@ -15,9 +15,9 @@ import json
 from .ascent import SolveReport
 from .bestresponse import EquilibriumReport
 from .evaluate import AllocationProfile, Evaluation
-from .market import Market, load_json, require_array, require_bool, require_keys
+from .market import Market, load_json, read_number, read_numbers, require_array, require_bool, require_keys
 from .mechanism import PricedMechanism
-from .numeric import format_number, json_number, parse_number
+from .numeric import format_number, json_number
 from .stepfn import Jump, StepFunction
 
 
@@ -42,11 +42,11 @@ def profile_from_json(text: str, mode: str) -> AllocationProfile:
     for t, entry in enumerate(require_array(load_json(text), "profile")):
         where = f"profile period {t + 1}"
         require_keys(entry, where, ("levels", "jumps"))
-        levels = [parse_number(x, mode) for x in require_array(entry["levels"], f"{where} levels")]
+        levels = read_numbers(entry["levels"], f"{where} levels", mode)
         jumps = []
         for j in require_array(entry["jumps"], f"{where} jumps"):
             require_keys(j, f"{where} jump", ("at", "closed"))
-            jumps.append(Jump(parse_number(j["at"], mode), require_bool(j["closed"], f"{where} jump closed")))
+            jumps.append(Jump(read_number(j["at"], f"{where} jump at", mode), require_bool(j["closed"], f"{where} jump closed")))
         steps.append(StepFunction(levels, jumps))
     return AllocationProfile(tuple(steps))
 

@@ -10,6 +10,7 @@ from dynration import (
     Jump,
     Partition,
     StepFunction,
+    brute_force_optimal,
     build_coordinate_lp,
     coordinate_ascent,
     evaluate,
@@ -43,6 +44,20 @@ def test_three_atom_posted_price():
     report = coordinate_ascent(m, starts=2, seed=0)
     assert report.revenue == F(4, 9)
     assert report.profile.steps[0] == StepFunction.step(F(2, 3))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "the zero and ones starts both stop at 1: moving the sale from t = 1 to t = 2 "
+        "changes both periods at once (fix: ROADMAP item 2's posted warm starts)"
+    ),
+)
+def test_ascent_leaves_the_sale_to_the_period_that_pays_more():
+    # a lambdaB of 1/2 doubles the price the cohort accepts at t = 2; the
+    # ascent returns 1 at starts 0, 2 and 8 and reaches 2 only at 16
+    m = make_market(T=2, atoms=[1], mass=[[1], [0]], lambda_b=[1, "1/2"])
+    assert coordinate_ascent(m, starts=2).revenue == brute_force_optimal(m).revenue
 
 
 def _rows(market, profile, t):

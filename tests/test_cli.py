@@ -3,6 +3,7 @@ import csv
 import hashlib
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from dynration import cli, ex_ration, ex_twogen, make_market, serialize_market
 from dynration.cli import main
 
-from gen import random_market
+from gen import DELTA_POOL, random_market
 
 FIXTURES = Path(__file__).parent / "data"
 
@@ -306,6 +307,24 @@ def test_malformed_files_exit_2(market_files, tmp_path, capsys, kind, text):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "kind, text, where",
+    [
+        pytest.param("profile", '[{"levels": ["x"], "jumps": []}, {"levels": [0], "jumps": []}]', "profile period 1 levels[0]", id="profile-level"),
+        pytest.param("profile", '[{"levels": [0], "jumps": []}, {"levels": [0, 1], "jumps": [{"at": [], "closed": true}]}]', "profile period 2 jump at", id="profile-jump-at"),
+        pytest.param("mechanism", '[{"mode": "posted", "qHigh": 1, "qHighInclusive": true, "pHigh": "abc"}, {"mode": "closed"}]', "mechanism period 1 pHigh", id="mechanism-price"),
+        pytest.param("mechanism", '[{"mode": "closed"}, ' + RATION_PERIOD_2.replace('"1/2"}', "null}") + "]", "mechanism period 2 lotteryQuantity", id="mechanism-null-quantity"),
+    ],
+)
+def test_bad_numbers_in_profile_and_mechanism_files_name_their_field(market_files, tmp_path, capsys, kind, text, where):
+    ration, _ = market_files
+    bad = tmp_path / f"bad.{kind}.json"
+    bad.write_text(text)
+    command = ["verify", str(ration), str(bad)] if kind == "mechanism" else ["eval", str(ration), str(bad)]
+    assert main(command + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {where}: ")
+
+
 def test_solver_period_2_menu_verifies(market_files, tmp_path, capsys):
     # the menu the negative-price cases above start from is a valid one
     ration, _ = market_files
@@ -416,3 +435,39 @@ def test_float_mode_literal_beyond_float_range_exits_2(tmp_path, capsys, literal
     market.write_text('{"T": 1, "atoms": [1], "mass": [[%s]], "inventory": "inf", "delta": [1]}' % literal)
     assert main(["solve", str(market), "--mode", "float", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error: mass[0][0]: ")
+
+
+def _seeded_market_doc(rng, k):
+    """A T = n = 5 market as plain JSON of fraction strings: the first
+    unbounded, the last with general lambdas, the rest bounded at half the
+    arrival mass."""
+    atoms = sorted(Fraction(a, 40) for a in rng.sample(range(1, 41), 5))
+    mass = [[Fraction(rng.randint(0, 4), 4) for _ in atoms] for _ in range(5)]
+    schedule = lambda: [str(x) for x in sorted((rng.choice(DELTA_POOL) for _ in range(5)), reverse=True)]
+    doc = {
+        "T": 5,
+        "atoms": [str(a) for a in atoms],
+        "mass": [[str(x) for x in row] for row in mass],
+        "inventory": "inf" if k == 0 else str(sum(map(sum, mass)) / 2),
+        "delta": schedule(),
+    }
+    if k == 3:
+        doc["lambdaS"], doc["lambdaB"] = schedule(), schedule()
+    return doc
+
+
+def test_seeded_float_solves_match_pinned_hashes(tmp_path):
+    # sha256 of every artifact of `solve --mode float --starts 0` on four
+    # seeded market files written without make_market, so the pins also
+    # cover parse_market
+    rng = random.Random(5)
+    got = {}
+    for k in range(4):
+        market = tmp_path / f"seeded{k}.json"
+        market.write_text(json.dumps(_seeded_market_doc(rng, k)))
+        assert main(["solve", str(market), "--mode", "float", "--starts", "0", "--out", str(tmp_path / "out")]) == 0
+        for suffix in SOLVE_ARTIFACTS:
+            name = f"{market.stem}.{suffix}"
+            got[f"float/{name}"] = _sha256((tmp_path / "out" / name).read_bytes())
+    assert got == _pinned("float_solve_artifacts.sha256", "float")
+    assert len(got) == 20

@@ -1,9 +1,12 @@
+import copy
 import dataclasses
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from dynration.cli import main
 from dynration.market import (
     DiscountSchedule,
     Market,
@@ -11,12 +14,15 @@ from dynration.market import (
     ParseError,
     ex_ration,
     ex_twogen,
+    load_json,
     make_market,
     parse_market,
+    require_array,
+    require_keys,
     serialize_market,
     validate_market,
 )
-from dynration.numeric import FLOAT, RATIONAL
+from dynration.numeric import FLOAT, MODES, RATIONAL, NumberParseError, format_number, parse_number
 
 from gen import random_market
 
@@ -78,10 +84,11 @@ def test_lambda_defaults_to_ones():
     assert m.discounts.lambda_b == (1,)
 
 
-def test_duplicate_atom_is_parse_error():
+def test_duplicate_atom_is_rejected():
     text = '{"T": 1, "atoms": ["1/2", "1/2"], "mass": [[1, 1]], "inventory": 1, "delta": [1]}'
-    with pytest.raises(ParseError):
+    with pytest.raises(MarketError) as err:
         parse_market(text)
+    assert [v.code for v in err.value.violations] == ["AtomsNotIncreasing"]
 
 
 def test_parse_diagnostics():
@@ -124,3 +131,157 @@ def test_mode_conversion_to_float():
     m = ex_ration(mode=FLOAT)
     assert isinstance(m.atoms[0], float)
     assert m.inventory == 1.5
+
+
+# -- the parser against its former implementation ---------------------------
+
+_REQUIRED = ("T", "atoms", "mass", "inventory", "delta")
+_OPTIONAL = ("lambdaS", "lambdaB")
+
+
+def _reference_parse_market(text, mode=RATIONAL):
+    """The former parse_market, which ran its own number, shape and order
+    checks before building the Market itself."""
+    if mode not in MODES:
+        raise ParseError(f"unknown numeric mode {mode!r}")
+    doc = require_keys(load_json(text), "top level", _REQUIRED, _OPTIONAL)
+
+    def num(raw, where):
+        try:
+            return parse_number(raw, mode)
+        except NumberParseError as exc:
+            raise ParseError(f"{where}: {exc}") from exc
+
+    if not isinstance(doc["T"], int) or isinstance(doc["T"], bool):
+        raise ParseError("T: must be an integer")
+    T = doc["T"]
+
+    def numeric_list(key, raw, expect=None):
+        require_array(raw, key)
+        if expect is not None and len(raw) != expect:
+            raise ParseError(f"{key}: expected {expect} entries, got {len(raw)}")
+        return [num(x, f"{key}[{i}]") for i, x in enumerate(raw)]
+
+    atoms = numeric_list("atoms", doc["atoms"])
+    for lo, hi in zip(atoms, atoms[1:]):
+        if not lo < hi:
+            raise ParseError(f"atoms: not strictly increasing at {format_number(hi)}")
+    if not isinstance(doc["mass"], list) or len(doc["mass"]) != T:
+        raise ParseError(f"mass: expected {T} rows")
+    mass = [numeric_list(f"mass[{t}]", row, expect=len(atoms)) for t, row in enumerate(doc["mass"])]
+    if doc["inventory"] == "inf":
+        inventory = None
+    else:
+        inventory = num(doc["inventory"], "inventory")
+    delta = numeric_list("delta", doc["delta"], expect=T)
+    lam_s = numeric_list("lambdaS", doc["lambdaS"], expect=T) if "lambdaS" in doc else None
+    lam_b = numeric_list("lambdaB", doc["lambdaB"], expect=T) if "lambdaB" in doc else None
+
+    market = Market(
+        T=T,
+        atoms=tuple(atoms),
+        mass=tuple(tuple(row) for row in mass),
+        inventory=inventory,
+        discounts=DiscountSchedule(
+            tuple(delta),
+            tuple(lam_s) if lam_s is not None else tuple(num(1, "lambdaS") for _ in range(T)),
+            tuple(lam_b) if lam_b is not None else tuple(num(1, "lambdaB") for _ in range(T)),
+        ),
+        mode=mode,
+    )
+    violations = validate_market(market)
+    if violations:
+        raise MarketError(violations)
+    return market
+
+
+JUNK = ("x", None, True, [], {}, "1/0", "inf", "1e400", "2.5", -1, 0)
+
+
+def _valid_doc(rng):
+    """A random market document, each number spelled as an int or fraction
+    string, a string or, where that is exact, a float, with the lambdas
+    sometimes omitted."""
+    m = random_market(rng, max_periods=4, max_atoms=4, general_lambda=rng.random() < 0.5)
+    doc = json.loads(serialize_market(m))
+    for node, key in _slots(doc):
+        if not isinstance(node[key], list) and key != "T" and node[key] != "inf":
+            x = F(node[key])
+            node[key] = rng.choice((node[key], str(x), float(x) if F(float(x)) == x else str(x)))
+    for key in _OPTIONAL:
+        if rng.random() < 0.4:
+            del doc[key]
+    return doc
+
+
+def _slots(node):
+    """Every (container, key) of a document, nested arrays included."""
+    for key, value in list(node.items() if isinstance(node, dict) else enumerate(node)):
+        yield node, key
+        if isinstance(value, list):
+            yield from _slots(value)
+
+
+def _broken(doc, rng):
+    """``doc`` with one fault: a junk value, a dropped or extra key, a dropped
+    or repeated array entry, equal or swapped atoms, or a wrong T."""
+    doc = copy.deepcopy(doc)
+    fault = rng.randrange(6)
+    if fault == 0:
+        node, key = rng.choice(list(_slots(doc)))
+        node[key] = rng.choice(JUNK)
+    elif fault == 1:
+        del doc[rng.choice(sorted(doc))]
+    elif fault == 2:
+        doc["zzz"] = 0
+    elif fault == 3:
+        array = rng.choice([node[key] for node, key in _slots(doc) if isinstance(node[key], list) and node[key]])
+        i = rng.randrange(len(array))
+        if rng.random() < 0.5:
+            del array[i]
+        else:
+            array.insert(i, copy.deepcopy(array[i]))
+    elif fault == 4 and len(doc["atoms"]) > 1:
+        atoms, i = doc["atoms"], rng.randrange(len(doc["atoms"]) - 1)
+        atoms[i + 1], atoms[i] = atoms[i], atoms[i + 1] if rng.random() < 0.5 else atoms[i]
+    else:
+        doc["T"] = rng.choice((doc["T"] - 1, doc["T"] + 1, 10**12, True, float(doc["T"]), str(doc["T"])))
+    return doc
+
+
+def _outcome(parse, text, mode):
+    try:
+        return parse(text, mode)
+    except (ParseError, MarketError):
+        return None
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_parse_market_agrees_with_the_reference_parser(mode):
+    # each parser rejects exactly the documents that the other rejects, and
+    # where both read one they build the same Market, number types included
+    rng = random.Random(1313)
+    rejected = total = 0
+    for _ in range(60):
+        doc = _valid_doc(rng)
+        assert _outcome(parse_market, json.dumps(doc), mode) is not None
+        for text in [json.dumps(doc)] + [json.dumps(_broken(doc, rng)) for _ in range(12)]:
+            ref, new = _outcome(_reference_parse_market, text, mode), _outcome(parse_market, text, mode)
+            assert new == ref and repr(new) == repr(ref), text
+            rejected += new is None
+            total += 1
+    assert 0.5 * total < rejected < 0.95 * total
+
+
+def test_a_huge_T_is_rejected_without_building_T_long_schedules(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"T": 1000000000000, "atoms": [1], "mass": [[1]], "inventory": 1, "delta": [1]}')
+    assert main(["solve", str(path), "--out", str(tmp_path)]) == 2
+    assert "MassShapeMismatch: 1 rows for T=1000000000000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["inventory", "delta", "lambdaS", "lambdaB"])
+def test_null_inventory_and_schedules_are_rejected(key):
+    doc = {"T": 1, "atoms": [1], "mass": [[1]], "inventory": 1, "delta": [1], key: None}
+    with pytest.raises(ParseError, match=f"^{key}: "):
+        parse_market(json.dumps(doc))
