@@ -31,6 +31,7 @@ prediction check.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -118,21 +119,15 @@ def build_coordinate_lp(market: Market, partition: Partition, rows, t: int) -> C
     partition must hold the market atoms.
     """
     npieces = partition.npieces
-    atoms = set(market.atoms)
-    is_atom = [p in atoms for p in partition.points]
-
-    # Probe j is one on the pieces >= first[j]: the zero rule, then every
-    # tail except a closed one off the atoms. That point piece has no mass,
-    # so its tail equals the open tail that follows it.
-    first = [npieces] + [f for f in range(npieces) if f % 2 or is_atom[f // 2]]
-
-    dtype = object if market.mode == RATIONAL else float
+    first, probes = _tail_probes(partition.points, market.atoms, market.mode)
     R = list(rows)
-    R[t] = [np.array([1 if p >= f else 0 for f in first], dtype=dtype) for p in range(npieces)]
+    R[t] = probes
     batch = formula_layer(market, partition, R)
     # tolist() hands back Python scalars, so no numpy scalar reaches the
-    # model; without atoms the sums stay scalars and are broadcast.
-    revenue, used = (np.broadcast_to(x, (len(first),)).tolist() for x in (batch.revenue, batch.inventory_used))
+    # model; without atoms the sums stay scalars and are repeated.
+    revenue, used = (
+        x.tolist() if isinstance(x, np.ndarray) else [x] * len(first) for x in (batch.revenue, batch.inventory_used)
+    )
     probed = dict(zip(first, zip(revenue, used)))
     base_rev, base_used = probed[npieces]
 
@@ -149,6 +144,26 @@ def build_coordinate_lp(market: Market, partition: Partition, rows, t: int) -> C
     )
     _assert_affine(lp, market, partition, rows)
     return lp
+
+
+@functools.lru_cache(maxsize=16)
+def _tail_probes(points: tuple, atoms: tuple, mode) -> tuple:
+    """``(first, columns)`` of the tail probes on the partition of ``points``.
+
+    Probe j is one on the pieces >= first[j]: the zero rule, then every
+    tail except a closed one off the atoms. That point piece has no mass,
+    so its tail equals the open tail that follows it. ``columns[p]`` holds
+    every probe's value on piece p, as a read-only array; a run's builds
+    share one set.
+    """
+    npieces = 2 * len(points) - 1
+    atoms = set(atoms)
+    first = (npieces, *(f for f in range(npieces) if f % 2 or points[f // 2] in atoms))
+    dtype = object if mode == RATIONAL else float
+    columns = tuple(np.array([1 if p >= f else 0 for f in first], dtype=dtype) for p in range(npieces))
+    for column in columns:
+        column.flags.writeable = False
+    return first, columns
 
 
 def _held_out_row(npieces: int, mode) -> tuple:

@@ -40,6 +40,22 @@ rule values ``R[t][p]`` that may be Python scalars (exact ``Fraction`` or
 entry per candidate profile. The grid oracle calls it with each period's
 candidates on their own axis to score a whole batch at once.
 
+Optimal rules are mostly exact 0s and 1s, so where a rule value is a Python
+scalar equal to 0 or 1 the layer takes the value its expression would give
+without doing the arithmetic: ``g_t`` is ``g_{t+1}`` at r = 0 and
+``delta_t`` at r = 1, ``f*_t`` is ``f_t + f*_{t-1}`` at r = 0 and ``f_t``
+at r = 1, and the payment's ``delta_t v r + (1 - r) U_{t+1}`` is
+``U_{t+1}`` at r = 0 and ``delta_t v`` at r = 1. Each is bit for bit the
+full expression: it drops a product with an exact 0 (``0 * x`` is 0 and
+``y + 0`` is ``y``) and a product with an exact 1 (``1 * x`` is ``x``),
+exactly in ``Fraction`` arithmetic and in IEEE floats, since every value
+involved is finite and never -0.0 (none is negative). ``g_T`` is the
+deltas' zero, not an int 0, so a value handed on is of the kind the
+expression makes. The layer does not take a shortcut that would lose an
+array's shape (r = 1 against a carried array in ``g`` or ``f*``), numpy
+rule values always take the full expression, and the sums take every
+term, because a sum of no terms would be int 0, not 0.0.
+
 :func:`evaluate` takes any profile, jumps anywhere in [0, 1], and refines
 its partition and rows; a caller that holds rows on one partition already,
 as the coordinate ascent does, calls :func:`evaluate_rows` directly.
@@ -48,10 +64,18 @@ as the coordinate ascent does, calls :func:`evaluate_rows` directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import chain
+from operator import mul
 
 from .market import Market
 from .numeric import RATIONAL
 from .stepfn import Partition, StepFunction, segment_refinement
+
+
+# Rule values of these types are Python scalars, whose exact 0 and 1 skip
+# their arithmetic in the formula layer.
+_SCALARS = frozenset((int, float, Fraction))
 
 
 class EvaluatorInternalError(AssertionError):
@@ -132,18 +156,29 @@ class Evaluation:
         ]
 
 
+def _plain(row) -> bool:
+    """Whether ``row``, all Python scalars or all numpy values, holds scalars."""
+    return not len(row) or type(row[0]) in _SCALARS
+
+
 def effective_discounts(delta, R):
     """Yield ``(t, g_t)`` for t = T-1 down to 0, one value per entry of ``R[t]``.
 
     ``g_t = delta_t r_t + (1 - r_t) g_{t+1}`` with ``g_T = 0`` is the
     expected discount of the eventual purchase of a buyer present at t,
-    and the slope of ``U_t``.
+    and the slope of ``U_t``. ``g_T`` is the deltas' own zero, which the
+    recursion would make of an int 0 at its first step anyway, so that a
+    rule of 0 can hand ``g_{t+1}`` on as it is.
     """
-    g = [0] * len(R[0])
+    g = [delta[0] * 0] * len(R[0])
+    whole = True  # g holds Python scalars
     for t in range(len(R) - 1, -1, -1):
-        rt = R[t]
-        d = delta[t]
-        g = [d * rt[p] + (1 - rt[p]) * g[p] for p in range(len(g))]
+        row, d = R[t], delta[t]
+        if _plain(row):
+            g = [x if r == 0 else d if r == 1 and whole else d * r + (1 - r) * x for r, x in zip(row, g)]
+        else:
+            whole = False
+            g = [d * r + (1 - r) * x for r, x in zip(row, g)]
         yield t, g
 
 
@@ -154,36 +189,45 @@ def formula_layer(market: Market, partition: Partition, R) -> Evaluation:
     numbers must be of the same kind as the entries (float with numpy
     arrays). ``R[t]`` may be an ndarray with the pieces on axis 0, and the
     periods' arrays may have different shapes that broadcast against each
-    other. The operation order is fixed, so every array entry is bit for
-    bit the value that its own float scalars give.
+    other. Each ``R[t]`` holds Python scalars only or numpy values only.
+    The operation order is fixed, so every array entry is bit for bit the
+    value that its own float scalars give.
     """
-    T = market.T
-    n = market.num_atoms
     delta = market.discounts.delta
     lam_s = market.discounts.lambda_s
     lam_b = market.discounts.lambda_b
-    atom_pc = [partition.piece_of_point(a) for a in market.atoms]
-    r_at = [[R[t][pc] for pc in atom_pc] for t in range(T)]
+    atoms = market.atoms
+    atom_pc = [partition.piece_of_point(a) for a in atoms]
+    r_at = [[row[pc] for pc in atom_pc] for row in R]
+    plain = [_plain(row) for row in r_at]
 
-    u_points = [None] * T + [partition.prefix_integrals([0] * (len(partition.points) - 1))]
+    u_points = [None] * market.T + [partition.prefix_integrals([0] * (len(partition.points) - 1))]
     for t, g in effective_discounts(delta, [r[1::2] for r in R]):
         u_points[t] = partition.prefix_integrals(g)
-    u_at = [[u_points[t][pc // 2] for pc in atom_pc] for t in range(T + 1)]
+    atom_k = [pc // 2 for pc in atom_pc]
+    u_at = [[u[k] for k in atom_k] for u in u_points]
 
     fstar = [list(market.mass[0])]
-    for t in range(1, T):
-        fstar.append([market.mass[t][i] + fstar[t - 1][i] * (1 - r_at[t - 1][i]) for i in range(n)])
+    whole = True  # f* so far holds Python scalars
+    for m_row, r_row, plain_r in zip(market.mass[1:], r_at, plain):
+        carry = zip(m_row, fstar[-1], r_row)
+        if plain_r:
+            fstar.append([m + f if r == 0 else m if r == 1 and whole else m + f * (1 - r) for m, f, r in carry])
+        else:
+            whole = False
+            fstar.append([m + f * (1 - r) for m, f, r in carry])
 
-    payments = [
-        [
-            (delta[t] * market.atoms[i] * r_at[t][i] + (1 - r_at[t][i]) * u_at[t + 1][i] - u_at[t][i])
-            / lam_b[t]
-            for i in range(n)
-        ]
-        for t in range(T)
-    ]
-    revenue = sum(lam_s[t] * sum(payments[t][i] * fstar[t][i] for i in range(n)) for t in range(T))
-    used = sum(r_at[t][i] * fstar[t][i] for t in range(T) for i in range(n))
+    payments = []
+    for d, lb, r_row, plain_r, u_next, u_now in zip(delta, lam_b, r_at, plain, u_at[1:], u_at):
+        terms = zip(atoms, r_row, u_next, u_now)
+        if plain_r:
+            payments.append(
+                [((d * a if r == 1 else x if r == 0 else d * a * r + (1 - r) * x) - u) / lb for a, r, x, u in terms]
+            )
+        else:
+            payments.append([(d * a * r + (1 - r) * x - u) / lb for a, r, x, u in terms])
+    revenue = sum(ls * sum(map(mul, p_row, f_row)) for ls, p_row, f_row in zip(lam_s, payments, fstar))
+    used = sum(map(mul, chain.from_iterable(r_at), chain.from_iterable(fstar)))
     return Evaluation(market, partition, u_points, r_at, u_at, fstar, payments, revenue, used)
 
 
@@ -198,32 +242,40 @@ def evaluate(market: Market, profile: AllocationProfile) -> Evaluation:
 def evaluate_rows(market: Market, partition: Partition, R) -> Evaluation:
     """:func:`evaluate` of the rules whose piece values on ``partition`` are ``R[t]``."""
     ev = formula_layer(market, partition, R)
-    r_at = ev.r_at
-    _check_fstar_closed_form(market, r_at, ev.fstar)
+    # keep[i][t] = 1 - r_t at atom i, and mass[i][t] its arrivals
+    keep = list(zip(*([1 - r for r in row] for row in ev.r_at)))
+    mass = list(zip(*market.mass))
+    _check_fstar_closed_form(market, keep, mass, ev.fstar)
 
     # Each cohort is served unless it survives every period from its arrival
     # on; the survival products are suffix products over t.
     used_by_cohort = 0
-    for i in range(market.num_atoms):
+    for keep_i, mass_i in zip(keep, mass):
         survive = 1
-        for t in range(market.T - 1, -1, -1):
-            survive *= 1 - r_at[t][i]
-            used_by_cohort += (1 - survive) * market.mass[t][i]
+        for k, m in zip(reversed(keep_i), reversed(mass_i)):
+            survive *= k
+            used_by_cohort += (1 - survive) * m
     _require_equal(ev.inventory_used, used_by_cohort, market.mode, "inventory accounting")
     return ev
 
 
-def _check_fstar_closed_form(market: Market, r_at, fstar):
+def _check_fstar_closed_form(market: Market, keep, mass, fstar):
     # f*_t(v) must equal sum_j f_j(v) prod_{j <= k < t} (1 - r_k(v)); walking
-    # j down from t extends the product by one factor per term.
-    mass = market.mass
-    for t in range(market.T):
-        for i in range(market.num_atoms):
-            total, survive = mass[t][i], 1
-            for j in range(t - 1, -1, -1):
-                survive *= 1 - r_at[j][i]
-                total += mass[j][i] * survive
-            _require_equal(fstar[t][i], total, market.mode, f"fstar closed form at t={t}")
+    # j down from t extends the product by one factor per term. Once the
+    # product is an exact 0 it stays 0, and adding m * 0 to the nonnegative
+    # total leaves it as it is, so the walk stops there.
+    rational = market.mode == RATIONAL
+    for t, row in enumerate(fstar):
+        earlier = range(t - 1, -1, -1)
+        for f, keep_i, mass_i in zip(row, keep, mass):
+            total, survive = mass_i[t], 1
+            for j in earlier:
+                survive *= keep_i[j]
+                if survive == 0:
+                    break
+                total += mass_i[j] * survive
+            if f != total and (rational or abs(f - total) > 1e-9 * max(1.0, abs(f), abs(total))):
+                _require_equal(f, total, market.mode, f"fstar closed form at t={t}")
 
 
 def _require_equal(a, b, mode, what):

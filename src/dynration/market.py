@@ -97,16 +97,19 @@ def make_market(
     """Build and validate a market, reading every number into ``mode``.
 
     The one builder of a Market: a bad number or a non-array raises
-    ParseError naming its field, a violated invariant MarketError. An
-    omitted schedule is all ones, one per mass row, since ``T`` bounds nothing.
+    ParseError naming its field, as does a ``T`` that is not an int (a bool
+    is none), a violated invariant MarketError. An omitted schedule is all
+    ones, one per mass row, since ``T`` bounds nothing.
     """
+    if not isinstance(T, int) or isinstance(T, bool):
+        raise ParseError("T: must be an integer")
     atoms = read_numbers(atoms, "atoms", mode)
     mass = tuple(read_numbers(row, f"mass[{t}]", mode) for t, row in enumerate(require_array(mass, "mass")))
     inventory = None if inventory is None else read_number(inventory, "inventory", mode)
     ones = (parse_number(1, mode),) * len(mass)
     schedules = (("delta", delta), ("lambdaS", lambda_s), ("lambdaB", lambda_b))
     discounts = DiscountSchedule(*(ones if raw is None else read_numbers(raw, key, mode) for key, raw in schedules))
-    market = Market(int(T), atoms, mass, inventory, discounts, mode)
+    market = Market(T, atoms, mass, inventory, discounts, mode)
     violations = validate_market(market)
     if violations:
         raise MarketError(violations)
@@ -166,9 +169,9 @@ def validate_market(m: Market) -> list[Violation]:
 #   lambdaS    array of T numbers   (optional, defaults to all ones)
 #   lambdaB    array of T numbers   (optional, defaults to all ones)
 #
-# parse_market checks only what the format adds (the keys, an integer T,
-# "inf", no null); make_market reads the numbers and validate_market checks
-# every shape, order and range.
+# parse_market checks only what the format adds (the keys, "inf", no null);
+# make_market checks that T is an integer and reads the numbers, and
+# validate_market checks every shape, order and range.
 
 _REQUIRED = ("T", "atoms", "mass", "inventory", "delta")
 _OPTIONAL = ("lambdaS", "lambdaB")
@@ -225,9 +228,6 @@ def parse_market(text: str, mode: str = RATIONAL) -> Market:
     if mode not in MODES:
         raise ParseError(f"unknown numeric mode {mode!r}")
     doc = require_keys(load_json(text), "top level", _REQUIRED, _OPTIONAL)
-    T = doc["T"]
-    if not isinstance(T, int) or isinstance(T, bool):
-        raise ParseError("T: must be an integer")
     # make_market reads None as omitted; in a file, null is a bad value
     inventory = doc["inventory"]
     if inventory is None:
@@ -236,7 +236,9 @@ def parse_market(text: str, mode: str = RATIONAL) -> Market:
         if key in doc and doc[key] is None:
             raise ParseError(f"{key}: must be an array")
     inventory = None if inventory == "inf" else inventory
-    return make_market(T, doc["atoms"], doc["mass"], inventory, doc["delta"], doc.get("lambdaS"), doc.get("lambdaB"), mode)
+    return make_market(
+        doc["T"], doc["atoms"], doc["mass"], inventory, doc["delta"], doc.get("lambdaS"), doc.get("lambdaB"), mode
+    )
 
 
 def serialize_market(m: Market) -> str:

@@ -15,6 +15,8 @@ the exact per-period optimizer needs them as candidates.
 from __future__ import annotations
 
 import bisect
+from itertools import accumulate
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -164,13 +166,14 @@ class Partition:
     which reduces all integrals and atom sums to per-piece arithmetic.
     """
 
-    __slots__ = ("points", "_index")
+    __slots__ = ("points", "_widths", "_index")
 
     def __init__(self, points: Iterable):
         pts = sorted(set(points) | {0, 1})
         if pts[0] < 0 or pts[-1] > 1:
             raise DomainError("partition points must lie in [0, 1]")
         self.points = tuple(pts)
+        self._widths = tuple(b - a for a, b in zip(pts, pts[1:]))  # gap k is p_{k+1} - p_k long
         self._index = {p: k for k, p in enumerate(pts)}
 
     @property
@@ -204,11 +207,7 @@ class Partition:
 
     def prefix_integrals(self, gap_values: Sequence) -> list:
         """``∫_0^{p_k}`` of the function worth ``gap_values[k]`` on gap k, one entry per point."""
-        pts = self.points
-        out = [0]
-        for k in range(len(pts) - 1):
-            out.append(out[-1] + gap_values[k] * (pts[k + 1] - pts[k]))
-        return out
+        return list(accumulate(map(mul, gap_values, self._widths), initial=0))
 
 
 def segment_refinement(fs: Iterable[StepFunction], points: Iterable = ()) -> Partition:

@@ -194,6 +194,25 @@ def test_build_calls_evaluate_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_tail_probes_are_read_only_and_follow_the_atoms(mode):
+    # a run's builds share one set of probe columns, so none may be written
+    num = F if mode == RATIONAL else (lambda p, q: p / q)
+    points = Partition([num(1, 4), num(1, 2), num(3, 4)]).points
+    first, columns = ascent._tail_probes(points, (num(1, 2),), mode)
+    assert len(columns) == 2 * len(points) - 1
+    for column in columns:
+        assert not column.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 1
+    assert ascent._tail_probes(points, (num(1, 2),), mode)[1] is columns
+    # the closed tail at a point without mass is not probed, so the same
+    # points with other atoms probe other tails
+    other, _ = ascent._tail_probes(points, (num(1, 4), num(3, 4)), mode)
+    assert first == (9, 1, 3, 4, 5, 7)
+    assert other == (9, 1, 2, 3, 5, 6, 7)
+
+
 def test_float_held_out_candidate_has_float_levels():
     for npieces in (3, 5, 7):
         row = ascent._held_out_row(npieces, FLOAT)

@@ -22,7 +22,7 @@ from dynration import (
 from dynration.evaluate import Evaluation, EvaluatorInternalError, evaluate_rows, formula_layer
 from dynration.report import evaluation_csv
 
-from gen import random_feasible_profile, random_market, random_profile, random_step, slopes
+from gen import MASS_POOL, random_feasible_profile, random_market, random_profile, random_step, slopes
 
 # the module; the package's ``evaluate`` attribute is the function
 evaluate_mod = importlib.import_module("dynration.evaluate")
@@ -379,3 +379,123 @@ def test_self_checks_catch_a_perturbed_formula_layer(monkeypatch, mode, target):
         with pytest.raises(EvaluatorInternalError, match=what):
             evaluate(m, prof)
         monkeypatch.undo()
+
+
+# -- the formula layer against its former implementation -----------------------
+
+
+def _reference_formula_layer(market, partition, R):
+    """The formula layer as it was before its exact 0/1 shortcuts: every
+    entry through its full expression, indexed by period and atom, and its
+    own prefix integrals. Returns the tables and sums in Evaluation order."""
+    T, n = market.T, market.num_atoms
+    delta = market.discounts.delta
+    lam_s = market.discounts.lambda_s
+    lam_b = market.discounts.lambda_b
+    pts = partition.points
+
+    def prefix_integrals(gap_values):
+        out = [0]
+        for k in range(len(pts) - 1):
+            out.append(out[-1] + gap_values[k] * (pts[k + 1] - pts[k]))
+        return out
+
+    atom_pc = [partition.piece_of_point(a) for a in market.atoms]
+    r_at = [[R[t][pc] for pc in atom_pc] for t in range(T)]
+    gaps = [r[1::2] for r in R]
+    u_points = [None] * T + [prefix_integrals([0] * (len(pts) - 1))]
+    g = [0] * len(gaps[0])
+    for t in range(T - 1, -1, -1):
+        rt, d = gaps[t], delta[t]
+        g = [d * rt[p] + (1 - rt[p]) * g[p] for p in range(len(g))]
+        u_points[t] = prefix_integrals(g)
+    u_at = [[u_points[t][pc // 2] for pc in atom_pc] for t in range(T + 1)]
+    fstar = [list(market.mass[0])]
+    for t in range(1, T):
+        fstar.append([market.mass[t][i] + fstar[t - 1][i] * (1 - r_at[t - 1][i]) for i in range(n)])
+    payments = [
+        [
+            (delta[t] * market.atoms[i] * r_at[t][i] + (1 - r_at[t][i]) * u_at[t + 1][i] - u_at[t][i]) / lam_b[t]
+            for i in range(n)
+        ]
+        for t in range(T)
+    ]
+    revenue = sum(lam_s[t] * sum(payments[t][i] * fstar[t][i] for i in range(n)) for t in range(T))
+    used = sum(r_at[t][i] * fstar[t][i] for t in range(T) for i in range(n))
+    return [u_points, r_at, u_at, fstar, payments, revenue, used]
+
+
+def _spelled(x):
+    """``x`` with every number spelled by its type and repr, arrays by dtype and shape too."""
+    if isinstance(x, np.ndarray):
+        return ("ndarray", str(x.dtype), x.shape, [_spelled(y) for y in x.ravel().tolist()])
+    if isinstance(x, (list, tuple)):
+        return [_spelled(y) for y in x]
+    return (type(x).__name__, repr(x))
+
+
+def _tables(ev: Evaluation) -> list:
+    return [ev.u_points, ev.r_at, ev.u_at, ev.fstar, ev.payments, ev.revenue, ev.inventory_used]
+
+
+def _edge_market(rng, mode):
+    """A small random market that may put atoms at 0 and 1, tie deltas, take
+    general lambdas and leave supply unbounded."""
+    T, n = rng.randint(1, 4), rng.randint(1, 4)
+    atoms = sorted(rng.sample([F(k, 12) for k in range(13)], n))
+    if rng.random() < 0.3:
+        atoms = sorted({F(0), *atoms[1:-1], F(1)})
+    mass = [[rng.choice(MASS_POOL) for _ in atoms] for _ in range(T)]
+    mass[0][-1] += 1
+    pool = [F(1), F(11, 12), F(5, 6), F(3, 4), F(2, 3), F(1, 2)]
+    schedules = [sorted((rng.choice(pool) for _ in range(T)), reverse=True) for _ in range(3)]
+    if T > 1 and rng.random() < 0.5:
+        schedules[0][1] = schedules[0][0]
+    if rng.random() < 0.5:
+        schedules[1] = schedules[2] = None
+    inventory = None if rng.random() < 0.4 else F(rng.randint(1, 8), 4)
+    return make_market(T=T, atoms=atoms, mass=mass, inventory=inventory, delta=schedules[0],
+                       lambda_s=schedules[1], lambda_b=schedules[2], mode=mode)
+
+
+def _edge_row(rng, npieces, mode):
+    """A monotone row of whole levels as ints and as the mode's numbers, and fractions."""
+    if mode == RATIONAL:
+        levels = [0, 0, 1, 1, F(0), F(1), F(1, 3), F(1, 2), F(3, 4)]
+    else:
+        levels = [0, 0, 1, 1, 0.0, 1.0, 1 / 3, 0.5, 0.75]
+    return tuple(sorted((rng.choice(levels) for _ in range(npieces)), key=float))
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_formula_layer_matches_the_reference_by_repr(mode):
+    # the shortcuts skip arithmetic on exact 0 and 1 levels; every table
+    # entry and both sums must still be what the full expressions give, of
+    # the same type (and dtype and shape), on scalar rows, on the build's
+    # batch (one period as per-piece columns) and on the oracle's (every
+    # period an array with its candidates on an axis of its own)
+    rng = random.Random(2024)
+    num = F if mode == RATIONAL else float
+    dtype = object if mode == RATIONAL else float
+    for _ in range(60):
+        m = _edge_market(rng, mode)
+        part = Partition([*m.atoms, *(num(F(rng.randint(1, 23), 24)) for _ in range(rng.randint(0, 2)))])
+        rows = [_edge_row(rng, part.npieces, mode) for _ in range(m.T)]
+        checks = [rows]
+
+        t = rng.randrange(m.T)
+        columns = [_edge_row(rng, part.npieces, mode) for _ in range(3)]
+        build = list(rows)
+        build[t] = [np.array([c[p] for c in columns], dtype=dtype) for p in range(part.npieces)]
+        checks.append(build)
+
+        oracle = []
+        for s in range(m.T):
+            candidates = np.array([_edge_row(rng, part.npieces, mode) for _ in range(2)], dtype=dtype).T
+            oracle.append(candidates.reshape((part.npieces,) + tuple(2 if k == s else 1 for k in range(m.T))))
+        checks.append(oracle)
+
+        for R in checks:
+            want = _spelled(_reference_formula_layer(m, part, R))
+            assert _spelled(_tables(formula_layer(m, part, R))) == want
+        assert _spelled(_tables(evaluate_rows(m, part, rows))) == _spelled(_reference_formula_layer(m, part, rows))

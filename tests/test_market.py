@@ -285,3 +285,19 @@ def test_null_inventory_and_schedules_are_rejected(key):
     doc = {"T": 1, "atoms": [1], "mass": [[1]], "inventory": 1, "delta": [1], key: None}
     with pytest.raises(ParseError, match=f"^{key}: "):
         parse_market(json.dumps(doc))
+
+
+@pytest.mark.parametrize("T", [2.7, 2.0, "2", True, None, F(2)])
+def test_make_market_rejects_a_T_that_is_not_an_int(T):
+    # a non-integer T is refused by name, never truncated to an int
+    with pytest.raises(ParseError, match="^T: must be an integer$"):
+        make_market(T=T, atoms=[1], mass=[[1], [1]])
+    assert make_market(T=2, atoms=[1], mass=[[1], [1]]).T == 2
+
+
+@pytest.mark.parametrize("T", ["2.5", "true", '"2"'])
+def test_a_file_whose_T_is_not_an_int_exits_2(tmp_path, capsys, T):
+    path = tmp_path / "market.json"
+    path.write_text(f'{{"T": {T}, "atoms": [1], "mass": [[1], [1]], "inventory": 1, "delta": [1, 1]}}')
+    assert main(["solve", str(path), "--out", str(tmp_path)]) == 2
+    assert "error: T: must be an integer" in capsys.readouterr().err
