@@ -14,12 +14,22 @@ functions come back only in the returned report.
 
 A monotone row is a nonnegative combination of tails, the rows that are one
 on the pieces ``>= f``, so the affine model of a period is the values of
-its tails, indexed by ``f``. All tails of one build are measured in a
-single batched :func:`dynration.evaluate.formula_layer` call, the period's
-rule carried as one numpy column per piece. The solver's candidates are
-single tails and mixtures of two. Each build re-verifies affinity on a
-held-out row through the full evaluator, so a disagreement surfaces as an
-error instead of a silent drift.
+its tails, indexed by ``f``. How a build finds them depends on the market's
+mode:
+
+* float: all tails are measured in a single batched
+  :func:`dynration.evaluate.formula_layer` call, the period's rule carried
+  as one numpy column per piece, so every value is the evaluator's own
+  float, to the last bit;
+* rational: one evaluation of the period's rule at zero and one pass of
+  :func:`dynration.evaluate.coordinate_coefficients` give every piece's
+  exact revenue and usage coefficient, and a tail is the sum of the
+  coefficients from its piece up. Exact arithmetic makes this equal to the
+  probes' values, in any order of the operations.
+
+The solver's candidates are single tails and mixtures of two. Each build
+re-verifies affinity on a held-out row through the full evaluator, so a
+disagreement surfaces as an error instead of a silent drift.
 
 Period t's model reads only the other periods' rows, so
 :func:`coordinate_ascent` memoizes its solution keyed by ``t`` and those
@@ -38,14 +48,21 @@ from fractions import Fraction
 
 import numpy as np
 
-from .evaluate import AllocationProfile, effective_discounts, evaluate, evaluate_rows, formula_layer
+from .evaluate import (
+    AllocationProfile,
+    coordinate_coefficients,
+    effective_discounts,
+    evaluate,
+    evaluate_rows,
+    formula_layer,
+)
 from .market import Market
 from .numeric import RATIONAL, default_tol
 from .stepfn import Jump, Partition, StepFunction, segment_refinement
 
 
 class AffinityError(AssertionError):
-    """A probe disagreed with the affine reconstruction; evaluator bug."""
+    """The evaluator disagreed with the affine model; an implementation bug."""
 
 
 @dataclass
@@ -56,8 +73,10 @@ class CoordinateLP:
     coordinate, of the rule that is one on the pieces ``>= f``: the closed
     tail ``1[p_k <= x]`` at point k is ``tails[2k]``, the open tail
     ``1[p_k < x]`` is ``tails[2k + 1]`` (at the point 1 it is the zero rule
-    and has no entry). A row is its first value times ``tails[0]`` plus each
-    step up times the tail starting there. ``budget`` is the inventory
+    and has no entry). Float builds take the tails from probes of the
+    formula layer, rational builds from exact per-piece coefficients; both
+    give the same values. A row is its first value times ``tails[0]`` plus
+    each step up times the tail starting there. ``budget`` is the inventory
     headroom ``I - base_used`` (None when supply is unbounded); it already
     contains the coordinate's own current usage.
     """
@@ -111,15 +130,44 @@ class SolveReport:
 
 
 def build_coordinate_lp(market: Market, partition: Partition, rows, t: int) -> CoordinateLP:
-    """Measure the tails of period ``t`` in the formula layer.
+    """Measure the tails of period ``t``: probed in float mode, summed in rational mode.
 
     ``rows[s]`` is period s's rule on ``partition``; row ``t`` is ignored.
     Jumps of optimal candidates may sit on the partition points only (the
     functionals are affine in a jump's position between points), so the
     partition must hold the market atoms.
     """
+    if market.mode == RATIONAL:
+        base_rev, base_used, tails = _exact_tails(market, partition, rows, t)
+    else:
+        base_rev, base_used, tails = _probed_tails(market, partition, rows, t)
+    lp = CoordinateLP(
+        period=t,
+        tails=tails,
+        budget=None if market.unbounded else market.inventory - base_used,
+        base_revenue=base_rev,
+        base_used=base_used,
+    )
+    _assert_affine(lp, market, partition, rows)
+    return lp
+
+
+def _exact_tails(market: Market, partition: Partition, rows, t: int):
+    """Base and tails as suffix sums of the exact per-piece coefficients."""
+    base, coefficients = coordinate_coefficients(market, partition, rows, t)
+    rev = used = market.discounts.delta[0] * 0
+    tails = []
+    for j, g in reversed(coefficients):
+        rev += j
+        used += g
+        tails.append((rev, used))
+    return base.revenue, base.inventory_used, tuple(reversed(tails))
+
+
+def _probed_tails(market: Market, partition: Partition, rows, t: int):
+    """Base and tails from one batched formula-layer call over the tail probes."""
     npieces = partition.npieces
-    first, probes = _tail_probes(partition.points, market.atoms, market.mode)
+    first, probes = _tail_probes(partition.points, market.atoms)
     R = list(rows)
     R[t] = probes
     batch = formula_layer(market, partition, R)
@@ -135,42 +183,39 @@ def build_coordinate_lp(market: Market, partition: Partition, rows, t: int) -> C
         rev, used = probed[f] if f in probed else probed[f + 1]
         return rev - base_rev, used - base_used
 
-    lp = CoordinateLP(
-        period=t,
-        tails=tuple(change(f) for f in range(npieces)),
-        budget=None if market.unbounded else market.inventory - base_used,
-        base_revenue=base_rev,
-        base_used=base_used,
-    )
-    _assert_affine(lp, market, partition, rows)
-    return lp
+    return base_rev, base_used, tuple(change(f) for f in range(npieces))
 
 
 @functools.lru_cache(maxsize=16)
-def _tail_probes(points: tuple, atoms: tuple, mode) -> tuple:
+def _tail_probes(points: tuple, atoms: tuple) -> tuple:
     """``(first, columns)`` of the tail probes on the partition of ``points``.
 
     Probe j is one on the pieces >= first[j]: the zero rule, then every
     tail except a closed one off the atoms. That point piece has no mass,
     so its tail equals the open tail that follows it. ``columns[p]`` holds
-    every probe's value on piece p, as a read-only array; a run's builds
-    share one set.
+    every probe's value on piece p, as a read-only float array; a run's
+    builds share one set.
     """
     npieces = 2 * len(points) - 1
     atoms = set(atoms)
     first = (npieces, *(f for f in range(npieces) if f % 2 or points[f // 2] in atoms))
-    dtype = object if mode == RATIONAL else float
-    columns = tuple(np.array([1 if p >= f else 0 for f in first], dtype=dtype) for p in range(npieces))
+    columns = tuple(np.array([1 if p >= f else 0 for f in first], dtype=float) for p in range(npieces))
     for column in columns:
         column.flags.writeable = False
     return first, columns
 
 
 def _held_out_row(npieces: int, mode) -> tuple:
-    """A row that no tail probe equals: zero, then a half, then one."""
-    half = Fraction(1, 2) if mode == RATIONAL else 0.5
+    """A row that is no single tail, for the affinity check.
+
+    In rational mode it rises on every piece, ``(p + 1) / (npieces + 1)``,
+    so the exact check weighs every piece's coefficient. In float mode it
+    is zero, then a half, then one.
+    """
+    if mode == RATIONAL:
+        return tuple(Fraction(p + 1, npieces + 1) for p in range(npieces))
     lo, hi = (1, 2) if npieces == 3 else (2, npieces - 2)
-    return tuple(0 if p < lo else half if p < hi else 1 for p in range(npieces))
+    return tuple(0 if p < lo else 0.5 if p < hi else 1 for p in range(npieces))
 
 
 def _assert_affine(lp: CoordinateLP, market: Market, partition: Partition, rows):

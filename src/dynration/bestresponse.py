@@ -111,8 +111,7 @@ def best_response(market: Market, mech: PricedMechanism, *, tol=None) -> Equilib
     present = list(market.mass[0])  # [i] mass present when period t opens
     demand = [0] * T
     residual = [None] * T
-    revenue = 0
-    sales = 0
+    revenue = sales = delta[0] * 0
     for t in range(T):
         menu = mech.periods[t]
         lottery_mass = 0

@@ -59,6 +59,34 @@ term, because a sum of no terms would be int 0, not 0.0.
 :func:`evaluate` takes any profile, jumps anywhere in [0, 1], and refines
 its partition and rows; a caller that holds rows on one partition already,
 as the coordinate ascent does, calls :func:`evaluate_rows` directly.
+
+:func:`coordinate_coefficients` gives, for exact arithmetic, the affine
+model of revenue and usage in one period's rule h = r_t with the other rows
+fixed: the evaluation at h = 0 and every piece's coefficient. It reads the
+tables of that base evaluation. Write w_j for the width of gap j and
+``P_s[j] = prod_{s <= q < t} (1 - r_q(gap j))``.
+
+* Gap j. A unit of h there raises ``g_t[j]`` by ``delta_t - g_{t+1}[j]``,
+  and ``g_s[j]`` for s < t by ``P_s[j]`` times that; ``U_s`` rises by that
+  times w_j at every point above the gap. So revenue changes by
+  ``sum_{s <= t} lambdaS_s / lambdaB_s sum_{atoms i above j}
+  f*_s,i ((1 - r_s,i) dU_{s+1}(a_i) - dU_s(a_i))`` with ``dU_{t+1} = 0``;
+  suffix sums of f*_s and of f*_s (1 - r_s) over the atoms make this one
+  pass per period. Usage does not change: f* never reads a gap.
+* Atom i. Its own payment gives ``lambdaS_t f*_t,i (delta_t a_i -
+  U_{t+1}(a_i)) / lambdaB_t`` and its own usage ``f*_t,i``; the mass it
+  leaves changes later presence by ``df*_{t+1,i} = -f*_t,i`` and
+  ``df*_{s+1,i} = (1 - r_s,i) df*_s,i``, which adds ``lambdaS_s p_s,i
+  df*_s,i`` to revenue and ``r_s,i df*_s,i`` to usage for every s > t.
+* A point without an atom has no mass, so its coefficient is 0.
+
+The model is exactly affine: no product in the formula layer multiplies
+two quantities that both depend on row t (``f*_s`` depends on h only for
+s > t, where ``p_s`` and ``r_s`` do not; ``h`` multiplies ``U_{t+1}``, not
+``U_t``). In ``Fraction`` arithmetic every operation is exact, so the model
+at any row equals the formula layer's value there, whatever the order of
+the operations; in floats the two would differ in the last bits, which is
+why float builds probe the formula layer instead.
 """
 
 from __future__ import annotations
@@ -138,11 +166,10 @@ class Evaluation:
         """Discounted value of the served units, from ``r_at`` and ``fstar``."""
         m = self.market
         delta = m.discounts.delta
-        return sum(
-            delta[t] * m.atoms[i] * self.r_at[t][i] * self.fstar[t][i]
-            for t in range(m.T)
-            for i in range(m.num_atoms)
+        served = (
+            delta[t] * m.atoms[i] * self.r_at[t][i] * self.fstar[t][i] for t in range(m.T) for i in range(m.num_atoms)
         )
+        return sum(served, delta[0] * 0)
 
     @property
     def negative_payments(self) -> list:
@@ -227,8 +254,83 @@ def formula_layer(market: Market, partition: Partition, R) -> Evaluation:
         else:
             payments.append([(d * a * r + (1 - r) * x - u) / lb for a, r, x, u in terms])
     revenue = sum(ls * sum(map(mul, p_row, f_row)) for ls, p_row, f_row in zip(lam_s, payments, fstar))
-    used = sum(map(mul, chain.from_iterable(r_at), chain.from_iterable(fstar)))
+    used = sum(map(mul, chain.from_iterable(r_at), chain.from_iterable(fstar)), delta[0] * 0)
     return Evaluation(market, partition, u_points, r_at, u_at, fstar, payments, revenue, used)
+
+
+def coordinate_coefficients(market: Market, partition: Partition, R, t: int):
+    """``(base, coefficients)`` of period ``t``'s exact affine model.
+
+    ``base`` is the :class:`Evaluation` of ``R`` with row ``t`` zero (the
+    given row ``t`` is ignored); ``coefficients[p]`` is the (revenue, usage)
+    change per unit of row ``t``'s value on piece p, derived in the module
+    docstring. O(T (n + P)) operations for n atoms and P pieces; the values
+    are exact in rational mode only.
+    """
+    T, atoms = market.T, market.atoms
+    delta = market.discounts.delta
+    lam_s = market.discounts.lambda_s
+    lam_b = market.discounts.lambda_b
+    zero = delta[0] * 0
+    R = list(R)
+    R[t] = [0] * partition.npieces
+    base = formula_layer(market, partition, R)
+    fstar, r_at = base.fstar, base.r_at
+    atom_k = [partition.piece_of_point(a) // 2 for a in atoms]
+    points = partition.points
+    ngaps = len(points) - 1
+
+    def above_gaps(values):
+        # [j] the sum of values[i] over the atoms above gap j
+        sums, run, i = [zero] * ngaps, zero, len(atoms) - 1
+        for j in range(ngaps - 1, -1, -1):
+            while i >= 0 and atom_k[i] > j:
+                run += values[i]
+                i -= 1
+            sums[j] = run
+        return sums
+
+    # Gap j: a unit of h there moves U_s(x) above it by reach[j] times D_j,
+    # the integral of delta_t - g_{t+1} over the gap, where reach[j] is
+    # P_s[j]; total[j] gathers the revenue change per unit of D_j.
+    total = [-lam_s[t] / lam_b[t] * x for x in above_gaps(fstar[t])]
+    reach = [1] * ngaps
+    for s in range(t - 1, -1, -1):
+        if not any(reach):
+            break
+        kappa = lam_s[s] / lam_b[s]
+        above = above_gaps(fstar[s])
+        stay = above_gaps([f * (1 - r) for f, r in zip(fstar[s], r_at[s])])
+        for j, (later, r) in enumerate(zip(reach, R[s][1::2])):
+            if later != 0:
+                reach[j] = now = (1 - r) * later
+                total[j] += kappa * (later * stay[j] - now * above[j])
+    u_next = base.u_points[t + 1]
+    gaps = [
+        (x * (delta[t] * (b - a) - (ub - ua)), zero)
+        for x, a, b, ua, ub in zip(total, points, points[1:], u_next, u_next[1:])
+    ]
+
+    # Atom i: its own payment and usage at t, then the f* it leaves to later
+    # periods, d f*_{t+1} = -f*_t and d f*_{s+1} = (1 - r_s) d f*_s.
+    at_point = [(zero, zero)] * len(points)
+    for i, (a, k, f) in enumerate(zip(atoms, atom_k, fstar[t])):
+        rev = lam_s[t] * f * (delta[t] * a - base.u_at[t + 1][i]) / lam_b[t]
+        used = f
+        moved = -f
+        for s in range(t + 1, T):
+            if moved == 0:
+                break
+            r = r_at[s][i]
+            rev += lam_s[s] * base.payments[s][i] * moved
+            used += r * moved
+            moved *= 1 - r
+        at_point[k] = (rev, used)
+
+    coefficients = [at_point[0]]
+    for gap, point in zip(gaps, at_point[1:]):
+        coefficients += (gap, point)
+    return base, coefficients
 
 
 def evaluate(market: Market, profile: AllocationProfile) -> Evaluation:

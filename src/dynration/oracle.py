@@ -287,7 +287,7 @@ def non_anonymous_benchmark(market: Market):
     if not market.unbounded:
         raise BoundedInventoryUnsupported("finite inventory couples the generations")
     d = market.discounts
-    total = 0
+    total = d.delta[0] * 0
     for t in range(market.T):
         pairs = [(v, m) for v, m in zip(market.atoms, market.mass[t]) if m > 0]
         if not pairs:

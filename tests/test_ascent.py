@@ -2,6 +2,7 @@ import importlib
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 import dynration.ascent as ascent
@@ -18,7 +19,7 @@ from dynration import (
     normalize_staircase,
     solve_coordinate,
 )
-from dynration.evaluate import evaluate_rows
+from dynration.evaluate import evaluate_rows, formula_layer
 from dynration.numeric import FLOAT, RATIONAL
 from dynration.stepfn import segment_refinement
 
@@ -129,10 +130,18 @@ def _probed_lp(market, profile, t):
     return {"base": base, "tails": tails}
 
 
-def _oracle_market(rng, mode):
-    """Random market with general lambdas or tied deltas, and atoms at 0 and 1."""
+def _oracle_market(rng, mode, *, max_periods=3, unbounded=None, massless=False):
+    """Random market with general lambdas or tied deltas, and atoms at 0 and 1.
+
+    With ``massless`` one atom gets no mass in any period.
+    """
     m = random_market(
-        rng, max_atoms=4, general_lambda=rng.random() < 0.5, tied_delta=rng.random() < 0.3
+        rng,
+        max_periods=max_periods,
+        max_atoms=4,
+        unbounded=unbounded,
+        general_lambda=rng.random() < 0.5,
+        tied_delta=rng.random() < 0.3,
     )
     atoms, mass = list(m.atoms), [list(row) for row in m.mass]
     if rng.random() < 0.5:
@@ -143,6 +152,12 @@ def _oracle_market(rng, mode):
         atoms.append(F(1))
         for row in mass:
             row.append(rng.choice(MASS_POOL))
+    if massless:
+        i = rng.randrange(len(atoms))
+        for row in mass:
+            row[i] = 0
+        if not any(x for row in mass for x in row):
+            mass[0][i - 1] = 1
     d = m.discounts
     return make_market(m.T, atoms, mass, m.inventory, d.delta, d.lambda_s, d.lambda_b, mode=mode)
 
@@ -164,8 +179,13 @@ def test_batched_build_matches_probe_oracle(mode):
     rng = random.Random(31)
     key = (lambda x: x) if mode == RATIONAL else (lambda x: x.hex())
     kinds = (int, F) if mode == RATIONAL else (float,)
-    for _ in range(40):
-        m = _oracle_market(rng, mode)
+    cases = [{}] * 40
+    if mode == RATIONAL:
+        # the exact coefficient pass: longer horizons, unbounded supply and
+        # atoms without mass
+        cases += [dict(max_periods=5, unbounded=k % 2 == 0, massless=k % 3 != 2) for k in range(24)]
+    for kw in cases:
+        m = _oracle_market(rng, mode, **kw)
         prof = _oracle_profile(rng, m)
         for t in range(m.T):
             want = _probed_lp(m, prof, t)
@@ -194,23 +214,39 @@ def test_build_calls_evaluate_once(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
-def test_tail_probes_are_read_only_and_follow_the_atoms(mode):
+def test_tail_probes_are_read_only_and_follow_the_atoms():
     # a run's builds share one set of probe columns, so none may be written
-    num = F if mode == RATIONAL else (lambda p, q: p / q)
-    points = Partition([num(1, 4), num(1, 2), num(3, 4)]).points
-    first, columns = ascent._tail_probes(points, (num(1, 2),), mode)
+    points = Partition([1 / 4, 1 / 2, 3 / 4]).points
+    first, columns = ascent._tail_probes(points, (1 / 2,))
     assert len(columns) == 2 * len(points) - 1
     for column in columns:
         assert not column.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             column[0] = 1
-    assert ascent._tail_probes(points, (num(1, 2),), mode)[1] is columns
+    assert ascent._tail_probes(points, (1 / 2,))[1] is columns
     # the closed tail at a point without mass is not probed, so the same
     # points with other atoms probe other tails
-    other, _ = ascent._tail_probes(points, (num(1, 4), num(3, 4)), mode)
+    other, _ = ascent._tail_probes(points, (1 / 4, 3 / 4))
     assert first == (9, 1, 3, 4, 5, 7)
     assert other == (9, 1, 2, 3, 5, 6, 7)
+
+
+def test_build_probes_in_float_mode_only(monkeypatch):
+    # rational builds sum exact coefficients and never hand the formula
+    # layer a batch; float builds still probe
+    batched = []
+
+    def recording(market, partition, R):
+        batched.append(any(isinstance(x, np.ndarray) for row in R for x in row))
+        return formula_layer(market, partition, R)
+
+    monkeypatch.setattr(ascent, "formula_layer", recording)
+    monkeypatch.setattr(importlib.import_module("dynration.evaluate"), "formula_layer", recording)
+    for mode in (RATIONAL, FLOAT):
+        batched.clear()
+        rng = random.Random(34)
+        coordinate_ascent(_oracle_market(rng, mode), starts=2, seed=0)
+        assert batched and any(batched) == (mode == FLOAT), mode
 
 
 def test_float_held_out_candidate_has_float_levels():
@@ -220,6 +256,8 @@ def test_float_held_out_candidate_has_float_levels():
         assert not any(isinstance(x, F) for x in row)
         assert 0.5 in row and all(type(x) is float for x in row if x not in (0, 1))
     assert F(1, 2) in ascent._held_out_row(5, RATIONAL)
+    # the exact check weighs every piece: the rational row rises on each
+    assert ascent._held_out_row(5, RATIONAL) == tuple(F(p, 6) for p in range(1, 6))
 
 
 def _lp(boundaries, obj_atom, obj_density, inv_atom, budget):

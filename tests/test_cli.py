@@ -141,6 +141,30 @@ def test_compare_solves_with_the_given_tol(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0].split()[-1] == revenue
 
 
+@pytest.mark.parametrize("mode, zero", [("float", "0.0"), ("rational", "0")])
+def test_atomless_totals_print_the_modes_zero(tmp_path, capsys, mode, zero):
+    # every total of an atomless market is a sum of no terms, which starts
+    # from the mode's zero
+    market = tmp_path / "empty.json"
+    market.write_text(json.dumps({"T": 2, "atoms": [], "mass": [[], []], "inventory": "inf", "delta": [1, 1]}))
+    out = str(tmp_path)
+    runs = [
+        ["solve", str(market), "--starts", "0", "--out", out],
+        ["eval", str(market), f"{out}/empty.profile.json", "--out", out],
+        ["verify", str(market), f"{out}/empty.mechanism.json", "--out", out],
+        ["compare", str(market), "--starts", "0"],
+    ]
+    lines = []
+    for argv in runs:
+        assert main([*argv, "--mode", mode]) == 0
+        lines += capsys.readouterr().out.splitlines()
+    lines += (tmp_path / "empty.run.txt").read_text().splitlines()
+    totals = ("revenue:", "inventory_used:", "welfare:", "realized_", "anonymous", "posted prices", "non-anonymous")
+    shown = [line for line in lines if line.startswith(totals)]
+    assert len(shown) == 12
+    assert all(line.split()[-1] == zero for line in shown), shown
+
+
 def test_one_parser_serves_every_call_in_a_process(market_files, tmp_path, monkeypatch, capsys):
     # the parser is built at the first call only, and no option or default
     # of one call leaks into the next
