@@ -8,9 +8,9 @@ is a step function with at most two jumps, and with exactly two it reaches
 one at the top; the solver enumerates that candidate family exhaustively.
 
 A run holds every rule as a row of piece values on one partition:
-:func:`coordinate_ascent` refines it once, from the start rules and the
-market atoms, and the solver's rules jump only on its points. Step
-functions come back only in the returned report.
+:func:`coordinate_ascent` refines it once, from the market atoms alone.
+Its starts are drawn and shrunk as rows on it, and the solver's rules jump
+only on its points. Step functions come back only in the returned report.
 
 A monotone row is a nonnegative combination of tails, the rows that are one
 on the pieces ``>= f``, so the affine model of a period is the values of
@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -58,7 +59,7 @@ from .evaluate import (
 )
 from .market import Market
 from .numeric import RATIONAL, default_tol
-from .stepfn import Jump, Partition, StepFunction, segment_refinement
+from .stepfn import Partition, StepFunction, segment_refinement
 
 
 class AffinityError(AssertionError):
@@ -208,14 +209,11 @@ def _tail_probes(points: tuple, atoms: tuple) -> tuple:
 def _held_out_row(npieces: int, mode) -> tuple:
     """A row that is no single tail, for the affinity check.
 
-    In rational mode it rises on every piece, ``(p + 1) / (npieces + 1)``,
-    so the exact check weighs every piece's coefficient. In float mode it
-    is zero, then a half, then one.
+    It rises on every piece, ``(p + 1) / (npieces + 1)`` in the mode's
+    number type, so the check weighs every piece's coefficient.
     """
-    if mode == RATIONAL:
-        return tuple(Fraction(p + 1, npieces + 1) for p in range(npieces))
-    lo, hi = (1, 2) if npieces == 3 else (2, npieces - 2)
-    return tuple(0 if p < lo else 0.5 if p < hi else 1 for p in range(npieces))
+    one = Fraction(1) if mode == RATIONAL else 1.0
+    return tuple(one * (p + 1) / (npieces + 1) for p in range(npieces))
 
 
 def _assert_affine(lp: CoordinateLP, market: Market, partition: Partition, rows):
@@ -287,35 +285,30 @@ def solve_coordinate(lp: CoordinateLP) -> CoordinateSolution:
     )
 
 
-def _random_profile(market: Market, rng: random.Random) -> AllocationProfile:
-    """Monotone step initialization with jumps on the atoms."""
+def _random_rows(market: Market, partition: Partition, rng: random.Random) -> tuple:
+    """Monotone step rows with jumps on the atoms: a jump at atom ``a``
+    starts on its point piece if closed and on the gap above it if open."""
     grid = [Fraction(k, 4) for k in range(5)] if market.mode == RATIONAL else [k / 4 for k in range(5)]
-    steps = []
+    rows = []
     for _ in range(market.T):
-        njumps = rng.choice((0, 1, 1, 2))
-        njumps = min(njumps, len(market.atoms))
+        njumps = min(rng.choice((0, 1, 1, 2)), len(market.atoms))
         locs = sorted(rng.sample(list(market.atoms), njumps))
         levels = sorted(rng.choice(grid) for _ in range(njumps + 1))
-        jumps = [Jump(at, rng.random() < 0.5) for at in locs]
-        steps.append(StepFunction(levels, jumps))
-    return AllocationProfile(tuple(steps))
+        firsts = [partition.piece_of_point(at) + (rng.random() >= 0.5) for at in locs]
+        rows.append(tuple(levels[bisect_right(firsts, p)] for p in range(partition.npieces)))
+    return tuple(rows)
 
 
-def _shrink_to_feasible(market: Market, profile: AllocationProfile) -> AllocationProfile:
-    """Halve every level until the inventory cap is met (zero always is)."""
+def _shrink_to_feasible(market: Market, partition: Partition, rows: tuple) -> tuple:
+    """Halve every value until the inventory cap is met; zero rows after 12 halvings."""
     if market.unbounded:
-        return profile
+        return rows
     half = Fraction(1, 2) if market.mode == RATIONAL else 0.5
     for _ in range(12):
-        if evaluate(market, profile).inventory_used <= market.inventory:
-            return profile
-        profile = AllocationProfile(
-            tuple(
-                StepFunction([lvl * half for lvl in r.levels], r.jumps)
-                for r in profile.steps
-            )
-        )
-    return AllocationProfile.zero(market.T)
+        if evaluate_rows(market, partition, rows).inventory_used <= market.inventory:
+            return rows
+        rows = tuple(tuple(x * half for x in row) for row in rows)
+    return ((0,) * partition.npieces,) * market.T
 
 
 def coordinate_ascent(
@@ -337,23 +330,23 @@ def coordinate_ascent(
     if tol is None:
         tol = default_tol(market.mode)
     rng = random.Random(seed)
-    initials: list[tuple[object, AllocationProfile]] = [
-        ("zero", AllocationProfile.zero(market.T)),
-        ("ones", _shrink_to_feasible(market, AllocationProfile.ones(market.T))),
+    partition = segment_refinement((), market.atoms)
+    npieces = partition.npieces
+    initials = [
+        ("zero", ((0,) * npieces,) * market.T),
+        ("ones", _shrink_to_feasible(market, partition, ((1,) * npieces,) * market.T)),
     ]
     for _ in range(starts):
         sub_seed = rng.randrange(2**32)
-        prof = _random_profile(market, random.Random(sub_seed))
-        initials.append((sub_seed, _shrink_to_feasible(market, prof)))
+        drawn = _random_rows(market, partition, random.Random(sub_seed))
+        initials.append((sub_seed, _shrink_to_feasible(market, partition, drawn)))
 
-    partition = segment_refinement([r for _, prof in initials for r in prof.steps], market.atoms)
     best = None  # (revenue, rows, record)
     records = []
     rejected_negative = 0
     # (t, rows before t, rows after t) -> solution of period t's model
     solved = {}
-    for label, profile in initials:
-        rows = tuple(tuple(partition.values(r)) for r in profile.steps)
+    for label, rows in initials:
         rev = evaluate_rows(market, partition, rows).revenue
         converged = False
         sweeps = 0

@@ -14,6 +14,7 @@ from fractions import Fraction
 from dynration import AllocationProfile, CoordinateLP, Jump, StepFunction, make_market
 from dynration.ascent import _shrink_to_feasible
 from dynration.numeric import RATIONAL
+from dynration.stepfn import segment_refinement
 
 ATOM_POOL = [Fraction(k, 12) for k in range(1, 13)]
 MASS_POOL = [Fraction(k, 4) for k in range(5)]
@@ -100,7 +101,14 @@ def slopes(points, values) -> list:
 
 def random_feasible_profile(rng: random.Random, market) -> AllocationProfile:
     """Random profile shrunk until it respects the inventory cap."""
-    return _shrink_to_feasible(market, random_profile(rng, market))
+    return shrunk_to_feasible(market, random_profile(rng, market))
+
+
+def shrunk_to_feasible(market, profile: AllocationProfile) -> AllocationProfile:
+    """The ascent's shrink of a profile whose jumps sit on the atoms, through its rows."""
+    partition = segment_refinement((), market.atoms)
+    rows = _shrink_to_feasible(market, partition, tuple(tuple(partition.values(r)) for r in profile.steps))
+    return AllocationProfile(tuple(StepFunction.from_values(partition, row) for row in rows))
 
 
 def lp_from_coefficients(boundaries, obj_atom, obj_density, inv_atom, inv_density, budget) -> CoordinateLP:

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import random
 from fractions import Fraction as F
@@ -23,7 +24,15 @@ from dynration.evaluate import evaluate_rows, formula_layer
 from dynration.numeric import FLOAT, RATIONAL
 from dynration.stepfn import segment_refinement
 
-from gen import MASS_POOL, lp_from_coefficients, random_lp_coefficients, random_market, random_profile, random_step
+from gen import (
+    MASS_POOL,
+    lp_from_coefficients,
+    random_lp_coefficients,
+    random_market,
+    random_profile,
+    random_step,
+    shrunk_to_feasible,
+)
 
 
 def test_ration_solve(ration_market):
@@ -51,7 +60,7 @@ def test_three_atom_posted_price():
     strict=True,
     reason=(
         "the zero and ones starts both stop at 1: moving the sale from t = 1 to t = 2 "
-        "changes both periods at once (fix: ROADMAP item 2's posted warm starts)"
+        "changes both periods at once (fix: ROADMAP item 4's posted warm starts)"
     ),
 )
 def test_ascent_leaves_the_sale_to_the_period_that_pays_more():
@@ -249,15 +258,15 @@ def test_build_probes_in_float_mode_only(monkeypatch):
         assert batched and any(batched) == (mode == FLOAT), mode
 
 
-def test_float_held_out_candidate_has_float_levels():
-    for npieces in (3, 5, 7):
-        row = ascent._held_out_row(npieces, FLOAT)
-        assert len(row) == npieces and list(row) == sorted(row)
-        assert not any(isinstance(x, F) for x in row)
-        assert 0.5 in row and all(type(x) is float for x in row if x not in (0, 1))
-    assert F(1, 2) in ascent._held_out_row(5, RATIONAL)
-    # the exact check weighs every piece: the rational row rises on each
+def test_held_out_row_rises_on_every_piece_in_the_mode_type():
+    # the affinity check weighs every piece's coefficient in both modes
+    for mode, kind in ((RATIONAL, F), (FLOAT, float)):
+        for npieces in (3, 5, 7):
+            row = ascent._held_out_row(npieces, mode)
+            assert len(row) == npieces and all(type(x) is kind for x in row)
+            assert 0 < row[0] and all(a < b for a, b in zip(row, row[1:])) and row[-1] < 1
     assert ascent._held_out_row(5, RATIONAL) == tuple(F(p, 6) for p in range(1, 6))
+    assert ascent._held_out_row(5, FLOAT) == tuple(p / 6 for p in range(1, 6))
 
 
 def _lp(boundaries, obj_atom, obj_density, inv_atom, budget):
@@ -394,7 +403,6 @@ def test_staircase_invariance_random_tied_blocks():
         before, after = evaluate(m, prof), evaluate(m, norm)
         assert before.revenue == after.revenue
         assert before.welfare == after.welfare
-        part = norm.partition if hasattr(norm, "partition") else None
         for t in range(m.T):
             for v in list(m.atoms) + [0, F(1, 24), F(11, 24), 1]:
                 assert norm.steps[t].eval(v) >= prof.steps[t].eval(v)
@@ -417,10 +425,11 @@ def test_staircase_point_region_override():
 
 
 def _reference_ascent(market, *, starts, max_sweeps=40, seed=0):
-    """coordinate_ascent without its memo or its one partition.
+    """coordinate_ascent without its memo or its one partition of the atoms.
 
-    The profile stays a tuple of step functions; every visit refines the
-    other periods' partition, then builds and solves period t's model.
+    The profile stays a tuple of step functions, its starts drawn as
+    profiles and shrunk through their rows; every visit refines the other
+    periods' partition, then builds and solves period t's model.
 
     Returns the report and the number of models built.
     """
@@ -428,12 +437,12 @@ def _reference_ascent(market, *, starts, max_sweeps=40, seed=0):
     rng = random.Random(seed)
     initials = [
         ("zero", AllocationProfile.zero(market.T)),
-        ("ones", ascent._shrink_to_feasible(market, AllocationProfile.ones(market.T))),
+        ("ones", shrunk_to_feasible(market, AllocationProfile.ones(market.T))),
     ]
     for _ in range(starts):
         sub_seed = rng.randrange(2**32)
-        prof = ascent._random_profile(market, random.Random(sub_seed))
-        initials.append((sub_seed, ascent._shrink_to_feasible(market, prof)))
+        prof = random_profile(random.Random(sub_seed), market)
+        initials.append((sub_seed, shrunk_to_feasible(market, prof)))
     best, records, rejected, builds = None, [], 0, 0
     for label, profile in initials:
         rev = evaluate(market, profile).revenue
@@ -524,8 +533,8 @@ def test_ascent_refines_the_partition_once(monkeypatch, mode):
     calls = []
 
     def counting(*args):
-        calls.append(1)
-        return segment_refinement(*args)
+        calls.append(segment_refinement(*args))
+        return calls[-1]
 
     monkeypatch.setattr(ascent, "segment_refinement", counting)
     rng = random.Random(36)
@@ -534,6 +543,38 @@ def test_ascent_refines_the_partition_once(monkeypatch, mode):
         calls.clear()
         coordinate_ascent(m, starts=rng.randint(0, 4), seed=rng.randrange(1000))
         assert len(calls) == 1
+        assert calls[0].points == tuple(sorted({0, 1, *m.atoms})), "not the partition of the market atoms"
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_shrink_falls_back_to_zero_rows(mode):
+    # the ones start serves all of the mass 2, and the cap is 2**-13 of that
+    m = make_market(T=2, atoms=["1/2", 1], mass=[[1, 1], [0, 0]], inventory=F(1, 2**12), mode=mode)
+    partition = segment_refinement((), m.atoms)
+    zero = ((0,) * partition.npieces,) * m.T
+    ones = ((1,) * partition.npieces,) * m.T
+    assert evaluate_rows(m, partition, ones).inventory_used * F(1, 2**12) > m.inventory
+    assert ascent._shrink_to_feasible(m, partition, ones) == zero
+    zero_record, ones_record = coordinate_ascent(m, starts=0).starts
+    assert dataclasses.replace(ones_record, label="zero") == zero_record
+
+
+def test_random_starts_are_monotone_unit_and_within_the_cap():
+    rng = random.Random(38)
+    for _ in range(60):
+        mode = rng.choice((RATIONAL, FLOAT))
+        m = random_market(rng, mode=mode, max_periods=4, max_atoms=4, unbounded=False, general_lambda=rng.random() < 0.3)
+        partition = segment_refinement((), m.atoms)
+        seed = rng.randrange(2**32)
+        drawn = ascent._random_rows(m, partition, random.Random(seed))
+        # the same draws as a profile of step functions give the same values, of the same types
+        want = tuple(tuple(partition.values(r)) for r in random_profile(random.Random(seed), m).steps)
+        assert [(x, type(x)) for row in drawn for x in row] == [(x, type(x)) for row in want for x in row]
+        rows = ascent._shrink_to_feasible(m, partition, drawn)
+        for row in rows:
+            assert len(row) == partition.npieces
+            assert 0 <= row[0] and row[-1] <= 1 and all(a <= b for a, b in zip(row, row[1:]))
+        assert evaluate_rows(m, partition, rows).inventory_used <= m.inventory
 
 
 def test_build_neither_refines_nor_expands(monkeypatch):
