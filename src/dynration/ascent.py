@@ -19,8 +19,8 @@ mode:
 
 * float: all tails are measured in a single batched
   :func:`dynration.evaluate.formula_layer` call, the period's rule carried
-  as one numpy column per piece, so every value is the evaluator's own
-  float, to the last bit;
+  as one matrix with a row per piece and a column per tail, so every value
+  is the evaluator's own float, to the last bit;
 * rational: one evaluation of the period's rule at zero and one pass of
   :func:`dynration.evaluate.coordinate_coefficients` give every piece's
   exact revenue and usage coefficient, and a tail is the sum of the
@@ -168,42 +168,28 @@ def _exact_tails(market: Market, partition: Partition, rows, t: int):
 def _probed_tails(market: Market, partition: Partition, rows, t: int):
     """Base and tails from one batched formula-layer call over the tail probes."""
     npieces = partition.npieces
-    first, probes = _tail_probes(partition.points, market.atoms)
     R = list(rows)
-    R[t] = probes
+    R[t] = _tail_probes(npieces)
     batch = formula_layer(market, partition, R)
     # tolist() hands back Python scalars, so no numpy scalar reaches the
     # model; without atoms the sums stay scalars and are repeated.
     revenue, used = (
-        x.tolist() if isinstance(x, np.ndarray) else [x] * len(first) for x in (batch.revenue, batch.inventory_used)
+        x.tolist() if isinstance(x, np.ndarray) else [x] * (npieces + 1) for x in (batch.revenue, batch.inventory_used)
     )
-    probed = dict(zip(first, zip(revenue, used)))
-    base_rev, base_used = probed[npieces]
-
-    def change(f):
-        rev, used = probed[f] if f in probed else probed[f + 1]
-        return rev - base_rev, used - base_used
-
-    return base_rev, base_used, tuple(change(f) for f in range(npieces))
+    base_rev, base_used = revenue[npieces], used[npieces]
+    return base_rev, base_used, tuple((revenue[f] - base_rev, used[f] - base_used) for f in range(npieces))
 
 
 @functools.lru_cache(maxsize=16)
-def _tail_probes(points: tuple, atoms: tuple) -> tuple:
-    """``(first, columns)`` of the tail probes on the partition of ``points``.
+def _tail_probes(npieces: int) -> np.ndarray:
+    """The tail probes on ``npieces`` pieces, as one read-only float matrix.
 
-    Probe j is one on the pieces >= first[j]: the zero rule, then every
-    tail except a closed one off the atoms. That point piece has no mass,
-    so its tail equals the open tail that follows it. ``columns[p]`` holds
-    every probe's value on piece p, as a read-only float array; a run's
-    builds share one set.
+    Pieces are on axis 0: column f is one on the pieces >= f, and column
+    ``npieces`` is the zero rule. A run's builds share one matrix.
     """
-    npieces = 2 * len(points) - 1
-    atoms = set(atoms)
-    first = (npieces, *(f for f in range(npieces) if f % 2 or points[f // 2] in atoms))
-    columns = tuple(np.array([1 if p >= f else 0 for f in first], dtype=float) for p in range(npieces))
-    for column in columns:
-        column.flags.writeable = False
-    return first, columns
+    probes = np.array([[1 if p >= f else 0 for f in range(npieces + 1)] for p in range(npieces)], dtype=float)
+    probes.flags.writeable = False
+    return probes
 
 
 def _held_out_row(npieces: int, mode) -> tuple:
@@ -273,11 +259,8 @@ def solve_coordinate(lp: CoordinateLP) -> CoordinateSolution:
             best = cand
 
     j, _, gval, firsts, levels = best
-    row = [0] * len(lp.tails)
-    for f, level in zip(firsts, levels):
-        row[f:] = [level] * (len(row) - f)
     return CoordinateSolution(
-        row=tuple(row),
+        row=_row(len(lp.tails), firsts, (0, *levels)),
         objective=j,
         used=gval,
         predicted_revenue=lp.base_revenue + j,
@@ -295,8 +278,14 @@ def _random_rows(market: Market, partition: Partition, rng: random.Random) -> tu
         locs = sorted(rng.sample(list(market.atoms), njumps))
         levels = sorted(rng.choice(grid) for _ in range(njumps + 1))
         firsts = [partition.piece_of_point(at) + (rng.random() >= 0.5) for at in locs]
-        rows.append(tuple(levels[bisect_right(firsts, p)] for p in range(partition.npieces)))
+        rows.append(_row(partition.npieces, firsts, levels))
     return tuple(rows)
+
+
+def _row(npieces: int, firsts, levels) -> tuple:
+    """The row that is ``levels[0]`` below piece ``firsts[0]`` and ``levels[i]``
+    from piece ``firsts[i - 1]`` up to ``firsts[i]``; ``firsts`` increases."""
+    return tuple(levels[bisect_right(firsts, p)] for p in range(npieces))
 
 
 def _shrink_to_feasible(market: Market, partition: Partition, rows: tuple) -> tuple:

@@ -184,7 +184,7 @@ def _dispatch(args, market) -> int:
 
     if args.command == "oracle":
         out = _outdir(args, args.market)
-        grid = OracleGrid(levels=tuple(args.levels.split(","))) if args.levels else OracleGrid()
+        grid = OracleGrid(levels=tuple(args.levels.split(","))) if args.levels is not None else OracleGrid()
         res = brute_force_optimal(market, grid)
         (out / f"{stem}.oracle.profile.json").write_text(report_mod.profile_to_json(res.profile))
         print(f"oracle_revenue: {format_number(res.revenue)}")

@@ -120,8 +120,8 @@ def _probed_lp(market, profile, t):
 
     Probes are the zero rule and, at every partition point, the closed tail
     ``1[p <= x]`` and the open tail ``1[p < x]`` (none at the point 1); each
-    tail's change over the zero rule is its value. The build skips the
-    closed tails off the atoms, so they check its shortcut.
+    tail's change over the zero rule is its value. Float builds probe
+    every tail at once, so this checks them tail by tail.
     """
     partition, rows = _rows(market, profile, t)
 
@@ -188,11 +188,8 @@ def test_batched_build_matches_probe_oracle(mode):
     rng = random.Random(31)
     key = (lambda x: x) if mode == RATIONAL else (lambda x: x.hex())
     kinds = (int, F) if mode == RATIONAL else (float,)
-    cases = [{}] * 40
-    if mode == RATIONAL:
-        # the exact coefficient pass: longer horizons, unbounded supply and
-        # atoms without mass
-        cases += [dict(max_periods=5, unbounded=k % 2 == 0, massless=k % 3 != 2) for k in range(24)]
+    # then longer horizons, unbounded supply and atoms without mass
+    cases = [{}] * 40 + [dict(max_periods=5, unbounded=k % 2 == 0, massless=k % 3 != 2) for k in range(24)]
     for kw in cases:
         m = _oracle_market(rng, mode, **kw)
         prof = _oracle_profile(rng, m)
@@ -223,21 +220,17 @@ def test_build_calls_evaluate_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_tail_probes_are_read_only_and_follow_the_atoms():
-    # a run's builds share one set of probe columns, so none may be written
-    points = Partition([1 / 4, 1 / 2, 3 / 4]).points
-    first, columns = ascent._tail_probes(points, (1 / 2,))
-    assert len(columns) == 2 * len(points) - 1
-    for column in columns:
-        assert not column.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            column[0] = 1
-    assert ascent._tail_probes(points, (1 / 2,))[1] is columns
-    # the closed tail at a point without mass is not probed, so the same
-    # points with other atoms probe other tails
-    other, _ = ascent._tail_probes(points, (1 / 4, 3 / 4))
-    assert first == (9, 1, 3, 4, 5, 7)
-    assert other == (9, 1, 2, 3, 5, 6, 7)
+def test_tail_probes_are_one_read_only_matrix():
+    # a run's builds share one matrix of probes, so it may not be written
+    probes = ascent._tail_probes(7)
+    assert probes.shape == (7, 8) and probes.dtype == float
+    for f in range(8):
+        assert probes[:, f].tolist() == [1.0 if p >= f else 0.0 for p in range(7)]
+    assert not probes[:, 7].any()
+    assert not probes.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        probes[0, 0] = 1
+    assert ascent._tail_probes(7) is probes
 
 
 def test_build_probes_in_float_mode_only(monkeypatch):

@@ -109,6 +109,16 @@ def test_oracle_command(market_files, tmp_path, capsys):
     assert (tmp_path / "ex_ration.oracle.profile.json").exists()
 
 
+@pytest.mark.parametrize("levels", ["", "0,,1", "1", "0,2,1"])
+def test_oracle_bad_level_grid_exits_2(market_files, tmp_path, capsys, levels):
+    _, twogen = market_files
+    code = main(["oracle", str(twogen), "--out", str(tmp_path), "--levels", levels])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err and not captured.out
+
+
 def test_compare_command(market_files, capsys):
     _, twogen = market_files
     code = main(["compare", str(twogen), "--starts", "4"])

@@ -472,8 +472,8 @@ def test_formula_layer_matches_the_reference_by_repr(mode):
     # the shortcuts skip arithmetic on exact 0 and 1 levels; every table
     # entry and both sums must still be what the full expressions give, of
     # the same type (and dtype and shape), on scalar rows, on the build's
-    # batch (one period as per-piece columns) and on the oracle's (every
-    # period an array with its candidates on an axis of its own)
+    # batch (one period as a pieces x probes matrix) and on the oracle's
+    # (every period an array with its candidates on an axis of its own)
     rng = random.Random(2024)
     num = F if mode == RATIONAL else float
     dtype = object if mode == RATIONAL else float
@@ -486,7 +486,7 @@ def test_formula_layer_matches_the_reference_by_repr(mode):
         t = rng.randrange(m.T)
         columns = [_edge_row(rng, part.npieces, mode) for _ in range(3)]
         build = list(rows)
-        build[t] = [np.array([c[p] for c in columns], dtype=dtype) for p in range(part.npieces)]
+        build[t] = np.array(columns, dtype=dtype).T
         checks.append(build)
 
         oracle = []
