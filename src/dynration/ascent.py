@@ -27,6 +27,10 @@ mode:
   coefficients from its piece up. Exact arithmetic makes this equal to the
   probes' values, in any order of the operations.
 
+Only the float probe batch, :func:`_probed_tails` and :func:`_tail_probes`,
+uses numpy, and each imports it when called: importing this module and
+running a rational ascent leave numpy unloaded.
+
 The solver's candidates are single tails and mixtures of two. Each build
 re-verifies affinity on a held-out row through the full evaluator, so a
 disagreement surfaces as an error instead of a silent drift.
@@ -46,8 +50,6 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .evaluate import (
     AllocationProfile,
@@ -167,6 +169,8 @@ def _exact_tails(market: Market, partition: Partition, rows, t: int):
 
 def _probed_tails(market: Market, partition: Partition, rows, t: int):
     """Base and tails from one batched formula-layer call over the tail probes."""
+    import numpy as np
+
     npieces = partition.npieces
     R = list(rows)
     R[t] = _tail_probes(npieces)
@@ -181,12 +185,14 @@ def _probed_tails(market: Market, partition: Partition, rows, t: int):
 
 
 @functools.lru_cache(maxsize=16)
-def _tail_probes(npieces: int) -> np.ndarray:
+def _tail_probes(npieces: int):
     """The tail probes on ``npieces`` pieces, as one read-only float matrix.
 
     Pieces are on axis 0: column f is one on the pieces >= f, and column
     ``npieces`` is the zero rule. A run's builds share one matrix.
     """
+    import numpy as np
+
     probes = np.array([[1 if p >= f else 0 for f in range(npieces + 1)] for p in range(npieces)], dtype=float)
     probes.flags.writeable = False
     return probes
@@ -212,7 +218,7 @@ def _assert_affine(lp: CoordinateLP, market: Market, partition: Partition, rows)
     got_j, got_g = lp.value_of(check)
     scale = max(1, abs(want_rev), abs(want_used))
     tol = 0 if market.mode == RATIONAL else 1e-8 * scale
-    if abs(lp.base_revenue + got_j - want_rev) > tol or abs(lp.base_used + got_g - want_used) > tol:
+    if not (abs(lp.base_revenue + got_j - want_rev) <= tol and abs(lp.base_used + got_g - want_used) <= tol):
         raise AffinityError(
             f"period {lp.period}: tail model off by "
             f"{lp.base_revenue + got_j - want_rev} / {lp.base_used + got_g - want_used}"
@@ -387,7 +393,7 @@ def coordinate_ascent(
 
 def _require_prediction(actual, predicted, mode):
     tol = 0 if mode == RATIONAL else 1e-8 * max(1.0, abs(actual))
-    if abs(actual - predicted) > tol:
+    if not abs(actual - predicted) <= tol:
         raise AffinityError(f"accepted update mispredicted revenue: {predicted} vs {actual}")
 
 

@@ -183,9 +183,9 @@ def _dispatch(args, market) -> int:
         return _verdict(result)
 
     if args.command == "oracle":
-        out = _outdir(args, args.market)
         grid = OracleGrid(levels=tuple(args.levels.split(","))) if args.levels is not None else OracleGrid()
         res = brute_force_optimal(market, grid)
+        out = _outdir(args, args.market)
         (out / f"{stem}.oracle.profile.json").write_text(report_mod.profile_to_json(res.profile))
         print(f"oracle_revenue: {format_number(res.revenue)}")
         print(f"candidates: {res.candidates}")

@@ -376,12 +376,12 @@ def _check_fstar_closed_form(market: Market, keep, mass, fstar):
                 if survive == 0:
                     break
                 total += mass_i[j] * survive
-            if f != total and (rational or abs(f - total) > 1e-9 * max(1.0, abs(f), abs(total))):
+            if f != total and (rational or not abs(f - total) <= 1e-9 * max(1.0, abs(f), abs(total))):
                 _require_equal(f, total, market.mode, f"fstar closed form at t={t}")
 
 
 def _require_equal(a, b, mode, what):
     tol = 0 if mode == RATIONAL else 1e-9 * max(1.0, abs(a), abs(b))
-    if abs(a - b) > tol:
+    if not abs(a - b) <= tol:
         raise EvaluatorInternalError(f"{what}: {a} != {b}")
 

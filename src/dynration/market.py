@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .numeric import MODES, RATIONAL, NumberParseError, json_number, parse_number
+from .numeric import FLOAT, MODES, RATIONAL, NumberParseError, json_number, parse_number
 
 
 class ParseError(ValueError):
@@ -155,6 +155,17 @@ def validate_market(m: Market) -> list[Violation]:
             if b > a:
                 out.append(Violation("NonMonotoneDiscount", f"{name} increases: {a} -> {b}"))
                 break
+    if m.mode == FLOAT and not out:
+        # No value the formulas form exceeds T (n + 1) max(1, total mass)
+        # max_t 1 / lambdaB_t: a payment as charged is at most 1 / lambdaB_t
+        # per unit, and so is the seller's weight lambdaS_t / lambdaB_t on
+        # it. Past 1e300 a sum or a difference of such values could reach
+        # inf or nan.
+        total = sum(x for row in m.mass for x in row)
+        bound = m.T * (len(m.atoms) + 1) * max(1.0, total) / min(m.discounts.lambda_b)
+        if not bound <= 1e300:
+            detail = f"T (n + 1) max(1, total mass) / min lambdaB = {bound:.3g} exceeds 1e300"
+            out.append(Violation("BeyondFloatRange", detail))
     return out
 
 

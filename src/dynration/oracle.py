@@ -19,6 +19,10 @@ per-period descriptors, earliest period most significant) and ties keep
 the first candidate, so oracle runs are reproducible and do not depend on
 the chunking.
 
+The grid search, :func:`brute_force_optimal` and :func:`_scored_chunks`, is
+the only numpy code here, and each imports numpy when called, so importing
+this module leaves it unloaded.
+
 Baselines: the static monopoly price over one atom list, and the
 non-anonymous benchmark that treats each generation as its own market and
 sells at its monopoly price on arrival (defined for unbounded supply
@@ -30,8 +34,6 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-
-import numpy as np
 
 from .evaluate import AllocationProfile, evaluate, formula_layer
 from .market import Market, make_market
@@ -148,6 +150,8 @@ def _scored_chunks(market: Market, candidates: list[list]):
     ``lead`` periods are enumerated as one super-index L, a slice of L per
     chunk, so that no column exceeds ``_CHUNK`` values.
     """
+    import numpy as np
+
     K = len(candidates)
     T = market.T
     partition = Partition(market.atoms)
@@ -175,6 +179,8 @@ def _scored_chunks(market: Market, candidates: list[list]):
 
 def brute_force_optimal(market: Market, grid: OracleGrid | None = None) -> OracleResult:
     """Exact maximum of revenue over the grid, subject to the inventory cap."""
+    import numpy as np
+
     grid = grid or OracleGrid()
     candidates = grid_candidates(market, grid)
     K = len(candidates)

@@ -262,6 +262,22 @@ def test_held_out_row_rises_on_every_piece_in_the_mode_type():
     assert ascent._held_out_row(5, FLOAT) == tuple(p / 6 for p in range(1, 6))
 
 
+def test_float_self_checks_reject_nan():
+    # a NaN compares False with any tolerance, so each check must fail it
+    nan = float("nan")
+    m = make_market(T=2, atoms=["1/2", 1], mass=[[0, 1], [1, 0]], inventory="3/2", mode=FLOAT)
+    partition = segment_refinement((), m.atoms)
+    rows = ((0.0,) * partition.npieces,) * m.T
+    lp = build_coordinate_lp(m, partition, rows, 1)
+    for field in ("base_revenue", "base_used"):
+        with pytest.raises(ascent.AffinityError, match="tail model off"):
+            ascent._assert_affine(dataclasses.replace(lp, **{field: nan}), m, partition, rows)
+    ascent._require_prediction(1.0, 1.0, FLOAT)
+    for actual, predicted in ((nan, 1.0), (1.0, nan)):
+        with pytest.raises(ascent.AffinityError, match="mispredicted"):
+            ascent._require_prediction(actual, predicted, FLOAT)
+
+
 def _lp(boundaries, obj_atom, obj_density, inv_atom, budget):
     return lp_from_coefficients(boundaries, obj_atom, obj_density, inv_atom, (0,) * (len(boundaries) - 1), budget)
 

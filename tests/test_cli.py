@@ -2,12 +2,16 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import dynration
 from dynration import cli, ex_ration, ex_twogen, make_market, serialize_market
 from dynration.cli import main
 
@@ -505,3 +509,89 @@ def test_seeded_float_solves_match_pinned_hashes(tmp_path):
             got[f"float/{name}"] = _sha256((tmp_path / "out" / name).read_bytes())
     assert got == _pinned("float_solve_artifacts.sha256", "float")
     assert len(got) == 20
+
+
+# Finite, valid numbers whose float arithmetic overflows: masses near the
+# float maximum, and a lambdaB below the normal floats, which a payment as
+# charged divides by.
+BEYOND_FLOAT = {
+    "huge_mass": {"T": 2, "atoms": ["1/2", 1], "mass": [[1e308, 1e308], [1e308, 1e308]], "inventory": "inf",
+                  "delta": [1, 1]},
+    "tiny_lambda_b": {"T": 2, "atoms": ["1/2", 1], "mass": [[0, 1], [1, 0]], "inventory": "inf", "delta": [1, 1],
+                      "lambdaS": [1, 1e-300], "lambdaB": [1, 1e-310]},
+}
+
+
+@pytest.fixture(scope="module")
+def beyond_float_files(tmp_path_factory):
+    """Each market of BEYOND_FLOAT with the profile and mechanism files of its rational solve."""
+    root = tmp_path_factory.mktemp("beyond_float")
+    files = {}
+    for name, doc in BEYOND_FLOAT.items():
+        market = root / f"{name}.json"
+        market.write_text(json.dumps(doc))
+        assert main(["solve", str(market), "--starts", "0"]) == 0
+        files[name] = (market, root / f"{name}.profile.json", root / f"{name}.mechanism.json")
+    return files
+
+
+@pytest.mark.parametrize("name", BEYOND_FLOAT)
+def test_rational_mode_runs_markets_beyond_the_float_range(beyond_float_files, tmp_path, capsys, name):
+    market, profile, mechanism = beyond_float_files[name]
+    assert main(["eval", str(market), str(profile), "--out", str(tmp_path)]) == 0
+    assert main(["verify", str(market), str(mechanism), "--profile", str(profile), "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "nan" not in out and "inf" not in out
+
+
+@pytest.mark.parametrize("name", BEYOND_FLOAT)
+@pytest.mark.parametrize(
+    "command, mode",
+    [(c, "float") for c in ("solve", "eval", "verify", "oracle", "compare")]
+    + [("oracle", "rational"), ("compare", "rational")],  # the oracle searches a float copy
+)
+def test_markets_beyond_the_float_range_exit_2(beyond_float_files, tmp_path, capsys, name, command, mode):
+    market, profile, mechanism = beyond_float_files[name]
+    files = {"eval": [str(profile)], "verify": [str(mechanism), "--profile", str(profile)]}.get(command, [])
+    out = tmp_path / "out"
+    code = main([command, str(market), *files, "--mode", mode, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: BeyondFloatRange: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err and not captured.out
+    assert not out.exists()
+
+
+_NUMPY_FREE_RUNS = """
+import sys
+
+import dynration
+from dynration import cli
+
+market, out = sys.argv[1], sys.argv[2]
+profile, mechanism = f"{out}/ex_ration.profile.json", f"{out}/ex_ration.mechanism.json"
+
+
+def run(*argv):
+    assert cli.main([*argv, "--out", out]) == 0, argv
+
+
+run("solve", market, "--starts", "0")
+for mode in ("rational", "float"):
+    run("eval", market, profile, "--mode", mode)
+    run("verify", market, mechanism, "--profile", profile, "--mode", mode)
+    run("verify", market, mechanism, "--mode", mode)
+assert "numpy" not in sys.modules, "numpy loaded without an array to compute"
+run("solve", market, "--starts", "0", "--mode", "float")
+assert "numpy" in sys.modules, "a float solve ran without numpy"
+"""
+
+
+def test_only_array_code_loads_numpy(tmp_path):
+    # a fresh interpreter: importing the package, a rational solve, and eval
+    # and verify in both modes leave numpy unloaded; a float solve loads it
+    src = str(Path(dynration.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    argv = [sys.executable, "-c", _NUMPY_FREE_RUNS, str(DEMOS / "ex_ration.json"), str(tmp_path)]
+    done = subprocess.run(argv, env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -381,6 +381,20 @@ def test_self_checks_catch_a_perturbed_formula_layer(monkeypatch, mode, target):
         monkeypatch.undo()
 
 
+def test_float_self_checks_reject_nan():
+    # a NaN compares False with any tolerance, so each check must fail it
+    nan = float("nan")
+    for a, b in ((nan, 1.0), (1.0, nan), (nan, nan)):
+        with pytest.raises(EvaluatorInternalError, match="inventory accounting"):
+            evaluate_mod._require_equal(a, b, FLOAT, "inventory accounting")
+    m = make_market(T=2, atoms=[1], mass=[[1], [1]], mode=FLOAT)
+    keep, mass = [(0.5, 1.0)], [(1.0, 1.0)]
+    evaluate_mod._check_fstar_closed_form(m, keep, mass, [[1.0], [1.5]])
+    for fstar in ([[nan], [1.5]], [[1.0], [nan]]):
+        with pytest.raises(EvaluatorInternalError, match="fstar closed form"):
+            evaluate_mod._check_fstar_closed_form(m, keep, mass, fstar)
+
+
 # -- the formula layer against its former implementation -----------------------
 
 

@@ -71,6 +71,21 @@ def test_discount_corruptions_rejected():
     assert "DiscountShapeMismatch" in {v.code for v in validate_market(bad3)}
 
 
+@pytest.mark.parametrize("mass, lambda_b, ok", [(1e298, 1, True), (1e300, 1, False), (1, 1e-298, True), (1, 1e-300, False)])
+def test_float_markets_beyond_the_float_range_are_rejected(mass, lambda_b, ok):
+    # T (n + 1) max(1, total mass) / min lambdaB must stay <= 1e300 in float
+    # mode: 2e298 passes and 2e300 does not; rational mode has no bound
+    args = dict(T=1, atoms=[1], mass=[[mass]], lambda_b=[lambda_b])
+    violations = validate_market(make_market(**args, mode=RATIONAL))
+    assert violations == []
+    if ok:
+        assert validate_market(make_market(**args, mode=FLOAT)) == []
+    else:
+        with pytest.raises(MarketError) as err:
+            make_market(**args, mode=FLOAT)
+        assert [v.code for v in err.value.violations] == ["BeyondFloatRange"]
+
+
 def test_parse_ration_document():
     text = serialize_market(ex_ration())
     m = parse_market(text)
