@@ -150,16 +150,18 @@ def menu_violations(market: Market, report: EquilibriumReport, *, tol=None) -> l
     """Checks that need only the menu's simulated outcome, not a profile.
 
     Each posted lottery quantity must equal its service probability times
-    the simulated demand, and sales must respect the inventory.
+    the simulated demand, and sales must respect the inventory. Every check
+    here and in :func:`verify` passes only on a comparison that holds, so a
+    NaN fails it.
     """
     if tol is None:
         tol = default_tol(market.mode)
     violations = [
         f"ServiceResidual: t={t + 1} residual {res}"
         for t, res in enumerate(report.service_residual)
-        if res is not None and abs(res) > tol
+        if res is not None and not abs(res) <= tol
     ]
-    if not market.unbounded and report.realized_sales > market.inventory + tol:
+    if not market.unbounded and not report.realized_sales <= market.inventory + tol:
         violations.append(f"Oversold: {report.realized_sales} beyond inventory {market.inventory}")
     return violations
 
@@ -193,27 +195,27 @@ def verify(
         for i, v in enumerate(market.atoms):
             want = ev.r_at[t][i]
             got = implied[report.plan[t][i]](menu)
-            if abs(want - (got or 0)) > tol:
+            if not abs(want - (got or 0)) <= tol:
                 violations.append(
                     f"PlanMismatch: t={t + 1} v={v}: plan {report.plan[t][i]} gives {got}, allocation says {want}"
                 )
     violations += menu_violations(market, report, tol=tol)
-    if abs(report.realized_revenue - ev.revenue) > tol:
+    if not abs(report.realized_revenue - ev.revenue) <= tol:
         violations.append(
             f"RevenueMismatch: simulated {report.realized_revenue}, formula {ev.revenue}"
         )
     for t in range(market.T):
         for i in range(market.num_atoms):
-            if report.ic_slack[t][i] < -tol:
+            if not report.ic_slack[t][i] >= -tol:
                 violations.append(
                     f"ICViolation: t={t + 1} v={market.atoms[i]} slack {report.ic_slack[t][i]}"
                 )
-            if report.utility[t][i] < -tol:
+            if not report.utility[t][i] >= -tol:
                 violations.append(
                     f"NegativeUtility: t={t + 1} v={market.atoms[i]}"
                 )
             formula_u = ev.u_at[t][i]
-            if abs(report.utility[t][i] - formula_u) > tol:
+            if not abs(report.utility[t][i] - formula_u) <= tol:
                 violations.append(
                     f"UtilityMismatch: t={t + 1} v={market.atoms[i]}: "
                     f"simulated {report.utility[t][i]}, formula {formula_u}"

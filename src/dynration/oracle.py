@@ -4,17 +4,28 @@ The grid oracle enumerates every monotone step profile whose jumps sit on
 the atom boundaries (both inclusion flags, realized as free point values
 between the neighboring segment levels) and whose levels come from a fixed
 grid, then maximizes exact revenue subject to the inventory cap. The
-search scores the candidates in floating point with the evaluator's own
-recursion (:func:`dynration.evaluate.formula_layer`), fed numpy arrays in
-which each period's K per-period candidates lie on that period's own axis.
-Broadcasting then runs period t's backward recursion once per combination
-of periods t..T-1, not once per profile, and only the quantities that
-depend on every period (period-0 utilities, late presence, revenue and
-usage) reach the full K^T size. The leading periods are enumerated in
-chunks of at most ``_CHUNK`` profiles, which bounds peak memory. On
-rational markets every candidate within 1e-9 of the float optimum (the
-first 512 in canonical order) is re-evaluated exactly, so the reported
-optimum is exact. Enumeration order is canonical (lexicographic over
+grid's K per-period candidates give K^T profiles, and all of them are
+accounted for, but not all are scored. No buyer values a unit above the
+top atom, so a rule's values past that atom's point reach neither revenue
+nor usage. Candidates that agree up to and including that point form a
+class, and only the class's first member in canonical order, its
+representative, is scored. The first maximizer in canonical order is
+always a profile of representatives, so the result is the full grid's.
+
+The search scores the representatives in floating point with the
+evaluator's own recursion (:func:`dynration.evaluate.formula_layer`), fed
+numpy arrays in which each period's candidates lie on that period's own
+axis. Broadcasting then runs period t's backward recursion once per
+combination of periods t..T-1, not once per profile, and only the
+quantities that depend on every period (period-0 utilities, late
+presence, revenue and usage) reach the full profile count. The leading
+periods are enumerated in chunks of at most ``_CHUNK`` profiles, which
+bounds peak memory. On rational markets every representative profile
+within 1e-9 of the float optimum (the first 512 in canonical order) is
+re-evaluated exactly, so the reported optimum is exact. The float search
+runs on a float copy of the market, so a rational market whose numbers
+lie beyond the float range is refused with ``BeyondFloatRange``, although
+it is exact. Enumeration order is canonical (lexicographic over
 per-period descriptors, earliest period most significant) and ties keep
 the first candidate, so oracle runs are reproducible and do not depend on
 the chunking.
@@ -82,7 +93,7 @@ class OracleGrid:
 class OracleResult:
     revenue: object
     profile: AllocationProfile
-    candidates: int
+    candidates: int  # the grid's K^T profiles, accounted for; one per class is scored
 
 
 def _period_candidates(market: Market, levels: list) -> list[list]:
@@ -137,6 +148,22 @@ def grid_candidates(market: Market, grid: OracleGrid) -> list[list]:
     return candidates
 
 
+def _class_representatives(market: Market, candidates: list[list]) -> list[list]:
+    """The first candidate, in canonical order, of each class of ``candidates``.
+
+    Two candidates are in one class when they agree on every piece up to
+    and including the top atom's point. The formula layer reads a rule only
+    at the atom points and through the gaps below them, so the members of a
+    class have equal exact scores and bit-identical float scores. Without
+    atoms nothing is read and every candidate is in one class.
+    """
+    keep = Partition(market.atoms).piece_of_point(max(market.atoms)) + 1 if market.atoms else 0
+    first = {}
+    for row in candidates:
+        first.setdefault(tuple(row[:keep]), row)
+    return list(first.values())
+
+
 def _scored_chunks(market: Market, candidates: list[list]):
     """Yield ``(first, revenue, used)`` over every candidate profile of a float market.
 
@@ -178,14 +205,23 @@ def _scored_chunks(market: Market, candidates: list[list]):
 
 
 def brute_force_optimal(market: Market, grid: OracleGrid | None = None) -> OracleResult:
-    """Exact maximum of revenue over the grid, subject to the inventory cap."""
+    """Exact maximum of revenue over the grid, subject to the inventory cap.
+
+    ``candidates`` in the result counts the grid's K^T profiles; only the
+    profiles of class representatives are scored, which returns the same
+    first maximizer. In rational mode the exact re-evaluation pool is the
+    first ``_POOL`` representative profiles within 1e-9 of the float best.
+    A rational market is searched on a float copy, so one beyond the float
+    range raises :class:`~dynration.market.MarketError` (``BeyondFloatRange``).
+    """
     import numpy as np
 
     grid = grid or OracleGrid()
-    candidates = grid_candidates(market, grid)
+    grid_rows = grid_candidates(market, grid)
+    total = len(grid_rows) ** market.T
+    candidates = _class_representatives(market, grid_rows)
     K = len(candidates)
     T = market.T
-    total = K**T
 
     # the search runs in float: Fraction times an ndarray makes slow object arrays
     d = market.discounts

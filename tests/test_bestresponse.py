@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -10,11 +11,14 @@ from dynration import (
     best_response,
     coordinate_ascent,
     evaluate,
+    ex_ration,
     extract,
     make_market,
     verify,
 )
+from dynration import bestresponse
 from dynration.bestresponse import BUY_HIGH, ENTER_LOTTERY, WAIT
+from dynration.numeric import FLOAT
 from dynration.report import verification_csv
 
 from gen import random_market
@@ -118,3 +122,34 @@ def test_verification_rows(ration_market, ration_optimum):
     assert len(rows) == 5
     assert ["1", "1", BUY_HIGH, "1/6", "0"] in rows
     assert ["2", "2/3", ENTER_LOTTERY, "0", "0"] in rows
+
+
+def test_nan_results_fail_verification(monkeypatch):
+    # each check passes only on a comparison that holds, so a NaN fails it
+    m = ex_ration(mode=FLOAT)
+    prof = AllocationProfile((StepFunction.step(1.0), StepFunction.step(m.atoms[0], high=0.5)))
+    mech = extract(m, prof)
+    ev = evaluate(m, prof)
+    nan = float("nan")
+
+    def codes(report=None, evaluation=ev):
+        report = report or best_response(m, mech)
+        monkeypatch.setattr(bestresponse, "best_response", lambda *args, **kwargs: report)
+        return sorted({v.split(":")[0] for v in verify(m, prof, mech, evaluation=evaluation).violations})
+
+    assert codes() == []
+    assert codes(evaluation=dataclasses.replace(ev, revenue=nan)) == ["RevenueMismatch"]
+    r_at = [[nan, *ev.r_at[0][1:]], *ev.r_at[1:]]
+    assert codes(evaluation=dataclasses.replace(ev, r_at=r_at)) == ["PlanMismatch"]
+    report = best_response(m, mech)
+    report.utility[1][0] = nan
+    assert codes(report) == ["NegativeUtility", "UtilityMismatch"]
+    report = best_response(m, mech)
+    report.ic_slack[0][1] = nan
+    assert codes(report) == ["ICViolation"]
+    report = best_response(m, mech)
+    report.service_residual[1] = nan
+    assert codes(report) == ["ServiceResidual"]
+    report = best_response(m, mech)
+    report.realized_sales = nan
+    assert codes(report) == ["Oversold"]

@@ -21,7 +21,7 @@ from dynration import (
     static_monopoly,
 )
 from dynration.evaluate import formula_layer
-from dynration.numeric import FLOAT
+from dynration.numeric import FLOAT, RATIONAL
 from dynration.oracle import grid_candidates
 
 from gen import random_market
@@ -197,20 +197,45 @@ def _profile(market, candidates, flat):
     return AllocationProfile(tuple(StepFunction.from_values(part, row) for row in rows))
 
 
-def _kernel_markets():
-    """Small float markets: T = 1..3, n = 0..3, both supplies, zero-mass periods."""
+def _kernel_markets(mode=FLOAT):
+    """Small markets: T = 1..3, n = 0..3, both supplies, zero-mass periods."""
     rng = random.Random(77)
     for T in (1, 2, 3):
-        yield make_market(T=T, atoms=[], mass=[[]] * T, inventory=1, mode=FLOAT)
+        yield make_market(T=T, atoms=[], mass=[[]] * T, inventory=1, mode=mode)
         for n in (1, 2, 3):
             for opts in ({}, {"general_lambda": True}, {"tied_delta": True}, {"unbounded": True}):
-                m = random_market(rng, mode=FLOAT, min_periods=T, max_periods=T, max_atoms=n, **opts)
+                m = random_market(rng, mode=mode, min_periods=T, max_periods=T, max_atoms=n, **opts)
                 yield m
             # period T // 2 brings no buyers
             mass = [list(row) for row in m.mass]
             mass[T // 2] = [0] * m.num_atoms
             d = m.discounts
-            yield make_market(T, m.atoms, mass, m.inventory, d.delta, d.lambda_s, d.lambda_b, mode=FLOAT)
+            yield make_market(T, m.atoms, mass, m.inventory, d.delta, d.lambda_s, d.lambda_b, mode=mode)
+
+
+def _float_copy(market):
+    d = market.discounts
+    return make_market(
+        market.T, market.atoms, market.mass, market.inventory, d.delta, d.lambda_s, d.lambda_b, mode=FLOAT
+    )
+
+
+def _representatives(market, candidates):
+    """``(reps, rep_of)``: each class's first candidate, and each candidate's class.
+
+    A class is the candidates that agree on every piece up to and including
+    the top atom's point; ``rep_of[k]`` indexes candidate k's class in ``reps``.
+    """
+    cut = 0
+    if market.atoms:
+        cut = 2 * sum(p <= max(market.atoms) for p in Partition(market.atoms).points) - 1
+    index, reps = {}, []
+    for row in candidates:
+        key = tuple(row[:cut])
+        if key not in index:
+            index[key] = len(reps)
+            reps.append(row)
+    return reps, [index[tuple(row[:cut])] for row in candidates]
 
 
 def _small_grid(market):
@@ -254,6 +279,58 @@ def test_ties_return_the_first_profile_in_canonical_order(monkeypatch, chunk):
         res = brute_force_optimal(m, grid)
         assert res.profile == _profile(m, candidates, first)
         assert res.revenue == revenue[first]
+
+
+def _edge_markets(mode):
+    """Top atom 1, an atom at 0, and no atoms."""
+    yield make_market(T=2, atoms=["1/3", 1], mass=[[1, "1/2"], ["1/4", 1]], inventory="3/4", mode=mode)
+    yield make_market(T=3, atoms=["1/2", 1], mass=[["1/2", "1/4"]] * 3, delta=[1, "5/6", "2/3"], mode=mode)
+    yield make_market(T=2, atoms=[0, "1/2", 1], mass=[[1, "1/2", "1/4"], ["1/4", 1, 0]], inventory=1, mode=mode)
+    yield make_market(T=2, atoms=[0, "2/3"], mass=[[1, "1/2"], [0, 1]], delta=[1, "3/4"], mode=mode)
+    yield make_market(T=1, atoms=[0], mass=[[1]], inventory="1/2", mode=mode)
+    yield make_market(T=2, atoms=[], mass=[[], []], mode=mode)
+
+
+@pytest.mark.parametrize("mode", [FLOAT, RATIONAL])
+def test_oracle_matches_the_full_grid(monkeypatch, mode):
+    # scoring one candidate per class returns the full grid's first
+    # feasible maximizer, and every profile scores as its representatives do
+    for m in [*_kernel_markets(mode), *_edge_markets(mode)]:
+        grid = _small_grid(m)
+        candidates = grid_candidates(m, grid)
+        K, T = len(candidates), m.T
+        total = K**T
+        if mode == RATIONAL and total > 1300:
+            continue
+        search = _float_copy(m)
+        revenue, used = _flat_search(search, candidates)
+
+        reps, rep_of = _representatives(m, candidates)
+        rep_revenue, rep_used = _flat_search(search, reps)
+        ids = np.arange(total)
+        rep_ids = sum(np.array(rep_of)[(ids // K ** (T - 1 - t)) % K] * len(reps) ** (T - 1 - t) for t in range(T))
+        assert np.array_equal(revenue, rep_revenue[rep_ids]), m
+        assert np.array_equal(used, rep_used[rep_ids]), m
+
+        if mode == FLOAT:
+            if m.inventory is not None:
+                revenue = np.where(used <= m.inventory + 1e-9, revenue, -np.inf)
+            want = _profile(m, candidates, int(np.argmax(revenue)))
+            want_revenue = evaluate(m, want).revenue
+        else:
+            # the exact maximum over every profile of the full grid
+            part, best = Partition(m.atoms), None
+            for flat in range(total):
+                ev = formula_layer(m, part, [candidates[(flat // K ** (T - 1 - t)) % K] for t in range(T)])
+                if (m.unbounded or ev.inventory_used <= m.inventory) and (best is None or ev.revenue > best[0]):
+                    best = (ev.revenue, flat)
+            want_revenue, want = best[0], _profile(m, candidates, best[1])
+        for chunk in (1 << 15, 7, 200):
+            if chunk < 1 << 15 and total > 1300:
+                continue
+            monkeypatch.setattr(oracle, "_CHUNK", chunk)
+            res = brute_force_optimal(m, grid)
+            assert (res.revenue, res.profile, res.candidates) == (want_revenue, want, total), (m, chunk)
 
 
 def _exact_pool(monkeypatch, market, grid=None):
@@ -304,12 +381,12 @@ def test_near_tie_pool_is_every_candidate_near_the_final_best(monkeypatch):
         mass=[["3/4", 1], ["3/4", 0], [1, "1/4"]],
         delta=["11/12", "11/12", "2/3"],
     )
-    candidates = grid_candidates(m, OracleGrid())
-    search = make_market(m.T, m.atoms, m.mass, m.inventory, m.discounts.delta, mode=FLOAT)
-    revenue, _ = _flat_search(search, candidates)
+    # the pool holds the first 512 representative profiles near the best
+    reps, _ = _representatives(m, grid_candidates(m, OracleGrid()))
+    revenue, _ = _flat_search(_float_copy(m), reps)
     ids = np.flatnonzero(revenue >= revenue.max() - 1e-9)[:512]
     pool, res = _exact_pool(monkeypatch, m)
-    assert pool == [_profile(m, candidates, int(i)) for i in ids]
+    assert pool == [_profile(m, reps, int(i)) for i in ids]
     assert res.revenue == F(175, 96)
     sell = StepFunction.step(F(7, 12))
     assert res.profile == AllocationProfile((StepFunction.zero(), sell, sell))
@@ -342,5 +419,7 @@ def test_rational_all_ties_keep_a_bounded_pool(monkeypatch):
     assert res.revenue == 0
     assert res.profile == AllocationProfile.zero(3)
     assert peak < 32 * 2**20
-    candidates = grid_candidates(m, OracleGrid())
-    assert pool == [_profile(m, candidates, k) for k in range(512)]
+    reps, _ = _representatives(m, grid_candidates(m, OracleGrid()))
+    revenue, used = _flat_search(_float_copy(m), reps)
+    ids = np.flatnonzero((revenue >= revenue.max() - 1e-9) & (used <= 1 + 1e-9))[:512]
+    assert pool == [_profile(m, reps, int(i)) for i in ids]
