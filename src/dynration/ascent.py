@@ -22,10 +22,10 @@ mode:
   as one matrix with a row per piece and a column per tail, so every value
   is the evaluator's own float, to the last bit;
 * rational: one evaluation of the period's rule at zero and one pass of
-  :func:`dynration.evaluate.coordinate_coefficients` give every piece's
-  exact revenue and usage coefficient, and a tail is the sum of the
-  coefficients from its piece up. Exact arithmetic makes this equal to the
-  probes' values, in any order of the operations.
+  :func:`dynration.evaluate.coordinate_tails` give every tail's exact
+  revenue and usage, the sum of the per-piece coefficients from its piece
+  up. Exact arithmetic makes this equal to the probes' values, in any
+  order of the operations.
 
 Only the float probe batch, :func:`_probed_tails` and :func:`_tail_probes`,
 uses numpy, and each imports it when called: importing this module and
@@ -53,7 +53,7 @@ from fractions import Fraction
 
 from .evaluate import (
     AllocationProfile,
-    coordinate_coefficients,
+    coordinate_tails,
     effective_discounts,
     evaluate,
     evaluate_rows,
@@ -141,7 +141,8 @@ def build_coordinate_lp(market: Market, partition: Partition, rows, t: int) -> C
     partition must hold the market atoms.
     """
     if market.mode == RATIONAL:
-        base_rev, base_used, tails = _exact_tails(market, partition, rows, t)
+        base, tails = coordinate_tails(market, partition, rows, t)
+        base_rev, base_used = base.revenue, base.inventory_used
     else:
         base_rev, base_used, tails = _probed_tails(market, partition, rows, t)
     lp = CoordinateLP(
@@ -153,18 +154,6 @@ def build_coordinate_lp(market: Market, partition: Partition, rows, t: int) -> C
     )
     _assert_affine(lp, market, partition, rows)
     return lp
-
-
-def _exact_tails(market: Market, partition: Partition, rows, t: int):
-    """Base and tails as suffix sums of the exact per-piece coefficients."""
-    base, coefficients = coordinate_coefficients(market, partition, rows, t)
-    rev = used = market.discounts.delta[0] * 0
-    tails = []
-    for j, g in reversed(coefficients):
-        rev += j
-        used += g
-        tails.append((rev, used))
-    return base.revenue, base.inventory_used, tuple(reversed(tails))
 
 
 def _probed_tails(market: Market, partition: Partition, rows, t: int):

@@ -60,11 +60,11 @@ term, because a sum of no terms would be int 0, not 0.0.
 its partition and rows; a caller that holds rows on one partition already,
 as the coordinate ascent does, calls :func:`evaluate_rows` directly.
 
-:func:`coordinate_coefficients` gives, for exact arithmetic, the affine
-model of revenue and usage in one period's rule h = r_t with the other rows
-fixed: the evaluation at h = 0 and every piece's coefficient. It reads the
-tables of that base evaluation. Write w_j for the width of gap j and
-``P_s[j] = prod_{s <= q < t} (1 - r_q(gap j))``.
+:func:`coordinate_tails` gives, for exact arithmetic, the affine model of
+revenue and usage in one period's rule h = r_t with the other rows fixed:
+the evaluation at h = 0 and each tail's value, a suffix sum of the piece
+coefficients below. It reads the tables of that base evaluation. Write w_j
+for the width of gap j and ``P_s[j] = prod_{s <= q < t} (1 - r_q(gap j))``.
 
 * Gap j. A unit of h there raises ``g_t[j]`` by ``delta_t - g_{t+1}[j]``,
   and ``g_s[j]`` for s < t by ``P_s[j]`` times that; ``U_s`` rises by that
@@ -258,14 +258,14 @@ def formula_layer(market: Market, partition: Partition, R) -> Evaluation:
     return Evaluation(market, partition, u_points, r_at, u_at, fstar, payments, revenue, used)
 
 
-def coordinate_coefficients(market: Market, partition: Partition, R, t: int):
-    """``(base, coefficients)`` of period ``t``'s exact affine model.
+def coordinate_tails(market: Market, partition: Partition, R, t: int):
+    """``(base, tails)`` of period ``t``'s exact affine model.
 
     ``base`` is the :class:`Evaluation` of ``R`` with row ``t`` zero (the
-    given row ``t`` is ignored); ``coefficients[p]`` is the (revenue, usage)
-    change per unit of row ``t``'s value on piece p, derived in the module
-    docstring. O(T (n + P)) operations for n atoms and P pieces; the values
-    are exact in rational mode only.
+    given row ``t`` is ignored); ``tails[f]`` is the (revenue, usage) change
+    when row ``t`` is one on the pieces ``>= f``: the sum from piece f up of
+    the coefficients derived in the module docstring. O(T (n + P))
+    operations for n atoms and P pieces; exact in rational mode only.
     """
     T, atoms = market.T, market.atoms
     delta = market.discounts.delta
@@ -330,7 +330,13 @@ def coordinate_coefficients(market: Market, partition: Partition, R, t: int):
     coefficients = [at_point[0]]
     for gap, point in zip(gaps, at_point[1:]):
         coefficients += (gap, point)
-    return base, coefficients
+    rev = used = zero
+    tails = []
+    for j, g in reversed(coefficients):
+        rev += j
+        used += g
+        tails.append((rev, used))
+    return base, tuple(reversed(tails))
 
 
 def evaluate(market: Market, profile: AllocationProfile) -> Evaluation:

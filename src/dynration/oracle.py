@@ -11,6 +11,8 @@ nor usage. Candidates that agree up to and including that point form a
 class, and only the class's first member in canonical order, its
 representative, is scored. The first maximizer in canonical order is
 always a profile of representatives, so the result is the full grid's.
+K is counted before any candidate is built, so an oversized grid is
+refused at once.
 
 The search scores the representatives in floating point with the
 evaluator's own recursion (:func:`dynration.evaluate.formula_layer`), fed
@@ -18,10 +20,12 @@ numpy arrays in which each period's candidates lie on that period's own
 axis. Broadcasting then runs period t's backward recursion once per
 combination of periods t..T-1, not once per profile, and only the
 quantities that depend on every period (period-0 utilities, late
-presence, revenue and usage) reach the full profile count. The leading
-periods are enumerated in chunks of at most ``_CHUNK`` profiles, which
-bounds peak memory. On rational markets every representative profile
-within 1e-9 of the float optimum (the first 512 in canonical order) is
+presence, revenue and usage) reach the full profile count. Each chunk is
+a slice of period 0's candidates against every candidate of periods
+1..T-1, at most ``_CHUNK`` profiles, which bounds peak memory: the caps
+keep K^(T-1) within ``_CHUNK``, so a slice of one period-0 candidate
+always fits. On rational markets every representative profile within
+1e-9 of the float optimum (the first 512 in canonical order) is
 re-evaluated exactly, so the reported optimum is exact. The float search
 runs on a float copy of the market, so a rational market whose numbers
 lie beyond the float range is refused with ``BeyondFloatRange``, although
@@ -44,6 +48,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 
 from .evaluate import AllocationProfile, evaluate, formula_layer
@@ -135,17 +140,21 @@ def grid_candidates(market: Market, grid: OracleGrid) -> list[list]:
 
     Raises :class:`InstanceTooLarge` when the market has too many periods or
     atoms, or the K^T candidate profiles exceed the cap; callers that would
-    do other work before the search check here first.
+    do other work before the search check here first. A candidate is a
+    non-decreasing choice of levels on its f free pieces (every gap and
+    every atom's point; other points are pinned), so L levels give
+    K = C(L + f - 1, f), counted before any candidate is built.
     """
     if market.T > _MAX_PERIODS:
         raise InstanceTooLarge(f"T={market.T} beyond oracle cap {_MAX_PERIODS}")
     if market.num_atoms > _MAX_ATOMS:
         raise InstanceTooLarge(f"{market.num_atoms} atoms beyond oracle cap {_MAX_ATOMS}")
-    candidates = _period_candidates(market, grid.level_values(market.mode))
-    total = len(candidates) ** market.T
+    levels = grid.level_values(market.mode)
+    free = len(Partition(market.atoms).points) - 1 + market.num_atoms
+    total = math.comb(len(levels) + free - 1, free) ** market.T
     if total > _MAX_CANDIDATES:
         raise InstanceTooLarge(f"{total} profiles beyond oracle cap {_MAX_CANDIDATES}")
-    return candidates
+    return _period_candidates(market, levels)
 
 
 def _class_representatives(market: Market, candidates: list[list]) -> list[list]:
@@ -171,11 +180,12 @@ def _scored_chunks(market: Market, candidates: list[list]):
     ``used`` hold one value per profile, in canonical order. Period t of
     profile ``id`` is ``candidates[(id // K**(T-1-t)) % K]``.
 
-    The periods from ``lead`` on get one numpy axis each, holding all K
-    candidates, so the recursion of period t runs once per combination of
-    periods t..T-1 that the chunk needs, not once per profile. The first
-    ``lead`` periods are enumerated as one super-index L, a slice of L per
-    chunk, so that no column exceeds ``_CHUNK`` values.
+    Every period gets one numpy axis, so the recursion of period t runs
+    once per combination of periods t..T-1 that the chunk needs, not once
+    per profile. Periods 1..T-1 hold all K candidates, and each chunk takes
+    a slice of ``_CHUNK // K**(T-1)`` of period 0's, at least one, so no
+    column exceeds ``_CHUNK`` values while the caps keep K**(T-1) within
+    ``_CHUNK``.
     """
     import numpy as np
 
@@ -183,22 +193,14 @@ def _scored_chunks(market: Market, candidates: list[list]):
     T = market.T
     partition = Partition(market.atoms)
     columns = np.array([[float(x) for x in row] for row in candidates]).T  # (pieces, K)
-    lead = next(k for k in range(1, T + 1) if K ** (T - k) <= _CHUNK)
-    inner = K ** (T - lead)
-    step = _CHUNK // inner
-    # candidate axes after the piece axis: L's slice, then periods lead..T-1
-    tail = [
-        columns.reshape((-1,) + tuple(K if a == t - lead + 1 else 1 for a in range(T - lead + 1)))
-        for t in range(lead, T)
-    ]
-    for lo in range(0, K**lead, step):
-        L = np.arange(lo, min(lo + step, K**lead))
-        shape = (len(L),) + (K,) * (T - lead)
-        head = [
-            columns[:, (L // K ** (lead - 1 - t)) % K].reshape((-1, len(L)) + (1,) * (T - lead))
-            for t in range(lead)
-        ]
-        batch = formula_layer(market, partition, head + tail)
+    inner = K ** (T - 1)
+    step = max(1, _CHUNK // inner)
+    # candidate axes after the piece axis: period 0's slice, then periods 1..T-1
+    tail = [columns.reshape((-1,) + tuple(K if a == t else 1 for a in range(T))) for t in range(1, T)]
+    for lo in range(0, K, step):
+        head = columns[:, lo : lo + step]
+        shape = head.shape[1:] + (K,) * (T - 1)
+        batch = formula_layer(market, partition, [head.reshape(head.shape + (1,) * (T - 1))] + tail)
         # a market without atoms sums to scalars
         revenue, used = (np.broadcast_to(x, shape).reshape(-1) for x in (batch.revenue, batch.inventory_used))
         yield lo * inner, revenue, used
@@ -268,14 +270,12 @@ def brute_force_optimal(market: Market, grid: OracleGrid | None = None) -> Oracl
     if best_id is None:
         raise AssertionError("no feasible profile; the zero profile is always feasible")
 
+    # the market's own partition: the search's may hold float copies of its atoms
+    part = Partition(market.atoms)
     strides = [K ** (T - 1 - t) for t in range(T)]
 
     def rebuild(flat: int) -> AllocationProfile:
-        part = Partition(market.atoms)
-        steps = []
-        for s in strides:
-            steps.append(StepFunction.from_values(part, candidates[(flat // s) % K]))
-        return AllocationProfile(tuple(steps))
+        return AllocationProfile(tuple(StepFunction.from_values(part, candidates[(flat // s) % K]) for s in strides))
 
     if exact:
         # exact re-evaluation of the float near-ties keeps the result exact:

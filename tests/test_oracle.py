@@ -13,11 +13,13 @@ from dynration import (
     Partition,
     StepFunction,
     brute_force_optimal,
+    cli,
     coordinate_ascent,
     evaluate,
     make_market,
     non_anonymous_benchmark,
     oracle,
+    serialize_market,
     static_monopoly,
 )
 from dynration.evaluate import formula_layer
@@ -143,6 +145,50 @@ def test_instance_caps(monkeypatch):
     monkeypatch.setattr(oracle, "_MAX_CANDIDATES", 10)
     with pytest.raises(InstanceTooLarge, match="^15 profiles beyond oracle cap 10$"):
         brute_force_optimal(make_market(T=1, atoms=[1], mass=[[1]]))
+
+
+def test_oversized_grid_is_refused_before_it_is_built(monkeypatch, tmp_path, capsys):
+    # 41 levels on three atoms give C(47, 7) candidates, gigabytes if built
+    def refuse(*args):
+        raise AssertionError("candidates built before the size check")
+
+    monkeypatch.setattr(oracle, "_period_candidates", refuse)
+    m = make_market(T=1, atoms=["1/4", "1/2", "3/4"], mass=[[1, 1, 1]])
+    levels = [f"{k}/40" for k in range(41)]
+    with pytest.raises(InstanceTooLarge, match="^62891499 profiles beyond oracle cap 4000000$"):
+        grid_candidates(m, OracleGrid(levels=tuple(levels)))
+    path = tmp_path / "m.json"
+    path.write_text(serialize_market(m))
+    assert cli.main(["oracle", str(path), "--out", str(tmp_path), "--levels", ",".join(levels)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: 62891499 profiles beyond oracle cap 4000000\n"
+    assert not captured.out
+
+
+@pytest.mark.parametrize("mode", [FLOAT, RATIONAL])
+def test_counted_grid_size_is_the_built_one(monkeypatch, mode):
+    # the cap reads K from its closed form; it must be the number built
+    for m in [*_kernel_markets(mode), *_edge_markets(mode)]:
+        for L in (2, 3, 4, 5):
+            grid = OracleGrid(levels=tuple(f"{k}/{L - 1}" for k in range(L)))
+            total = len(oracle._period_candidates(m, grid.level_values(mode))) ** m.T
+            monkeypatch.setattr(oracle, "_MAX_CANDIDATES", total - 1)
+            with pytest.raises(InstanceTooLarge, match=f"^{total} profiles beyond oracle cap {total - 1}$"):
+                grid_candidates(m, grid)
+            monkeypatch.setattr(oracle, "_MAX_CANDIDATES", total)
+            assert len(grid_candidates(m, grid)) ** m.T == total
+
+
+def test_caps_keep_later_periods_within_one_chunk():
+    # _scored_chunks slices period 0 only, so periods 1..T-1 of the largest
+    # grid the caps admit must fit in one chunk
+    for T in range(1, oracle._MAX_PERIODS + 1):
+        K = round(oracle._MAX_CANDIDATES ** (1 / T))
+        while K**T > oracle._MAX_CANDIDATES:
+            K -= 1
+        while (K + 1) ** T <= oracle._MAX_CANDIDATES:
+            K += 1
+        assert K ** (T - 1) <= oracle._CHUNK, (T, K)
 
 
 def test_oracle_deterministic(ration_market):
