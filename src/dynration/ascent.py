@@ -41,6 +41,14 @@ rows. Revisits are common: every period of a converging sweep, and starts
 that meet at the same profile. Each distinct model is still checked for
 affinity, and every trial update still runs the full evaluator and the
 prediction check.
+
+Every evaluation of a sweep changes one period of the current rows: a
+build's base or probe batch, its held-out check, and a trial. The ascent
+keeps ``cur``, the evaluation of its current rows, and each of these
+resumes from it (:func:`dynration.evaluate.formula_layer`), bit for bit a
+fresh evaluation; an accepted trial becomes ``cur``. Only a start's
+evaluation, made by its shrink, and the winner's are fresh. Nothing is
+kept beyond one call.
 """
 
 from __future__ import annotations
@@ -132,19 +140,20 @@ class SolveReport:
     rejected_negative_payments: int = 0
 
 
-def build_coordinate_lp(market: Market, partition: Partition, rows, t: int) -> CoordinateLP:
+def build_coordinate_lp(market: Market, partition: Partition, rows, t: int, like=None) -> CoordinateLP:
     """Measure the tails of period ``t``: probed in float mode, summed in rational mode.
 
     ``rows[s]`` is period s's rule on ``partition``; row ``t`` is ignored.
     Jumps of optimal candidates may sit on the partition points only (the
     functionals are affine in a jump's position between points), so the
-    partition must hold the market atoms.
+    partition must hold the market atoms. ``like``, the evaluation of
+    ``rows``, lets every evaluation of the build resume from its tables.
     """
     if market.mode == RATIONAL:
-        base, tails = coordinate_tails(market, partition, rows, t)
+        base, tails = coordinate_tails(market, partition, rows, t, like)
         base_rev, base_used = base.revenue, base.inventory_used
     else:
-        base_rev, base_used, tails = _probed_tails(market, partition, rows, t)
+        base_rev, base_used, tails = _probed_tails(market, partition, rows, t, like)
     lp = CoordinateLP(
         period=t,
         tails=tails,
@@ -152,18 +161,18 @@ def build_coordinate_lp(market: Market, partition: Partition, rows, t: int) -> C
         base_revenue=base_rev,
         base_used=base_used,
     )
-    _assert_affine(lp, market, partition, rows)
+    _assert_affine(lp, market, partition, rows, like)
     return lp
 
 
-def _probed_tails(market: Market, partition: Partition, rows, t: int):
+def _probed_tails(market: Market, partition: Partition, rows, t: int, like=None):
     """Base and tails from one batched formula-layer call over the tail probes."""
     import numpy as np
 
     npieces = partition.npieces
     R = list(rows)
     R[t] = _tail_probes(npieces)
-    batch = formula_layer(market, partition, R)
+    batch = formula_layer(market, partition, R, like, t)
     # tolist() hands back Python scalars, so no numpy scalar reaches the
     # model; without atoms the sums stay scalars and are repeated.
     revenue, used = (
@@ -187,22 +196,24 @@ def _tail_probes(npieces: int):
     return probes
 
 
+@functools.lru_cache(maxsize=16)
 def _held_out_row(npieces: int, mode) -> tuple:
     """A row that is no single tail, for the affinity check.
 
     It rises on every piece, ``(p + 1) / (npieces + 1)`` in the mode's
-    number type, so the check weighs every piece's coefficient.
+    number type, so the check weighs every piece's coefficient. A run's
+    builds share one row.
     """
     one = Fraction(1) if mode == RATIONAL else 1.0
     return tuple(one * (p + 1) / (npieces + 1) for p in range(npieces))
 
 
-def _assert_affine(lp: CoordinateLP, market: Market, partition: Partition, rows):
+def _assert_affine(lp: CoordinateLP, market: Market, partition: Partition, rows, like=None):
     """Check the model against the full evaluator on a held-out row."""
     check = _held_out_row(partition.npieces, market.mode)
     R = list(rows)
     R[lp.period] = check
-    ev = evaluate_rows(market, partition, R)
+    ev = evaluate_rows(market, partition, R, like, lp.period)
     want_rev, want_used = ev.revenue, ev.inventory_used
     got_j, got_g = lp.value_of(check)
     scale = max(1, abs(want_rev), abs(want_used))
@@ -236,11 +247,14 @@ def solve_coordinate(lp: CoordinateLP) -> CoordinateSolution:
             alpha = budget / gval
             candidates.append((alpha * j, 1, budget, (f,), (alpha,)))
     if budget is not None:
+        # a budget-tight pair mixes a tail over the budget with one under
+        # it; no other pair has 0 < alpha < 1
+        over = [f for f, (_, g) in enumerate(lp.tails) if g > budget]
+        under = [f for f, (_, g) in enumerate(lp.tails) if g < budget]
         for fa, (j_a, g_a) in enumerate(lp.tails):
-            for fb in range(fa + 1, len(lp.tails)):
+            others = under if g_a > budget else over if g_a < budget else ()
+            for fb in others[bisect_right(others, fa):]:
                 j_b, g_b = lp.tails[fb]
-                if g_a == g_b:
-                    continue
                 # the tail from fa dominates the tail from fb
                 alpha = (budget - g_b) / (g_a - g_b)
                 if not 0 < alpha < 1:
@@ -284,15 +298,18 @@ def _row(npieces: int, firsts, levels) -> tuple:
 
 
 def _shrink_to_feasible(market: Market, partition: Partition, rows: tuple) -> tuple:
-    """Halve every value until the inventory cap is met; zero rows after 12 halvings."""
-    if market.unbounded:
-        return rows
+    """Halve every value until the inventory cap is met; zero rows after 12 halvings.
+
+    Returns the rows and their evaluation.
+    """
     half = Fraction(1, 2) if market.mode == RATIONAL else 0.5
     for _ in range(12):
-        if evaluate_rows(market, partition, rows).inventory_used <= market.inventory:
-            return rows
+        ev = evaluate_rows(market, partition, rows)
+        if market.unbounded or ev.inventory_used <= market.inventory:
+            return rows, ev
         rows = tuple(tuple(x * half for x in row) for row in rows)
-    return ((0,) * partition.npieces,) * market.T
+    rows = ((0,) * partition.npieces,) * market.T
+    return rows, evaluate_rows(market, partition, rows)
 
 
 def coordinate_ascent(
@@ -316,22 +333,20 @@ def coordinate_ascent(
     rng = random.Random(seed)
     partition = segment_refinement((), market.atoms)
     npieces = partition.npieces
-    initials = [
-        ("zero", ((0,) * npieces,) * market.T),
-        ("ones", _shrink_to_feasible(market, partition, ((1,) * npieces,) * market.T)),
-    ]
+    initials = [("zero", ((0,) * npieces,) * market.T), ("ones", ((1,) * npieces,) * market.T)]
     for _ in range(starts):
         sub_seed = rng.randrange(2**32)
-        drawn = _random_rows(market, partition, random.Random(sub_seed))
-        initials.append((sub_seed, _shrink_to_feasible(market, partition, drawn)))
+        initials.append((sub_seed, _random_rows(market, partition, random.Random(sub_seed))))
 
     best = None  # (revenue, rows, record)
     records = []
     rejected_negative = 0
     # (t, rows before t, rows after t) -> solution of period t's model
     solved = {}
-    for label, rows in initials:
-        rev = evaluate_rows(market, partition, rows).revenue
+    for label, drawn in initials:
+        # cur is the evaluation of rows, which every build and trial resumes
+        rows, cur = _shrink_to_feasible(market, partition, drawn)
+        rev = cur.revenue
         converged = False
         sweeps = 0
         for _ in range(max_sweeps):
@@ -341,16 +356,16 @@ def coordinate_ascent(
                 key = (t, rows[:t], rows[t + 1:])
                 sol = solved.get(key)
                 if sol is None:
-                    sol = solved[key] = solve_coordinate(build_coordinate_lp(market, partition, rows, t))
+                    sol = solved[key] = solve_coordinate(build_coordinate_lp(market, partition, rows, t, cur))
                 if sol.predicted_revenue <= rev + tol:
                     continue
                 trial = rows[:t] + (sol.row,) + rows[t + 1:]
-                ev = evaluate_rows(market, partition, trial)
+                ev = evaluate_rows(market, partition, trial, cur, t)
                 _require_prediction(ev.revenue, sol.predicted_revenue, market.mode)
                 if ev.negative_payments:
                     rejected_negative += 1
                     continue
-                rows, rev = trial, ev.revenue
+                rows, rev, cur = trial, ev.revenue, ev
                 improved = True
             if not improved:
                 converged = True

@@ -196,12 +196,13 @@ def _dispatch(args, market) -> int:
         posted = brute_force_optimal(market, OracleGrid(levels=("0", "1")))
         report = coordinate_ascent(market, starts=args.starts, tol=_tol(args, market), seed=args.seed)
         d = market.discounts
-        pay = [d.delta[t] * d.lambda_s[t] / d.lambda_b[t] for t in range(market.T)]
+        kappa = [d.lambda_s[t] / d.lambda_b[t] for t in range(market.T)]
         if not market.unbounded:
             benchmark = "n/a (finite inventory)"
-        elif any(b > a for a, b in zip(pay, pay[1:])):
-            # a sale after arrival pays more, so the benchmark is no bound
-            benchmark = "n/a (delta*lambdaS/lambdaB rises)"
+        elif any(b > a for a, b in zip(kappa, kappa[1:])):
+            # a cohort may earn more by screening over time, so the
+            # benchmark is no bound
+            benchmark = "n/a (lambdaS/lambdaB rises)"
         else:
             benchmark = format_number(non_anonymous_benchmark(market))
         rows = [

@@ -40,6 +40,22 @@ rule values ``R[t][p]`` that may be Python scalars (exact ``Fraction`` or
 entry per candidate profile. The grid oracle calls it with each period's
 candidates on their own axis to score a whole batch at once.
 
+A change in one period t resumes from the evaluation of the rows before
+it. Row t enters ``g_s`` and ``U_s`` only for s <= t, since the recursion
+runs down from T; the presence ``f*_s`` only for s > t; and the payment
+``p_s`` only for s <= t, since it reads ``r_s``, ``U_s`` and ``U_{s+1}``.
+So ``formula_layer(market, partition, R, like, t)`` takes g, U, ``u_at``
+and the payments of s > t, and ``f*_s`` of s <= t, from ``like``: the
+scalar evaluation of rows that are ``R``'s own row objects outside period
+t, which it checks. It recomputes the rest, and both sums over every
+period, with the same expressions in the same order. A value taken over is
+the one a fresh evaluation would compute from the same operands, and a
+value recomputed reads the same operands, so the result is bit for bit a
+fresh evaluation's. The resumed recursions start as a fresh one reaches
+period t, with ``whole`` set, since ``like`` holds Python scalars only. A
+scalar evaluation keeps its rows and its g tables (``gap_discounts``) for
+this; a batch keeps no g tables.
+
 Optimal rules are mostly exact 0s and 1s, so where a rule value is a Python
 scalar equal to 0 or 1 the layer takes the value its expression would give
 without doing the arithmetic: ``g_t`` is ``g_{t+1}`` at r = 0 and
@@ -63,7 +79,9 @@ as the coordinate ascent does, calls :func:`evaluate_rows` directly.
 :func:`coordinate_tails` gives, for exact arithmetic, the affine model of
 revenue and usage in one period's rule h = r_t with the other rows fixed:
 the evaluation at h = 0 and each tail's value, a suffix sum of the piece
-coefficients below. It reads the tables of that base evaluation. Write w_j
+coefficients below. It reads the tables of that base evaluation, which
+resumes from the evaluation of the current rows when the caller holds one,
+as the coordinate ascent does. Write w_j
 for the width of gap j and ``P_s[j] = prod_{s <= q < t} (1 - r_q(gap j))``.
 
 * Gap j. A unit of h there raises ``g_t[j]`` by ``delta_t - g_{t+1}[j]``,
@@ -160,6 +178,8 @@ class Evaluation:
     payments: list         # [t][i] expected payment as charged (lambdaB applied)
     revenue: object
     inventory_used: object
+    rows: object           # R as evaluated
+    gap_discounts: object  # [t][j] g_t on gap j, t = 0..T; None in a batch
 
     @property
     def welfare(self):
@@ -188,18 +208,21 @@ def _plain(row) -> bool:
     return not len(row) or type(row[0]) in _SCALARS
 
 
-def effective_discounts(delta, R):
-    """Yield ``(t, g_t)`` for t = T-1 down to 0, one value per entry of ``R[t]``.
+def effective_discounts(delta, R, top=None, g=None):
+    """Yield ``(t, g_t)`` for t = ``top`` down to 0, one value per entry of ``R[t]``.
 
     ``g_t = delta_t r_t + (1 - r_t) g_{t+1}`` with ``g_T = 0`` is the
     expected discount of the eventual purchase of a buyer present at t,
     and the slope of ``U_t``. ``g_T`` is the deltas' own zero, which the
     recursion would make of an int 0 at its first step anyway, so that a
-    rule of 0 can hand ``g_{t+1}`` on as it is.
+    rule of 0 can hand ``g_{t+1}`` on as it is. By default the recursion
+    starts at ``top = T - 1``; given ``top`` and ``g = g_{top+1}``, which
+    must hold Python scalars, it resumes there.
     """
-    g = [delta[0] * 0] * len(R[0])
+    if top is None:
+        top, g = len(R) - 1, [delta[0] * 0] * len(R[0])
     whole = True  # g holds Python scalars
-    for t in range(len(R) - 1, -1, -1):
+    for t in range(top, -1, -1):
         row, d = R[t], delta[t]
         if _plain(row):
             g = [x if r == 0 else d if r == 1 and whole else d * r + (1 - r) * x for r, x in zip(row, g)]
@@ -209,7 +232,7 @@ def effective_discounts(delta, R):
         yield t, g
 
 
-def formula_layer(market: Market, partition: Partition, R) -> Evaluation:
+def formula_layer(market: Market, partition: Partition, R, like: Evaluation | None = None, t=None) -> Evaluation:
     """Presence, utilities, payments, revenue and usage of per-piece rules.
 
     ``R[t][p]`` is period t's rule on piece p of ``partition``; the market's
@@ -219,24 +242,52 @@ def formula_layer(market: Market, partition: Partition, R) -> Evaluation:
     other. Each ``R[t]`` holds Python scalars only or numpy values only.
     The operation order is fixed, so every array entry is bit for bit the
     value that its own float scalars give.
+
+    ``like``, with ``t``, is the scalar evaluation of rows that are ``R``'s
+    own row objects in every period but ``t``: the tables that period t
+    cannot reach are taken from it, and every value is still bit for bit
+    a fresh evaluation's (module docstring).
     """
     delta = market.discounts.delta
     lam_s = market.discounts.lambda_s
     lam_b = market.discounts.lambda_b
     atoms = market.atoms
+    T = market.T
+    if like is not None and (
+        like.gap_discounts is None or like.market is not market or like.partition is not partition
+        or len(R) != T or any(s != t and a is not b for s, (a, b) in enumerate(zip(R, like.rows)))
+    ):
+        raise ValueError(f"like is no scalar evaluation of these rows outside period {t}")
     atom_pc = [partition.piece_of_point(a) for a in atoms]
-    r_at = [[row[pc] for pc in atom_pc] for row in R]
-    plain = [_plain(row) for row in r_at]
-
-    u_points = [None] * market.T + [partition.prefix_integrals([0] * (len(partition.points) - 1))]
-    for t, g in effective_discounts(delta, [r[1::2] for r in R]):
-        u_points[t] = partition.prefix_integrals(g)
     atom_k = [pc // 2 for pc in atom_pc]
-    u_at = [[u[k] for k in atom_k] for u in u_points]
+    ngaps = len(partition.points) - 1
+    if like is None:
+        # every period is recomputed, from the top down and from 0 up
+        t = T - 1
+        r_at = [[row[pc] for pc in atom_pc] for row in R]
+        u_points = [None] * T + [partition.prefix_integrals([0] * ngaps)]
+        gaps = [None] * T + [[delta[0] * 0] * ngaps]
+        u_at_later, payments_later = [[u_points[T][k] for k in atom_k]], []
+        fstar, first = [list(market.mass[0])], 0
+    else:
+        r_at = list(like.r_at)
+        r_at[t] = [R[t][pc] for pc in atom_pc]
+        u_points, gaps = list(like.u_points), list(like.gap_discounts)
+        u_at_later, payments_later = like.u_at[t + 1:], like.payments[t + 1:]
+        fstar, first = like.fstar[:t + 1], t
+    plain = [_plain(row) for row in r_at]
+    scalar = all(_plain(row) for row in R)  # a batch keeps no g tables
 
-    fstar = [list(market.mass[0])]
+    # g_s and U_s for s <= t, resumed from g_{t+1}
+    for s, g in effective_discounts(delta, [r[1::2] for r in R[:t + 1]], t, gaps[t + 1]):
+        if scalar:
+            gaps[s] = g
+        u_points[s] = partition.prefix_integrals(g)
+    u_at = [[u[k] for k in atom_k] for u in u_points[:t + 1]] + u_at_later
+
+    # f*_{s+1} for s >= first: f*_0..f*_first do not read row t
     whole = True  # f* so far holds Python scalars
-    for m_row, r_row, plain_r in zip(market.mass[1:], r_at, plain):
+    for m_row, r_row, plain_r in zip(market.mass[first + 1:], r_at[first:], plain[first:]):
         carry = zip(m_row, fstar[-1], r_row)
         if plain_r:
             fstar.append([m + f if r == 0 else m if r == 1 and whole else m + f * (1 - r) for m, f, r in carry])
@@ -244,8 +295,9 @@ def formula_layer(market: Market, partition: Partition, R) -> Evaluation:
             whole = False
             fstar.append([m + f * (1 - r) for m, f, r in carry])
 
+    # payments of s <= t; later ones read neither row t nor U_t
     payments = []
-    for d, lb, r_row, plain_r, u_next, u_now in zip(delta, lam_b, r_at, plain, u_at[1:], u_at):
+    for d, lb, r_row, plain_r, u_next, u_now in zip(delta[:t + 1], lam_b, r_at, plain, u_at[1:], u_at):
         terms = zip(atoms, r_row, u_next, u_now)
         if plain_r:
             payments.append(
@@ -253,16 +305,19 @@ def formula_layer(market: Market, partition: Partition, R) -> Evaluation:
             )
         else:
             payments.append([(d * a * r + (1 - r) * x - u) / lb for a, r, x, u in terms])
+    payments += payments_later
     revenue = sum(ls * sum(map(mul, p_row, f_row)) for ls, p_row, f_row in zip(lam_s, payments, fstar))
     used = sum(map(mul, chain.from_iterable(r_at), chain.from_iterable(fstar)), delta[0] * 0)
-    return Evaluation(market, partition, u_points, r_at, u_at, fstar, payments, revenue, used)
+    gaps = gaps if scalar else None
+    return Evaluation(market, partition, u_points, r_at, u_at, fstar, payments, revenue, used, R, gaps)
 
 
-def coordinate_tails(market: Market, partition: Partition, R, t: int):
+def coordinate_tails(market: Market, partition: Partition, R, t: int, like: Evaluation | None = None):
     """``(base, tails)`` of period ``t``'s exact affine model.
 
     ``base`` is the :class:`Evaluation` of ``R`` with row ``t`` zero (the
-    given row ``t`` is ignored); ``tails[f]`` is the (revenue, usage) change
+    given row ``t`` is ignored), resumed from ``like`` when given, as in
+    :func:`formula_layer`; ``tails[f]`` is the (revenue, usage) change
     when row ``t`` is one on the pieces ``>= f``: the sum from piece f up of
     the coefficients derived in the module docstring. O(T (n + P))
     operations for n atoms and P pieces; exact in rational mode only.
@@ -274,7 +329,7 @@ def coordinate_tails(market: Market, partition: Partition, R, t: int):
     zero = delta[0] * 0
     R = list(R)
     R[t] = [0] * partition.npieces
-    base = formula_layer(market, partition, R)
+    base = formula_layer(market, partition, R, like, t)
     fstar, r_at = base.fstar, base.r_at
     atom_k = [partition.piece_of_point(a) // 2 for a in atoms]
     points = partition.points
@@ -347,9 +402,13 @@ def evaluate(market: Market, profile: AllocationProfile) -> Evaluation:
     return evaluate_rows(market, partition, [partition.values(r) for r in profile.steps])
 
 
-def evaluate_rows(market: Market, partition: Partition, R) -> Evaluation:
-    """:func:`evaluate` of the rules whose piece values on ``partition`` are ``R[t]``."""
-    ev = formula_layer(market, partition, R)
+def evaluate_rows(market: Market, partition: Partition, R, like: Evaluation | None = None, t=None) -> Evaluation:
+    """:func:`evaluate` of the rules whose piece values on ``partition`` are ``R[t]``.
+
+    ``like`` and ``t`` go to :func:`formula_layer`; the self-checks always
+    read the full tables.
+    """
+    ev = formula_layer(market, partition, R, like, t)
     # keep[i][t] = 1 - r_t at atom i, and mass[i][t] its arrivals
     keep = list(zip(*([1 - r for r in row] for row in ev.r_at)))
     mass = list(zip(*market.mass))

@@ -322,9 +322,16 @@ def non_anonymous_benchmark(market: Market):
     seller simply charges each cohort its monopoly price on arrival. A buyer
     of value v who pays p at t keeps delta_t * v - lambdaB_t * p, so the
     price that sells to values q and up is delta_t * q / lambdaB_t; the
-    seller counts lambdaS_t times its cash. It bounds the anonymous optimum
-    only while delta_t * lambdaS_t / lambdaB_t never rises over t: otherwise
-    a sale after arrival pays more.
+    seller counts lambdaS_t times its cash.
+
+    It bounds the anonymous optimum when kappa_t = lambdaS_t / lambdaB_t
+    never rises over t. Revenue is linear in the masses, so the optimum is
+    at most the sum over cohorts of each cohort's optimum alone. A cohort
+    that arrives at t pays nonnegative amounts at s >= t, which the seller
+    weighs by kappa_s <= kappa_t, and with delta non-increasing a lone
+    cohort does best at its static monopoly price on arrival (Stokey 1979).
+    Where kappa rises, a lone cohort can earn more by screening over time,
+    and this sum can fall below the anonymous optimum.
     """
     if not market.unbounded:
         raise BoundedInventoryUnsupported("finite inventory couples the generations")

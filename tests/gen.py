@@ -107,7 +107,7 @@ def random_feasible_profile(rng: random.Random, market) -> AllocationProfile:
 def shrunk_to_feasible(market, profile: AllocationProfile) -> AllocationProfile:
     """The ascent's shrink of a profile whose jumps sit on the atoms, through its rows."""
     partition = segment_refinement((), market.atoms)
-    rows = _shrink_to_feasible(market, partition, tuple(tuple(partition.values(r)) for r in profile.steps))
+    rows, _ = _shrink_to_feasible(market, partition, tuple(tuple(partition.values(r)) for r in profile.steps))
     return AllocationProfile(tuple(StepFunction.from_values(partition, row) for row in rows))
 
 

@@ -238,9 +238,9 @@ def test_build_probes_in_float_mode_only(monkeypatch):
     # layer a batch; float builds still probe
     batched = []
 
-    def recording(market, partition, R):
+    def recording(market, partition, R, like=None, t=None):
         batched.append(any(isinstance(x, np.ndarray) for row in R for x in row))
-        return formula_layer(market, partition, R)
+        return formula_layer(market, partition, R, like, t)
 
     monkeypatch.setattr(ascent, "formula_layer", recording)
     monkeypatch.setattr(importlib.import_module("dynration.evaluate"), "formula_layer", recording)
@@ -504,9 +504,9 @@ def test_memoized_ascent_matches_memo_free_reference(monkeypatch, mode):
         want, builds = _reference_ascent(m, starts=starts, seed=seed)
         keys = []
 
-        def recording(market, partition, rows, t):
+        def recording(market, partition, rows, t, like=None):
             keys.append((t, rows[:t], rows[t + 1:]))
-            return build_coordinate_lp(market, partition, rows, t)
+            return build_coordinate_lp(market, partition, rows, t, like)
 
         monkeypatch.setattr(ascent, "build_coordinate_lp", recording)
         got = coordinate_ascent(m, starts=starts, seed=seed)
@@ -563,7 +563,7 @@ def test_shrink_falls_back_to_zero_rows(mode):
     zero = ((0,) * partition.npieces,) * m.T
     ones = ((1,) * partition.npieces,) * m.T
     assert evaluate_rows(m, partition, ones).inventory_used * F(1, 2**12) > m.inventory
-    assert ascent._shrink_to_feasible(m, partition, ones) == zero
+    assert ascent._shrink_to_feasible(m, partition, ones)[0] == zero
     zero_record, ones_record = coordinate_ascent(m, starts=0).starts
     assert dataclasses.replace(ones_record, label="zero") == zero_record
 
@@ -579,7 +579,7 @@ def test_random_starts_are_monotone_unit_and_within_the_cap():
         # the same draws as a profile of step functions give the same values, of the same types
         want = tuple(tuple(partition.values(r)) for r in random_profile(random.Random(seed), m).steps)
         assert [(x, type(x)) for row in drawn for x in row] == [(x, type(x)) for row in want for x in row]
-        rows = ascent._shrink_to_feasible(m, partition, drawn)
+        rows, _ = ascent._shrink_to_feasible(m, partition, drawn)
         for row in rows:
             assert len(row) == partition.npieces
             assert 0 <= row[0] and row[-1] <= 1 and all(a <= b for a, b in zip(row, row[1:]))
@@ -653,3 +653,108 @@ def test_solution_rows_round_trip(monkeypatch):
             coordinate_ascent(m, starts=3, seed=rng.randrange(1000))
             partition = Partition(m.atoms)
             assert seen and all(_round_trips(partition, row) for row in seen)
+
+
+def _enumerated_solve(lp):
+    """``solve_coordinate`` as it was before it skipped the pairs that do not
+    straddle the budget: every pair is divided, then kept for 0 < alpha < 1."""
+    budget = lp.budget
+    feasible = lambda g: budget is None or g <= budget
+
+    # (J, steps, G, first pieces, levels from each); only the winner becomes
+    # a row.
+    candidates = [(0, 0, 0, (), ())]
+    for f, (j, gval) in enumerate(lp.tails):
+        if feasible(gval):
+            candidates.append((j, 1, gval, (f,), (1,)))
+        elif budget is not None and gval > 0 and budget > 0:
+            alpha = budget / gval
+            candidates.append((alpha * j, 1, budget, (f,), (alpha,)))
+    if budget is not None:
+        for fa, (j_a, g_a) in enumerate(lp.tails):
+            for fb in range(fa + 1, len(lp.tails)):
+                j_b, g_b = lp.tails[fb]
+                if g_a == g_b:
+                    continue
+                # the tail from fa dominates the tail from fb
+                alpha = (budget - g_b) / (g_a - g_b)
+                if not 0 < alpha < 1:
+                    continue
+                candidates.append((alpha * j_a + (1 - alpha) * j_b, 2, budget, (fa, fb), (alpha, 1)))
+
+    best = None
+    for cand in candidates:
+        j, key = cand[0], cand[1:4]
+        if best is None or j > best[0] or (j == best[0] and key < best[1:4]):
+            best = cand
+
+    j, _, gval, firsts, levels = best
+    return ascent.CoordinateSolution(
+        row=ascent._row(len(lp.tails), firsts, (0, *levels)),
+        objective=j,
+        used=gval,
+        predicted_revenue=lp.base_revenue + j,
+        predicted_used=lp.base_used + gval,
+    )
+
+
+@pytest.mark.parametrize("kind", [F, float], ids=["fraction", "float"])
+def test_solver_skips_only_pairs_that_cannot_be_budget_tight(kind):
+    # the solver divides only for pairs whose usages straddle the budget;
+    # it must pick the enumeration's row, objective and usage, by type and
+    # repr (so by .hex() in float), on random models with forced ties in
+    # revenue and usage, budgets on a usage, at 0 and unbounded
+    rng = random.Random(2111)
+    spelled = lambda sol: [(type(x).__name__, repr(x)) for x in (*sol.row, *dataclasses.astuple(sol)[1:])]
+    for _ in range(1500):
+        npieces = rng.randint(1, 13)
+        if rng.random() < 0.5:
+            draw = lambda lo, hi: kind(rng.randint(4 * lo, 4 * hi)) / 4  # a coarse grid forces ties
+        else:
+            draw = lambda lo, hi: kind(lo) + (kind(hi) - kind(lo)) * kind(rng.randint(0, 10**6)) / 10**6
+        tails = tuple((draw(-2, 2), draw(0, 3)) for _ in range(npieces))
+        budget = rng.choice([None, kind(0), rng.choice(tails)[1], draw(0, 3), draw(0, 3)])
+        lp = ascent.CoordinateLP(0, tails, budget, draw(-1, 1), draw(0, 1))
+        assert spelled(solve_coordinate(lp)) == spelled(_enumerated_solve(lp))
+
+
+def test_held_out_row_is_made_once_per_size_and_mode():
+    for mode in (RATIONAL, FLOAT):
+        assert ascent._held_out_row(7, mode) is ascent._held_out_row(7, mode)
+    assert ascent._held_out_row(7, RATIONAL) is not ascent._held_out_row(7, FLOAT)
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_builds_and_trials_resume_from_the_current_evaluation(monkeypatch, mode):
+    # every formula-layer call of the ascent resumes from the evaluation of
+    # its current rows, except those that evaluate a start and the winner
+    evaluate_mod = importlib.import_module("dynration.evaluate")
+    phase, calls = ["sweep"], []
+
+    def recording(market, partition, R, like=None, t=None):
+        calls.append((phase[0], like is not None))
+        return formula_layer(market, partition, R, like, t)
+
+    def within(name, fn):
+        def wrapped(*args):
+            phase[0] = name
+            try:
+                return fn(*args)
+            finally:
+                phase[0] = "sweep"
+        return wrapped
+
+    monkeypatch.setattr(ascent, "formula_layer", recording)
+    monkeypatch.setattr(evaluate_mod, "formula_layer", recording)
+    monkeypatch.setattr(ascent, "_shrink_to_feasible", within("start", ascent._shrink_to_feasible))
+    monkeypatch.setattr(ascent, "evaluate", within("winner", evaluate))
+    rng = random.Random(2112)
+    for _ in range(4):
+        m = random_market(rng, mode=mode, min_periods=3, max_periods=4, unbounded=False, general_lambda=True)
+        calls.clear()
+        coordinate_ascent(m, starts=3, seed=0)
+        assert {resumed for name, resumed in calls if name != "sweep"} == {False}
+        assert [name for name, _ in calls].count("winner") == 1
+        assert [name for name, _ in calls].count("start") >= 5
+        sweep = [resumed for name, resumed in calls if name == "sweep"]
+        assert sweep and all(sweep)

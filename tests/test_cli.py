@@ -134,14 +134,30 @@ def test_compare_command(market_files, capsys):
 
 
 def test_compare_shows_no_benchmark_when_later_sales_pay_more(tmp_path, capsys):
-    # delta*lambdaS/lambdaB goes 1 -> 2: the posted oracle sells the t = 1
+    # lambdaS/lambdaB goes 1 -> 2: the posted oracle sells the t = 1
     # cohort at t = 2 for 2, while the per-arrival benchmark reads 1.
     path = tmp_path / "rising.json"
     path.write_text(serialize_market(make_market(T=2, atoms=[1], mass=[[1], [0]], lambda_b=[1, "1/2"])))
     assert main(["compare", str(path), "--starts", "4"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[1].split()[-1] == "2"
-    assert lines[2].endswith("n/a (delta*lambdaS/lambdaB rises)")
+    assert lines[2].endswith("n/a (lambdaS/lambdaB rises)")
+
+
+def test_compare_shows_no_benchmark_when_kappa_rises(tmp_path, capsys):
+    # delta * lambdaS / lambdaB = (0.6875, 0.5, 0.444) never rises, but
+    # kappa = lambdaS / lambdaB = (3/4, 6/11, 2/3) does at t = 3; the
+    # per-arrival sum 1183/2304 lies below the solver's 13181/25344 here
+    m = make_market(
+        T=3, atoms=["1/4", "5/12"], mass=[["1/2", "3/4"], ["3/4", "3/4"], [1, 0]],
+        delta=["11/12", "11/12", "2/3"], lambda_s=["3/4", "1/2", "1/2"], lambda_b=[1, "11/12", "3/4"],
+    )
+    path = tmp_path / "found.json"
+    path.write_text(serialize_market(m))
+    assert main(["compare", str(path), "--starts", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[-1] == "13181/25344"
+    assert lines[2].endswith("n/a (lambdaS/lambdaB rises)")
 
 
 def test_compare_solves_with_the_given_tol(tmp_path, capsys):

@@ -19,7 +19,8 @@ from dynration import (
     make_market,
     mixture,
 )
-from dynration.evaluate import Evaluation, EvaluatorInternalError, evaluate_rows, formula_layer
+from dynration import ascent
+from dynration.evaluate import Evaluation, EvaluatorInternalError, coordinate_tails, evaluate_rows, formula_layer
 from dynration.report import evaluation_csv
 
 from gen import MASS_POOL, random_feasible_profile, random_market, random_profile, random_step, slopes
@@ -513,3 +514,88 @@ def test_formula_layer_matches_the_reference_by_repr(mode):
             want = _spelled(_reference_formula_layer(m, part, R))
             assert _spelled(_tables(formula_layer(m, part, R))) == want
         assert _spelled(_tables(evaluate_rows(m, part, rows))) == _spelled(_reference_formula_layer(m, part, rows))
+
+
+# -- one-period changes resumed from the evaluation of the other rows ----------
+
+
+def _reuse_cases(mode, seen):
+    """``(market, partition, rows, changed, t)`` where ``changed`` is ``rows``
+    with a new row t and the same row objects elsewhere.
+
+    The markets are ``_edge_market``'s plus two atomless ones; the new row
+    is a scalar row of int, mode-number and fraction levels, a batch of
+    such rows as columns and, in float mode, the build's tail probes.
+    ``seen`` collects which edge cases came up.
+    """
+    rng = random.Random(2110)
+    num = F if mode == RATIONAL else float
+    dtype = object if mode == RATIONAL else float
+    markets = [_edge_market(rng, mode) for _ in range(30)]
+    markets += [make_market(T=T, atoms=[], mass=[[]] * T, inventory=inv, mode=mode) for T, inv in ((1, None), (3, 1))]
+    for m in markets:
+        for case, hit in (("T = 1", m.T == 1), ("atomless", not m.atoms), ("atom at 0", 0 in m.atoms),
+                          ("atom at 1", 1 in m.atoms)):
+            seen[case] = seen.get(case, False) or hit
+        part = Partition([*m.atoms, *(num(F(rng.randint(1, 23), 24)) for _ in range(rng.randint(0, 2)))])
+        rows = tuple(_edge_row(rng, part.npieces, mode) for _ in range(m.T))
+        for t in range(m.T):
+            news = [
+                _edge_row(rng, part.npieces, mode),
+                np.array([_edge_row(rng, part.npieces, mode) for _ in range(3)], dtype=dtype).T,
+            ]
+            if mode == FLOAT:
+                news.append(ascent._tail_probes(part.npieces))
+            for new in news:
+                yield m, part, rows, rows[:t] + (new,) + rows[t + 1:], t
+
+
+def _kept(ev: Evaluation) -> list:
+    return [*_tables(ev), ev.gap_discounts]
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_one_period_change_resumes_bit_for_bit(mode):
+    # an evaluation resumed from the evaluation of rows that differ in
+    # period t only takes over the tables t cannot reach and recomputes the
+    # rest; every table, sum and kept g table must be a fresh evaluation's,
+    # by type, repr, dtype and shape, and so must the base and tails of the
+    # coordinate model and, on scalar rows, the checked evaluation
+    seen = {}
+    for m, part, rows, changed, t in _reuse_cases(mode, seen):
+        like = formula_layer(m, part, rows)
+        got = formula_layer(m, part, changed, like=like, t=t)
+        assert _spelled(_kept(got)) == _spelled(_kept(formula_layer(m, part, changed)))
+        base, tails = coordinate_tails(m, part, changed, t, like)
+        want_base, want_tails = coordinate_tails(m, part, changed, t)
+        assert _spelled([*_kept(base), tails]) == _spelled([*_kept(want_base), want_tails])
+        if got.gap_discounts is not None:
+            # a scalar change; resuming back from it gives the first rows
+            assert _spelled(_kept(evaluate_rows(m, part, changed, like, t))) == _spelled(_kept(got))
+            assert _spelled(_kept(formula_layer(m, part, rows, got, t))) == _spelled(_kept(like))
+    assert all(seen.values()) and set(seen) == {"T = 1", "atomless", "atom at 0", "atom at 1"}
+
+
+def test_resuming_needs_the_same_row_objects():
+    # like must be the scalar evaluation of R's own row objects outside
+    # period t, on the same market and partition
+    m = make_market(T=3, atoms=["1/2", 1], mass=[[1, 1]] * 3, inventory=2)
+    part = Partition(m.atoms)
+    rows = ((0,) * part.npieces, (F(1, 2),) * part.npieces, (1,) * part.npieces)
+    like = formula_layer(m, part, rows)
+    copied = rows[:2] + (tuple(list(rows[2])),)
+    assert copied == rows and copied[2] is not rows[2]
+    formula_layer(m, part, copied, like, 2)
+    batch = formula_layer(m, part, rows[:2] + (np.array([rows[2]], dtype=object).T,))
+    assert batch.gap_discounts is None
+    other = Partition(m.atoms)
+    for call in (
+        lambda: formula_layer(m, part, copied, like, 1),
+        lambda: evaluate_rows(m, part, copied, like, 0),
+        lambda: coordinate_tails(m, part, copied, 1, like),
+        lambda: formula_layer(m, part, rows, batch, 1),
+        lambda: formula_layer(m, other, rows, like, 1),
+        lambda: formula_layer(ex_ration(), part, rows, like, 1),
+    ):
+        with pytest.raises(ValueError, match="like is no scalar evaluation"):
+            call()

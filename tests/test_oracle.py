@@ -111,16 +111,17 @@ def test_single_period_unbounded_solver_equals_benchmark():
 
 
 def test_benchmark_dominates_anonymous_optimum_unbounded():
-    # full discrimination can only help while no later period pays more per
-    # unit of value, i.e. delta * lambdaS / lambdaB never rises over time
+    # per-cohort monopoly pricing on arrival bounds the anonymous optimum
+    # while the seller's weight kappa = lambdaS / lambdaB never rises over
+    # time: a cohort's later payments then count no more than on arrival
     for general_lambda, seed in ((False, 43), (True, 46)):
         rng = random.Random(seed)
         checked = 0
         while checked < 12:
             m = random_market(rng, unbounded=True, general_lambda=general_lambda)
             d = m.discounts
-            pay = [d.delta[t] * d.lambda_s[t] / d.lambda_b[t] for t in range(m.T)]
-            if any(b > a for a, b in zip(pay, pay[1:])):
+            kappa = [d.lambda_s[t] / d.lambda_b[t] for t in range(m.T)]
+            if any(b > a for a, b in zip(kappa, kappa[1:])):
                 continue
             checked += 1
             bench = non_anonymous_benchmark(m)
