@@ -21,11 +21,12 @@ mode:
   :func:`dynration.evaluate.formula_layer` call, the period's rule carried
   as one matrix with a row per piece and a column per tail, so every value
   is the evaluator's own float, to the last bit;
-* rational: one evaluation of the period's rule at zero and one pass of
-  :func:`dynration.evaluate.coordinate_tails` give every tail's exact
+* rational: one pass of :func:`dynration.evaluate.coordinate_tails` over
+  the tables of the current rows' evaluation gives every tail's exact
   revenue and usage, the sum of the per-piece coefficients from its piece
-  up. Exact arithmetic makes this equal to the probes' values, in any
-  order of the operations.
+  up, and the base is that evaluation less the model's value of the
+  current row t. Exact arithmetic makes this equal to the probes' values,
+  in any order of the operations.
 
 Only the float probe batch, :func:`_probed_tails` and :func:`_tail_probes`,
 uses numpy, and each imports it when called: importing this module and
@@ -43,12 +44,14 @@ affinity, and every trial update still runs the full evaluator and the
 prediction check.
 
 Every evaluation of a sweep changes one period of the current rows: a
-build's base or probe batch, its held-out check, and a trial. The ascent
-keeps ``cur``, the evaluation of its current rows, and each of these
-resumes from it (:func:`dynration.evaluate.formula_layer`), bit for bit a
-fresh evaluation; an accepted trial becomes ``cur``. Only a start's
-evaluation, made by its shrink, and the winner's are fresh. Nothing is
-kept beyond one call.
+float build's probe batch, a build's held-out check, and a trial. The
+ascent keeps ``cur``, the evaluation of its current rows, and each of
+these resumes from it (:func:`dynration.evaluate.formula_layer`), bit for
+bit a fresh evaluation; an accepted trial becomes ``cur``. A rational
+build evaluates nothing but its held-out check. A start's shrink tests
+each halving on its usage alone and evaluates only the rows it keeps;
+that evaluation and the winner's are fresh. Nothing is kept beyond one
+call.
 """
 
 from __future__ import annotations
@@ -66,6 +69,8 @@ from .evaluate import (
     evaluate,
     evaluate_rows,
     formula_layer,
+    inventory_used,
+    row_value,
 )
 from .market import Market
 from .numeric import RATIONAL, default_tol
@@ -100,13 +105,7 @@ class CoordinateLP:
 
     def value_of(self, row):
         """(revenue delta, inventory delta) of a row of piece values."""
-        j, g = (row[0] * x for x in self.tails[0])
-        for f in range(1, len(row)):
-            if row[f] != row[f - 1]:
-                tj, tg = self.tails[f]
-                j += (row[f] - row[f - 1]) * tj
-                g += (row[f] - row[f - 1]) * tg
-        return j, g
+        return row_value(row, self.tails)
 
 
 @dataclass
@@ -147,11 +146,14 @@ def build_coordinate_lp(market: Market, partition: Partition, rows, t: int, like
     Jumps of optimal candidates may sit on the partition points only (the
     functionals are affine in a jump's position between points), so the
     partition must hold the market atoms. ``like``, the evaluation of
-    ``rows``, lets every evaluation of the build resume from its tables.
+    ``rows``, lets every evaluation of the build resume from its tables; a
+    rational build reads its whole model from it, and evaluates ``rows``
+    itself when it is not given.
     """
     if market.mode == RATIONAL:
-        base, tails = coordinate_tails(market, partition, rows, t, like)
-        base_rev, base_used = base.revenue, base.inventory_used
+        if like is None:
+            like = formula_layer(market, partition, rows)
+        base_rev, base_used, tails = coordinate_tails(market, partition, like, t)
     else:
         base_rev, base_used, tails = _probed_tails(market, partition, rows, t, like)
     lp = CoordinateLP(
@@ -197,32 +199,58 @@ def _tail_probes(npieces: int):
 
 
 @functools.lru_cache(maxsize=16)
-def _held_out_row(npieces: int, mode) -> tuple:
+def _held_out_row(npieces: int, mode, denominator: int) -> tuple:
     """A row that is no single tail, for the affinity check.
 
-    It rises on every piece, ``(p + 1) / (npieces + 1)`` in the mode's
+    It rises by one step, ``1 / denominator``, on every piece, in the mode's
     number type, so the check weighs every piece's coefficient. A run's
-    builds share one row.
+    builds share at most two rows.
     """
     one = Fraction(1) if mode == RATIONAL else 1.0
-    return tuple(one * (p + 1) / (npieces + 1) for p in range(npieces))
+    return tuple(one * (p + 1) / denominator for p in range(npieces))
+
+
+def _held_out_for(row, mode) -> tuple:
+    """The held-out row of a model anchored on ``row``, P pieces long: its
+    step is 1/k for the first k >= P + 1 such that 1/k is neither the
+    first value nor a rise of ``row`` (see :func:`_assert_affine`)."""
+    steps = [row[0], *(b - a for a, b in zip(row, row[1:]) if a != b)]
+    k = len(row) + 1
+    while (check := _held_out_row(len(row), mode, k))[0] in steps:
+        k += 1
+    return check
 
 
 def _assert_affine(lp: CoordinateLP, market: Market, partition: Partition, rows, like=None):
-    """Check the model against the full evaluator on a held-out row."""
-    check = _held_out_row(partition.npieces, market.mode)
+    """Check the model against the full evaluator on a held-out row.
+
+    The held-out row h rises by one step s on every piece, so the model's
+    value there is s times the sum of the tails. A rational model is
+    anchored on ``like``: its base is ``like``'s value less the model's
+    value of ``like``'s row t, r. So the check compares the model's value
+    of h - r with the evaluator's difference between h and r, and there
+    tail f weighs s minus r's step onto piece f: where the two are equal,
+    the check cannot see that tail. Ascent rows take such steps: with two
+    interior atoms there are 7 pieces, and a ones start halved three times
+    is 1/8 on each. So s is 1/(P + 1) unless r starts at or rises by that,
+    and 1/(P + 2) then, in both modes. No ascent row takes both steps: P is
+    odd (points and gaps alternate, with a point at each end), so 1/(P + 2)
+    is not dyadic like a start's steps, and a solver row's steps, alpha and
+    1 - alpha, sum to 1. Other rows may move s on to 1/(P + 3) and below.
+    """
+    t = lp.period
+    check = _held_out_for(rows[t] if like is None else like.rows[t], market.mode)
     R = list(rows)
-    R[lp.period] = check
-    ev = evaluate_rows(market, partition, R, like, lp.period)
+    R[t] = check
+    ev = evaluate_rows(market, partition, R, like, t)
     want_rev, want_used = ev.revenue, ev.inventory_used
-    got_j, got_g = lp.value_of(check)
+    step = check[0]
+    got_rev = lp.base_revenue + step * sum(j for j, _ in lp.tails)
+    got_used = lp.base_used + step * sum(g for _, g in lp.tails)
     scale = max(1, abs(want_rev), abs(want_used))
     tol = 0 if market.mode == RATIONAL else 1e-8 * scale
-    if not (abs(lp.base_revenue + got_j - want_rev) <= tol and abs(lp.base_used + got_g - want_used) <= tol):
-        raise AffinityError(
-            f"period {lp.period}: tail model off by "
-            f"{lp.base_revenue + got_j - want_rev} / {lp.base_used + got_g - want_used}"
-        )
+    if not (abs(got_rev - want_rev) <= tol and abs(got_used - want_used) <= tol):
+        raise AffinityError(f"period {t}: tail model off by {got_rev - want_rev} / {got_used - want_used}")
 
 
 def solve_coordinate(lp: CoordinateLP) -> CoordinateSolution:
@@ -300,15 +328,18 @@ def _row(npieces: int, firsts, levels) -> tuple:
 def _shrink_to_feasible(market: Market, partition: Partition, rows: tuple) -> tuple:
     """Halve every value until the inventory cap is met; zero rows after 12 halvings.
 
-    Returns the rows and their evaluation.
+    Each halving is tested on its usage alone, which
+    :func:`dynration.evaluate.inventory_used` gives bit for bit as the
+    evaluator does; only the rows returned are evaluated, with every
+    self-check. Returns the rows and their evaluation.
     """
     half = Fraction(1, 2) if market.mode == RATIONAL else 0.5
     for _ in range(12):
-        ev = evaluate_rows(market, partition, rows)
-        if market.unbounded or ev.inventory_used <= market.inventory:
-            return rows, ev
+        if market.unbounded or inventory_used(market, partition, rows) <= market.inventory:
+            break
         rows = tuple(tuple(x * half for x in row) for row in rows)
-    rows = ((0,) * partition.npieces,) * market.T
+    else:
+        rows = ((0,) * partition.npieces,) * market.T
     return rows, evaluate_rows(market, partition, rows)
 
 

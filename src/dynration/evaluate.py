@@ -74,14 +74,19 @@ term, because a sum of no terms would be int 0, not 0.0.
 
 :func:`evaluate` takes any profile, jumps anywhere in [0, 1], and refines
 its partition and rows; a caller that holds rows on one partition already,
-as the coordinate ascent does, calls :func:`evaluate_rows` directly.
+as the coordinate ascent does, calls :func:`evaluate_rows` directly, and
+:func:`inventory_used` when it needs usage alone: that runs the layer's
+presence recursion and usage sum and nothing else.
 
 :func:`coordinate_tails` gives, for exact arithmetic, the affine model of
 revenue and usage in one period's rule h = r_t with the other rows fixed:
-the evaluation at h = 0 and each tail's value, a suffix sum of the piece
-coefficients below. It reads the tables of that base evaluation, which
-resumes from the evaluation of the current rows when the caller holds one,
-as the coordinate ascent does. Write w_j
+each tail's value, a suffix sum of the piece coefficients below, and the
+base, the revenue and usage at h = 0. The coefficients read presence,
+rules, utilities and payments that h does not reach (f*_s for s <= t,
+r_s for s != t, U_{t+1} and the payments of s > t), so they are read from
+the evaluation of the current rows, as the coordinate ascent holds it,
+and the base is that evaluation less the model's value of the current
+h, with no evaluation at h = 0. Write w_j
 for the width of gap j and ``P_s[j] = prod_{s <= q < t} (1 - r_q(gap j))``.
 
 * Gap j. A unit of h there raises ``g_t[j]`` by ``delta_t - g_{t+1}[j]``,
@@ -254,7 +259,7 @@ def formula_layer(market: Market, partition: Partition, R, like: Evaluation | No
     atoms = market.atoms
     T = market.T
     if like is not None and (
-        like.gap_discounts is None or like.market is not market or like.partition is not partition
+        not _scalar_evaluation(like, market, partition)
         or len(R) != T or any(s != t and a is not b for s, (a, b) in enumerate(zip(R, like.rows)))
     ):
         raise ValueError(f"like is no scalar evaluation of these rows outside period {t}")
@@ -286,14 +291,7 @@ def formula_layer(market: Market, partition: Partition, R, like: Evaluation | No
     u_at = [[u[k] for k in atom_k] for u in u_points[:t + 1]] + u_at_later
 
     # f*_{s+1} for s >= first: f*_0..f*_first do not read row t
-    whole = True  # f* so far holds Python scalars
-    for m_row, r_row, plain_r in zip(market.mass[first + 1:], r_at[first:], plain[first:]):
-        carry = zip(m_row, fstar[-1], r_row)
-        if plain_r:
-            fstar.append([m + f if r == 0 else m if r == 1 and whole else m + f * (1 - r) for m, f, r in carry])
-        else:
-            whole = False
-            fstar.append([m + f * (1 - r) for m, f, r in carry])
+    _extend_presence(market, r_at, plain, fstar, first)
 
     # payments of s <= t; later ones read neither row t nor U_t
     payments = []
@@ -307,30 +305,81 @@ def formula_layer(market: Market, partition: Partition, R, like: Evaluation | No
             payments.append([(d * a * r + (1 - r) * x - u) / lb for a, r, x, u in terms])
     payments += payments_later
     revenue = sum(ls * sum(map(mul, p_row, f_row)) for ls, p_row, f_row in zip(lam_s, payments, fstar))
-    used = sum(map(mul, chain.from_iterable(r_at), chain.from_iterable(fstar)), delta[0] * 0)
+    used = _usage(r_at, fstar, delta[0] * 0)
     gaps = gaps if scalar else None
     return Evaluation(market, partition, u_points, r_at, u_at, fstar, payments, revenue, used, R, gaps)
 
 
-def coordinate_tails(market: Market, partition: Partition, R, t: int, like: Evaluation | None = None):
-    """``(base, tails)`` of period ``t``'s exact affine model.
+def _scalar_evaluation(ev: Evaluation, market: Market, partition: Partition) -> bool:
+    """Whether ``ev`` is a scalar evaluation on ``market`` and ``partition``."""
+    return ev.gap_discounts is not None and ev.market is market and ev.partition is partition
 
-    ``base`` is the :class:`Evaluation` of ``R`` with row ``t`` zero (the
-    given row ``t`` is ignored), resumed from ``like`` when given, as in
-    :func:`formula_layer`; ``tails[f]`` is the (revenue, usage) change
-    when row ``t`` is one on the pieces ``>= f``: the sum from piece f up of
-    the coefficients derived in the module docstring. O(T (n + P))
+
+def _extend_presence(market: Market, r_at, plain, fstar, first: int):
+    """Append f*_{s+1} to ``fstar``, which holds f*_0..f*_first, for every s >= ``first``."""
+    whole = True  # f* so far holds Python scalars
+    for m_row, r_row, plain_r in zip(market.mass[first + 1:], r_at[first:], plain[first:]):
+        carry = zip(m_row, fstar[-1], r_row)
+        if plain_r:
+            fstar.append([m + f if r == 0 else m if r == 1 and whole else m + f * (1 - r) for m, f, r in carry])
+        else:
+            whole = False
+            fstar.append([m + f * (1 - r) for m, f, r in carry])
+
+
+def _usage(r_at, fstar, zero):
+    return sum(map(mul, chain.from_iterable(r_at), chain.from_iterable(fstar)), zero)
+
+
+def inventory_used(market: Market, partition: Partition, R):
+    """``formula_layer(market, partition, R).inventory_used``, bit for bit.
+
+    Usage reads the rules at the atoms and the presence f* only, so this
+    runs the layer's presence recursion and usage sum, with the same
+    expressions, and nothing else.
+    """
+    atom_pc = [partition.piece_of_point(a) for a in market.atoms]
+    r_at = [[row[pc] for pc in atom_pc] for row in R]
+    fstar = [list(market.mass[0])]
+    _extend_presence(market, r_at, [_plain(row) for row in r_at], fstar, 0)
+    return _usage(r_at, fstar, market.discounts.delta[0] * 0)
+
+
+def row_value(row, tails):
+    """(revenue, usage) change of ``row`` in an affine model of tails.
+
+    A row is its first value times ``tails[0]`` plus each step up times the
+    tail that starts there.
+    """
+    j, g = (row[0] * x for x in tails[0])
+    for f in range(1, len(row)):
+        if row[f] != row[f - 1]:
+            tj, tg = tails[f]
+            j += (row[f] - row[f - 1]) * tj
+            g += (row[f] - row[f - 1]) * tg
+    return j, g
+
+
+def coordinate_tails(market: Market, partition: Partition, cur: Evaluation, t: int):
+    """``(base_revenue, base_used, tails)`` of period ``t``'s exact affine model.
+
+    ``cur`` is the scalar evaluation of the current rows on ``market`` and
+    ``partition`` (``ValueError`` otherwise). ``tails[f]`` is the (revenue,
+    usage) change when row ``t`` is one on the pieces ``>= f`` instead of
+    zero: the sum from piece f up of the coefficients derived in the module
+    docstring, which read only tables that row t does not reach, so they
+    are read from ``cur``. The base, revenue and usage with row ``t`` zero,
+    is ``cur``'s less the model's value of ``cur``'s row ``t``. O(T (n + P))
     operations for n atoms and P pieces; exact in rational mode only.
     """
+    if not _scalar_evaluation(cur, market, partition):
+        raise ValueError("cur is no scalar evaluation on this market and partition")
     T, atoms = market.T, market.atoms
     delta = market.discounts.delta
     lam_s = market.discounts.lambda_s
     lam_b = market.discounts.lambda_b
     zero = delta[0] * 0
-    R = list(R)
-    R[t] = [0] * partition.npieces
-    base = formula_layer(market, partition, R, like, t)
-    fstar, r_at = base.fstar, base.r_at
+    R, fstar, r_at = cur.rows, cur.fstar, cur.r_at
     atom_k = [partition.piece_of_point(a) // 2 for a in atoms]
     points = partition.points
     ngaps = len(points) - 1
@@ -360,7 +409,7 @@ def coordinate_tails(market: Market, partition: Partition, R, t: int, like: Eval
             if later != 0:
                 reach[j] = now = (1 - r) * later
                 total[j] += kappa * (later * stay[j] - now * above[j])
-    u_next = base.u_points[t + 1]
+    u_next = cur.u_points[t + 1]
     gaps = [
         (x * (delta[t] * (b - a) - (ub - ua)), zero)
         for x, a, b, ua, ub in zip(total, points, points[1:], u_next, u_next[1:])
@@ -370,14 +419,14 @@ def coordinate_tails(market: Market, partition: Partition, R, t: int, like: Eval
     # periods, d f*_{t+1} = -f*_t and d f*_{s+1} = (1 - r_s) d f*_s.
     at_point = [(zero, zero)] * len(points)
     for i, (a, k, f) in enumerate(zip(atoms, atom_k, fstar[t])):
-        rev = lam_s[t] * f * (delta[t] * a - base.u_at[t + 1][i]) / lam_b[t]
+        rev = lam_s[t] * f * (delta[t] * a - cur.u_at[t + 1][i]) / lam_b[t]
         used = f
         moved = -f
         for s in range(t + 1, T):
             if moved == 0:
                 break
             r = r_at[s][i]
-            rev += lam_s[s] * base.payments[s][i] * moved
+            rev += lam_s[s] * cur.payments[s][i] * moved
             used += r * moved
             moved *= 1 - r
         at_point[k] = (rev, used)
@@ -391,7 +440,9 @@ def coordinate_tails(market: Market, partition: Partition, R, t: int, like: Eval
         rev += j
         used += g
         tails.append((rev, used))
-    return base, tuple(reversed(tails))
+    tails = tuple(reversed(tails))
+    rev, used = row_value(R[t], tails)
+    return cur.revenue - rev, cur.inventory_used - used, tails
 
 
 def evaluate(market: Market, profile: AllocationProfile) -> Evaluation:

@@ -27,12 +27,14 @@ keep K^(T-1) within ``_CHUNK``, so a slice of one period-0 candidate
 always fits. On rational markets every representative profile within
 1e-9 of the float optimum (the first 512 in canonical order) is
 re-evaluated exactly, so the reported optimum is exact. The float search
-runs on a float copy of the market, so a rational market whose numbers
-lie beyond the float range is refused with ``BeyondFloatRange``, although
-it is exact. Enumeration order is canonical (lexicographic over
-per-period descriptors, earliest period most significant) and ties keep
-the first candidate, so oracle runs are reproducible and do not depend on
-the chunking.
+runs on a float copy of the market. When only its masses put that copy
+beyond the float range, the copy divides the masses and the inventory by
+the smallest power of two that brings it in range (:func:`_search_market`);
+a rational market that no such power brings in range, as with a lambdaB
+below the floats, is refused with ``BeyondFloatRange``. Enumeration order
+is canonical (lexicographic over per-period descriptors, earliest period
+most significant) and ties keep the first candidate, so oracle runs are
+reproducible and do not depend on the chunking.
 
 The grid search, :func:`brute_force_optimal` and :func:`_scored_chunks`, is
 the only numpy code here, and each imports numpy when called, so importing
@@ -52,7 +54,7 @@ import math
 from dataclasses import dataclass
 
 from .evaluate import AllocationProfile, evaluate, formula_layer
-from .market import Market, make_market
+from .market import Market, MarketError, ParseError, make_market
 from .numeric import FLOAT, RATIONAL, parse_number
 from .stepfn import Partition, StepFunction
 
@@ -206,6 +208,42 @@ def _scored_chunks(market: Market, candidates: list[list]):
         yield lo * inner, revenue, used
 
 
+def _search_market(market: Market) -> Market:
+    """The float copy of a rational market that the grid search scores.
+
+    A market in the float range is copied as it is (k = 0), so its bits do
+    not change. Otherwise the copy divides every mass and the inventory by
+    the smallest power of two 2^k that brings it in range; the range bound
+    falls with the total mass until that total is 1. Revenue and usage are
+    jointly linear in the masses and the inventory, so the scaled copy
+    ranks every profile as the market does and keeps the same ones
+    feasible, and dividing by 2^k is exact in floats above the subnormals.
+    The caller re-evaluates its pool on the market itself. If no k brings
+    the copy in range, as when a lambdaB lies below the floats, the
+    unscaled copy's error is raised.
+    """
+    d = market.discounts
+
+    def copy(scale):
+        mass = [[x / scale for x in row] for row in market.mass]
+        inventory = None if market.unbounded else market.inventory / scale
+        return make_market(market.T, market.atoms, mass, inventory, d.delta, d.lambda_s, d.lambda_b, mode=FLOAT)
+
+    try:
+        return copy(1)
+    except (MarketError, ParseError) as err:
+        refused = err
+    total = sum(x for row in market.mass for x in row)
+    if total > 1:
+        # 2^k >= total is the last k that shrinks max(1, total mass)
+        for k in range(1, (math.ceil(total) - 1).bit_length() + 1):
+            try:
+                return copy(2**k)
+            except (MarketError, ParseError):
+                pass
+    raise refused
+
+
 def brute_force_optimal(market: Market, grid: OracleGrid | None = None) -> OracleResult:
     """Exact maximum of revenue over the grid, subject to the inventory cap.
 
@@ -213,8 +251,9 @@ def brute_force_optimal(market: Market, grid: OracleGrid | None = None) -> Oracl
     profiles of class representatives are scored, which returns the same
     first maximizer. In rational mode the exact re-evaluation pool is the
     first ``_POOL`` representative profiles within 1e-9 of the float best.
-    A rational market is searched on a float copy, so one beyond the float
-    range raises :class:`~dynration.market.MarketError` (``BeyondFloatRange``).
+    A rational market is searched on a float copy (:func:`_search_market`),
+    so one that no scaling of its masses brings in the float range raises
+    :class:`~dynration.market.MarketError` (``BeyondFloatRange``).
     """
     import numpy as np
 
@@ -226,10 +265,7 @@ def brute_force_optimal(market: Market, grid: OracleGrid | None = None) -> Oracl
     T = market.T
 
     # the search runs in float: Fraction times an ndarray makes slow object arrays
-    d = market.discounts
-    search = market if market.mode == FLOAT else make_market(
-        market.T, market.atoms, market.mass, market.inventory, d.delta, d.lambda_s, d.lambda_b, mode=FLOAT
-    )
+    search = market if market.mode == FLOAT else _search_market(market)
     inv = search.inventory
     exact = market.mode == RATIONAL
     ftol = 1e-9

@@ -11,6 +11,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from dynration import AllocationProfile, CoordinateLP, Jump, StepFunction, make_market
 from dynration.ascent import _shrink_to_feasible
 from dynration.numeric import RATIONAL
@@ -161,3 +163,12 @@ def random_lp_coefficients(rng: random.Random) -> tuple:
         inv_atom = [rng.uniform(0, 1) for _ in range(n)]
         budget = None if rng.random() < 0.5 else sum(inv_atom) + 1.0
     return pts, obj_atom, obj_density, tuple(inv_atom), (0.0,) * (n - 1), budget
+
+
+def spelled(x):
+    """``x`` with every number spelled by its type and repr, arrays by dtype and shape too."""
+    if isinstance(x, np.ndarray):
+        return ("ndarray", str(x.dtype), x.shape, [spelled(y) for y in x.ravel().tolist()])
+    if isinstance(x, (list, tuple)):
+        return [spelled(y) for y in x]
+    return (type(x).__name__, repr(x))

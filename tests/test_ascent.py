@@ -20,7 +20,7 @@ from dynration import (
     normalize_staircase,
     solve_coordinate,
 )
-from dynration.evaluate import evaluate_rows, formula_layer
+from dynration.evaluate import coordinate_tails, evaluate_rows, formula_layer, inventory_used, row_value
 from dynration.numeric import FLOAT, RATIONAL
 from dynration.stepfn import segment_refinement
 
@@ -32,6 +32,7 @@ from gen import (
     random_profile,
     random_step,
     shrunk_to_feasible,
+    spelled,
 )
 
 
@@ -255,11 +256,13 @@ def test_held_out_row_rises_on_every_piece_in_the_mode_type():
     # the affinity check weighs every piece's coefficient in both modes
     for mode, kind in ((RATIONAL, F), (FLOAT, float)):
         for npieces in (3, 5, 7):
-            row = ascent._held_out_row(npieces, mode)
-            assert len(row) == npieces and all(type(x) is kind for x in row)
-            assert 0 < row[0] and all(a < b for a, b in zip(row, row[1:])) and row[-1] < 1
-    assert ascent._held_out_row(5, RATIONAL) == tuple(F(p, 6) for p in range(1, 6))
-    assert ascent._held_out_row(5, FLOAT) == tuple(p / 6 for p in range(1, 6))
+            for k in (npieces + 1, npieces + 2):
+                row = ascent._held_out_row(npieces, mode, k)
+                assert len(row) == npieces and all(type(x) is kind for x in row)
+                assert 0 < row[0] and all(a < b for a, b in zip(row, row[1:])) and row[-1] < 1
+    assert ascent._held_out_row(5, RATIONAL, 6) == tuple(F(p, 6) for p in range(1, 6))
+    assert ascent._held_out_row(5, FLOAT, 6) == tuple(p / 6 for p in range(1, 6))
+    assert ascent._held_out_row(5, RATIONAL, 7) == tuple(F(p, 7) for p in range(1, 6))
 
 
 def test_float_self_checks_reject_nan():
@@ -720,41 +723,171 @@ def test_solver_skips_only_pairs_that_cannot_be_budget_tight(kind):
 
 def test_held_out_row_is_made_once_per_size_and_mode():
     for mode in (RATIONAL, FLOAT):
-        assert ascent._held_out_row(7, mode) is ascent._held_out_row(7, mode)
-    assert ascent._held_out_row(7, RATIONAL) is not ascent._held_out_row(7, FLOAT)
+        for k in (8, 9):
+            assert ascent._held_out_row(7, mode, k) is ascent._held_out_row(7, mode, k)
+    assert ascent._held_out_row(7, RATIONAL, 8) is not ascent._held_out_row(7, FLOAT, 8)
+    assert ascent._held_out_row(7, RATIONAL, 8) is not ascent._held_out_row(7, RATIONAL, 9)
 
 
 @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
 def test_builds_and_trials_resume_from_the_current_evaluation(monkeypatch, mode):
     # every formula-layer call of the ascent resumes from the evaluation of
-    # its current rows, except those that evaluate a start and the winner
+    # its current rows, except those that evaluate a start and the winner;
+    # a rational build makes one, its held-out check, a float build two, and
+    # a start's shrink evaluates only the rows it keeps
     evaluate_mod = importlib.import_module("dynration.evaluate")
-    phase, calls = ["sweep"], []
+    phase, calls, checked, spans = ["sweep"], [], [], []
 
     def recording(market, partition, R, like=None, t=None):
         calls.append((phase[0], like is not None))
         return formula_layer(market, partition, R, like, t)
 
+    def counting(*args):
+        checked.append(phase[0])
+        return evaluate_rows(*args)
+
     def within(name, fn):
         def wrapped(*args):
             phase[0] = name
+            made = len(calls), len(checked)
             try:
                 return fn(*args)
             finally:
                 phase[0] = "sweep"
+                spans.append((name, len(calls) - made[0], len(checked) - made[1]))
         return wrapped
 
     monkeypatch.setattr(ascent, "formula_layer", recording)
     monkeypatch.setattr(evaluate_mod, "formula_layer", recording)
+    monkeypatch.setattr(ascent, "evaluate_rows", counting)
     monkeypatch.setattr(ascent, "_shrink_to_feasible", within("start", ascent._shrink_to_feasible))
+    monkeypatch.setattr(ascent, "build_coordinate_lp", within("build", ascent.build_coordinate_lp))
     monkeypatch.setattr(ascent, "evaluate", within("winner", evaluate))
     rng = random.Random(2112)
     for _ in range(4):
         m = random_market(rng, mode=mode, min_periods=3, max_periods=4, unbounded=False, general_lambda=True)
         calls.clear()
+        spans.clear()
         coordinate_ascent(m, starts=3, seed=0)
-        assert {resumed for name, resumed in calls if name != "sweep"} == {False}
+        assert {resumed for name, resumed in calls if name in ("start", "winner")} == {False}
         assert [name for name, _ in calls].count("winner") == 1
-        assert [name for name, _ in calls].count("start") >= 5
-        sweep = [resumed for name, resumed in calls if name == "sweep"]
+        assert [span for span in spans if span[0] == "start"] == [("start", 1, 1)] * 5
+        builds = [span for span in spans if span[0] == "build"]
+        assert builds and builds == [("build", 1 if mode == RATIONAL else 2, 1)] * len(builds)
+        sweep = [resumed for name, resumed in calls if name in ("sweep", "build")]
         assert sweep and all(sweep)
+
+
+def _held_out_cases(monkeypatch):
+    """``(market, partition, rows, t, cur)`` of every build of short rational
+    ascents: random markets with general lambdas or tied deltas and atoms at
+    0 and 1, and a market whose ones start shrinks to 1/8 on its 7 pieces,
+    the held-out check's default step."""
+    rng = random.Random(2203)
+    markets = [_oracle_market(rng, RATIONAL) for _ in range(6)]
+    atoms, mass = ["1/3", "2/3"], [[1, 1], [0, "1/2"]]
+    unbounded = make_market(T=2, atoms=atoms, mass=mass)
+    eighth = ((F(1, 8),) * 7,) * 2
+    markets.append(make_market(T=2, atoms=atoms, mass=mass, inventory=inventory_used(
+        unbounded, segment_refinement((), unbounded.atoms), eighth)))
+    builds = []
+
+    def recording(market, partition, rows, t, like=None):
+        builds.append((market, partition, rows, t, like))
+        return build_coordinate_lp(market, partition, rows, t, like)
+
+    monkeypatch.setattr(ascent, "build_coordinate_lp", recording)
+    for m in markets:
+        coordinate_ascent(m, starts=2, seed=rng.randrange(1000))
+    monkeypatch.undo()
+    return builds
+
+
+def test_a_perturbed_tail_fails_the_held_out_check(monkeypatch):
+    # rational builds read their base off the current evaluation through
+    # the tails, so a wrong tail moves the base too; raising any one tail's
+    # revenue or usage by an exact nonzero amount must still fail the
+    # held-out check, for every t and f, also where the current row t
+    # steps by the default held-out step 1/(P + 1)
+    rng = random.Random(2204)
+    builds = _held_out_cases(monkeypatch)
+    seen_default_step = False
+    for m, partition, rows, t, cur in builds:
+        row = cur.rows[t]
+        seen_default_step |= F(1, partition.npieces + 1) in {row[0], *(b - a for a, b in zip(row, row[1:]))}
+        for f in range(partition.npieces):
+            for which in (0, 1):
+                error = rng.choice([F(1, 10**9), F(1, 7), F(3, 2)])
+
+                def perturbed(market, partition, cur, t):
+                    _, _, tails = coordinate_tails(market, partition, cur, t)
+                    tails = list(tails)
+                    tails[f] = tuple(x + error if k == which else x for k, x in enumerate(tails[f]))
+                    rev, used = row_value(cur.rows[t], tails)
+                    return cur.revenue - rev, cur.inventory_used - used, tuple(tails)
+
+                monkeypatch.setattr(ascent, "coordinate_tails", perturbed)
+                with pytest.raises(ascent.AffinityError, match="tail model off"):
+                    build_coordinate_lp(m, partition, rows, t, cur)
+                monkeypatch.undo()
+    assert seen_default_step and len(builds) > 20
+
+
+def test_held_out_step_avoids_the_current_row_steps():
+    # the step is 1/(P + 1) unless the row starts at or rises by it
+    eighth, ninth = F(1, 8), F(1, 9)
+    for mode, row, k in (
+        (RATIONAL, (0,) * 7, 8), (RATIONAL, (1,) * 7, 8), (RATIONAL, (eighth,) * 7, 9),
+        (RATIONAL, (0, 0, eighth, eighth, 1, 1, 1), 9), (RATIONAL, (0, 0, F(1, 2), F(1, 2), 1, 1, 1), 8),
+        (RATIONAL, (eighth, 2 * eighth, 2 * eighth, 2 * eighth + ninth, 1, 1, 1), 10),
+        (FLOAT, (0.0,) * 6 + (0.125,), 9), (FLOAT, (0.125,) * 7, 9), (FLOAT, (1 / 3,) * 7, 8),
+    ):
+        assert ascent._held_out_for(row, mode) is ascent._held_out_row(7, mode, k), row
+
+
+def _reference_shrink(market, partition, rows):
+    """``_shrink_to_feasible`` as it was before it tested halvings on usage
+    alone: every halving is evaluated in full."""
+    half = F(1, 2) if market.mode == RATIONAL else 0.5
+    for _ in range(12):
+        ev = evaluate_rows(market, partition, rows)
+        if market.unbounded or ev.inventory_used <= market.inventory:
+            return rows, ev
+        rows = tuple(tuple(x * half for x in row) for row in rows)
+    rows = ((0,) * partition.npieces,) * market.T
+    return rows, evaluate_rows(market, partition, rows)
+
+
+def _spelled_evaluation(ev):
+    tables = (ev.u_points, ev.r_at, ev.u_at, ev.fstar, ev.payments, ev.revenue, ev.inventory_used, ev.gap_discounts)
+    return spelled([*tables, ev.rows])
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_shrink_tests_usage_alone_and_matches_the_reference(mode):
+    # at every halving the usage helper is the evaluator's usage by type
+    # and repr, and the shrink returns the reference's rows and evaluation,
+    # the zero fallback after 12 halvings and markets without atoms included
+    rng = random.Random(2205)
+    markets = [random_market(rng, mode=mode, max_periods=4, max_atoms=4, general_lambda=rng.random() < 0.3)
+               for _ in range(30)]
+    markets += [make_market(T=2, atoms=["1/2", 1], mass=[[1, 1], [0, 0]], inventory=inv, mode=mode)
+                for inv in (F(1, 2**12), 0)]
+    markets += [make_market(T=2, atoms=[], mass=[[], []], inventory=inv, mode=mode) for inv in (None, 1)]
+    fallbacks = 0
+    for m in markets:
+        partition = segment_refinement((), m.atoms)
+        starts = [((1,) * partition.npieces,) * m.T]
+        starts += [ascent._random_rows(m, partition, random.Random(rng.randrange(2**32))) for _ in range(3)]
+        for drawn in starts:
+            rows = drawn
+            for _ in range(13):
+                used = evaluate_rows(m, partition, rows).inventory_used
+                assert spelled(inventory_used(m, partition, rows)) == spelled(used)
+                rows = tuple(tuple(x * (F(1, 2) if mode == RATIONAL else 0.5) for x in row) for row in rows)
+            got_rows, got = ascent._shrink_to_feasible(m, partition, drawn)
+            want_rows, want = _reference_shrink(m, partition, drawn)
+            assert spelled(got_rows) == spelled(want_rows)
+            assert _spelled_evaluation(got) == _spelled_evaluation(want)
+            fallbacks += not m.unbounded and got_rows == ((0,) * partition.npieces,) * m.T != drawn
+    assert fallbacks >= 2

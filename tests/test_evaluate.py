@@ -20,10 +20,13 @@ from dynration import (
     mixture,
 )
 from dynration import ascent
+from dynration.ascent import build_coordinate_lp
 from dynration.evaluate import Evaluation, EvaluatorInternalError, coordinate_tails, evaluate_rows, formula_layer
+from dynration.market import Market
 from dynration.report import evaluation_csv
 
 from gen import MASS_POOL, random_feasible_profile, random_market, random_profile, random_step, slopes
+from gen import spelled as _spelled
 
 # the module; the package's ``evaluate`` attribute is the function
 evaluate_mod = importlib.import_module("dynration.evaluate")
@@ -440,15 +443,6 @@ def _reference_formula_layer(market, partition, R):
     return [u_points, r_at, u_at, fstar, payments, revenue, used]
 
 
-def _spelled(x):
-    """``x`` with every number spelled by its type and repr, arrays by dtype and shape too."""
-    if isinstance(x, np.ndarray):
-        return ("ndarray", str(x.dtype), x.shape, [_spelled(y) for y in x.ravel().tolist()])
-    if isinstance(x, (list, tuple)):
-        return [_spelled(y) for y in x]
-    return (type(x).__name__, repr(x))
-
-
 def _tables(ev: Evaluation) -> list:
     return [ev.u_points, ev.r_at, ev.u_at, ev.fstar, ev.payments, ev.revenue, ev.inventory_used]
 
@@ -559,26 +553,142 @@ def test_one_period_change_resumes_bit_for_bit(mode):
     # an evaluation resumed from the evaluation of rows that differ in
     # period t only takes over the tables t cannot reach and recomputes the
     # rest; every table, sum and kept g table must be a fresh evaluation's,
-    # by type, repr, dtype and shape, and so must the base and tails of the
-    # coordinate model and, on scalar rows, the checked evaluation
+    # by type, repr, dtype and shape, and so must the evaluation with row t
+    # zero, the coordinate model read from a resumed evaluation and, on
+    # scalar rows, the checked evaluation
     seen = {}
     for m, part, rows, changed, t in _reuse_cases(mode, seen):
         like = formula_layer(m, part, rows)
         got = formula_layer(m, part, changed, like=like, t=t)
         assert _spelled(_kept(got)) == _spelled(_kept(formula_layer(m, part, changed)))
-        base, tails = coordinate_tails(m, part, changed, t, like)
-        want_base, want_tails = coordinate_tails(m, part, changed, t)
-        assert _spelled([*_kept(base), tails]) == _spelled([*_kept(want_base), want_tails])
+        zeroed = rows[:t] + ([0] * part.npieces,) + rows[t + 1:]
+        fresh_zeroed = formula_layer(m, part, zeroed)
+        assert _spelled(_kept(formula_layer(m, part, zeroed, like, t))) == _spelled(_kept(fresh_zeroed))
         if got.gap_discounts is not None:
-            # a scalar change; resuming back from it gives the first rows
+            # a scalar change: the model read from it is the one read from a
+            # fresh evaluation, and its tails are those read from like
+            model = coordinate_tails(m, part, got, t)
+            assert _spelled(model) == _spelled(coordinate_tails(m, part, formula_layer(m, part, changed), t))
+            assert _spelled(model[2]) == _spelled(coordinate_tails(m, part, like, t)[2])
+            # resuming back from it gives the first rows
             assert _spelled(_kept(evaluate_rows(m, part, changed, like, t))) == _spelled(_kept(got))
             assert _spelled(_kept(formula_layer(m, part, rows, got, t))) == _spelled(_kept(like))
     assert all(seen.values()) and set(seen) == {"T = 1", "atomless", "atom at 0", "atom at 1"}
 
 
+def _reference_coordinate_tails(market: Market, partition: Partition, R, t: int, like: Evaluation | None = None):
+    """``coordinate_tails`` as it was before it read the current evaluation:
+    ``(base, tails)``, ``base`` a formula-layer evaluation of ``R`` with row
+    ``t`` zero, resumed from ``like`` when given, whose tables the
+    coefficient pass reads."""
+    T, atoms = market.T, market.atoms
+    delta = market.discounts.delta
+    lam_s = market.discounts.lambda_s
+    lam_b = market.discounts.lambda_b
+    zero = delta[0] * 0
+    R = list(R)
+    R[t] = [0] * partition.npieces
+    base = formula_layer(market, partition, R, like, t)
+    fstar, r_at = base.fstar, base.r_at
+    atom_k = [partition.piece_of_point(a) // 2 for a in atoms]
+    points = partition.points
+    ngaps = len(points) - 1
+
+    def above_gaps(values):
+        # [j] the sum of values[i] over the atoms above gap j
+        sums, run, i = [zero] * ngaps, zero, len(atoms) - 1
+        for j in range(ngaps - 1, -1, -1):
+            while i >= 0 and atom_k[i] > j:
+                run += values[i]
+                i -= 1
+            sums[j] = run
+        return sums
+
+    # Gap j: a unit of h there moves U_s(x) above it by reach[j] times D_j,
+    # the integral of delta_t - g_{t+1} over the gap, where reach[j] is
+    # P_s[j]; total[j] gathers the revenue change per unit of D_j.
+    total = [-lam_s[t] / lam_b[t] * x for x in above_gaps(fstar[t])]
+    reach = [1] * ngaps
+    for s in range(t - 1, -1, -1):
+        if not any(reach):
+            break
+        kappa = lam_s[s] / lam_b[s]
+        above = above_gaps(fstar[s])
+        stay = above_gaps([f * (1 - r) for f, r in zip(fstar[s], r_at[s])])
+        for j, (later, r) in enumerate(zip(reach, R[s][1::2])):
+            if later != 0:
+                reach[j] = now = (1 - r) * later
+                total[j] += kappa * (later * stay[j] - now * above[j])
+    u_next = base.u_points[t + 1]
+    gaps = [
+        (x * (delta[t] * (b - a) - (ub - ua)), zero)
+        for x, a, b, ua, ub in zip(total, points, points[1:], u_next, u_next[1:])
+    ]
+
+    # Atom i: its own payment and usage at t, then the f* it leaves to later
+    # periods, d f*_{t+1} = -f*_t and d f*_{s+1} = (1 - r_s) d f*_s.
+    at_point = [(zero, zero)] * len(points)
+    for i, (a, k, f) in enumerate(zip(atoms, atom_k, fstar[t])):
+        rev = lam_s[t] * f * (delta[t] * a - base.u_at[t + 1][i]) / lam_b[t]
+        used = f
+        moved = -f
+        for s in range(t + 1, T):
+            if moved == 0:
+                break
+            r = r_at[s][i]
+            rev += lam_s[s] * base.payments[s][i] * moved
+            used += r * moved
+            moved *= 1 - r
+        at_point[k] = (rev, used)
+
+    coefficients = [at_point[0]]
+    for gap, point in zip(gaps, at_point[1:]):
+        coefficients += (gap, point)
+    rev = used = zero
+    tails = []
+    for j, g in reversed(coefficients):
+        rev += j
+        used += g
+        tails.append((rev, used))
+    return base, tuple(reversed(tails))
+
+
+def test_coordinate_model_is_read_from_the_current_evaluation():
+    # rational: for every t, the base read off the evaluation of the
+    # current rows equals a fresh evaluation of the rows with row t zero,
+    # and the tails are the reference pass's, on markets with general
+    # lambdas, tied deltas, atoms at 0 and 1, no atoms, and T = 1
+    rng = random.Random(2201)
+    markets = [_edge_market(rng, RATIONAL) for _ in range(40)]
+    markets += [make_market(T=T, atoms=[], mass=[[]] * T, inventory=inv) for T, inv in ((1, None), (3, 1))]
+    seen = dict.fromkeys(("general lambda", "tied delta", "atom at 0", "atom at 1", "no atoms", "T = 1"), False)
+    for m in markets:
+        d = m.discounts
+        for case, hit in (
+            ("general lambda", any(x != 1 for x in d.lambda_s + d.lambda_b)),
+            ("tied delta", any(a == b for a, b in zip(d.delta, d.delta[1:]))),
+            ("atom at 0", 0 in m.atoms), ("atom at 1", 1 in m.atoms), ("no atoms", not m.atoms), ("T = 1", m.T == 1),
+        ):
+            seen[case] = seen[case] or hit
+        part = Partition([*m.atoms, *(F(rng.randint(1, 23), 24) for _ in range(rng.randint(0, 2)))])
+        rows = tuple(_edge_row(rng, part.npieces, RATIONAL) for _ in range(m.T))
+        cur = formula_layer(m, part, rows)
+        for t in range(m.T):
+            base_revenue, base_used, tails = coordinate_tails(m, part, cur, t)
+            zero = formula_layer(m, part, rows[:t] + ([0] * part.npieces,) + rows[t + 1:])
+            assert (base_revenue, base_used) == (zero.revenue, zero.inventory_used)
+            assert type(base_revenue) is F and type(base_used) is F
+            _, want = _reference_coordinate_tails(m, part, rows, t)
+            assert tails == want
+            assert _spelled(tails) == _spelled(want)
+    assert all(seen.values()), seen
+
+
 def test_resuming_needs_the_same_row_objects():
     # like must be the scalar evaluation of R's own row objects outside
-    # period t, on the same market and partition
+    # period t, on the same market and partition; a build's held-out check
+    # resumes from it, and its coefficient pass reads a scalar evaluation
+    # on the same market and partition
     m = make_market(T=3, atoms=["1/2", 1], mass=[[1, 1]] * 3, inventory=2)
     part = Partition(m.atoms)
     rows = ((0,) * part.npieces, (F(1, 2),) * part.npieces, (1,) * part.npieces)
@@ -592,10 +702,18 @@ def test_resuming_needs_the_same_row_objects():
     for call in (
         lambda: formula_layer(m, part, copied, like, 1),
         lambda: evaluate_rows(m, part, copied, like, 0),
-        lambda: coordinate_tails(m, part, copied, 1, like),
+        lambda: build_coordinate_lp(m, part, copied, 1, like),
         lambda: formula_layer(m, part, rows, batch, 1),
         lambda: formula_layer(m, other, rows, like, 1),
         lambda: formula_layer(ex_ration(), part, rows, like, 1),
     ):
         with pytest.raises(ValueError, match="like is no scalar evaluation"):
+            call()
+    coordinate_tails(m, part, like, 1)
+    for call in (
+        lambda: coordinate_tails(m, part, batch, 1),
+        lambda: coordinate_tails(m, other, like, 1),
+        lambda: coordinate_tails(ex_ration(), part, like, 1),
+    ):
+        with pytest.raises(ValueError, match="cur is no scalar evaluation"):
             call()

@@ -23,6 +23,7 @@ from dynration import (
     static_monopoly,
 )
 from dynration.evaluate import formula_layer
+from dynration.market import MarketError
 from dynration.numeric import FLOAT, RATIONAL
 from dynration.oracle import grid_candidates
 
@@ -135,6 +136,35 @@ def test_benchmark_dominates_when_later_sales_pay_more():
     # anonymous menu that sells there earns 2, selling on arrival earns 1
     m = make_market(T=2, atoms=[1], mass=[[1], [0]], lambda_b=[1, "1/2"])
     assert non_anonymous_benchmark(m) >= brute_force_optimal(m).revenue
+
+
+@pytest.mark.parametrize("inventory", [None, 1e308], ids=["unbounded", "bounded"])
+def test_oracle_searches_huge_masses_scaled(inventory):
+    # a rational market beyond the float range by its masses alone is
+    # searched on a copy whose masses and inventory are divided by the
+    # smallest power of two 2^k that brings it in range; its oracle is then
+    # exactly 2^k times the oracle of the market so divided, with the same
+    # profile, and a market in range is copied as it is (k = 0)
+    atoms, mass = ["1/2", 1], [[1e308, 1e308], [1e308, 1e308]]
+
+    def divided(k, mode=RATIONAL):
+        return make_market(T=2, atoms=atoms, mass=[[F(x) / 2**k for x in row] for row in mass],
+                           inventory=None if inventory is None else F(inventory) / 2**k, delta=[1, 1], mode=mode)
+
+    def in_range(k):
+        try:
+            divided(k, FLOAT)
+        except MarketError:
+            return False
+        return True
+
+    k = next(k for k in range(2000) if in_range(k))
+    assert k > 0
+    got, want = brute_force_optimal(divided(0)), brute_force_optimal(divided(k))
+    assert type(got.revenue) is F and got.revenue > 0
+    assert got.revenue == 2**k * want.revenue
+    assert got.profile == want.profile
+    assert oracle._search_market(divided(0)) == divided(k, FLOAT) == oracle._search_market(divided(k))
 
 
 def test_instance_caps(monkeypatch):
