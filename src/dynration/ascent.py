@@ -43,15 +43,17 @@ that meet at the same profile. Each distinct model is still checked for
 affinity, and every trial update still runs the full evaluator and the
 prediction check.
 
-Every evaluation of a sweep changes one period of the current rows: a
-float build's probe batch, a build's held-out check, and a trial. The
-ascent keeps ``cur``, the evaluation of its current rows, and each of
-these resumes from it (:func:`dynration.evaluate.formula_layer`), bit for
-bit a fresh evaluation; an accepted trial becomes ``cur``. A rational
-build evaluates nothing but its held-out check. A start's shrink tests
-each halving on its usage alone and evaluates only the rows it keeps;
-that evaluation and the winner's are fresh. Nothing is kept beyond one
-call.
+The ascent's state is one evaluation, ``cur``, of its current rows; the
+memo key, the improvement test and every build read it, and nothing is
+passed beside it. Every evaluation of a sweep is a one-period change of
+it, ``cur.with_row(t, row)`` (:class:`dynration.evaluate.Evaluation`), bit
+for bit a fresh evaluation: a float build's probe batch, a build's
+held-out check, and a trial. The check and the trial run the evaluator's
+self-checks (``checked()``), and an accepted trial becomes ``cur``. A
+rational build evaluates nothing but its held-out check. A start's shrink
+tests each halving on its usage alone and evaluates only the rows it
+keeps; that evaluation and the winner's are fresh. Nothing is kept beyond
+one call.
 """
 
 from __future__ import annotations
@@ -64,13 +66,12 @@ from fractions import Fraction
 
 from .evaluate import (
     AllocationProfile,
+    Evaluation,
     coordinate_tails,
     effective_discounts,
     evaluate,
     evaluate_rows,
-    formula_layer,
     inventory_used,
-    row_value,
 )
 from .market import Market
 from .numeric import RATIONAL, default_tol
@@ -102,10 +103,6 @@ class CoordinateLP:
     budget: object
     base_revenue: object
     base_used: object
-
-    def value_of(self, row):
-        """(revenue delta, inventory delta) of a row of piece values."""
-        return row_value(row, self.tails)
 
 
 @dataclass
@@ -139,23 +136,21 @@ class SolveReport:
     rejected_negative_payments: int = 0
 
 
-def build_coordinate_lp(market: Market, partition: Partition, rows, t: int, like=None) -> CoordinateLP:
+def build_coordinate_lp(cur: Evaluation, t: int) -> CoordinateLP:
     """Measure the tails of period ``t``: probed in float mode, summed in rational mode.
 
-    ``rows[s]`` is period s's rule on ``partition``; row ``t`` is ignored.
-    Jumps of optimal candidates may sit on the partition points only (the
-    functionals are affine in a jump's position between points), so the
-    partition must hold the market atoms. ``like``, the evaluation of
-    ``rows``, lets every evaluation of the build resume from its tables; a
-    rational build reads its whole model from it, and evaluates ``rows``
-    itself when it is not given.
+    ``cur`` is the scalar evaluation of the current rows; the model reads
+    its rows outside period ``t``, and every evaluation of the build is a
+    one-period change of it. A rational build reads its whole model from
+    ``cur``'s tables. Jumps of optimal candidates may sit on the partition
+    points only (the functionals are affine in a jump's position between
+    points), so ``cur``'s partition must hold the market atoms.
     """
+    market = cur.market
     if market.mode == RATIONAL:
-        if like is None:
-            like = formula_layer(market, partition, rows)
-        base_rev, base_used, tails = coordinate_tails(market, partition, like, t)
+        base_rev, base_used, tails = coordinate_tails(cur, t)
     else:
-        base_rev, base_used, tails = _probed_tails(market, partition, rows, t, like)
+        base_rev, base_used, tails = _probed_tails(cur, t)
     lp = CoordinateLP(
         period=t,
         tails=tails,
@@ -163,18 +158,16 @@ def build_coordinate_lp(market: Market, partition: Partition, rows, t: int, like
         base_revenue=base_rev,
         base_used=base_used,
     )
-    _assert_affine(lp, market, partition, rows, like)
+    _assert_affine(lp, cur)
     return lp
 
 
-def _probed_tails(market: Market, partition: Partition, rows, t: int, like=None):
-    """Base and tails from one batched formula-layer call over the tail probes."""
+def _probed_tails(cur: Evaluation, t: int):
+    """Base and tails from one batched change of ``cur``'s period ``t`` to the tail probes."""
     import numpy as np
 
-    npieces = partition.npieces
-    R = list(rows)
-    R[t] = _tail_probes(npieces)
-    batch = formula_layer(market, partition, R, like, t)
+    npieces = cur.partition.npieces
+    batch = cur.with_row(t, _tail_probes(npieces))
     # tolist() hands back Python scalars, so no numpy scalar reaches the
     # model; without atoms the sums stay scalars and are repeated.
     revenue, used = (
@@ -221,13 +214,13 @@ def _held_out_for(row, mode) -> tuple:
     return check
 
 
-def _assert_affine(lp: CoordinateLP, market: Market, partition: Partition, rows, like=None):
+def _assert_affine(lp: CoordinateLP, cur: Evaluation):
     """Check the model against the full evaluator on a held-out row.
 
     The held-out row h rises by one step s on every piece, so the model's
     value there is s times the sum of the tails. A rational model is
-    anchored on ``like``: its base is ``like``'s value less the model's
-    value of ``like``'s row t, r. So the check compares the model's value
+    anchored on ``cur``: its base is ``cur``'s value less the model's
+    value of ``cur``'s row t, r. So the check compares the model's value
     of h - r with the evaluator's difference between h and r, and there
     tail f weighs s minus r's step onto piece f: where the two are equal,
     the check cannot see that tail. Ascent rows take such steps: with two
@@ -238,17 +231,15 @@ def _assert_affine(lp: CoordinateLP, market: Market, partition: Partition, rows,
     is not dyadic like a start's steps, and a solver row's steps, alpha and
     1 - alpha, sum to 1. Other rows may move s on to 1/(P + 3) and below.
     """
-    t = lp.period
-    check = _held_out_for(rows[t] if like is None else like.rows[t], market.mode)
-    R = list(rows)
-    R[t] = check
-    ev = evaluate_rows(market, partition, R, like, t)
+    t, mode = lp.period, cur.market.mode
+    check = _held_out_for(cur.rows[t], mode)
+    ev = cur.with_row(t, check).checked()
     want_rev, want_used = ev.revenue, ev.inventory_used
     step = check[0]
     got_rev = lp.base_revenue + step * sum(j for j, _ in lp.tails)
     got_used = lp.base_used + step * sum(g for _, g in lp.tails)
     scale = max(1, abs(want_rev), abs(want_used))
-    tol = 0 if market.mode == RATIONAL else 1e-8 * scale
+    tol = 0 if mode == RATIONAL else 1e-8 * scale
     if not (abs(got_rev - want_rev) <= tol and abs(got_used - want_used) <= tol):
         raise AffinityError(f"period {t}: tail model off by {got_rev - want_rev} / {got_used - want_used}")
 
@@ -325,13 +316,13 @@ def _row(npieces: int, firsts, levels) -> tuple:
     return tuple(levels[bisect_right(firsts, p)] for p in range(npieces))
 
 
-def _shrink_to_feasible(market: Market, partition: Partition, rows: tuple) -> tuple:
+def _shrink_to_feasible(market: Market, partition: Partition, rows: tuple) -> Evaluation:
     """Halve every value until the inventory cap is met; zero rows after 12 halvings.
 
     Each halving is tested on its usage alone, which
     :func:`dynration.evaluate.inventory_used` gives bit for bit as the
-    evaluator does; only the rows returned are evaluated, with every
-    self-check. Returns the rows and their evaluation.
+    evaluator does; only the rows kept are evaluated, with every
+    self-check, and their evaluation is returned.
     """
     half = Fraction(1, 2) if market.mode == RATIONAL else 0.5
     for _ in range(12):
@@ -340,7 +331,7 @@ def _shrink_to_feasible(market: Market, partition: Partition, rows: tuple) -> tu
         rows = tuple(tuple(x * half for x in row) for row in rows)
     else:
         rows = ((0,) * partition.npieces,) * market.T
-    return rows, evaluate_rows(market, partition, rows)
+    return evaluate_rows(market, partition, rows)
 
 
 def coordinate_ascent(
@@ -369,43 +360,42 @@ def coordinate_ascent(
         sub_seed = rng.randrange(2**32)
         initials.append((sub_seed, _random_rows(market, partition, random.Random(sub_seed))))
 
-    best = None  # (revenue, rows, record)
+    best = None  # (evaluation, record)
     records = []
     rejected_negative = 0
     # (t, rows before t, rows after t) -> solution of period t's model
     solved = {}
     for label, drawn in initials:
-        # cur is the evaluation of rows, which every build and trial resumes
-        rows, cur = _shrink_to_feasible(market, partition, drawn)
-        rev = cur.revenue
+        # cur, the evaluation of the current rows, is the start's whole state
+        cur = _shrink_to_feasible(market, partition, drawn)
         converged = False
         sweeps = 0
         for _ in range(max_sweeps):
             sweeps += 1
             improved = False
             for t in range(market.T):
-                key = (t, rows[:t], rows[t + 1:])
+                key = (t, cur.rows[:t], cur.rows[t + 1:])
                 sol = solved.get(key)
                 if sol is None:
-                    sol = solved[key] = solve_coordinate(build_coordinate_lp(market, partition, rows, t, cur))
-                if sol.predicted_revenue <= rev + tol:
+                    sol = solved[key] = solve_coordinate(build_coordinate_lp(cur, t))
+                if sol.predicted_revenue <= cur.revenue + tol:
                     continue
-                trial = rows[:t] + (sol.row,) + rows[t + 1:]
-                ev = evaluate_rows(market, partition, trial, cur, t)
+                ev = cur.with_row(t, sol.row).checked()
                 _require_prediction(ev.revenue, sol.predicted_revenue, market.mode)
                 if ev.negative_payments:
                     rejected_negative += 1
                     continue
-                rows, rev, cur = trial, ev.revenue, ev
+                cur = ev
                 improved = True
             if not improved:
                 converged = True
                 break
-        records.append(StartRecord(label, rev, sweeps, converged))
-        if best is None or rev > best[0]:
-            best = (rev, rows, records[-1])
+        records.append(StartRecord(label, cur.revenue, sweeps, converged))
+        if best is None or cur.revenue > best[0].revenue:
+            best = (cur, records[-1])
 
-    rev, rows, best_record = best
+    cur, best_record = best
+    rows = cur.rows
     if market.mode != RATIONAL:
         # the solver keeps whole levels as ints; a float profile holds floats
         rows = tuple(tuple(float(x) for x in row) for row in rows)

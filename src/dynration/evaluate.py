@@ -40,21 +40,23 @@ rule values ``R[t][p]`` that may be Python scalars (exact ``Fraction`` or
 entry per candidate profile. The grid oracle calls it with each period's
 candidates on their own axis to score a whole batch at once.
 
-A change in one period t resumes from the evaluation of the rows before
-it. Row t enters ``g_s`` and ``U_s`` only for s <= t, since the recursion
-runs down from T; the presence ``f*_s`` only for s > t; and the payment
-``p_s`` only for s <= t, since it reads ``r_s``, ``U_s`` and ``U_{s+1}``.
-So ``formula_layer(market, partition, R, like, t)`` takes g, U, ``u_at``
-and the payments of s > t, and ``f*_s`` of s <= t, from ``like``: the
-scalar evaluation of rows that are ``R``'s own row objects outside period
-t, which it checks. It recomputes the rest, and both sums over every
-period, with the same expressions in the same order. A value taken over is
-the one a fresh evaluation would compute from the same operands, and a
-value recomputed reads the same operands, so the result is bit for bit a
-fresh evaluation's. The resumed recursions start as a fresh one reaches
-period t, with ``whole`` set, since ``like`` holds Python scalars only. A
-scalar evaluation keeps its rows and its g tables (``gap_discounts``) for
-this; a batch keeps no g tables.
+A change in one period t is asked of the evaluation of the rows before
+it: ``cur.with_row(t, row)`` evaluates ``cur``'s own rows with row t
+replaced, on ``cur``'s market and partition. Row t enters ``g_s`` and
+``U_s`` only for s <= t, since the recursion runs down from T; the
+presence ``f*_s`` only for s > t; and the payment ``p_s`` only for s <= t,
+since it reads ``r_s``, ``U_s`` and ``U_{s+1}``. So the change takes g, U,
+``u_at`` and the payments of s > t, and ``f*_s`` of s <= t, from ``cur``,
+and recomputes the rest, and both sums over every period, with the same
+expressions in the same order. A value taken over is the one a fresh
+evaluation would compute from the same operands, and a value recomputed
+reads the same operands, so the result is bit for bit a fresh
+evaluation's. The resumed recursions start as a fresh one reaches period
+t, with ``whole`` set, since ``cur`` holds Python scalars only. A scalar
+evaluation keeps its rows and its g tables (``gap_discounts``) for this;
+a batch keeps no g tables and has no one-period changes. The self-checks,
+f* against its closed form and usage against the cohort identity, run on
+any evaluation, fresh or changed, through :meth:`Evaluation.checked`.
 
 Optimal rules are mostly exact 0s and 1s, so where a rule value is a Python
 scalar equal to 0 or 1 the layer takes the value its expression would give
@@ -207,6 +209,34 @@ class Evaluation:
             if p < -noise
         ]
 
+    def with_row(self, t: int, row) -> "Evaluation":
+        """The evaluation of these rows with row ``t`` replaced by ``row``, a
+        scalar row or a batch, resumed from these tables: bit for bit a fresh
+        evaluation (module docstring). A batch has no one-period changes."""
+        if self.gap_discounts is None:
+            raise ValueError("a batch evaluation has no one-period changes")
+        return _layer(self.market, self.partition, (*self.rows[:t], row, *self.rows[t + 1:]), self, t)
+
+    def checked(self) -> "Evaluation":
+        """This evaluation, after its self-checks over the full tables: f*
+        against its closed form, and usage against the cohort identity."""
+        market = self.market
+        # keep[i][t] = 1 - r_t at atom i, and mass[i][t] its arrivals
+        keep = list(zip(*([1 - r for r in row] for row in self.r_at)))
+        mass = list(zip(*market.mass))
+        _check_fstar_closed_form(market, keep, mass, self.fstar)
+
+        # Each cohort is served unless it survives every period from its arrival
+        # on; the survival products are suffix products over t.
+        used_by_cohort = 0
+        for keep_i, mass_i in zip(keep, mass):
+            survive = 1
+            for k, m in zip(reversed(keep_i), reversed(mass_i)):
+                survive *= k
+                used_by_cohort += (1 - survive) * m
+        _require_equal(self.inventory_used, used_by_cohort, market.mode, "inventory accounting")
+        return self
+
 
 def _plain(row) -> bool:
     """Whether ``row``, all Python scalars or all numpy values, holds scalars."""
@@ -237,7 +267,7 @@ def effective_discounts(delta, R, top=None, g=None):
         yield t, g
 
 
-def formula_layer(market: Market, partition: Partition, R, like: Evaluation | None = None, t=None) -> Evaluation:
+def formula_layer(market: Market, partition: Partition, R) -> Evaluation:
     """Presence, utilities, payments, revenue and usage of per-piece rules.
 
     ``R[t][p]`` is period t's rule on piece p of ``partition``; the market's
@@ -247,26 +277,22 @@ def formula_layer(market: Market, partition: Partition, R, like: Evaluation | No
     other. Each ``R[t]`` holds Python scalars only or numpy values only.
     The operation order is fixed, so every array entry is bit for bit the
     value that its own float scalars give.
-
-    ``like``, with ``t``, is the scalar evaluation of rows that are ``R``'s
-    own row objects in every period but ``t``: the tables that period t
-    cannot reach are taken from it, and every value is still bit for bit
-    a fresh evaluation's (module docstring).
     """
+    return _layer(market, partition, R)
+
+
+def _layer(market: Market, partition: Partition, R, cur: Evaluation | None = None, t=None) -> Evaluation:
+    """:func:`formula_layer`, or with ``cur`` the change of its period ``t``
+    to ``R[t]``: ``R`` is ``cur``'s rows outside t (:meth:`Evaluation.with_row`)."""
     delta = market.discounts.delta
     lam_s = market.discounts.lambda_s
     lam_b = market.discounts.lambda_b
     atoms = market.atoms
     T = market.T
-    if like is not None and (
-        not _scalar_evaluation(like, market, partition)
-        or len(R) != T or any(s != t and a is not b for s, (a, b) in enumerate(zip(R, like.rows)))
-    ):
-        raise ValueError(f"like is no scalar evaluation of these rows outside period {t}")
     atom_pc = [partition.piece_of_point(a) for a in atoms]
     atom_k = [pc // 2 for pc in atom_pc]
     ngaps = len(partition.points) - 1
-    if like is None:
+    if cur is None:
         # every period is recomputed, from the top down and from 0 up
         t = T - 1
         r_at = [[row[pc] for pc in atom_pc] for row in R]
@@ -275,11 +301,11 @@ def formula_layer(market: Market, partition: Partition, R, like: Evaluation | No
         u_at_later, payments_later = [[u_points[T][k] for k in atom_k]], []
         fstar, first = [list(market.mass[0])], 0
     else:
-        r_at = list(like.r_at)
+        r_at = list(cur.r_at)
         r_at[t] = [R[t][pc] for pc in atom_pc]
-        u_points, gaps = list(like.u_points), list(like.gap_discounts)
-        u_at_later, payments_later = like.u_at[t + 1:], like.payments[t + 1:]
-        fstar, first = like.fstar[:t + 1], t
+        u_points, gaps = list(cur.u_points), list(cur.gap_discounts)
+        u_at_later, payments_later = cur.u_at[t + 1:], cur.payments[t + 1:]
+        fstar, first = cur.fstar[:t + 1], t
     plain = [_plain(row) for row in r_at]
     scalar = all(_plain(row) for row in R)  # a batch keeps no g tables
 
@@ -308,11 +334,6 @@ def formula_layer(market: Market, partition: Partition, R, like: Evaluation | No
     used = _usage(r_at, fstar, delta[0] * 0)
     gaps = gaps if scalar else None
     return Evaluation(market, partition, u_points, r_at, u_at, fstar, payments, revenue, used, R, gaps)
-
-
-def _scalar_evaluation(ev: Evaluation, market: Market, partition: Partition) -> bool:
-    """Whether ``ev`` is a scalar evaluation on ``market`` and ``partition``."""
-    return ev.gap_discounts is not None and ev.market is market and ev.partition is partition
 
 
 def _extend_presence(market: Market, r_at, plain, fstar, first: int):
@@ -360,20 +381,21 @@ def row_value(row, tails):
     return j, g
 
 
-def coordinate_tails(market: Market, partition: Partition, cur: Evaluation, t: int):
+def coordinate_tails(cur: Evaluation, t: int):
     """``(base_revenue, base_used, tails)`` of period ``t``'s exact affine model.
 
-    ``cur`` is the scalar evaluation of the current rows on ``market`` and
-    ``partition`` (``ValueError`` otherwise). ``tails[f]`` is the (revenue,
-    usage) change when row ``t`` is one on the pieces ``>= f`` instead of
-    zero: the sum from piece f up of the coefficients derived in the module
+    ``cur`` is the scalar evaluation of the current rows (``ValueError``
+    for a batch). ``tails[f]`` is the (revenue, usage) change when row
+    ``t`` is one on the pieces ``>= f`` instead of zero: the sum from piece
+    f up of the coefficients derived in the module
     docstring, which read only tables that row t does not reach, so they
     are read from ``cur``. The base, revenue and usage with row ``t`` zero,
     is ``cur``'s less the model's value of ``cur``'s row ``t``. O(T (n + P))
     operations for n atoms and P pieces; exact in rational mode only.
     """
-    if not _scalar_evaluation(cur, market, partition):
-        raise ValueError("cur is no scalar evaluation on this market and partition")
+    if cur.gap_discounts is None:
+        raise ValueError("a batch evaluation has no one-period changes")
+    market, partition = cur.market, cur.partition
     T, atoms = market.T, market.atoms
     delta = market.discounts.delta
     lam_s = market.discounts.lambda_s
@@ -453,28 +475,9 @@ def evaluate(market: Market, profile: AllocationProfile) -> Evaluation:
     return evaluate_rows(market, partition, [partition.values(r) for r in profile.steps])
 
 
-def evaluate_rows(market: Market, partition: Partition, R, like: Evaluation | None = None, t=None) -> Evaluation:
-    """:func:`evaluate` of the rules whose piece values on ``partition`` are ``R[t]``.
-
-    ``like`` and ``t`` go to :func:`formula_layer`; the self-checks always
-    read the full tables.
-    """
-    ev = formula_layer(market, partition, R, like, t)
-    # keep[i][t] = 1 - r_t at atom i, and mass[i][t] its arrivals
-    keep = list(zip(*([1 - r for r in row] for row in ev.r_at)))
-    mass = list(zip(*market.mass))
-    _check_fstar_closed_form(market, keep, mass, ev.fstar)
-
-    # Each cohort is served unless it survives every period from its arrival
-    # on; the survival products are suffix products over t.
-    used_by_cohort = 0
-    for keep_i, mass_i in zip(keep, mass):
-        survive = 1
-        for k, m in zip(reversed(keep_i), reversed(mass_i)):
-            survive *= k
-            used_by_cohort += (1 - survive) * m
-    _require_equal(ev.inventory_used, used_by_cohort, market.mode, "inventory accounting")
-    return ev
+def evaluate_rows(market: Market, partition: Partition, R) -> Evaluation:
+    """:func:`evaluate` of the rules whose piece values on ``partition`` are ``R[t]``."""
+    return formula_layer(market, partition, R).checked()
 
 
 def _check_fstar_closed_form(market: Market, keep, mass, fstar):

@@ -26,12 +26,15 @@ a slice of period 0's candidates against every candidate of periods
 keep K^(T-1) within ``_CHUNK``, so a slice of one period-0 candidate
 always fits. On rational markets every representative profile within
 1e-9 of the float optimum (the first 512 in canonical order) is
-re-evaluated exactly, so the reported optimum is exact. The float search
-runs on a float copy of the market. When only its masses put that copy
-beyond the float range, the copy divides the masses and the inventory by
-the smallest power of two that brings it in range (:func:`_search_market`);
-a rational market that no such power brings in range, as with a lambdaB
-below the floats, is refused with ``BeyondFloatRange``. Enumeration order
+re-evaluated exactly, so the reported optimum is exact; when the float
+tolerance let every one of them past the inventory, the search runs again
+without them. The float search runs on a float copy of the market. When
+only its masses or an inventory that covers every arrival put that copy
+beyond the float range, the copy drops such an inventory and divides the
+masses and the inventory by the smallest power of two that brings it in
+range (:func:`_search_market`); a rational market that no such power
+brings in range, as with a lambdaB below the floats, is refused with
+``BeyondFloatRange``. Enumeration order
 is canonical (lexicographic over per-period descriptors, earliest period
 most significant) and ties keep the first candidate, so oracle runs are
 reproducible and do not depend on the chunking.
@@ -212,21 +215,24 @@ def _search_market(market: Market) -> Market:
     """The float copy of a rational market that the grid search scores.
 
     A market in the float range is copied as it is (k = 0), so its bits do
-    not change. Otherwise the copy divides every mass and the inventory by
-    the smallest power of two 2^k that brings it in range; the range bound
+    not change. Otherwise an inventory at or above the total arrival mass
+    is dropped, since usage never exceeds the arrivals (the cohort
+    identity), and the copy divides every mass and the inventory by the
+    smallest power of two 2^k that brings it in range; the range bound
     falls with the total mass until that total is 1. Revenue and usage are
     jointly linear in the masses and the inventory, so the scaled copy
     ranks every profile as the market does and keeps the same ones
     feasible, and dividing by 2^k is exact in floats above the subnormals.
-    The caller re-evaluates its pool on the market itself. If no k brings
-    the copy in range, as when a lambdaB lies below the floats, the
-    unscaled copy's error is raised.
+    The caller re-evaluates its pool on the market itself, at its own
+    inventory. If no k brings the copy in range, as when a lambdaB lies
+    below the floats, the unscaled copy's error is raised.
     """
     d = market.discounts
+    unbounded = market.unbounded
 
     def copy(scale):
         mass = [[x / scale for x in row] for row in market.mass]
-        inventory = None if market.unbounded else market.inventory / scale
+        inventory = None if unbounded else market.inventory / scale
         return make_market(market.T, market.atoms, mass, inventory, d.delta, d.lambda_s, d.lambda_b, mode=FLOAT)
 
     try:
@@ -234,13 +240,13 @@ def _search_market(market: Market) -> Market:
     except (MarketError, ParseError) as err:
         refused = err
     total = sum(x for row in market.mass for x in row)
-    if total > 1:
-        # 2^k >= total is the last k that shrinks max(1, total mass)
-        for k in range(1, (math.ceil(total) - 1).bit_length() + 1):
-            try:
-                return copy(2**k)
-            except (MarketError, ParseError):
-                pass
+    unbounded = unbounded or market.inventory >= total
+    # 2^k >= total is the last k that shrinks max(1, total mass)
+    for k in range((math.ceil(max(total, 1)) - 1).bit_length() + 1):
+        try:
+            return copy(2**k)
+        except (MarketError, ParseError):
+            pass
     raise refused
 
 
@@ -250,9 +256,11 @@ def brute_force_optimal(market: Market, grid: OracleGrid | None = None) -> Oracl
     ``candidates`` in the result counts the grid's K^T profiles; only the
     profiles of class representatives are scored, which returns the same
     first maximizer. In rational mode the exact re-evaluation pool is the
-    first ``_POOL`` representative profiles within 1e-9 of the float best.
+    first ``_POOL`` representative profiles within 1e-9 of the float best;
+    when none of them is within the exact inventory, the search runs again
+    without them.
     A rational market is searched on a float copy (:func:`_search_market`),
-    so one that no scaling of its masses brings in the float range raises
+    so one that the copy cannot bring in the float range raises
     :class:`~dynration.market.MarketError` (``BeyondFloatRange``).
     """
     import numpy as np
@@ -270,42 +278,6 @@ def brute_force_optimal(market: Market, grid: OracleGrid | None = None) -> Oracl
     exact = market.mode == RATIONAL
     ftol = 1e-9
 
-    best_rev = -np.inf
-    best_id = None
-    # rational mode: per chunk, the ids and revenues within 1e-9 of the
-    # running best, a superset of those within 1e-9 of the final best. An
-    # entry with _POOL earlier kept entries of no lower revenue is never
-    # among the first _POOL of those, so it is dropped; ``heap`` is a
-    # min-heap of the _POOL largest kept revenues.
-    near, heap = [], []
-    for first, revenue, used in _scored_chunks(search, candidates):
-        if inv is not None:
-            feasible = used <= inv + ftol
-            if not feasible.any():
-                continue
-            revenue = np.where(feasible, revenue, -np.inf)
-        top = int(np.argmax(revenue))
-        if revenue[top] > best_rev:
-            best_rev = revenue[top]
-            best_id = first + top
-        if exact:
-            keep = np.flatnonzero(revenue >= best_rev - 1e-9)
-            if len(heap) == _POOL:
-                keep = keep[revenue[keep] > heap[0]]
-            kept = []
-            for k, r in zip(keep.tolist(), revenue[keep].tolist()):
-                if len(heap) < _POOL:
-                    heapq.heappush(heap, r)
-                elif r > heap[0]:
-                    heapq.heapreplace(heap, r)
-                else:
-                    continue
-                kept.append(k)
-            kept = np.array(kept, dtype=np.int64)
-            near.append((first + kept, revenue[kept]))
-    if best_id is None:
-        raise AssertionError("no feasible profile; the zero profile is always feasible")
-
     # the market's own partition: the search's may hold float copies of its atoms
     part = Partition(market.atoms)
     strides = [K ** (T - 1 - t) for t in range(T)]
@@ -313,25 +285,63 @@ def brute_force_optimal(market: Market, grid: OracleGrid | None = None) -> Oracl
     def rebuild(flat: int) -> AllocationProfile:
         return AllocationProfile(tuple(StepFunction.from_values(part, candidates[(flat // s) % K]) for s in strides))
 
-    if exact:
+    skipped = np.zeros(0, dtype=np.int64)  # pooled ids beyond the exact inventory
+    while True:
+        # rational mode: per chunk, the ids and revenues within 1e-9 of the
+        # running best, a superset of those within 1e-9 of the final best.
+        # An entry with _POOL earlier kept entries of no lower revenue is
+        # never among the first _POOL of those, so it is dropped; ``heap``
+        # is a min-heap of the _POOL largest kept revenues.
+        best_rev, best_id, near, heap = -np.inf, None, [], []
+        for first, revenue, used in _scored_chunks(search, candidates):
+            if inv is not None:
+                feasible = used <= inv + ftol
+                feasible[skipped[(skipped >= first) & (skipped < first + len(used))] - first] = False
+                if not feasible.any():
+                    continue
+                revenue = np.where(feasible, revenue, -np.inf)
+            top = int(np.argmax(revenue))
+            if revenue[top] > best_rev:
+                best_rev = revenue[top]
+                best_id = first + top
+            if exact:
+                keep = np.flatnonzero(revenue >= best_rev - 1e-9)
+                if len(heap) == _POOL:
+                    keep = keep[revenue[keep] > heap[0]]
+                kept = []
+                for k, r in zip(keep.tolist(), revenue[keep].tolist()):
+                    if len(heap) < _POOL:
+                        heapq.heappush(heap, r)
+                    elif r > heap[0]:
+                        heapq.heapreplace(heap, r)
+                    else:
+                        continue
+                    kept.append(k)
+                kept = np.array(kept, dtype=np.int64)
+                near.append((first + kept, revenue[kept]))
+        if best_id is None:
+            raise AssertionError("no feasible profile; the zero profile is always feasible")
+        if not exact:
+            profile = rebuild(best_id)
+            return OracleResult(evaluate(market, profile).revenue, profile, total)
+
         # exact re-evaluation of the float near-ties keeps the result exact:
         # the first _POOL, in canonical order, within 1e-9 of the final best
         ids = np.concatenate([i for i, _ in near])
         revs = np.concatenate([r for _, r in near])
-        pool = ids[revs >= best_rev - 1e-9][:_POOL].tolist()
+        pool = ids[revs >= best_rev - 1e-9][:_POOL]
         best_exact = None
-        for flat in pool:
+        for flat in pool.tolist():
             prof = rebuild(flat)
             ev = evaluate(market, prof)
             if not market.unbounded and ev.inventory_used > market.inventory:
                 continue
             if best_exact is None or ev.revenue > best_exact[0]:
                 best_exact = (ev.revenue, prof)
-        assert best_exact is not None
-        return OracleResult(best_exact[0], best_exact[1], total)
-
-    profile = rebuild(best_id)
-    return OracleResult(evaluate(market, profile).revenue, profile, total)
+        if best_exact is not None:
+            return OracleResult(best_exact[0], best_exact[1], total)
+        # every near-tie is feasible within the float tolerance only
+        skipped = np.concatenate([skipped, pool])
 
 
 def static_monopoly(pairs):

@@ -109,7 +109,7 @@ def random_feasible_profile(rng: random.Random, market) -> AllocationProfile:
 def shrunk_to_feasible(market, profile: AllocationProfile) -> AllocationProfile:
     """The ascent's shrink of a profile whose jumps sit on the atoms, through its rows."""
     partition = segment_refinement((), market.atoms)
-    rows, _ = _shrink_to_feasible(market, partition, tuple(tuple(partition.values(r)) for r in profile.steps))
+    rows = _shrink_to_feasible(market, partition, tuple(tuple(partition.values(r)) for r in profile.steps)).rows
     return AllocationProfile(tuple(StepFunction.from_values(partition, row) for row in rows))
 
 

@@ -20,7 +20,7 @@ from dynration import (
     normalize_staircase,
     solve_coordinate,
 )
-from dynration.evaluate import coordinate_tails, evaluate_rows, formula_layer, inventory_used, row_value
+from dynration.evaluate import Evaluation, coordinate_tails, evaluate_rows, inventory_used, row_value
 from dynration.numeric import FLOAT, RATIONAL
 from dynration.stepfn import segment_refinement
 
@@ -74,7 +74,7 @@ def test_ascent_leaves_the_sale_to_the_period_that_pays_more():
 def _rows(market, profile, t):
     """Period t's model inputs: the other periods' partition and every row on it.
 
-    Row t is zero; the build ignores it.
+    Row t is zero.
     """
     partition = segment_refinement([r for s, r in enumerate(profile.steps) if s != t], market.atoms)
     zero = [0] * partition.npieces
@@ -82,8 +82,7 @@ def _rows(market, profile, t):
 
 
 def _build(market, profile, t):
-    partition, rows = _rows(market, profile, t)
-    return build_coordinate_lp(market, partition, rows, t)
+    return build_coordinate_lp(evaluate_rows(market, *_rows(market, profile, t)), t)
 
 
 def test_lp_single_atom_coefficients():
@@ -99,7 +98,7 @@ def test_lp_ration_second_period(ration_market):
     prof = AllocationProfile((StepFunction.step(1), StepFunction.zero()))
     partition, rows = _rows(ration_market, prof, 1)
     assert partition.points == (0, F(2, 3), 1)
-    lp = build_coordinate_lp(ration_market, partition, rows, 1)
+    lp = build_coordinate_lp(evaluate_rows(ration_market, partition, rows), 1)
     assert lp.tails == ((-1, 1), (-1, 1), (F(1, 3), 1), (F(-1, 3), 0), (0, 0))
     assert lp.budget == F(1, 2)
     sol = solve_coordinate(lp)
@@ -206,19 +205,28 @@ def test_batched_build_matches_probe_oracle(mode):
 
 
 def test_build_calls_evaluate_once(monkeypatch):
+    # a rational build's one evaluation is its held-out check: a checked
+    # one-period change of the current evaluation, and no fresh one
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return evaluate_rows(*args, **kwargs)
+    def counting(name, method):
+        def counted(self, *args):
+            calls.append(name)
+            return method(self, *args)
+        return counted
+
+    def refuse(*args):
+        raise AssertionError("the build evaluated rows from scratch")
 
     rng = random.Random(32)
     m = _oracle_market(rng, RATIONAL)
     prof = _oracle_profile(rng, m)
-    partition, rows = _rows(m, prof, m.T - 1)
-    monkeypatch.setattr(ascent, "evaluate_rows", counting)
-    build_coordinate_lp(m, partition, rows, m.T - 1)
-    assert len(calls) == 1
+    cur = evaluate_rows(m, *_rows(m, prof, m.T - 1))
+    for name in ("with_row", "checked"):
+        monkeypatch.setattr(Evaluation, name, counting(name, getattr(Evaluation, name)))
+    monkeypatch.setattr(importlib.import_module("dynration.evaluate"), "formula_layer", refuse)
+    build_coordinate_lp(cur, m.T - 1)
+    assert calls == ["with_row", "checked"]
 
 
 def test_tail_probes_are_one_read_only_matrix():
@@ -236,15 +244,21 @@ def test_tail_probes_are_one_read_only_matrix():
 
 def test_build_probes_in_float_mode_only(monkeypatch):
     # rational builds sum exact coefficients and never hand the formula
-    # layer a batch; float builds still probe
+    # layer a batch, fresh or as a one-period change; float builds still probe
+    evaluate_mod = importlib.import_module("dynration.evaluate")
     batched = []
+    formula_layer, with_row = evaluate_mod.formula_layer, Evaluation.with_row
 
-    def recording(market, partition, R, like=None, t=None):
+    def recording(market, partition, R):
         batched.append(any(isinstance(x, np.ndarray) for row in R for x in row))
-        return formula_layer(market, partition, R, like, t)
+        return formula_layer(market, partition, R)
 
-    monkeypatch.setattr(ascent, "formula_layer", recording)
-    monkeypatch.setattr(importlib.import_module("dynration.evaluate"), "formula_layer", recording)
+    def recording_change(self, t, row):
+        batched.append(isinstance(row, np.ndarray))
+        return with_row(self, t, row)
+
+    monkeypatch.setattr(evaluate_mod, "formula_layer", recording)
+    monkeypatch.setattr(Evaluation, "with_row", recording_change)
     for mode in (RATIONAL, FLOAT):
         batched.clear()
         rng = random.Random(34)
@@ -270,11 +284,11 @@ def test_float_self_checks_reject_nan():
     nan = float("nan")
     m = make_market(T=2, atoms=["1/2", 1], mass=[[0, 1], [1, 0]], inventory="3/2", mode=FLOAT)
     partition = segment_refinement((), m.atoms)
-    rows = ((0.0,) * partition.npieces,) * m.T
-    lp = build_coordinate_lp(m, partition, rows, 1)
+    cur = evaluate_rows(m, partition, ((0.0,) * partition.npieces,) * m.T)
+    lp = build_coordinate_lp(cur, 1)
     for field in ("base_revenue", "base_used"):
         with pytest.raises(ascent.AffinityError, match="tail model off"):
-            ascent._assert_affine(dataclasses.replace(lp, **{field: nan}), m, partition, rows)
+            ascent._assert_affine(dataclasses.replace(lp, **{field: nan}), cur)
     ascent._require_prediction(1.0, 1.0, FLOAT)
     for actual, predicted in ((nan, 1.0), (1.0, nan)):
         with pytest.raises(ascent.AffinityError, match="mispredicted"):
@@ -303,18 +317,18 @@ def _boundary_candidate(rng, pts, mode):
 
 
 @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
-def test_value_of_matches_evaluate_on_boundary_candidates(mode):
+def test_row_value_matches_evaluate_on_boundary_candidates(mode):
     rng = random.Random(33)
     for _ in range(40):
         m = _oracle_market(rng, mode)
         prof = _oracle_profile(rng, m)
         t = rng.randrange(m.T)
         partition, rows = _rows(m, prof, t)
-        lp = build_coordinate_lp(m, partition, rows, t)
+        lp = build_coordinate_lp(evaluate_rows(m, partition, rows), t)
         for _ in range(3):
             h = _boundary_candidate(rng, partition.points, mode)
             ev = evaluate(m, prof.with_step(t, h))
-            j, g = lp.value_of(partition.values(h))
+            j, g = row_value(partition.values(h), lp.tails)
             got = (lp.base_revenue + j, lp.base_used + g)
             if mode == RATIONAL:
                 assert got == (ev.revenue, ev.inventory_used)
@@ -464,7 +478,7 @@ def _reference_ascent(market, *, starts, max_sweeps=40, seed=0):
             improved = False
             for t in range(market.T):
                 partition, rows = _rows(market, profile, t)
-                sol = solve_coordinate(build_coordinate_lp(market, partition, rows, t))
+                sol = solve_coordinate(build_coordinate_lp(evaluate_rows(market, partition, rows), t))
                 builds += 1
                 if sol.predicted_revenue <= rev + tol:
                     continue
@@ -507,9 +521,9 @@ def test_memoized_ascent_matches_memo_free_reference(monkeypatch, mode):
         want, builds = _reference_ascent(m, starts=starts, seed=seed)
         keys = []
 
-        def recording(market, partition, rows, t, like=None):
-            keys.append((t, rows[:t], rows[t + 1:]))
-            return build_coordinate_lp(market, partition, rows, t, like)
+        def recording(cur, t):
+            keys.append((t, cur.rows[:t], cur.rows[t + 1:]))
+            return build_coordinate_lp(cur, t)
 
         monkeypatch.setattr(ascent, "build_coordinate_lp", recording)
         got = coordinate_ascent(m, starts=starts, seed=seed)
@@ -521,7 +535,7 @@ def test_memoized_ascent_matches_memo_free_reference(monkeypatch, mode):
     assert memo_builds < reference_builds
 
 
-def test_value_of_reproduces_the_solution_exactly():
+def test_row_value_reproduces_the_solution_exactly():
     rng = random.Random(35)
     for _ in range(100):
         pts, obj_atom, obj_density, inv_atom, inv_density, budget = random_lp_coefficients(rng)
@@ -531,13 +545,13 @@ def test_value_of_reproduces_the_solution_exactly():
             None if budget is None else F(budget),
         )
         sol = solve_coordinate(lp)
-        assert lp.value_of(sol.row) == (sol.objective, sol.used)
+        assert row_value(sol.row, lp.tails) == (sol.objective, sol.used)
     for _ in range(30):
         m = _oracle_market(rng, RATIONAL)
         prof = _oracle_profile(rng, m)
         lp = _build(m, prof, rng.randrange(m.T))
         sol = solve_coordinate(lp)
-        assert lp.value_of(sol.row) == (sol.objective, sol.used)
+        assert row_value(sol.row, lp.tails) == (sol.objective, sol.used)
 
 
 @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
@@ -566,7 +580,7 @@ def test_shrink_falls_back_to_zero_rows(mode):
     zero = ((0,) * partition.npieces,) * m.T
     ones = ((1,) * partition.npieces,) * m.T
     assert evaluate_rows(m, partition, ones).inventory_used * F(1, 2**12) > m.inventory
-    assert ascent._shrink_to_feasible(m, partition, ones)[0] == zero
+    assert ascent._shrink_to_feasible(m, partition, ones).rows == zero
     zero_record, ones_record = coordinate_ascent(m, starts=0).starts
     assert dataclasses.replace(ones_record, label="zero") == zero_record
 
@@ -582,7 +596,7 @@ def test_random_starts_are_monotone_unit_and_within_the_cap():
         # the same draws as a profile of step functions give the same values, of the same types
         want = tuple(tuple(partition.values(r)) for r in random_profile(random.Random(seed), m).steps)
         assert [(x, type(x)) for row in drawn for x in row] == [(x, type(x)) for row in want for x in row]
-        rows, _ = ascent._shrink_to_feasible(m, partition, drawn)
+        rows = ascent._shrink_to_feasible(m, partition, drawn).rows
         for row in rows:
             assert len(row) == partition.npieces
             assert 0 <= row[0] and row[-1] <= 1 and all(a <= b for a, b in zip(row, row[1:]))
@@ -602,12 +616,12 @@ def test_build_neither_refines_nor_expands(monkeypatch):
             m = _oracle_market(rng, mode)
             prof = _oracle_profile(rng, m)
             t = rng.randrange(m.T)
-            cases.append((m, *_rows(m, prof, t), t))
+            cases.append((evaluate_rows(m, *_rows(m, prof, t)), t))
     for module in (ascent, evaluate_mod, stepfn_mod):
         monkeypatch.setattr(module, "segment_refinement", refuse)
     monkeypatch.setattr(Partition, "values", refuse)
-    for m, partition, rows, t in cases:
-        build_coordinate_lp(m, partition, rows, t)
+    for cur, t in cases:
+        build_coordinate_lp(cur, t)
 
 
 def _round_trips(partition, row):
@@ -731,20 +745,26 @@ def test_held_out_row_is_made_once_per_size_and_mode():
 
 @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
 def test_builds_and_trials_resume_from_the_current_evaluation(monkeypatch, mode):
-    # every formula-layer call of the ascent resumes from the evaluation of
-    # its current rows, except those that evaluate a start and the winner;
-    # a rational build makes one, its held-out check, a float build two, and
-    # a start's shrink evaluates only the rows it keeps
+    # every formula-layer call of the ascent is a one-period change of the
+    # evaluation of its current rows, except those that evaluate a start
+    # and the winner; a rational build makes one, its held-out check, a
+    # float build two, a start's shrink evaluates only the rows it keeps,
+    # and the self-checks run on every start, held-out check and trial
     evaluate_mod = importlib.import_module("dynration.evaluate")
     phase, calls, checked, spans = ["sweep"], [], [], []
+    formula_layer, with_row, check = evaluate_mod.formula_layer, Evaluation.with_row, Evaluation.checked
 
-    def recording(market, partition, R, like=None, t=None):
-        calls.append((phase[0], like is not None))
-        return formula_layer(market, partition, R, like, t)
+    def recording(market, partition, R):
+        calls.append((phase[0], False))
+        return formula_layer(market, partition, R)
 
-    def counting(*args):
+    def resumed(self, t, row):
+        calls.append((phase[0], True))
+        return with_row(self, t, row)
+
+    def counting(self):
         checked.append(phase[0])
-        return evaluate_rows(*args)
+        return check(self)
 
     def within(name, fn):
         def wrapped(*args):
@@ -757,9 +777,9 @@ def test_builds_and_trials_resume_from_the_current_evaluation(monkeypatch, mode)
                 spans.append((name, len(calls) - made[0], len(checked) - made[1]))
         return wrapped
 
-    monkeypatch.setattr(ascent, "formula_layer", recording)
     monkeypatch.setattr(evaluate_mod, "formula_layer", recording)
-    monkeypatch.setattr(ascent, "evaluate_rows", counting)
+    monkeypatch.setattr(Evaluation, "with_row", resumed)
+    monkeypatch.setattr(Evaluation, "checked", counting)
     monkeypatch.setattr(ascent, "_shrink_to_feasible", within("start", ascent._shrink_to_feasible))
     monkeypatch.setattr(ascent, "build_coordinate_lp", within("build", ascent.build_coordinate_lp))
     monkeypatch.setattr(ascent, "evaluate", within("winner", evaluate))
@@ -767,20 +787,22 @@ def test_builds_and_trials_resume_from_the_current_evaluation(monkeypatch, mode)
     for _ in range(4):
         m = random_market(rng, mode=mode, min_periods=3, max_periods=4, unbounded=False, general_lambda=True)
         calls.clear()
+        checked.clear()
         spans.clear()
         coordinate_ascent(m, starts=3, seed=0)
-        assert {resumed for name, resumed in calls if name in ("start", "winner")} == {False}
+        assert {changed for name, changed in calls if name in ("start", "winner")} == {False}
         assert [name for name, _ in calls].count("winner") == 1
         assert [span for span in spans if span[0] == "start"] == [("start", 1, 1)] * 5
         builds = [span for span in spans if span[0] == "build"]
         assert builds and builds == [("build", 1 if mode == RATIONAL else 2, 1)] * len(builds)
-        sweep = [resumed for name, resumed in calls if name in ("sweep", "build")]
+        sweep = [changed for name, changed in calls if name in ("sweep", "build")]
         assert sweep and all(sweep)
+        trials = [name for name, _ in calls].count("sweep")
+        assert trials and checked.count("sweep") == trials
 
 
 def _held_out_cases(monkeypatch):
-    """``(market, partition, rows, t, cur)`` of every build of short rational
-    ascents: random markets with general lambdas or tied deltas and atoms at
+    """``(cur, t)`` of every build of short rational ascents: random markets with general lambdas or tied deltas and atoms at
     0 and 1, and a market whose ones start shrinks to 1/8 on its 7 pieces,
     the held-out check's default step."""
     rng = random.Random(2203)
@@ -792,9 +814,9 @@ def _held_out_cases(monkeypatch):
         unbounded, segment_refinement((), unbounded.atoms), eighth)))
     builds = []
 
-    def recording(market, partition, rows, t, like=None):
-        builds.append((market, partition, rows, t, like))
-        return build_coordinate_lp(market, partition, rows, t, like)
+    def recording(cur, t):
+        builds.append((cur, t))
+        return build_coordinate_lp(cur, t)
 
     monkeypatch.setattr(ascent, "build_coordinate_lp", recording)
     for m in markets:
@@ -812,15 +834,15 @@ def test_a_perturbed_tail_fails_the_held_out_check(monkeypatch):
     rng = random.Random(2204)
     builds = _held_out_cases(monkeypatch)
     seen_default_step = False
-    for m, partition, rows, t, cur in builds:
-        row = cur.rows[t]
-        seen_default_step |= F(1, partition.npieces + 1) in {row[0], *(b - a for a, b in zip(row, row[1:]))}
-        for f in range(partition.npieces):
+    for cur, t in builds:
+        row, npieces = cur.rows[t], cur.partition.npieces
+        seen_default_step |= F(1, npieces + 1) in {row[0], *(b - a for a, b in zip(row, row[1:]))}
+        for f in range(npieces):
             for which in (0, 1):
                 error = rng.choice([F(1, 10**9), F(1, 7), F(3, 2)])
 
-                def perturbed(market, partition, cur, t):
-                    _, _, tails = coordinate_tails(market, partition, cur, t)
+                def perturbed(cur, t):
+                    _, _, tails = coordinate_tails(cur, t)
                     tails = list(tails)
                     tails[f] = tuple(x + error if k == which else x for k, x in enumerate(tails[f]))
                     rev, used = row_value(cur.rows[t], tails)
@@ -828,7 +850,7 @@ def test_a_perturbed_tail_fails_the_held_out_check(monkeypatch):
 
                 monkeypatch.setattr(ascent, "coordinate_tails", perturbed)
                 with pytest.raises(ascent.AffinityError, match="tail model off"):
-                    build_coordinate_lp(m, partition, rows, t, cur)
+                    build_coordinate_lp(cur, t)
                 monkeypatch.undo()
     assert seen_default_step and len(builds) > 20
 
@@ -885,9 +907,9 @@ def test_shrink_tests_usage_alone_and_matches_the_reference(mode):
                 used = evaluate_rows(m, partition, rows).inventory_used
                 assert spelled(inventory_used(m, partition, rows)) == spelled(used)
                 rows = tuple(tuple(x * (F(1, 2) if mode == RATIONAL else 0.5) for x in row) for row in rows)
-            got_rows, got = ascent._shrink_to_feasible(m, partition, drawn)
+            got = ascent._shrink_to_feasible(m, partition, drawn)
             want_rows, want = _reference_shrink(m, partition, drawn)
-            assert spelled(got_rows) == spelled(want_rows)
+            assert spelled(got.rows) == spelled(want_rows)
             assert _spelled_evaluation(got) == _spelled_evaluation(want)
-            fallbacks += not m.unbounded and got_rows == ((0,) * partition.npieces,) * m.T != drawn
+            fallbacks += not m.unbounded and got.rows == ((0,) * partition.npieces,) * m.T != drawn
     assert fallbacks >= 2

@@ -586,6 +586,31 @@ def test_markets_beyond_the_float_range_exit_2(beyond_float_files, tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["oracle", "compare"])
+def test_rational_oracle_searches_an_inventory_beyond_the_float_range(tmp_path, capsys, command):
+    # usage never exceeds the arrivals, so an inventory of 1e400, beyond the
+    # float range, never binds: the oracle searches the market as unbounded
+    # and prints the revenue and profile of the same market with "inf"
+    doc = {"T": 2, "atoms": ["1/2", 1], "mass": [[1, 1], [1, 1]], "delta": [1, 1]}
+    lines = {}
+    for name, inventory in (("huge", "1e400"), ("unbounded", "inf")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**doc, "inventory": inventory}))
+        assert main([command, str(path), "--out", str(tmp_path / "out")]) == 0
+        captured = capsys.readouterr()
+        assert not captured.err
+        lines[name] = captured.out.splitlines()
+    if command == "oracle":
+        assert lines["huge"] == lines["unbounded"] == ["oracle_revenue: 2", "candidates: 4900"]
+        profiles = [(tmp_path / "out" / f"{name}.oracle.profile.json").read_text() for name in lines]
+        assert profiles[0] == profiles[1]
+    else:
+        # the solver and the posted-price oracle; the benchmark needs "inf"
+        assert lines["huge"][:2] == lines["unbounded"][:2]
+        assert lines["huge"][1].split()[-1] == "2"
+        assert lines["huge"][2].endswith("n/a (finite inventory)")
+
+
 _NUMPY_FREE_RUNS = """
 import sys
 

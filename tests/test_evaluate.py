@@ -20,7 +20,6 @@ from dynration import (
     mixture,
 )
 from dynration import ascent
-from dynration.ascent import build_coordinate_lp
 from dynration.evaluate import Evaluation, EvaluatorInternalError, coordinate_tails, evaluate_rows, formula_layer
 from dynration.market import Market
 from dynration.report import evaluation_csv
@@ -559,28 +558,28 @@ def test_one_period_change_resumes_bit_for_bit(mode):
     seen = {}
     for m, part, rows, changed, t in _reuse_cases(mode, seen):
         like = formula_layer(m, part, rows)
-        got = formula_layer(m, part, changed, like=like, t=t)
+        got = like.with_row(t, changed[t])
         assert _spelled(_kept(got)) == _spelled(_kept(formula_layer(m, part, changed)))
         zeroed = rows[:t] + ([0] * part.npieces,) + rows[t + 1:]
         fresh_zeroed = formula_layer(m, part, zeroed)
-        assert _spelled(_kept(formula_layer(m, part, zeroed, like, t))) == _spelled(_kept(fresh_zeroed))
+        assert _spelled(_kept(like.with_row(t, zeroed[t]))) == _spelled(_kept(fresh_zeroed))
         if got.gap_discounts is not None:
             # a scalar change: the model read from it is the one read from a
             # fresh evaluation, and its tails are those read from like
-            model = coordinate_tails(m, part, got, t)
-            assert _spelled(model) == _spelled(coordinate_tails(m, part, formula_layer(m, part, changed), t))
-            assert _spelled(model[2]) == _spelled(coordinate_tails(m, part, like, t)[2])
-            # resuming back from it gives the first rows
-            assert _spelled(_kept(evaluate_rows(m, part, changed, like, t))) == _spelled(_kept(got))
-            assert _spelled(_kept(formula_layer(m, part, rows, got, t))) == _spelled(_kept(like))
+            model = coordinate_tails(got, t)
+            assert _spelled(model) == _spelled(coordinate_tails(formula_layer(m, part, changed), t))
+            assert _spelled(model[2]) == _spelled(coordinate_tails(like, t)[2])
+            # the checked change is the change, and resuming back from it
+            # gives the first rows
+            assert _spelled(_kept(like.with_row(t, changed[t]).checked())) == _spelled(_kept(got))
+            assert _spelled(_kept(got.with_row(t, rows[t]))) == _spelled(_kept(like))
     assert all(seen.values()) and set(seen) == {"T = 1", "atomless", "atom at 0", "atom at 1"}
 
 
-def _reference_coordinate_tails(market: Market, partition: Partition, R, t: int, like: Evaluation | None = None):
+def _reference_coordinate_tails(market: Market, partition: Partition, R, t: int):
     """``coordinate_tails`` as it was before it read the current evaluation:
     ``(base, tails)``, ``base`` a formula-layer evaluation of ``R`` with row
-    ``t`` zero, resumed from ``like`` when given, whose tables the
-    coefficient pass reads."""
+    ``t`` zero, whose tables the coefficient pass reads."""
     T, atoms = market.T, market.atoms
     delta = market.discounts.delta
     lam_s = market.discounts.lambda_s
@@ -588,7 +587,7 @@ def _reference_coordinate_tails(market: Market, partition: Partition, R, t: int,
     zero = delta[0] * 0
     R = list(R)
     R[t] = [0] * partition.npieces
-    base = formula_layer(market, partition, R, like, t)
+    base = formula_layer(market, partition, R)
     fstar, r_at = base.fstar, base.r_at
     atom_k = [partition.piece_of_point(a) // 2 for a in atoms]
     points = partition.points
@@ -674,7 +673,7 @@ def test_coordinate_model_is_read_from_the_current_evaluation():
         rows = tuple(_edge_row(rng, part.npieces, RATIONAL) for _ in range(m.T))
         cur = formula_layer(m, part, rows)
         for t in range(m.T):
-            base_revenue, base_used, tails = coordinate_tails(m, part, cur, t)
+            base_revenue, base_used, tails = coordinate_tails(cur, t)
             zero = formula_layer(m, part, rows[:t] + ([0] * part.npieces,) + rows[t + 1:])
             assert (base_revenue, base_used) == (zero.revenue, zero.inventory_used)
             assert type(base_revenue) is F and type(base_used) is F
@@ -685,35 +684,24 @@ def test_coordinate_model_is_read_from_the_current_evaluation():
 
 
 def test_resuming_needs_the_same_row_objects():
-    # like must be the scalar evaluation of R's own row objects outside
-    # period t, on the same market and partition; a build's held-out check
-    # resumes from it, and its coefficient pass reads a scalar evaluation
-    # on the same market and partition
+    # a one-period change evaluates the evaluation's own row objects
+    # outside period t, on its market and partition, whatever row it is
+    # given; a batch evaluation has no one-period changes, for a build's
+    # held-out check or trial, nor for the coefficient pass
     m = make_market(T=3, atoms=["1/2", 1], mass=[[1, 1]] * 3, inventory=2)
     part = Partition(m.atoms)
     rows = ((0,) * part.npieces, (F(1, 2),) * part.npieces, (1,) * part.npieces)
     like = formula_layer(m, part, rows)
-    copied = rows[:2] + (tuple(list(rows[2])),)
-    assert copied == rows and copied[2] is not rows[2]
-    formula_layer(m, part, copied, like, 2)
+    copied = tuple(list(rows[2]))
+    assert copied == rows[2] and copied is not rows[2]
+    for t in range(m.T):
+        got = like.with_row(t, copied)
+        assert got.market is m and got.partition is part and got.rows[t] is copied
+        assert all(got.rows[s] is rows[s] for s in range(m.T) if s != t)
+        assert _spelled(_kept(got)) == _spelled(_kept(formula_layer(m, part, got.rows)))
+    coordinate_tails(like, 1)
     batch = formula_layer(m, part, rows[:2] + (np.array([rows[2]], dtype=object).T,))
     assert batch.gap_discounts is None
-    other = Partition(m.atoms)
-    for call in (
-        lambda: formula_layer(m, part, copied, like, 1),
-        lambda: evaluate_rows(m, part, copied, like, 0),
-        lambda: build_coordinate_lp(m, part, copied, 1, like),
-        lambda: formula_layer(m, part, rows, batch, 1),
-        lambda: formula_layer(m, other, rows, like, 1),
-        lambda: formula_layer(ex_ration(), part, rows, like, 1),
-    ):
-        with pytest.raises(ValueError, match="like is no scalar evaluation"):
-            call()
-    coordinate_tails(m, part, like, 1)
-    for call in (
-        lambda: coordinate_tails(m, part, batch, 1),
-        lambda: coordinate_tails(m, other, like, 1),
-        lambda: coordinate_tails(ex_ration(), part, like, 1),
-    ):
-        with pytest.raises(ValueError, match="cur is no scalar evaluation"):
+    for call in (lambda: batch.with_row(1, rows[1]), lambda: coordinate_tails(batch, 1)):
+        with pytest.raises(ValueError, match="a batch evaluation has no one-period changes"):
             call()

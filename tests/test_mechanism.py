@@ -85,8 +85,11 @@ def test_too_many_steps():
     with pytest.raises(TooManySteps):
         extract(m, AllocationProfile((three,)))
     two_lotteries = StepFunction([F(1, 4), F(1, 2)], [Jump(F(1, 2), True)])
-    with pytest.raises(TooManySteps):
+    with pytest.raises(TooManySteps, match="two fractional tiers cannot be priced as one lottery"):
         extract(m, AllocationProfile((two_lotteries,)))
+    two_jumps_below_one = StepFunction([0, F(1, 4), F(1, 2)], [Jump(F(1, 4), True), Jump(F(1, 2), False)])
+    with pytest.raises(TooManySteps, match="a two-jump rule must reach one at the top"):
+        extract(m, AllocationProfile((two_jumps_below_one,)))
 
 
 def test_no_lottery_when_inventory_slack():
@@ -160,6 +163,33 @@ def test_free_lottery_base_level():
     assert menu.mode == LOTTERY_ONLY
     assert menu.q_low == 0 and menu.per_winner_price == 0
     assert menu.lottery_quantity == 1
+
+
+def test_lottery_open_to_every_bid_below_a_sure_tier():
+    # the solver's budget-tight pair whose lower tail starts at piece 0 is
+    # alpha on every piece below an atom's tail and one from there: a
+    # lottery open to every bid (threshold 0) below a posted tier, which
+    # the simulated best responses must reproduce exactly, with the
+    # inventory unbounded or spent exactly
+    rng = random.Random(2303)
+    for _ in range(60):
+        m = random_market(rng, unbounded=True, general_lambda=rng.random() < 0.5, tied_delta=rng.random() < 0.3)
+        tiers = [(rng.choice([F(1, 4), F(1, 3), F(1, 2), F(3, 4)]), rng.choice(m.atoms), rng.random() < 0.5)
+                 for _ in range(m.T)]
+        tiers = [(alpha, at, closed or at == 1) for alpha, at, closed in tiers]
+        profile = AllocationProfile(tuple(StepFunction([alpha, 1], [Jump(at, closed)]) for alpha, at, closed in tiers))
+        if rng.random() < 0.7:
+            d = m.discounts
+            used = evaluate(m, profile).inventory_used
+            m = make_market(m.T, m.atoms, m.mass, used, d.delta, d.lambda_s, d.lambda_b)
+        mech = extract(m, profile)
+        for menu, (alpha, at, closed) in zip(mech.periods, tiers):
+            assert menu.mode == POSTED_LOTTERY
+            assert (menu.q_low, menu.q_low_inclusive, menu.service_prob) == (0, True, alpha)
+            assert (menu.q_high, menu.q_high_inclusive) == (at, closed)
+            assert 0 == menu.per_winner_price <= menu.p_high
+        result = verify(m, profile, mech, tol=0)
+        assert result.passed, result.violations
 
 
 def test_lambda_b_scales_prices(ration_market, ration_optimum):

@@ -1,3 +1,4 @@
+import heapq
 import random
 import tracemalloc
 from fractions import Fraction as F
@@ -467,6 +468,78 @@ def test_near_tie_pool_is_every_candidate_near_the_final_best(monkeypatch):
     assert res.revenue == F(175, 96)
     sell = StepFunction.step(F(7, 12))
     assert res.profile == AllocationProfile((StepFunction.zero(), sell, sell))
+
+
+def test_a_full_pool_keeps_the_first_near_ties(monkeypatch):
+    # with a pool of 2 or 3, the search keeps the first _POOL representative
+    # profiles within 1e-9 of the float best and returns the first exact
+    # maximizer among them. Period 0 brings no buyers, so its rule is
+    # irrelevant and every profile ties with K - 1 others exactly; period
+    # 1's masses lie far below 1e-9, so its rules make distinct float
+    # near-ties, and a later, higher one replaces the lowest kept one
+    rng = random.Random(2302)
+    replaced = []
+    heapreplace = heapq.heapreplace
+    monkeypatch.setattr(heapq, "heapreplace", lambda heap, x: (replaced.append(x), heapreplace(heap, x))[1])
+    monkeypatch.setattr(oracle, "_CHUNK", 8)
+    grid = OracleGrid(levels=("0", "1/2", "1"))
+    markets_replacing = 0
+    for _ in range(10):
+        size = rng.choice((2, 3))
+        monkeypatch.setattr(oracle, "_POOL", size)
+        eps = F(1, 10 ** rng.randint(10, 12))
+        atoms = sorted(rng.sample([F(k, 4) for k in range(1, 5)], 2))
+        mass = [[0, 0], [eps * rng.randint(1, 3) for _ in atoms], [F(rng.randint(1, 4), 4) for _ in atoms]]
+        m = make_market(T=3, atoms=atoms, mass=mass, inventory=rng.choice([None, sum(map(sum, mass)) / 2]))
+        reps, _ = _representatives(m, grid_candidates(m, grid))
+        search = _float_copy(m)
+        revenue, used = _flat_search(search, reps)
+        if not m.unbounded:
+            revenue = np.where(used <= search.inventory + 1e-9, revenue, -np.inf)
+        want_pool = [_profile(m, reps, int(i)) for i in np.flatnonzero(revenue >= revenue.max() - 1e-9)[:size]]
+        want = None
+        for profile in want_pool:
+            ev = evaluate(m, profile)
+            if (m.unbounded or ev.inventory_used <= m.inventory) and (want is None or ev.revenue > want[0]):
+                want = (ev.revenue, profile)
+        before = len(replaced)
+        pool, res = _exact_pool(monkeypatch, m, grid)
+        assert pool == want_pool and (res.revenue, res.profile) == want
+        markets_replacing += len(replaced) > before
+    assert markets_replacing >= 3
+
+
+@pytest.mark.parametrize("mass, retried", [
+    ([[1, "1/2"], [0, "1/4"]], True),
+    ([["1/2", 1], [0, F(1, 10**11)]], False),
+], ids=["every-near-tie-beyond", "a-near-tie-within"])
+def test_a_pooled_profile_beyond_the_exact_inventory_is_skipped(monkeypatch, mass, retried):
+    # the inventory lies 1e-12 below the exact usage of the unbounded
+    # optimum, so the float search, within its 1e-9, keeps that profile as
+    # its best; the exact pass skips it. A near-tie that serves a mass of
+    # 1e-11 less is within the inventory; with none such, the search runs
+    # again without the pooled profiles. Either way the result is the exact
+    # first maximizer of the grid within the inventory
+    atoms, grid = ["1/2", 1], OracleGrid(levels=("0", "1/2", "1"))
+    unbounded = make_market(T=2, atoms=atoms, mass=mass)
+    free = brute_force_optimal(unbounded, grid)
+    m = make_market(T=2, atoms=atoms, mass=mass, inventory=evaluate(unbounded, free.profile).inventory_used - F(1, 10**12))
+    evaluated, searches = [], []  # searches[k]: profiles evaluated before search k
+    scored_chunks = oracle._scored_chunks
+    monkeypatch.setattr(oracle, "_scored_chunks", lambda *args: searches.append(len(evaluated)) or scored_chunks(*args))
+    monkeypatch.setattr(oracle, "evaluate", lambda market, profile: evaluated.append(profile) or evaluate(market, profile))
+    res = brute_force_optimal(m, grid)
+    pool = evaluated[:searches[1]] if retried else evaluated
+    within = [evaluate(m, profile).inventory_used <= m.inventory for profile in pool]
+    assert free.profile in pool and not within[pool.index(free.profile)]
+    assert any(within) != retried and (len(searches) > 1) == retried
+    reps, _ = _representatives(m, grid_candidates(m, grid))
+    want = None
+    for flat in range(len(reps) ** m.T):
+        ev = evaluate(m, _profile(m, reps, flat))
+        if ev.inventory_used <= m.inventory and (want is None or ev.revenue > want[0]):
+            want = (ev.revenue, _profile(m, reps, flat))
+    assert (res.revenue, res.profile) == want and want[0] < free.revenue
 
 
 def test_float_all_ties_stay_small():
