@@ -51,6 +51,12 @@ class VerificationResult:
         return not self.violations
 
 
+def _check_tol(market: Market, tol):
+    """``tol`` if given; by default 0 in rational mode, where every check is
+    exact, and the mode's tolerance in float mode."""
+    return tol if tol is not None else 0 if market.mode == RATIONAL else default_tol(market.mode)
+
+
 def _in_tier(v, threshold, inclusive: bool) -> bool:
     if threshold is None:
         return False
@@ -64,10 +70,7 @@ def best_response(market: Market, mech: PricedMechanism, *, tol=None) -> Equilib
     """
     if mech.T != market.T:
         raise ValueError("mechanism and market disagree on the horizon")
-    if market.mode == RATIONAL:
-        tol = 0
-    elif tol is None:
-        tol = default_tol(market.mode)
+    tol = 0 if market.mode == RATIONAL else _check_tol(market, tol)
     T, atoms = market.T, market.atoms
     delta = market.discounts.delta
     lam_b = market.discounts.lambda_b
@@ -154,8 +157,7 @@ def menu_violations(market: Market, report: EquilibriumReport, *, tol=None) -> l
     here and in :func:`verify` passes only on a comparison that holds, so a
     NaN fails it.
     """
-    if tol is None:
-        tol = default_tol(market.mode)
+    tol = _check_tol(market, tol)
     violations = [
         f"ServiceResidual: t={t + 1} residual {res}"
         for t, res in enumerate(report.service_residual)
@@ -183,8 +185,7 @@ def verify(
     (4) no type prefers a deviation, and (5) simulated utilities equal the
     formula layer's ``u_at`` at every atom.
     """
-    if tol is None:
-        tol = default_tol(market.mode)
+    tol = _check_tol(market, tol)
     ev = evaluation if evaluation is not None else evaluate(market, profile)
     report = best_response(market, mech, tol=tol)
     violations = []

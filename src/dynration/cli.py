@@ -197,7 +197,7 @@ def _dispatch(args, market) -> int:
         report = coordinate_ascent(market, starts=args.starts, tol=_tol(args, market), seed=args.seed)
         d = market.discounts
         kappa = [d.lambda_s[t] / d.lambda_b[t] for t in range(market.T)]
-        if not market.unbounded:
+        if not market.inventory_never_binds:
             benchmark = "n/a (finite inventory)"
         elif any(b > a for a, b in zip(kappa, kappa[1:])):
             # a cohort may earn more by screening over time, so the

@@ -83,6 +83,12 @@ class Market:
     def unbounded(self) -> bool:
         return self.inventory is None
 
+    @property
+    def inventory_never_binds(self) -> bool:
+        """Whether supply is unbounded or at least the total arrival mass,
+        which no usage exceeds (the cohort identity)."""
+        return self.unbounded or self.inventory >= sum(x for row in self.mass for x in row)
+
 
 def make_market(
     T: int,

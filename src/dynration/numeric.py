@@ -37,8 +37,9 @@ FLOAT = "float"
 MODES = (RATIONAL, FLOAT)
 
 # Improvement / equality tolerances per mode (ascent acceptance, binding
-# tests, verification).  Rational arithmetic is exact, so its tolerance only
-# guards against accepting vanishing coordinate improvements.
+# tests, float verification).  Rational arithmetic is exact, so its tolerance
+# only guards against accepting vanishing coordinate improvements; rational
+# verification compares exactly.
 DEFAULT_TOL = {RATIONAL: Fraction(1, 10**9), FLOAT: 1e-7}
 
 

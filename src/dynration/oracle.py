@@ -26,16 +26,18 @@ a slice of period 0's candidates against every candidate of periods
 keep K^(T-1) within ``_CHUNK``, so a slice of one period-0 candidate
 always fits. On rational markets every representative profile within
 1e-9 of the float optimum (the first 512 in canonical order) is
-re-evaluated exactly, so the reported optimum is exact; when the float
+re-evaluated exactly, as its rows on the atom partition with the
+evaluator's self-checks, so the reported optimum is exact; when the float
 tolerance let every one of them past the inventory, the search runs again
-without them. The float search runs on a float copy of the market. When
-only its masses or an inventory that covers every arrival put that copy
-beyond the float range, the copy drops such an inventory and divides the
-masses and the inventory by the smallest power of two that brings it in
-range (:func:`_search_market`); a rational market that no such power
-brings in range, as with a lambdaB below the floats, is refused with
-``BeyondFloatRange``. Enumeration order
-is canonical (lexicographic over per-period descriptors, earliest period
+without them. Step functions come back only in the result: only the
+winner's rows become a profile. The float search runs on a float copy of
+the market. When only its masses or an inventory that covers every
+arrival put that copy beyond the float range, the copy drops such an
+inventory and divides the masses and the inventory by the smallest power
+of two that brings it in range (:func:`_search_market`); a rational
+market that no such power brings in range, as with a lambdaB below the
+floats, is refused with ``BeyondFloatRange``. Enumeration order is
+canonical (lexicographic over per-period descriptors, earliest period
 most significant) and ties keep the first candidate, so oracle runs are
 reproducible and do not depend on the chunking.
 
@@ -45,8 +47,8 @@ this module leaves it unloaded.
 
 Baselines: the static monopoly price over one atom list, and the
 non-anonymous benchmark that treats each generation as its own market and
-sells at its monopoly price on arrival (defined for unbounded supply
-only).
+sells at its monopoly price on arrival (defined only for supply that
+never binds, :attr:`~dynration.market.Market.inventory_never_binds`).
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .evaluate import AllocationProfile, evaluate, formula_layer
+from .evaluate import AllocationProfile, evaluate, evaluate_rows, formula_layer
 from .market import Market, MarketError, ParseError, make_market
 from .numeric import FLOAT, RATIONAL, parse_number
 from .stepfn import Partition, StepFunction
@@ -81,7 +83,7 @@ class InstanceTooLarge(ValueError):
 
 
 class BoundedInventoryUnsupported(ValueError):
-    """The non-anonymous benchmark needs unbounded supply."""
+    """The non-anonymous benchmark needs supply that never binds."""
 
 
 @dataclass(frozen=True)
@@ -215,14 +217,14 @@ def _search_market(market: Market) -> Market:
     """The float copy of a rational market that the grid search scores.
 
     A market in the float range is copied as it is (k = 0), so its bits do
-    not change. Otherwise an inventory at or above the total arrival mass
-    is dropped, since usage never exceeds the arrivals (the cohort
-    identity), and the copy divides every mass and the inventory by the
-    smallest power of two 2^k that brings it in range; the range bound
-    falls with the total mass until that total is 1. Revenue and usage are
-    jointly linear in the masses and the inventory, so the scaled copy
-    ranks every profile as the market does and keeps the same ones
-    feasible, and dividing by 2^k is exact in floats above the subnormals.
+    not change. Otherwise an inventory that never binds
+    (:attr:`~dynration.market.Market.inventory_never_binds`) is dropped, and
+    the copy divides every mass and the inventory by the smallest power of
+    two 2^k that brings it in range; the range bound falls with the total
+    mass until that total is 1. Revenue and usage are jointly linear in the
+    masses and the inventory, so the scaled copy ranks every profile as the
+    market does and keeps the same ones feasible, and dividing by 2^k is
+    exact in floats above the subnormals.
     The caller re-evaluates its pool on the market itself, at its own
     inventory. If no k brings the copy in range, as when a lambdaB lies
     below the floats, the unscaled copy's error is raised.
@@ -239,8 +241,8 @@ def _search_market(market: Market) -> Market:
         return copy(1)
     except (MarketError, ParseError) as err:
         refused = err
+    unbounded = market.inventory_never_binds
     total = sum(x for row in market.mass for x in row)
-    unbounded = unbounded or market.inventory >= total
     # 2^k >= total is the last k that shrinks max(1, total mass)
     for k in range((math.ceil(max(total, 1)) - 1).bit_length() + 1):
         try:
@@ -256,9 +258,10 @@ def brute_force_optimal(market: Market, grid: OracleGrid | None = None) -> Oracl
     ``candidates`` in the result counts the grid's K^T profiles; only the
     profiles of class representatives are scored, which returns the same
     first maximizer. In rational mode the exact re-evaluation pool is the
-    first ``_POOL`` representative profiles within 1e-9 of the float best;
+    first ``_POOL`` representative profiles within 1e-9 of the float best,
+    each evaluated as rows (:func:`~dynration.evaluate.evaluate_rows`);
     when none of them is within the exact inventory, the search runs again
-    without them.
+    without them. Only the winner becomes step functions.
     A rational market is searched on a float copy (:func:`_search_market`),
     so one that the copy cannot bring in the float range raises
     :class:`~dynration.market.MarketError` (``BeyondFloatRange``).
@@ -332,14 +335,13 @@ def brute_force_optimal(market: Market, grid: OracleGrid | None = None) -> Oracl
         pool = ids[revs >= best_rev - 1e-9][:_POOL]
         best_exact = None
         for flat in pool.tolist():
-            prof = rebuild(flat)
-            ev = evaluate(market, prof)
+            ev = evaluate_rows(market, part, [candidates[(flat // s) % K] for s in strides])
             if not market.unbounded and ev.inventory_used > market.inventory:
                 continue
             if best_exact is None or ev.revenue > best_exact[0]:
-                best_exact = (ev.revenue, prof)
+                best_exact = (ev.revenue, flat)
         if best_exact is not None:
-            return OracleResult(best_exact[0], best_exact[1], total)
+            return OracleResult(best_exact[0], rebuild(best_exact[1]), total)
         # every near-tie is feasible within the float tolerance only
         skipped = np.concatenate([skipped, pool])
 
@@ -364,11 +366,12 @@ def static_monopoly(pairs):
 def non_anonymous_benchmark(market: Market):
     """Per-generation monopoly pricing with full arrival-time discrimination.
 
-    Only defined for unbounded supply, where generations decouple and the
-    seller simply charges each cohort its monopoly price on arrival. A buyer
-    of value v who pays p at t keeps delta_t * v - lambdaB_t * p, so the
-    price that sells to values q and up is delta_t * q / lambdaB_t; the
-    seller counts lambdaS_t times its cash.
+    Only defined for supply that never binds (unbounded, or at least the
+    total arrival mass), where generations decouple and the seller simply
+    charges each cohort its monopoly price on arrival. A buyer of value v
+    who pays p at t keeps delta_t * v - lambdaB_t * p, so the price that
+    sells to values q and up is delta_t * q / lambdaB_t; the seller counts
+    lambdaS_t times its cash.
 
     It bounds the anonymous optimum when kappa_t = lambdaS_t / lambdaB_t
     never rises over t. Revenue is linear in the masses, so the optimum is
@@ -379,7 +382,7 @@ def non_anonymous_benchmark(market: Market):
     Where kappa rises, a lone cohort can earn more by screening over time,
     and this sum can fall below the anonymous optimum.
     """
-    if not market.unbounded:
+    if not market.inventory_never_binds:
         raise BoundedInventoryUnsupported("finite inventory couples the generations")
     d = market.discounts
     total = d.delta[0] * 0

@@ -378,6 +378,25 @@ def test_ascent_never_decreases_revenue():
             assert rec.revenue <= report.revenue
 
 
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_trials_with_negative_payments_are_rejected(monkeypatch, mode):
+    # a trial that reports a payment below zero is never accepted: with
+    # every evaluation reporting one, each start keeps its first rows and
+    # stops after one sweep, and every trial is counted as rejected
+    m = make_market(T=2, atoms=["2/3", 1], mass=[[0, 1], [1, 0]], inventory="3/2", delta=[1, "1/2"], mode=mode)
+    free = coordinate_ascent(m, starts=4, seed=1)
+    trials = []
+    require = ascent._require_prediction
+    monkeypatch.setattr(ascent, "_require_prediction", lambda *args: trials.append(args) or require(*args))
+    monkeypatch.setattr(Evaluation, "negative_payments", property(lambda self: [(0, 0, -1)]))
+    report = coordinate_ascent(m, starts=4, seed=1)
+    assert trials and report.rejected_negative_payments == len(trials)
+    assert free.rejected_negative_payments == 0 and free.revenue > report.revenue
+    assert all(rec.sweeps == 1 and rec.converged for rec in report.starts)
+    assert [rec.label for rec in report.starts] == [rec.label for rec in free.starts]
+    assert report.starts[0].revenue == 0  # the zero start
+
+
 def test_ascent_respects_inventory():
     rng = random.Random(10)
     for _ in range(10):

@@ -114,6 +114,23 @@ def test_oversold_detection():
     assert any(v.startswith("Oversold") for v in result.violations)
 
 
+def test_rational_checks_are_exact_by_default(ration_market, ration_optimum):
+    # a lottery quantity 1e-12 off, and a price 1e-12 low, fail the exact
+    # default and pass an explicit tolerance of 1e-9
+    mech = extract(ration_market, ration_optimum)
+    lottery = mech.periods[1]
+    off = dataclasses.replace(lottery, lottery_quantity=lottery.lottery_quantity + F(1, 10**12))
+    report = best_response(ration_market, PricedMechanism((mech.periods[0], off)))
+    assert [v.split(":")[0] for v in bestresponse.menu_violations(ration_market, report)] == ["ServiceResidual"]
+    assert bestresponse.menu_violations(ration_market, report, tol=F(1, 10**9)) == []
+    low = dataclasses.replace(mech.periods[0], p_high=mech.periods[0].p_high - F(1, 10**12))
+    lowered = PricedMechanism((low, lottery))
+    codes = {v.split(":")[0] for v in verify(ration_market, ration_optimum, lowered).violations}
+    assert codes == {"RevenueMismatch", "UtilityMismatch"}
+    assert verify(ration_market, ration_optimum, lowered, tol=F(1, 10**9)).passed
+    assert verify(ration_market, ration_optimum, mech).passed
+
+
 def test_verification_rows(ration_market, ration_optimum):
     mech = extract(ration_market, ration_optimum)
     result = verify(ration_market, ration_optimum, mech)

@@ -14,6 +14,7 @@ import pytest
 import dynration
 from dynration import cli, ex_ration, ex_twogen, make_market, serialize_market
 from dynration.cli import main
+from dynration.evaluate import Evaluation
 
 from gen import DELTA_POOL, random_market
 
@@ -91,6 +92,31 @@ def test_verify_detects_perturbed_price(market_files, tmp_path, capsys):
     assert "PlanMismatch" in capsys.readouterr().err
 
 
+def test_rational_verify_is_exact_unless_a_tol_is_given(market_files, tmp_path, capsys):
+    # pHigh at t = 1 lowered by 1e-12: the realized revenue falls 1e-12 short
+    # of the formula's 7/6, which rational verification reports by default;
+    # an explicit --tol still forgives it
+    ration, _ = market_files
+    assert main(["solve", str(ration), "--out", str(tmp_path), "--starts", "2"]) == 0
+    doc = json.loads((tmp_path / "ex_ration.mechanism.json").read_text())
+    assert doc[0]["pHigh"] == "5/6"
+    doc[0]["pHigh"] = str(Fraction(5, 6) - Fraction(1, 10**12))
+    bad_path = tmp_path / "lowered.mechanism.json"
+    bad_path.write_text(json.dumps(doc))
+    argv = ["verify", str(ration), str(bad_path), "--profile", str(tmp_path / "ex_ration.profile.json"),
+            "--out", str(tmp_path)]
+    capsys.readouterr()
+    for extra, want in (([], 1), (["--tol", "0"], 1), (["--tol", "1e-9"], 0)):
+        assert main(argv + extra) == want, extra
+        captured = capsys.readouterr()
+        assert "realized_revenue: 3499999999997/3000000000000\n" in captured.out
+        if want:
+            assert "RevenueMismatch: simulated 3499999999997/3000000000000, formula 7/6" in captured.err
+            assert "UtilityMismatch: t=1 v=1:" in captured.err
+        else:
+            assert "verification: pass" in captured.out and not captured.err
+
+
 def test_eval_command(market_files, tmp_path, capsys):
     ration, _ = market_files
     assert main(["solve", str(ration), "--out", str(tmp_path), "--starts", "2"]) == 0
@@ -102,6 +128,20 @@ def test_eval_command(market_files, tmp_path, capsys):
     assert code == 0
     assert "revenue: 7/6" in out
     assert "welfare: 4/3" in out
+
+
+def test_eval_warns_of_negative_payments(market_files, tmp_path, capsys, monkeypatch):
+    # a monotone profile pays nothing below zero, so the flags are forced;
+    # the report is still written and the exit code stays 0
+    ration, _ = market_files
+    assert main(["solve", str(ration), "--out", str(tmp_path), "--starts", "2"]) == 0
+    monkeypatch.setattr(Evaluation, "negative_payments", property(lambda self: [(0, 0, -1), (1, 0, -2)]))
+    capsys.readouterr()
+    assert main(["eval", str(ration), str(tmp_path / "ex_ration.profile.json"), "--out", str(tmp_path / "e")]) == 0
+    captured = capsys.readouterr()
+    assert "revenue: 7/6\n" in captured.out
+    assert captured.err == "warning: 2 negative payments flagged\n"
+    assert (tmp_path / "e" / "ex_ration.report.csv").exists()
 
 
 def test_oracle_command(market_files, tmp_path, capsys):
@@ -589,8 +629,8 @@ def test_markets_beyond_the_float_range_exit_2(beyond_float_files, tmp_path, cap
 @pytest.mark.parametrize("command", ["oracle", "compare"])
 def test_rational_oracle_searches_an_inventory_beyond_the_float_range(tmp_path, capsys, command):
     # usage never exceeds the arrivals, so an inventory of 1e400, beyond the
-    # float range, never binds: the oracle searches the market as unbounded
-    # and prints the revenue and profile of the same market with "inf"
+    # float range, never binds: the oracle searches the market as unbounded,
+    # and both commands print what they print for the same market with "inf"
     doc = {"T": 2, "atoms": ["1/2", 1], "mass": [[1, 1], [1, 1]], "delta": [1, 1]}
     lines = {}
     for name, inventory in (("huge", "1e400"), ("unbounded", "inf")):
@@ -605,10 +645,15 @@ def test_rational_oracle_searches_an_inventory_beyond_the_float_range(tmp_path, 
         profiles = [(tmp_path / "out" / f"{name}.oracle.profile.json").read_text() for name in lines]
         assert profiles[0] == profiles[1]
     else:
-        # the solver and the posted-price oracle; the benchmark needs "inf"
-        assert lines["huge"][:2] == lines["unbounded"][:2]
-        assert lines["huge"][1].split()[-1] == "2"
-        assert lines["huge"][2].endswith("n/a (finite inventory)")
+        # the benchmark too: an inventory of the total arrival mass, 4, never
+        # binds either, while one of 3 does
+        assert lines["huge"] == lines["unbounded"]
+        assert lines["huge"][1].split()[-1] == lines["huge"][2].split()[-1] == "2"
+        for inventory, shown in ((4, "2"), (3, "n/a (finite inventory)")):
+            path = tmp_path / f"inventory{inventory}.json"
+            path.write_text(json.dumps({**doc, "inventory": inventory}))
+            assert main([command, str(path), "--out", str(tmp_path / "out")]) == 0
+            assert capsys.readouterr().out.splitlines()[2].endswith(f"  {shown}")
 
 
 _NUMPY_FREE_RUNS = """

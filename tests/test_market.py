@@ -142,6 +142,19 @@ def test_unbounded_inventory_is_explicit():
     assert '"inf"' in serialize_market(m)
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_an_inventory_of_every_arrival_never_binds(mode):
+    # usage never exceeds the total arrival mass, here 3
+    def never_binds(inventory):
+        return make_market(T=2, atoms=["1/2", 1], mass=[[1, 1], ["1/2", "1/2"]], inventory=inventory,
+                           mode=mode).inventory_never_binds
+
+    assert never_binds(None) and never_binds(3) and never_binds("7/2")
+    assert not never_binds("2999/1000") and not never_binds(0)
+    if mode == RATIONAL:
+        assert never_binds("1e400")
+
+
 def test_mode_conversion_to_float():
     m = ex_ration(mode=FLOAT)
     assert isinstance(m.atoms[0], float)

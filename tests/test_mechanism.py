@@ -20,6 +20,7 @@ from dynration.mechanism import (
     POSTED,
     POSTED_LOTTERY,
     UNREACHABLE_THRESHOLD,
+    NegativePriceError,
     mechanism_from_json,
     mechanism_to_json,
 )
@@ -190,6 +191,22 @@ def test_lottery_open_to_every_bid_below_a_sure_tier():
             assert 0 == menu.per_winner_price <= menu.p_high
         result = verify(m, profile, mech, tol=0)
         assert result.passed, result.violations
+
+
+def test_prices_from_a_foreign_evaluation_are_refused():
+    # an evaluation of the same profile on a market whose deltas are larger
+    # values waiting more than this market does: the prices it implies
+    # fall below zero, or fall with the threshold
+    atoms, mass = ["1/4", "1/2", 1], [[1, 1, 1], [1, 1, 1]]
+    market = make_market(T=2, atoms=atoms, mass=mass, delta=["1/2", "1/2"])
+    patient = make_market(T=2, atoms=atoms, mass=mass, delta=[1, 1])
+    half = F(1, 2)
+    sure = AllocationProfile((StepFunction.step(1), StepFunction.one()))
+    tiered = AllocationProfile((StepFunction([0, half, 1], [(half, True), (1, True)]), StepFunction.step(half)))
+    for profile, message in ((sure, "period 1: price -1/2 < 0"), (tiered, "period 1: lottery price 1/4 above posted 1/8")):
+        extract(market, profile)
+        with pytest.raises(NegativePriceError, match=f"^{message}$"):
+            extract(market, profile, evaluate(patient, profile))
 
 
 def test_lambda_b_scales_prices(ration_market, ration_optimum):

@@ -23,7 +23,7 @@ from dynration import (
     serialize_market,
     static_monopoly,
 )
-from dynration.evaluate import formula_layer
+from dynration.evaluate import evaluate_rows, formula_layer
 from dynration.market import MarketError
 from dynration.numeric import FLOAT, RATIONAL
 from dynration.oracle import grid_candidates
@@ -102,6 +102,11 @@ def test_non_anonymous_benchmark(twogen_market, ration_market):
     assert non_anonymous_benchmark(make_market(T=1, atoms=["1/2"], mass=[[1]], lambda_b=["1/2"])) == 1
     with pytest.raises(BoundedInventoryUnsupported):
         non_anonymous_benchmark(ration_market)
+    # an inventory of the total arrival mass never binds; one just below it may
+    covered = make_market(T=1, atoms=["1/2", 1], mass=[[1, 1]], inventory=2)
+    assert non_anonymous_benchmark(covered) == non_anonymous_benchmark(single)
+    with pytest.raises(BoundedInventoryUnsupported):
+        non_anonymous_benchmark(make_market(T=1, atoms=["1/2", 1], mass=[[1, 1]], inventory=2 - F(1, 10**12)))
 
 
 def test_single_period_unbounded_solver_equals_benchmark():
@@ -269,10 +274,14 @@ def _kernel_search(market, candidates):
     return np.concatenate(revenue), np.concatenate(used)
 
 
+def _rows(market, candidates, flat):
+    K = len(candidates)
+    return [candidates[(flat // K ** (market.T - 1 - t)) % K] for t in range(market.T)]
+
+
 def _profile(market, candidates, flat):
-    K, part = len(candidates), Partition(market.atoms)
-    rows = [candidates[(flat // K ** (market.T - 1 - t)) % K] for t in range(market.T)]
-    return AllocationProfile(tuple(StepFunction.from_values(part, row) for row in rows))
+    part = Partition(market.atoms)
+    return AllocationProfile(tuple(StepFunction.from_values(part, row) for row in _rows(market, candidates, flat)))
 
 
 def _kernel_markets(mode=FLOAT):
@@ -412,14 +421,16 @@ def test_oracle_matches_the_full_grid(monkeypatch, mode):
 
 
 def _exact_pool(monkeypatch, market, grid=None):
-    """The profiles that a rational search re-evaluates exactly, and its result."""
+    """The rows of the profiles that a rational search re-evaluates exactly, and its result."""
     pool = []
 
-    def recording(m, profile):
-        pool.append(profile)
-        return evaluate(m, profile)
+    def recording(m, part, rows):
+        assert m is market and part.points == Partition(market.atoms).points
+        pool.append([list(row) for row in rows])
+        return evaluate_rows(m, part, rows)
 
-    monkeypatch.setattr(oracle, "evaluate", recording)
+    monkeypatch.setattr(oracle, "evaluate_rows", recording)
+    monkeypatch.setattr(oracle, "evaluate", lambda *args: pytest.fail("the exact pass evaluates rows only"))
     return pool, brute_force_optimal(market, grid)
 
 
@@ -464,7 +475,7 @@ def test_near_tie_pool_is_every_candidate_near_the_final_best(monkeypatch):
     revenue, _ = _flat_search(_float_copy(m), reps)
     ids = np.flatnonzero(revenue >= revenue.max() - 1e-9)[:512]
     pool, res = _exact_pool(monkeypatch, m)
-    assert pool == [_profile(m, reps, int(i)) for i in ids]
+    assert pool == [_rows(m, reps, int(i)) for i in ids]
     assert res.revenue == F(175, 96)
     sell = StepFunction.step(F(7, 12))
     assert res.profile == AllocationProfile((StepFunction.zero(), sell, sell))
@@ -496,9 +507,11 @@ def test_a_full_pool_keeps_the_first_near_ties(monkeypatch):
         revenue, used = _flat_search(search, reps)
         if not m.unbounded:
             revenue = np.where(used <= search.inventory + 1e-9, revenue, -np.inf)
-        want_pool = [_profile(m, reps, int(i)) for i in np.flatnonzero(revenue >= revenue.max() - 1e-9)[:size]]
+        want_ids = np.flatnonzero(revenue >= revenue.max() - 1e-9)[:size]
+        want_pool = [_rows(m, reps, int(i)) for i in want_ids]
         want = None
-        for profile in want_pool:
+        for i in want_ids:
+            profile = _profile(m, reps, int(i))
             ev = evaluate(m, profile)
             if (m.unbounded or ev.inventory_used <= m.inventory) and (want is None or ev.revenue > want[0]):
                 want = (ev.revenue, profile)
@@ -524,14 +537,16 @@ def test_a_pooled_profile_beyond_the_exact_inventory_is_skipped(monkeypatch, mas
     unbounded = make_market(T=2, atoms=atoms, mass=mass)
     free = brute_force_optimal(unbounded, grid)
     m = make_market(T=2, atoms=atoms, mass=mass, inventory=evaluate(unbounded, free.profile).inventory_used - F(1, 10**12))
-    evaluated, searches = [], []  # searches[k]: profiles evaluated before search k
+    evaluated, searches = [], []  # searches[k]: rows evaluated before search k
     scored_chunks = oracle._scored_chunks
     monkeypatch.setattr(oracle, "_scored_chunks", lambda *args: searches.append(len(evaluated)) or scored_chunks(*args))
-    monkeypatch.setattr(oracle, "evaluate", lambda market, profile: evaluated.append(profile) or evaluate(market, profile))
+    monkeypatch.setattr(oracle, "evaluate_rows", lambda *args: evaluated.append(args[2]) or evaluate_rows(*args))
     res = brute_force_optimal(m, grid)
     pool = evaluated[:searches[1]] if retried else evaluated
-    within = [evaluate(m, profile).inventory_used <= m.inventory for profile in pool]
-    assert free.profile in pool and not within[pool.index(free.profile)]
+    part = Partition(m.atoms)
+    within = [evaluate_rows(m, part, rows).inventory_used <= m.inventory for rows in pool]
+    free_rows = [part.values(f) for f in free.profile]
+    assert free_rows in pool and not within[pool.index(free_rows)]
     assert any(within) != retried and (len(searches) > 1) == retried
     reps, _ = _representatives(m, grid_candidates(m, grid))
     want = None
@@ -540,6 +555,33 @@ def test_a_pooled_profile_beyond_the_exact_inventory_is_skipped(monkeypatch, mas
         if ev.inventory_used <= m.inventory and (want is None or ev.revenue > want[0]):
             want = (ev.revenue, _profile(m, reps, flat))
     assert (res.revenue, res.profile) == want and want[0] < free.revenue
+
+
+def test_a_rational_search_builds_step_functions_for_its_result_only(monkeypatch):
+    # every pooled profile is evaluated as rows; only the result becomes
+    # step functions, T of them, also when the search runs again without
+    # its exactly infeasible near-ties
+    built, searches = [], []
+    from_values = StepFunction.from_values
+    monkeypatch.setattr(
+        StepFunction, "from_values", classmethod(lambda cls, part, values: built.append(values) or from_values(part, values))
+    )
+    scored_chunks = oracle._scored_chunks
+    monkeypatch.setattr(oracle, "_scored_chunks", lambda *args: searches.append(1) or scored_chunks(*args))
+    three = OracleGrid(levels=("0", "1/2", "1"))
+    cases = [
+        (make_market(T=3, atoms=["7/12", "2/3"], mass=[["3/4", 1], ["3/4", 0], [1, "1/4"]],
+                     delta=["11/12", "11/12", "2/3"]), None, 35, 1),
+        (make_market(T=2, atoms=["1/2", 1], mass=[[1, "1/2"], [0, "1/4"]], inventory=F(7, 4) - F(1, 10**12)),
+         three, 2, 3),
+        *((m, three, 1, 1) for m in _edge_markets(RATIONAL)),
+    ]
+    for m, grid, min_pool, runs in cases:
+        del built[:], searches[:]
+        pool, res = _exact_pool(monkeypatch, m, grid)
+        assert len(pool) >= min_pool and len(searches) == runs, m
+        part = Partition(m.atoms)
+        assert built == [part.values(f) for f in res.profile] and len(built) == m.T, m
 
 
 def test_float_all_ties_stay_small():
@@ -572,4 +614,4 @@ def test_rational_all_ties_keep_a_bounded_pool(monkeypatch):
     reps, _ = _representatives(m, grid_candidates(m, OracleGrid()))
     revenue, used = _flat_search(_float_copy(m), reps)
     ids = np.flatnonzero((revenue >= revenue.max() - 1e-9) & (used <= 1 + 1e-9))[:512]
-    assert pool == [_profile(m, reps, int(i)) for i in ids]
+    assert pool == [_rows(m, reps, int(i)) for i in ids]
