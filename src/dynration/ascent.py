@@ -52,8 +52,12 @@ held-out check, and a trial. The check and the trial run the evaluator's
 self-checks (``checked()``), and an accepted trial becomes ``cur``. A
 rational build evaluates nothing but its held-out check. A start's shrink
 tests each halving on its usage alone and evaluates only the rows it
-keeps; that evaluation and the winner's are fresh. Nothing is kept beyond
-one call.
+keeps; that evaluation and the winner's are fresh. No run's state is
+kept beyond its call. Two small module caches (16 entries each) outlive
+it: :func:`_tail_probes`, the read-only float probe matrix of a piece
+count, and :func:`_held_out_row`, the held-out row of a piece count, mode
+and step. Each is a pure function of its arguments, so a cached value is
+the one a fresh call would return, whichever run asked first.
 """
 
 from __future__ import annotations
@@ -401,7 +405,9 @@ def coordinate_ascent(
         rows = tuple(tuple(float(x) for x in row) for row in rows)
     profile = AllocationProfile(tuple(StepFunction.from_values(partition, row) for row in rows))
     final = evaluate(market, profile)
-    binding = (not market.unbounded) and abs(final.inventory_used - market.inventory) <= tol
+    # tol guards float rounding only: a rational run binds when it exhausts the inventory exactly
+    slack = 0 if market.mode == RATIONAL else tol
+    binding = (not market.unbounded) and abs(final.inventory_used - market.inventory) <= slack
     return SolveReport(
         profile=profile,
         revenue=final.revenue,

@@ -58,8 +58,6 @@ def _check_tol(market: Market, tol):
 
 
 def _in_tier(v, threshold, inclusive: bool) -> bool:
-    if threshold is None:
-        return False
     return v > threshold or (v == threshold and bool(inclusive))
 
 

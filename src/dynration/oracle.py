@@ -5,14 +5,15 @@ the atom boundaries (both inclusion flags, realized as free point values
 between the neighboring segment levels) and whose levels come from a fixed
 grid, then maximizes exact revenue subject to the inventory cap. The
 grid's K per-period candidates give K^T profiles, and all of them are
-accounted for, but not all are scored. No buyer values a unit above the
+accounted for, but not all are built. No buyer values a unit above the
 top atom, so a rule's values past that atom's point reach neither revenue
 nor usage. Candidates that agree up to and including that point form a
 class, and only the class's first member in canonical order, its
-representative, is scored. The first maximizer in canonical order is
-always a profile of representatives, so the result is the full grid's.
-K is counted before any candidate is built, so an oversized grid is
-refused at once.
+representative, is built and scored; the full grid never is. The first
+maximizer in canonical order is always a profile of representatives, so
+the result is the full grid's. K is counted once, in closed form, before
+anything is built: that count is the cap's and the result's, so an
+oversized grid is refused at once.
 
 The search scores the representatives in floating point with the
 evaluator's own recursion (:func:`dynration.evaluate.formula_layer`), fed
@@ -109,24 +110,36 @@ class OracleResult:
 
 
 def _period_candidates(market: Market, levels: list) -> list[list]:
-    """All per-period piece-value vectors, canonically ordered.
+    """One piece-value vector per class of candidates, canonically ordered.
 
     A candidate assigns a non-decreasing level to every open gap and, at
     each atom boundary, any grid level between the neighboring gap levels
     (that freedom is the closed/open flag choice, including the distinct
     point value realized by a closed+open pair). Non-atom boundaries carry
     no mass, so their value is pinned to a neighbor.
+
+    Candidates that agree up to and including the top atom's point form a
+    class: the formula layer reads a rule only at the atom points and
+    through the gaps below them, so a class's members score alike, exactly
+    and bit for bit in floats. Only each class's first candidate in
+    canonical order is built. It has the smallest gaps that its prefix
+    allows, so the top atom's point value also fills the gap above it and
+    every later piece: only the gaps up to that one are free, and the top
+    atom's point is pinned to the gap above like a massless point, unless
+    the point is 1. Without atoms there is one candidate.
     """
     pts = Partition(market.atoms).points
     atoms = set(market.atoms)
     ngaps = len(pts) - 1
+    top = pts.index(max(market.atoms)) if market.atoms else -1
     out = []
-    for gaps in itertools.combinations_with_replacement(levels, ngaps):
+    for free in itertools.combinations_with_replacement(levels, min(ngaps, top + 1)):
+        gaps = free + (free[-1] if free else levels[0],) * (ngaps - len(free))
         choice_sets = []
         for k, p in enumerate(pts):
             lo = gaps[k - 1] if k > 0 else None
             hi = gaps[k] if k < ngaps else None
-            if p in atoms:
+            if p in atoms and (k < top or hi is None):
                 lo = lo if lo is not None else levels[0]
                 hi = hi if hi is not None else levels[-1]
                 choice_sets.append([x for x in levels if lo <= x <= hi])
@@ -142,15 +155,17 @@ def _period_candidates(market: Market, levels: list) -> list[list]:
     return out
 
 
-def grid_candidates(market: Market, grid: OracleGrid) -> list[list]:
-    """The grid's per-period candidates on ``market``, after the size caps.
+def grid_candidates(market: Market, grid: OracleGrid) -> tuple[list[list], int]:
+    """The grid's class representatives on ``market`` and its K^T profiles, after the size caps.
 
     Raises :class:`InstanceTooLarge` when the market has too many periods or
     atoms, or the K^T candidate profiles exceed the cap; callers that would
     do other work before the search check here first. A candidate is a
     non-decreasing choice of levels on its f free pieces (every gap and
     every atom's point; other points are pinned), so L levels give
-    K = C(L + f - 1, f), counted before any candidate is built.
+    K = C(L + f - 1, f), counted before anything is built. Only one
+    candidate per class is built (:func:`_period_candidates`); the full
+    grid's K candidates never are.
     """
     if market.T > _MAX_PERIODS:
         raise InstanceTooLarge(f"T={market.T} beyond oracle cap {_MAX_PERIODS}")
@@ -161,23 +176,7 @@ def grid_candidates(market: Market, grid: OracleGrid) -> list[list]:
     total = math.comb(len(levels) + free - 1, free) ** market.T
     if total > _MAX_CANDIDATES:
         raise InstanceTooLarge(f"{total} profiles beyond oracle cap {_MAX_CANDIDATES}")
-    return _period_candidates(market, levels)
-
-
-def _class_representatives(market: Market, candidates: list[list]) -> list[list]:
-    """The first candidate, in canonical order, of each class of ``candidates``.
-
-    Two candidates are in one class when they agree on every piece up to
-    and including the top atom's point. The formula layer reads a rule only
-    at the atom points and through the gaps below them, so the members of a
-    class have equal exact scores and bit-identical float scores. Without
-    atoms nothing is read and every candidate is in one class.
-    """
-    keep = Partition(market.atoms).piece_of_point(max(market.atoms)) + 1 if market.atoms else 0
-    first = {}
-    for row in candidates:
-        first.setdefault(tuple(row[:keep]), row)
-    return list(first.values())
+    return _period_candidates(market, levels), total
 
 
 def _scored_chunks(market: Market, candidates: list[list]):
@@ -269,9 +268,7 @@ def brute_force_optimal(market: Market, grid: OracleGrid | None = None) -> Oracl
     import numpy as np
 
     grid = grid or OracleGrid()
-    grid_rows = grid_candidates(market, grid)
-    total = len(grid_rows) ** market.T
-    candidates = _class_representatives(market, grid_rows)
+    candidates, total = grid_candidates(market, grid)
     K = len(candidates)
     T = market.T
 

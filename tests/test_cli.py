@@ -47,6 +47,20 @@ def test_solve_ration(market_files, tmp_path, capsys):
     assert mech[1]["lotteryQuantity"] == "1/2"
 
 
+def test_rational_binding_means_the_inventory_is_exhausted(market_files, tmp_path, capsys):
+    # the ascent's 1e-9 improvement guard does not reach binding: an
+    # inventory 1e-12 above the one unit sold is not exhausted, while
+    # ex_ration sells exactly its 3/2
+    near = tmp_path / "near.json"
+    doc = {"T": 1, "atoms": [1], "mass": [[1]], "inventory": "1000000000001/1000000000000", "delta": [1]}
+    near.write_text(json.dumps(doc))
+    for path, sold, binding in ((near, "1", False), (market_files[0], "3/2", True)):
+        assert main(["solve", str(path), "--out", str(tmp_path)]) == 0
+        run = (tmp_path / f"{path.stem}.run.txt").read_text()
+        for text in (capsys.readouterr().out, run):
+            assert f"inventory_used: {sold}\nbinding: {binding}\n" in text
+
+
 def test_verify_solver_output(market_files, tmp_path, capsys):
     ration, _ = market_files
     assert main(["solve", str(ration), "--out", str(tmp_path), "--starts", "2"]) == 0

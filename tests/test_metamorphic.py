@@ -6,7 +6,18 @@ from fractions import Fraction as F
 
 import pytest
 
-from dynration import FLOAT, RATIONAL, coordinate_ascent, extract, make_market, parse_market, serialize_market, verify
+from dynration import (
+    FLOAT,
+    RATIONAL,
+    OracleGrid,
+    brute_force_optimal,
+    coordinate_ascent,
+    extract,
+    make_market,
+    parse_market,
+    serialize_market,
+    verify,
+)
 
 from gen import random_market
 
@@ -63,3 +74,33 @@ def test_extracted_menu_verifies_after_ascent(mode, unbounded):
         assert result.passed, (m, result.violations)
         lotteries += len(mech.lottery_periods())
     assert unbounded or lotteries > 0
+
+
+def test_scaling_every_mass_scales_the_oracle_and_keeps_its_profile():
+    # the grid oracle's exact optimum scales as the solver's does: every
+    # profile's revenue and usage scale by c, and so does the inventory
+    rng = random.Random(63)
+    for _ in range(60):
+        m = random_market(rng, max_atoms=2, general_lambda=rng.random() < 0.5)
+        base = brute_force_optimal(m)
+        for c in (F(1, 3), F(2), F(5, 2)):
+            scaled = brute_force_optimal(_scaled(m, c))
+            assert scaled.revenue == c * base.revenue, (m, c)
+            assert scaled.profile == base.profile, (m, c)
+
+
+def test_a_zero_mass_atom_leaves_the_oracle_revenue():
+    # no buyer holds the inserted value; the grid gains a point to jump at
+    # that reaches no revenue
+    rng = random.Random(64)
+    grid = OracleGrid(levels=("0", "1/2", "1"))
+    for _ in range(50):
+        m = random_market(rng, max_periods=2, max_atoms=2)
+        want = brute_force_optimal(m, grid).revenue
+        d = m.discounts
+        for extra in (F(1, 24), F(5, 24), F(13, 24), F(23, 24)):
+            k = sum(a < extra for a in m.atoms)
+            mass = [[*row[:k], 0, *row[k:]] for row in m.mass]
+            atoms = [*m.atoms[:k], extra, *m.atoms[k:]]
+            padded = make_market(m.T, atoms, mass, m.inventory, d.delta, d.lambda_s, d.lambda_b)
+            assert brute_force_optimal(padded, grid).revenue == want, (m, extra)

@@ -1,4 +1,5 @@
 import heapq
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction as F
@@ -204,16 +205,29 @@ def test_oversized_grid_is_refused_before_it_is_built(monkeypatch, tmp_path, cap
 
 @pytest.mark.parametrize("mode", [FLOAT, RATIONAL])
 def test_counted_grid_size_is_the_built_one(monkeypatch, mode):
-    # the cap reads K from its closed form; it must be the number built
+    # the cap reads K from its closed form; it must be the full grid's
     for m in [*_kernel_markets(mode), *_edge_markets(mode)]:
         for L in (2, 3, 4, 5):
             grid = OracleGrid(levels=tuple(f"{k}/{L - 1}" for k in range(L)))
-            total = len(oracle._period_candidates(m, grid.level_values(mode))) ** m.T
+            total = len(_full_grid(m, grid)) ** m.T
             monkeypatch.setattr(oracle, "_MAX_CANDIDATES", total - 1)
             with pytest.raises(InstanceTooLarge, match=f"^{total} profiles beyond oracle cap {total - 1}$"):
                 grid_candidates(m, grid)
             monkeypatch.setattr(oracle, "_MAX_CANDIDATES", total)
-            assert len(grid_candidates(m, grid)) ** m.T == total
+            assert grid_candidates(m, grid)[1] == total
+
+
+@pytest.mark.parametrize("mode", [FLOAT, RATIONAL])
+def test_built_candidates_are_the_first_of_each_class(monkeypatch, mode):
+    # only representatives are built: each class's first member of the
+    # full grid, in order, next to the full grid's K^T
+    monkeypatch.setattr(oracle, "_MAX_CANDIDATES", float("inf"))
+    for m in [*_kernel_markets(mode), *_edge_markets(mode)]:
+        for L in (2, 3, 4, 5):
+            grid = OracleGrid(levels=tuple(f"{k}/{L - 1}" for k in range(L)))
+            full = _full_grid(m, grid)
+            reps, _ = _representatives(m, full)
+            assert grid_candidates(m, grid) == (reps, len(full) ** m.T), (m, L)
 
 
 def test_caps_keep_later_periods_within_one_chunk():
@@ -307,6 +321,44 @@ def _float_copy(market):
     )
 
 
+def _full_candidates(market, levels):
+    """Reference: all per-period piece-value vectors of the full grid, canonically ordered.
+
+    A candidate assigns a non-decreasing level to every open gap and, at
+    each atom boundary, any grid level between the neighboring gap levels
+    (that freedom is the closed/open flag choice, including the distinct
+    point value realized by a closed+open pair). Non-atom boundaries carry
+    no mass, so their value is pinned to a neighbor.
+    """
+    pts = Partition(market.atoms).points
+    atoms = set(market.atoms)
+    ngaps = len(pts) - 1
+    out = []
+    for gaps in itertools.combinations_with_replacement(levels, ngaps):
+        choice_sets = []
+        for k, p in enumerate(pts):
+            lo = gaps[k - 1] if k > 0 else None
+            hi = gaps[k] if k < ngaps else None
+            if p in atoms:
+                lo = lo if lo is not None else levels[0]
+                hi = hi if hi is not None else levels[-1]
+                choice_sets.append([x for x in levels if lo <= x <= hi])
+            else:
+                choice_sets.append([hi if hi is not None else lo])
+        for point_vals in itertools.product(*choice_sets):
+            pieces = []
+            for k in range(len(pts)):
+                pieces.append(point_vals[k])
+                if k < ngaps:
+                    pieces.append(gaps[k])
+            out.append(pieces)
+    return out
+
+
+def _full_grid(market, grid):
+    return _full_candidates(market, grid.level_values(market.mode))
+
+
 def _representatives(market, candidates):
     """``(reps, rep_of)``: each class's first candidate, and each candidate's class.
 
@@ -335,7 +387,7 @@ def test_broadcast_kernel_matches_flat_gather(monkeypatch, chunk):
     monkeypatch.setattr(oracle, "_CHUNK", chunk)
     seen = set()
     for m in _kernel_markets():
-        candidates = grid_candidates(m, _small_grid(m))
+        candidates = _full_grid(m, _small_grid(m))
         if chunk < 1 << 15 and len(candidates) ** m.T > 1300:
             continue
         seen.add((m.T, m.num_atoms))
@@ -357,7 +409,7 @@ def test_ties_return_the_first_profile_in_canonical_order(monkeypatch, chunk):
             T=2, atoms=["1/3", "2/3", 1], mass=[[1, 0, 1], [0, 0, 1]], inventory=inventory, mode=FLOAT
         )
         grid = OracleGrid(levels=("0", "1/2", "1"))
-        candidates = grid_candidates(m, grid)
+        candidates = _full_grid(m, grid)
         revenue, used = _flat_search(m, candidates)
         if inventory is not None:
             revenue = np.where(used <= inventory + 1e-9, revenue, -np.inf)
@@ -384,7 +436,7 @@ def test_oracle_matches_the_full_grid(monkeypatch, mode):
     # feasible maximizer, and every profile scores as its representatives do
     for m in [*_kernel_markets(mode), *_edge_markets(mode)]:
         grid = _small_grid(m)
-        candidates = grid_candidates(m, grid)
+        candidates = _full_grid(m, grid)
         K, T = len(candidates), m.T
         total = K**T
         if mode == RATIONAL and total > 1300:
@@ -447,7 +499,7 @@ def test_near_tie_pool_does_not_depend_on_chunk_boundaries(monkeypatch):
     markets += [random_market(rng, max_periods=3, max_atoms=2, general_lambda=k % 2 == 1) for k in range(4)]
     grid = OracleGrid(levels=("0", "1/3", "2/3", "1"))
     for m in markets:
-        K = len(grid_candidates(m, grid))
+        K = len(_full_grid(m, grid))
         runs = []
         for chunk in (1 << 15, K ** (m.T - 1), K - 1, 3 * K + 1):
             monkeypatch.setattr(oracle, "_CHUNK", chunk)
@@ -471,7 +523,7 @@ def test_near_tie_pool_is_every_candidate_near_the_final_best(monkeypatch):
         delta=["11/12", "11/12", "2/3"],
     )
     # the pool holds the first 512 representative profiles near the best
-    reps, _ = _representatives(m, grid_candidates(m, OracleGrid()))
+    reps, _ = _representatives(m, _full_grid(m, OracleGrid()))
     revenue, _ = _flat_search(_float_copy(m), reps)
     ids = np.flatnonzero(revenue >= revenue.max() - 1e-9)[:512]
     pool, res = _exact_pool(monkeypatch, m)
@@ -502,7 +554,7 @@ def test_a_full_pool_keeps_the_first_near_ties(monkeypatch):
         atoms = sorted(rng.sample([F(k, 4) for k in range(1, 5)], 2))
         mass = [[0, 0], [eps * rng.randint(1, 3) for _ in atoms], [F(rng.randint(1, 4), 4) for _ in atoms]]
         m = make_market(T=3, atoms=atoms, mass=mass, inventory=rng.choice([None, sum(map(sum, mass)) / 2]))
-        reps, _ = _representatives(m, grid_candidates(m, grid))
+        reps, _ = _representatives(m, _full_grid(m, grid))
         search = _float_copy(m)
         revenue, used = _flat_search(search, reps)
         if not m.unbounded:
@@ -548,7 +600,7 @@ def test_a_pooled_profile_beyond_the_exact_inventory_is_skipped(monkeypatch, mas
     free_rows = [part.values(f) for f in free.profile]
     assert free_rows in pool and not within[pool.index(free_rows)]
     assert any(within) != retried and (len(searches) > 1) == retried
-    reps, _ = _representatives(m, grid_candidates(m, grid))
+    reps, _ = _representatives(m, _full_grid(m, grid))
     want = None
     for flat in range(len(reps) ** m.T):
         ev = evaluate(m, _profile(m, reps, flat))
@@ -611,7 +663,7 @@ def test_rational_all_ties_keep_a_bounded_pool(monkeypatch):
     assert res.revenue == 0
     assert res.profile == AllocationProfile.zero(3)
     assert peak < 32 * 2**20
-    reps, _ = _representatives(m, grid_candidates(m, OracleGrid()))
+    reps, _ = _representatives(m, _full_grid(m, OracleGrid()))
     revenue, used = _flat_search(_float_copy(m), reps)
     ids = np.flatnonzero((revenue >= revenue.max() - 1e-9) & (used <= 1 + 1e-9))[:512]
     assert pool == [_rows(m, reps, int(i)) for i in ids]
