@@ -240,8 +240,10 @@ def _assert_affine(lp: CoordinateLP, cur: Evaluation):
     ev = cur.with_row(t, check).checked()
     want_rev, want_used = ev.revenue, ev.inventory_used
     step = check[0]
-    got_rev = lp.base_revenue + step * sum(j for j, _ in lp.tails)
-    got_used = lp.base_used + step * sum(g for _, g in lp.tails)
+    # zero tails add nothing: a float tail is a difference of two sums that
+    # start at int 0, so it is never -0.0
+    got_rev = lp.base_revenue + step * sum(j for j, _ in lp.tails if j)
+    got_used = lp.base_used + step * sum(g for _, g in lp.tails if g)
     scale = max(1, abs(want_rev), abs(want_used))
     tol = 0 if mode == RATIONAL else 1e-8 * scale
     if not (abs(got_rev - want_rev) <= tol and abs(got_used - want_used) <= tol):
@@ -271,7 +273,9 @@ def solve_coordinate(lp: CoordinateLP) -> CoordinateSolution:
             candidates.append((alpha * j, 1, budget, (f,), (alpha,)))
     if budget is not None:
         # a budget-tight pair mixes a tail over the budget with one under
-        # it; no other pair has 0 < alpha < 1
+        # it; no other pair has 0 < alpha < 1. With a Fraction budget a zero
+        # usage or revenue of a tail takes no arithmetic.
+        exact = isinstance(budget, Fraction)
         over = [f for f, (_, g) in enumerate(lp.tails) if g > budget]
         under = [f for f, (_, g) in enumerate(lp.tails) if g < budget]
         for fa, (j_a, g_a) in enumerate(lp.tails):
@@ -279,10 +283,16 @@ def solve_coordinate(lp: CoordinateLP) -> CoordinateSolution:
             for fb in others[bisect_right(others, fa):]:
                 j_b, g_b = lp.tails[fb]
                 # the tail from fa dominates the tail from fb
-                alpha = (budget - g_b) / (g_a - g_b)
+                alpha = budget / g_a if exact and not g_b else (budget - g_b) / (g_a - g_b)
                 if not 0 < alpha < 1:
                     continue
-                candidates.append((alpha * j_a + (1 - alpha) * j_b, 2, budget, (fa, fb), (alpha, 1)))
+                if exact and not j_b:
+                    j = alpha * j_a
+                elif exact and not j_a:
+                    j = (1 - alpha) * j_b
+                else:
+                    j = alpha * j_a + (1 - alpha) * j_b
+                candidates.append((j, 2, budget, (fa, fb), (alpha, 1)))
 
     best = None
     for cand in candidates:

@@ -56,7 +56,7 @@ t, with ``whole`` set, since ``cur`` holds Python scalars only. A scalar
 evaluation keeps its rows and its g tables (``gap_discounts``) for this;
 a batch keeps no g tables and has no one-period changes. The self-checks,
 f* against its closed form and usage against the cohort identity, run on
-any evaluation, fresh or changed, through :meth:`Evaluation.checked`.
+any scalar evaluation, fresh or changed, through :meth:`Evaluation.checked`.
 
 Optimal rules are mostly exact 0s and 1s, so where a rule value is a Python
 scalar equal to 0 or 1 the layer takes the value its expression would give
@@ -70,9 +70,24 @@ exactly in ``Fraction`` arithmetic and in IEEE floats, since every value
 involved is finite and never -0.0 (none is negative). ``g_T`` is the
 deltas' zero, not an int 0, so a value handed on is of the kind the
 expression makes. The layer does not take a shortcut that would lose an
-array's shape (r = 1 against a carried array in ``g`` or ``f*``), numpy
-rule values always take the full expression, and the sums take every
-term, because a sum of no terms would be int 0, not 0.0.
+array's shape (r = 1 against a carried array in ``g`` or ``f*``), and
+numpy rule values always take the full expression.
+
+A scalar evaluation in rational mode applies the same rule to the rest of
+its arithmetic, where most operands are exact 0s and 1s too. It does not
+divide a ``Fraction`` payment by a lambdaB_t of 1. Its revenue and usage
+sums drop each product with a 0 and take the other operand of a 1, and
+skip ``lambdaS_t *`` at lambdaS_t = 1; they start from the deltas'
+``Fraction`` zero, so a sum of no terms has the type of the full one. Its
+self-checks take ``1 - r`` at a ``Fraction`` 0 or 1 as the constant it
+is, and skip factors of 1, masses of 0 and the cohort identity's terms
+whose survival is 1. The checks see the values of the full expressions,
+so each passes, or fails with the same message, exactly where it did.
+:func:`coordinate_tails` and :meth:`Partition.prefix_integrals` skip
+their exact 0s and 1s likewise. Float mode keeps the sums as
+``sum(map(mul, ...))`` and its checks as the plain loops: a float
+product costs about as little as the test that would skip it, and the
+sums run their products in C, where a skipping loop runs in Python.
 
 :func:`evaluate` takes any profile, jumps anywhere in [0, 1], and refines
 its partition and rows; a caller that holds rows on one partition already,
@@ -129,6 +144,8 @@ from .stepfn import Partition, StepFunction, segment_refinement
 # Rule values of these types are Python scalars, whose exact 0 and 1 skip
 # their arithmetic in the formula layer.
 _SCALARS = frozenset((int, float, Fraction))
+# 1 - r at a Fraction rule of exactly 0 or 1
+_ONE, _ZERO = Fraction(1), Fraction(0)
 
 
 class EvaluatorInternalError(AssertionError):
@@ -219,21 +236,39 @@ class Evaluation:
 
     def checked(self) -> "Evaluation":
         """This evaluation, after its self-checks over the full tables: f*
-        against its closed form, and usage against the cohort identity."""
+        against its closed form, and usage against the cohort identity. A
+        batch evaluation has no self-checks (``ValueError``)."""
+        if self.gap_discounts is None:
+            raise ValueError("a batch evaluation has no self-checks")
         market = self.market
+        rational = market.mode == RATIONAL
         # keep[i][t] = 1 - r_t at atom i, and mass[i][t] its arrivals
-        keep = list(zip(*([1 - r for r in row] for row in self.r_at)))
+        if rational:
+            complements = ([1 - r if type(r) is int else _ONE if r == 0 else _ZERO if r == 1 else 1 - r for r in row]
+                           for row in self.r_at)
+        else:
+            complements = ([1 - r for r in row] for row in self.r_at)
+        keep = list(zip(*complements))
         mass = list(zip(*market.mass))
         _check_fstar_closed_form(market, keep, mass, self.fstar)
 
         # Each cohort is served unless it survives every period from its arrival
         # on; the survival products are suffix products over t.
         used_by_cohort = 0
-        for keep_i, mass_i in zip(keep, mass):
-            survive = 1
-            for k, m in zip(reversed(keep_i), reversed(mass_i)):
-                survive *= k
-                used_by_cohort += (1 - survive) * m
+        if rational:
+            for keep_i, mass_i in zip(keep, mass):
+                survive = 1
+                for k, m in zip(reversed(keep_i), reversed(mass_i)):
+                    if k != 1:
+                        survive *= k
+                    if m and survive != 1:
+                        used_by_cohort += m if survive == 0 else (1 - survive) * m
+        else:
+            for keep_i, mass_i in zip(keep, mass):
+                survive = 1
+                for k, m in zip(reversed(keep_i), reversed(mass_i)):
+                    survive *= k
+                    used_by_cohort += (1 - survive) * m
         _require_equal(self.inventory_used, used_by_cohort, market.mode, "inventory accounting")
         return self
 
@@ -320,18 +355,32 @@ def _layer(market: Market, partition: Partition, R, cur: Evaluation | None = Non
     _extend_presence(market, r_at, plain, fstar, first)
 
     # payments of s <= t; later ones read neither row t nor U_t
+    exact = scalar and market.mode == RATIONAL
     payments = []
     for d, lb, r_row, plain_r, u_next, u_now in zip(delta[:t + 1], lam_b, r_at, plain, u_at[1:], u_at):
         terms = zip(atoms, r_row, u_next, u_now)
-        if plain_r:
+        if exact and lb == 1:
+            # / 1 keeps a Fraction, and turns the int 0 that U_{t+1} - U_t
+            # is at the point 0 into Fraction(0)
+            paid = [(d * a if r == 1 else x if r == 0 else d * a * r + (1 - r) * x) - u for a, r, x, u in terms]
+            payments.append([v if type(v) is Fraction else v / lb for v in paid])
+        elif plain_r:
             payments.append(
                 [((d * a if r == 1 else x if r == 0 else d * a * r + (1 - r) * x) - u) / lb for a, r, x, u in terms]
             )
         else:
             payments.append([(d * a * r + (1 - r) * x - u) / lb for a, r, x, u in terms])
     payments += payments_later
-    revenue = sum(ls * sum(map(mul, p_row, f_row)) for ls, p_row, f_row in zip(lam_s, payments, fstar))
-    used = _usage(r_at, fstar, delta[0] * 0)
+    zero = delta[0] * 0
+    if exact:
+        revenue = zero
+        for ls, p_row, f_row in zip(lam_s, payments, fstar):
+            period = _exact_dot(p_row, f_row, zero)
+            if period:
+                revenue += period if ls == 1 else ls * period
+    else:
+        revenue = sum(ls * sum(map(mul, p_row, f_row)) for ls, p_row, f_row in zip(lam_s, payments, fstar))
+    used = _usage(r_at, fstar, zero, exact)
     gaps = gaps if scalar else None
     return Evaluation(market, partition, u_points, r_at, u_at, fstar, payments, revenue, used, R, gaps)
 
@@ -348,8 +397,19 @@ def _extend_presence(market: Market, r_at, plain, fstar, first: int):
             fstar.append([m + f * (1 - r) for m, f, r in carry])
 
 
-def _usage(r_at, fstar, zero):
-    return sum(map(mul, chain.from_iterable(r_at), chain.from_iterable(fstar)), zero)
+def _usage(r_at, fstar, zero, exact: bool):
+    r_all, f_all = chain.from_iterable(r_at), chain.from_iterable(fstar)
+    return _exact_dot(r_all, f_all, zero) if exact else sum(map(mul, r_all, f_all), zero)
+
+
+def _exact_dot(xs, ys, zero):
+    """``sum(map(mul, xs, ys), zero)`` of exact scalars and a ``Fraction``
+    ``zero``, without the products that have an exact 0 or 1 operand."""
+    total = zero
+    for x, y in zip(xs, ys):
+        if x and y:
+            total += y if x == 1 else x if y == 1 else x * y
+    return total
 
 
 def inventory_used(market: Market, partition: Partition, R):
@@ -361,23 +421,28 @@ def inventory_used(market: Market, partition: Partition, R):
     """
     atom_pc = [partition.piece_of_point(a) for a in market.atoms]
     r_at = [[row[pc] for pc in atom_pc] for row in R]
+    plain = [_plain(row) for row in r_at]
     fstar = [list(market.mass[0])]
-    _extend_presence(market, r_at, [_plain(row) for row in r_at], fstar, 0)
-    return _usage(r_at, fstar, market.discounts.delta[0] * 0)
+    _extend_presence(market, r_at, plain, fstar, 0)
+    return _usage(r_at, fstar, market.discounts.delta[0] * 0, market.mode == RATIONAL and all(plain))
 
 
 def row_value(row, tails):
     """(revenue, usage) change of ``row`` in an affine model of tails.
 
     A row is its first value times ``tails[0]`` plus each step up times the
-    tail that starts there.
+    tail that starts there. A first value or a step of exactly 1 takes the
+    tail as it is, and a zero tail adds nothing.
     """
-    j, g = (row[0] * x for x in tails[0])
+    j, g = tails[0] if row[0] == 1 else (row[0] * x for x in tails[0])
     for f in range(1, len(row)):
         if row[f] != row[f - 1]:
+            step = row[f] - row[f - 1]
             tj, tg = tails[f]
-            j += (row[f] - row[f - 1]) * tj
-            g += (row[f] - row[f - 1]) * tg
+            if tj:
+                j += tj if step == 1 else step * tj
+            if tg:
+                g += tg if step == 1 else step * tg
     return j, g
 
 
@@ -411,7 +476,8 @@ def coordinate_tails(cur: Evaluation, t: int):
         sums, run, i = [zero] * ngaps, zero, len(atoms) - 1
         for j in range(ngaps - 1, -1, -1):
             while i >= 0 and atom_k[i] > j:
-                run += values[i]
+                if values[i]:
+                    run += values[i]
                 i -= 1
             sums[j] = run
         return sums
@@ -419,38 +485,53 @@ def coordinate_tails(cur: Evaluation, t: int):
     # Gap j: a unit of h there moves U_s(x) above it by reach[j] times D_j,
     # the integral of delta_t - g_{t+1} over the gap, where reach[j] is
     # P_s[j]; total[j] gathers the revenue change per unit of D_j.
-    total = [-lam_s[t] / lam_b[t] * x for x in above_gaps(fstar[t])]
+    kappa = lam_s[t] / lam_b[t]
+    total = [x if not x else -x if kappa == 1 else -kappa * x for x in above_gaps(fstar[t])]
     reach = [1] * ngaps
     for s in range(t - 1, -1, -1):
         if not any(reach):
             break
-        kappa = lam_s[s] / lam_b[s]
+        kappa_s = lam_s[s] / lam_b[s]
         above = above_gaps(fstar[s])
-        stay = above_gaps([f * (1 - r) for f, r in zip(fstar[s], r_at[s])])
+        stay = above_gaps([f if r == 0 else zero if r == 1 else f * (1 - r) for f, r in zip(fstar[s], r_at[s])])
         for j, (later, r) in enumerate(zip(reach, R[s][1::2])):
-            if later != 0:
-                reach[j] = now = (1 - r) * later
-                total[j] += kappa * (later * stay[j] - now * above[j])
+            if later:
+                reach[j] = now = later if r == 0 else 0 if r == 1 else (1 - r) * later
+                # later * stay[j] - now * above[j]
+                change = stay[j] if later == 1 else later * stay[j]
+                if now:
+                    change -= above[j] if now == 1 else now * above[j]
+                if change:
+                    total[j] += change if kappa_s == 1 else kappa_s * change
     u_next = cur.u_points[t + 1]
     gaps = [
-        (x * (delta[t] * (b - a) - (ub - ua)), zero)
+        (x * (delta[t] * (b - a) - (ub - ua)) if x else x, zero)
         for x, a, b, ua, ub in zip(total, points, points[1:], u_next, u_next[1:])
     ]
 
     # Atom i: its own payment and usage at t, then the f* it leaves to later
-    # periods, d f*_{t+1} = -f*_t and d f*_{s+1} = (1 - r_s) d f*_s.
+    # periods, d f*_{t+1} = -f*_t and d f*_{s+1} = (1 - r_s) d f*_s. An atom
+    # without presence at t has no coefficient.
     at_point = [(zero, zero)] * len(points)
     for i, (a, k, f) in enumerate(zip(atoms, atom_k, fstar[t])):
-        rev = lam_s[t] * f * (delta[t] * a - cur.u_at[t + 1][i]) / lam_b[t]
+        if not f:
+            continue
+        u = cur.u_at[t + 1][i]
+        rev = f * (delta[t] * a - u if u else delta[t] * a)
+        if kappa != 1:
+            rev *= kappa
         used = f
         moved = -f
         for s in range(t + 1, T):
-            if moved == 0:
+            r, p = r_at[s][i], cur.payments[s][i]
+            if p:
+                rev += p * moved if lam_s[s] == 1 else lam_s[s] * p * moved
+            if r == 1:
+                used += moved
                 break
-            r = r_at[s][i]
-            rev += lam_s[s] * cur.payments[s][i] * moved
-            used += r * moved
-            moved *= 1 - r
+            if r:
+                used += r * moved
+                moved *= 1 - r
         at_point[k] = (rev, used)
 
     coefficients = [at_point[0]]
@@ -459,8 +540,10 @@ def coordinate_tails(cur: Evaluation, t: int):
     rev = used = zero
     tails = []
     for j, g in reversed(coefficients):
-        rev += j
-        used += g
+        if j:
+            rev += j
+        if g:
+            used += g
         tails.append((rev, used))
     tails = tuple(reversed(tails))
     rev, used = row_value(R[t], tails)
@@ -484,8 +567,25 @@ def _check_fstar_closed_form(market: Market, keep, mass, fstar):
     # f*_t(v) must equal sum_j f_j(v) prod_{j <= k < t} (1 - r_k(v)); walking
     # j down from t extends the product by one factor per term. Once the
     # product is an exact 0 it stays 0, and adding m * 0 to the nonnegative
-    # total leaves it as it is, so the walk stops there.
-    rational = market.mode == RATIONAL
+    # total leaves it as it is, so the walk stops there. In rational mode
+    # factors of 1 and masses of 0 take no arithmetic either.
+    if market.mode == RATIONAL:
+        for t, row in enumerate(fstar):
+            earlier = range(t - 1, -1, -1)
+            for f, keep_i, mass_i in zip(row, keep, mass):
+                total, survive = mass_i[t], 1
+                for j in earlier:
+                    k = keep_i[j]
+                    if k != 1:
+                        survive *= k
+                        if survive == 0:
+                            break
+                    m = mass_i[j]
+                    if m:
+                        total += m if survive == 1 else m * survive
+                if f != total:
+                    _require_equal(f, total, market.mode, f"fstar closed form at t={t}")
+        return
     for t, row in enumerate(fstar):
         earlier = range(t - 1, -1, -1)
         for f, keep_i, mass_i in zip(row, keep, mass):
@@ -495,7 +595,7 @@ def _check_fstar_closed_form(market: Market, keep, mass, fstar):
                 if survive == 0:
                     break
                 total += mass_i[j] * survive
-            if f != total and (rational or not abs(f - total) <= 1e-9 * max(1.0, abs(f), abs(total))):
+            if f != total and not abs(f - total) <= 1e-9 * max(1.0, abs(f), abs(total)):
                 _require_equal(f, total, market.mode, f"fstar closed form at t={t}")
 
 

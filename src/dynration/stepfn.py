@@ -15,7 +15,8 @@ the exact per-period optimizer needs them as candidates.
 from __future__ import annotations
 
 import bisect
-from itertools import accumulate
+from fractions import Fraction
+from itertools import accumulate, repeat
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
@@ -206,8 +207,25 @@ class Partition:
         return out
 
     def prefix_integrals(self, gap_values: Sequence) -> list:
-        """``∫_0^{p_k}`` of the function worth ``gap_values[k]`` on gap k, one entry per point."""
-        return list(accumulate(map(mul, gap_values, self._widths), initial=0))
+        """``∫_0^{p_k}`` of the function worth ``gap_values[k]`` on gap k, one entry per point.
+
+        The list is ``accumulate(map(mul, gap_values, widths), initial=0)``,
+        by type too. Gap values are mostly 0 on the lowest gaps, where no
+        later period sells. A leading run of exact ``Fraction`` zeros on
+        int or ``Fraction`` widths adds ``Fraction(0)`` at each gap, so that
+        run takes no arithmetic; other values take the full accumulation.
+        """
+        widths = self._widths
+        zero = gap_values[0]  # one value per gap, and a partition has at least one gap
+        if type(zero) is not Fraction or zero or isinstance(widths[0], float):
+            return list(accumulate(map(mul, gap_values, widths), initial=0))
+        lead = 1
+        for g, w in zip(gap_values[1:], widths[1:]):
+            if type(g) is not Fraction or g or isinstance(w, float):
+                break
+            lead += 1
+        rest = accumulate(map(mul, gap_values[lead:], widths[lead:]), initial=zero)
+        return [0, *repeat(zero, lead - 1), *rest]
 
 
 def segment_refinement(fs: Iterable[StepFunction], points: Iterable = ()) -> Partition:

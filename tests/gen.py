@@ -106,6 +106,46 @@ def random_feasible_profile(rng: random.Random, market) -> AllocationProfile:
     return shrunk_to_feasible(market, random_profile(rng, market))
 
 
+def edge_market(rng: random.Random, mode: str = RATIONAL, *, shortcuts: bool = False):
+    """A small random market that may put atoms at 0 and 1, tie deltas, take
+    general lambdas and leave supply unbounded.
+
+    With ``shortcuts`` it may also give one atom no mass in any period, and
+    general lambdas of exactly 1 at t = 0: the exact 0s and 1s that the
+    formula layer and its checks skip.
+    """
+    T, n = rng.randint(1, 4), rng.randint(1, 4)
+    atoms = sorted(rng.sample([Fraction(k, 12) for k in range(13)], n))
+    if rng.random() < 0.3:
+        atoms = sorted({Fraction(0), *atoms[1:-1], Fraction(1)})
+    mass = [[rng.choice(MASS_POOL) for _ in atoms] for _ in range(T)]
+    if shortcuts and len(atoms) > 1 and rng.random() < 0.5:
+        i = rng.randrange(len(atoms) - 1)
+        for row in mass:
+            row[i] = Fraction(0)
+    mass[0][-1] += 1
+    pool = [Fraction(1), Fraction(11, 12), Fraction(5, 6), Fraction(3, 4), Fraction(2, 3), Fraction(1, 2)]
+    schedules = [sorted((rng.choice(pool) for _ in range(T)), reverse=True) for _ in range(3)]
+    if T > 1 and rng.random() < 0.5:
+        schedules[0][1] = schedules[0][0]
+    if rng.random() < 0.5:
+        schedules[1] = schedules[2] = None
+    elif shortcuts and rng.random() < 0.5:
+        schedules[1][0] = schedules[2][0] = Fraction(1)
+    inventory = None if rng.random() < 0.4 else Fraction(rng.randint(1, 8), 4)
+    return make_market(T=T, atoms=atoms, mass=mass, inventory=inventory, delta=schedules[0],
+                       lambda_s=schedules[1], lambda_b=schedules[2], mode=mode)
+
+
+def edge_row(rng: random.Random, npieces: int, mode: str = RATIONAL) -> tuple:
+    """A monotone row of whole levels as ints and as the mode's numbers, and fractions."""
+    if mode == RATIONAL:
+        levels = [0, 0, 1, 1, Fraction(0), Fraction(1), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4)]
+    else:
+        levels = [0, 0, 1, 1, 0.0, 1.0, 1 / 3, 0.5, 0.75]
+    return tuple(sorted((rng.choice(levels) for _ in range(npieces)), key=float))
+
+
 def shrunk_to_feasible(market, profile: AllocationProfile) -> AllocationProfile:
     """The ascent's shrink of a profile whose jumps sit on the atoms, through its rows."""
     partition = segment_refinement((), market.atoms)

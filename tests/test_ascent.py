@@ -26,6 +26,8 @@ from dynration.stepfn import segment_refinement
 
 from gen import (
     MASS_POOL,
+    edge_market,
+    edge_row,
     lp_from_coefficients,
     random_lp_coefficients,
     random_market,
@@ -115,18 +117,18 @@ def test_lp_zero_when_no_mass_remains():
     assert all(tail == (0, 0) for tail in lp.tails)
 
 
-def _probed_lp(market, profile, t):
-    """Reference coordinate model from 2m + 2 separate evaluator probes.
+def _probed_lp(market, partition, rows, t):
+    """Reference coordinate model of period ``t`` of ``rows`` from 2m + 2
+    separate evaluator probes.
 
     Probes are the zero rule and, at every partition point, the closed tail
     ``1[p <= x]`` and the open tail ``1[p < x]`` (none at the point 1); each
     tail's change over the zero rule is its value. Float builds probe
     every tail at once, so this checks them tail by tail.
     """
-    partition, rows = _rows(market, profile, t)
 
     def probe(h):
-        ev = evaluate_rows(market, partition, rows[:t] + [partition.values(h)] + rows[t + 1:])
+        ev = evaluate_rows(market, partition, [*rows[:t], partition.values(h), *rows[t + 1:]])
         return ev.revenue, ev.inventory_used
 
     base = probe(StepFunction.zero())
@@ -194,7 +196,7 @@ def test_batched_build_matches_probe_oracle(mode):
         m = _oracle_market(rng, mode, **kw)
         prof = _oracle_profile(rng, m)
         for t in range(m.T):
-            want = _probed_lp(m, prof, t)
+            want = _probed_lp(m, *_rows(m, prof, t), t)
             lp = _build(m, prof, t)
             got = [x for tail in [(lp.base_revenue, lp.base_used), *lp.tails] for x in tail]
             expected = [x for tail in [want["base"], *want["tails"]] for x in tail]
@@ -202,6 +204,33 @@ def test_batched_build_matches_probe_oracle(mode):
             assert [key(x) for x in got] == [key(x) for x in expected], t
             budget = None if m.unbounded else m.inventory - want["base"][1]
             assert lp.budget == budget
+
+
+def test_coordinate_tails_match_the_probes_where_they_skip_arithmetic():
+    # rational: the base and every tail read off the current evaluation are
+    # the probes' values, by type and repr, on markets with lambdas of
+    # exactly 1 among general ones and atoms without mass, and on rows of
+    # int and Fraction 0s and 1s, fractions in between included
+    rng = random.Random(2602)
+    seen = dict.fromkeys(("unit lambdas among others", "zero-mass atom", "int 0 and 1", "Fraction 0 and 1"), False)
+    for _ in range(40):
+        m = edge_market(rng, RATIONAL, shortcuts=True)
+        part = Partition([*m.atoms, *(F(rng.randint(1, 23), 24) for _ in range(rng.randint(0, 2)))])
+        rows = [edge_row(rng, part.npieces, RATIONAL) for _ in range(m.T)]
+        d, levels = m.discounts, {(type(x), x) for row in rows for x in row}
+        for case, hit in (
+            ("unit lambdas among others", d.lambda_s[0] == d.lambda_b[0] == 1 and set(d.lambda_s + d.lambda_b) != {1}),
+            ("zero-mass atom", any(not any(col) for col in zip(*m.mass))),
+            ("int 0 and 1", levels >= {(int, 0), (int, 1)}),
+            ("Fraction 0 and 1", levels >= {(F, 0), (F, 1)}),
+        ):
+            seen[case] = seen[case] or hit
+        cur = evaluate_rows(m, part, rows)
+        for t in range(m.T):
+            base_revenue, base_used, tails = coordinate_tails(cur, t)
+            want = _probed_lp(m, part, rows, t)
+            assert spelled([(base_revenue, base_used), *tails]) == spelled([want["base"], *want["tails"]])
+    assert all(seen.values()), seen
 
 
 def test_build_calls_evaluate_once(monkeypatch):

@@ -18,13 +18,21 @@ from dynration import (
     ex_ration,
     make_market,
     mixture,
+    segment_refinement,
 )
 from dynration import ascent
-from dynration.evaluate import Evaluation, EvaluatorInternalError, coordinate_tails, evaluate_rows, formula_layer
+from dynration.evaluate import (
+    Evaluation,
+    EvaluatorInternalError,
+    coordinate_tails,
+    evaluate_rows,
+    formula_layer,
+    inventory_used,
+)
 from dynration.market import Market
 from dynration.report import evaluation_csv
 
-from gen import MASS_POOL, random_feasible_profile, random_market, random_profile, random_step, slopes
+from gen import edge_market, edge_row, random_feasible_profile, random_market, random_profile, random_step, slopes
 from gen import spelled as _spelled
 
 # the module; the package's ``evaluate`` attribute is the function
@@ -356,18 +364,50 @@ def test_levels_at_massless_points_do_not_enter_the_formulas(mode):
         assert batch == _leaves(formula_layer(m, part, columns(rows)), key)
 
 
+def _shortcut_check_cases(rng, mode, target):
+    """``(market, partition, rows, t, i)`` whose perturbed entry sits behind a
+    shortcut of the checks: for f*, an atom without mass in any period and
+    an atom whose rule is exactly 0 or 1 in every period (every level is a
+    whole int or mode number); for usage, a market with one nonzero cohort."""
+    num = F if mode == RATIONAL else float
+    whole = [0, 1, num(0), num(1)]
+    for k in range(12):
+        T, atoms = rng.randint(2, 4), sorted(rng.sample([F(j, 12) for j in range(13)], 3))
+        npieces = 2 * len({0, 1, *atoms}) - 1
+        t, i = rng.randrange(1, T), rng.randrange(3)
+        if target == "fstar" and k % 2 == 0:
+            mass = [[0 if j == i else rng.choice([0, F(1, 2), 1]) for j in range(3)] for _ in range(T)]
+            mass[0][(i + 1) % 3] = 1
+            rows = [edge_row(rng, npieces, mode) for _ in range(T)]
+        elif target == "fstar":
+            mass = [[rng.choice([0, F(1, 2), 1]) for _ in range(3)] for _ in range(T)]
+            mass[0][i] = 1
+            rows = [tuple(sorted((rng.choice(whole) for _ in range(npieces)), key=float)) for _ in range(T)]
+        else:
+            mass = [[0] * 3 for _ in range(T)]
+            mass[rng.randrange(T)][i] = rng.choice([F(1, 2), 1, F(3, 2)])
+            rows = [edge_row(rng, npieces, mode) for _ in range(T)]
+        m = make_market(T=T, atoms=atoms, mass=mass, inventory=rng.choice([None, F(1, 2)]), mode=mode)
+        yield m, Partition(m.atoms), rows, t, i
+
+
 @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
 @pytest.mark.parametrize("target", ["fstar", "used"])
 def test_self_checks_catch_a_perturbed_formula_layer(monkeypatch, mode, target):
     # one f* entry, or one usage term, off by a little: the f* closed form
-    # or the cohort inventory identity must disagree with the recursion
+    # or the cohort inventory identity must disagree with the recursion, on
+    # random markets and profiles and where the checks skip exact 0s and 1s
     rng = random.Random(43)
     eps = F(1, 97) if mode == RATIONAL else 1e-6
     what = "fstar closed form" if target == "fstar" else "inventory accounting"
+    cases = []
     for _ in range(10):
         m = random_market(rng, mode=mode, min_periods=2, max_atoms=3)
         prof = random_profile(rng, m)
-        t, i = rng.randrange(m.T), rng.randrange(m.num_atoms)
+        part = segment_refinement(prof.steps, m.atoms)
+        cases.append((m, part, [part.values(r) for r in prof.steps], rng.randrange(m.T), rng.randrange(m.num_atoms)))
+    cases += _shortcut_check_cases(rng, mode, target)
+    for m, part, rows, t, i in cases:
 
         def perturbed(*args):
             f = formula_layer(*args)
@@ -377,10 +417,10 @@ def test_self_checks_catch_a_perturbed_formula_layer(monkeypatch, mode, target):
                 return dataclasses.replace(f, fstar=fstar)
             return dataclasses.replace(f, inventory_used=f.inventory_used + eps)
 
-        evaluate(m, prof)
+        evaluate_rows(m, part, rows)
         monkeypatch.setattr(evaluate_mod, "formula_layer", perturbed)
         with pytest.raises(EvaluatorInternalError, match=what):
-            evaluate(m, prof)
+            evaluate_rows(m, part, rows)
         monkeypatch.undo()
 
 
@@ -446,67 +486,51 @@ def _tables(ev: Evaluation) -> list:
     return [ev.u_points, ev.r_at, ev.u_at, ev.fstar, ev.payments, ev.revenue, ev.inventory_used]
 
 
-def _edge_market(rng, mode):
-    """A small random market that may put atoms at 0 and 1, tie deltas, take
-    general lambdas and leave supply unbounded."""
-    T, n = rng.randint(1, 4), rng.randint(1, 4)
-    atoms = sorted(rng.sample([F(k, 12) for k in range(13)], n))
-    if rng.random() < 0.3:
-        atoms = sorted({F(0), *atoms[1:-1], F(1)})
-    mass = [[rng.choice(MASS_POOL) for _ in atoms] for _ in range(T)]
-    mass[0][-1] += 1
-    pool = [F(1), F(11, 12), F(5, 6), F(3, 4), F(2, 3), F(1, 2)]
-    schedules = [sorted((rng.choice(pool) for _ in range(T)), reverse=True) for _ in range(3)]
-    if T > 1 and rng.random() < 0.5:
-        schedules[0][1] = schedules[0][0]
-    if rng.random() < 0.5:
-        schedules[1] = schedules[2] = None
-    inventory = None if rng.random() < 0.4 else F(rng.randint(1, 8), 4)
-    return make_market(T=T, atoms=atoms, mass=mass, inventory=inventory, delta=schedules[0],
-                       lambda_s=schedules[1], lambda_b=schedules[2], mode=mode)
-
-
-def _edge_row(rng, npieces, mode):
-    """A monotone row of whole levels as ints and as the mode's numbers, and fractions."""
-    if mode == RATIONAL:
-        levels = [0, 0, 1, 1, F(0), F(1), F(1, 3), F(1, 2), F(3, 4)]
-    else:
-        levels = [0, 0, 1, 1, 0.0, 1.0, 1 / 3, 0.5, 0.75]
-    return tuple(sorted((rng.choice(levels) for _ in range(npieces)), key=float))
-
-
 @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
 def test_formula_layer_matches_the_reference_by_repr(mode):
-    # the shortcuts skip arithmetic on exact 0 and 1 levels; every table
-    # entry and both sums must still be what the full expressions give, of
-    # the same type (and dtype and shape), on scalar rows, on the build's
-    # batch (one period as a pieces x probes matrix) and on the oracle's
-    # (every period an array with its candidates on an axis of its own)
+    # the shortcuts skip arithmetic on exact 0 and 1 levels, masses and
+    # lambdas; every table entry and both sums must still be what the full
+    # expressions give, of the same type (and dtype and shape), on scalar
+    # rows, on the build's batch (one period as a pieces x probes matrix)
+    # and on the oracle's (every period an array with its candidates on an
+    # axis of its own), and so must the usage helper's usage
     rng = random.Random(2024)
     num = F if mode == RATIONAL else float
     dtype = object if mode == RATIONAL else float
-    for _ in range(60):
-        m = _edge_market(rng, mode)
+    seen = dict.fromkeys(("unit lambdas among others", "zero-mass atom", "int 0 and 1", "mode's 0 and 1"), False)
+    for _ in range(80):
+        m = edge_market(rng, mode, shortcuts=True)
         part = Partition([*m.atoms, *(num(F(rng.randint(1, 23), 24)) for _ in range(rng.randint(0, 2)))])
-        rows = [_edge_row(rng, part.npieces, mode) for _ in range(m.T)]
+        rows = [edge_row(rng, part.npieces, mode) for _ in range(m.T)]
         checks = [rows]
+        d, levels = m.discounts, [x for row in rows for x in row]
+        for case, hit in (
+            ("unit lambdas among others", d.lambda_s[0] == d.lambda_b[0] == 1 and set(d.lambda_s + d.lambda_b) != {1}),
+            ("zero-mass atom", any(not any(col) for col in zip(*m.mass))),
+            ("int 0 and 1", {(type(x), x) for x in levels} >= {(int, 0), (int, 1)}),
+            ("mode's 0 and 1", {(type(x), x) for x in levels} >= {(num, 0), (num, 1)}),
+        ):
+            seen[case] = seen[case] or hit
 
         t = rng.randrange(m.T)
-        columns = [_edge_row(rng, part.npieces, mode) for _ in range(3)]
+        columns = [edge_row(rng, part.npieces, mode) for _ in range(3)]
         build = list(rows)
         build[t] = np.array(columns, dtype=dtype).T
         checks.append(build)
 
         oracle = []
         for s in range(m.T):
-            candidates = np.array([_edge_row(rng, part.npieces, mode) for _ in range(2)], dtype=dtype).T
+            candidates = np.array([edge_row(rng, part.npieces, mode) for _ in range(2)], dtype=dtype).T
             oracle.append(candidates.reshape((part.npieces,) + tuple(2 if k == s else 1 for k in range(m.T))))
         checks.append(oracle)
 
         for R in checks:
             want = _spelled(_reference_formula_layer(m, part, R))
             assert _spelled(_tables(formula_layer(m, part, R))) == want
-        assert _spelled(_tables(evaluate_rows(m, part, rows))) == _spelled(_reference_formula_layer(m, part, rows))
+        want = _reference_formula_layer(m, part, rows)
+        assert _spelled(_tables(evaluate_rows(m, part, rows))) == _spelled(want)
+        assert _spelled(inventory_used(m, part, rows)) == _spelled(want[-1])
+    assert all(seen.values()), seen
 
 
 # -- one-period changes resumed from the evaluation of the other rows ----------
@@ -516,7 +540,7 @@ def _reuse_cases(mode, seen):
     """``(market, partition, rows, changed, t)`` where ``changed`` is ``rows``
     with a new row t and the same row objects elsewhere.
 
-    The markets are ``_edge_market``'s plus two atomless ones; the new row
+    The markets are ``edge_market``'s plus two atomless ones; the new row
     is a scalar row of int, mode-number and fraction levels, a batch of
     such rows as columns and, in float mode, the build's tail probes.
     ``seen`` collects which edge cases came up.
@@ -524,18 +548,18 @@ def _reuse_cases(mode, seen):
     rng = random.Random(2110)
     num = F if mode == RATIONAL else float
     dtype = object if mode == RATIONAL else float
-    markets = [_edge_market(rng, mode) for _ in range(30)]
+    markets = [edge_market(rng, mode) for _ in range(30)]
     markets += [make_market(T=T, atoms=[], mass=[[]] * T, inventory=inv, mode=mode) for T, inv in ((1, None), (3, 1))]
     for m in markets:
         for case, hit in (("T = 1", m.T == 1), ("atomless", not m.atoms), ("atom at 0", 0 in m.atoms),
                           ("atom at 1", 1 in m.atoms)):
             seen[case] = seen.get(case, False) or hit
         part = Partition([*m.atoms, *(num(F(rng.randint(1, 23), 24)) for _ in range(rng.randint(0, 2)))])
-        rows = tuple(_edge_row(rng, part.npieces, mode) for _ in range(m.T))
+        rows = tuple(edge_row(rng, part.npieces, mode) for _ in range(m.T))
         for t in range(m.T):
             news = [
-                _edge_row(rng, part.npieces, mode),
-                np.array([_edge_row(rng, part.npieces, mode) for _ in range(3)], dtype=dtype).T,
+                edge_row(rng, part.npieces, mode),
+                np.array([edge_row(rng, part.npieces, mode) for _ in range(3)], dtype=dtype).T,
             ]
             if mode == FLOAT:
                 news.append(ascent._tail_probes(part.npieces))
@@ -658,7 +682,7 @@ def test_coordinate_model_is_read_from_the_current_evaluation():
     # and the tails are the reference pass's, on markets with general
     # lambdas, tied deltas, atoms at 0 and 1, no atoms, and T = 1
     rng = random.Random(2201)
-    markets = [_edge_market(rng, RATIONAL) for _ in range(40)]
+    markets = [edge_market(rng, RATIONAL) for _ in range(40)]
     markets += [make_market(T=T, atoms=[], mass=[[]] * T, inventory=inv) for T, inv in ((1, None), (3, 1))]
     seen = dict.fromkeys(("general lambda", "tied delta", "atom at 0", "atom at 1", "no atoms", "T = 1"), False)
     for m in markets:
@@ -670,7 +694,7 @@ def test_coordinate_model_is_read_from_the_current_evaluation():
         ):
             seen[case] = seen[case] or hit
         part = Partition([*m.atoms, *(F(rng.randint(1, 23), 24) for _ in range(rng.randint(0, 2)))])
-        rows = tuple(_edge_row(rng, part.npieces, RATIONAL) for _ in range(m.T))
+        rows = tuple(edge_row(rng, part.npieces, RATIONAL) for _ in range(m.T))
         cur = formula_layer(m, part, rows)
         for t in range(m.T):
             base_revenue, base_used, tails = coordinate_tails(cur, t)
@@ -687,7 +711,8 @@ def test_resuming_needs_the_same_row_objects():
     # a one-period change evaluates the evaluation's own row objects
     # outside period t, on its market and partition, whatever row it is
     # given; a batch evaluation has no one-period changes, for a build's
-    # held-out check or trial, nor for the coefficient pass
+    # held-out check or trial, nor for the coefficient pass, and no
+    # self-checks
     m = make_market(T=3, atoms=["1/2", 1], mass=[[1, 1]] * 3, inventory=2)
     part = Partition(m.atoms)
     rows = ((0,) * part.npieces, (F(1, 2),) * part.npieces, (1,) * part.npieces)
@@ -705,3 +730,5 @@ def test_resuming_needs_the_same_row_objects():
     for call in (lambda: batch.with_row(1, rows[1]), lambda: coordinate_tails(batch, 1)):
         with pytest.raises(ValueError, match="a batch evaluation has no one-period changes"):
             call()
+    with pytest.raises(ValueError, match="a batch evaluation has no self-checks"):
+        batch.checked()

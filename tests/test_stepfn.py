@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction as F
+from itertools import accumulate
+from operator import mul
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,7 +16,7 @@ from dynration.stepfn import (
     segment_refinement,
 )
 
-from gen import random_step
+from gen import random_step, spelled
 
 
 def test_closed_jump_includes_endpoint():
@@ -129,6 +132,35 @@ def test_partition_integrate_partial_gap():
     part = Partition([F(1, 2)])
     vals = part.values(StepFunction.step(F(1, 2)))
     assert part.prefix_integrals(vals[1::2]) == [0, 0, F(1, 2)]
+
+
+def test_prefix_integrals_keep_the_full_sums_values_and_types():
+    # a leading run of exact Fraction zeros takes no arithmetic; every entry
+    # must still be the full accumulation's, by type and repr, for int,
+    # Fraction, float and numpy gap values, on exact, float and mixed points
+    # and on the partition {0, 1}, whose one width is the int 1
+    rng = random.Random(2601)
+    zeros = [0, F(0), 0.0, np.float64(0), np.zeros(2)]
+    others = [1, F(1), F(1, 3), 1.0, 0.25, np.float64(0.5), np.array([0.0, 0.5]), np.array([F(0), F(1, 2)])]
+    for _ in range(300):
+        pts = sorted(rng.sample([F(k, 12) for k in range(1, 12)], rng.randint(0, 3)))
+        if rng.random() < 0.3:
+            pts = [float(p) for p in pts]
+        elif rng.random() < 0.3:
+            pts = [float(p) if k else p for k, p in enumerate(pts)]
+        part = Partition(pts)
+        widths = [b - a for a, b in zip(part.points, part.points[1:])]
+        lead = rng.randint(0, len(widths))
+        values = [rng.choice(zeros[:2] if rng.random() < 0.7 else zeros) for _ in range(lead)]
+        values += [rng.choice(zeros + others) for _ in range(len(widths) - lead)]
+        want = list(accumulate(map(mul, values, widths), initial=0))
+        assert spelled(part.prefix_integrals(values)) == spelled(want)
+        assert spelled(part.prefix_integrals(tuple(values))) == spelled(want)
+        # the gap values as one numpy array, of floats or of Fractions
+        for array in (np.array([rng.choice([0.0, 0.5]) for _ in widths]),
+                      np.array([rng.choice([F(0), F(0), F(1, 2)]) for _ in widths], dtype=object)):
+            want = list(accumulate(map(mul, array, widths), initial=0))
+            assert spelled(part.prefix_integrals(array)) == spelled(want)
 
 
 def _random_partition_step(rng):
