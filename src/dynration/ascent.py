@@ -53,11 +53,10 @@ self-checks (``checked()``), and an accepted trial becomes ``cur``. A
 rational build evaluates nothing but its held-out check. A start's shrink
 tests each halving on its usage alone and evaluates only the rows it
 keeps; that evaluation and the winner's are fresh. No run's state is
-kept beyond its call. Two small module caches (16 entries each) outlive
-it: :func:`_tail_probes`, the read-only float probe matrix of a piece
-count, and :func:`_held_out_row`, the held-out row of a piece count, mode
-and step. Each is a pure function of its arguments, so a cached value is
-the one a fresh call would return, whichever run asked first.
+kept beyond its call. One small module cache (16 entries) outlives it:
+:func:`_tail_probes`, the read-only float probe matrix of a piece count.
+It is a pure function of its argument, so a cached value is the one a
+fresh call would return, whichever run asked first.
 """
 
 from __future__ import annotations
@@ -76,6 +75,7 @@ from .evaluate import (
     evaluate,
     evaluate_rows,
     inventory_used,
+    row_value,
 )
 from .market import Market
 from .numeric import RATIONAL, default_tol
@@ -195,55 +195,24 @@ def _tail_probes(npieces: int):
     return probes
 
 
-@functools.lru_cache(maxsize=16)
-def _held_out_row(npieces: int, mode, denominator: int) -> tuple:
-    """A row that is no single tail, for the affinity check.
-
-    It rises by one step, ``1 / denominator``, on every piece, in the mode's
-    number type, so the check weighs every piece's coefficient. A run's
-    builds share at most two rows.
-    """
-    one = Fraction(1) if mode == RATIONAL else 1.0
-    return tuple(one * (p + 1) / denominator for p in range(npieces))
-
-
-def _held_out_for(row, mode) -> tuple:
-    """The held-out row of a model anchored on ``row``, P pieces long: its
-    step is 1/k for the first k >= P + 1 such that 1/k is neither the
-    first value nor a rise of ``row`` (see :func:`_assert_affine`)."""
-    steps = [row[0], *(b - a for a, b in zip(row, row[1:]) if a != b)]
-    k = len(row) + 1
-    while (check := _held_out_row(len(row), mode, k))[0] in steps:
-        k += 1
-    return check
-
-
 def _assert_affine(lp: CoordinateLP, cur: Evaluation):
     """Check the model against the full evaluator on a held-out row.
 
-    The held-out row h rises by one step s on every piece, so the model's
-    value there is s times the sum of the tails. A rational model is
-    anchored on ``cur``: its base is ``cur``'s value less the model's
-    value of ``cur``'s row t, r. So the check compares the model's value
-    of h - r with the evaluator's difference between h and r, and there
-    tail f weighs s minus r's step onto piece f: where the two are equal,
-    the check cannot see that tail. Ascent rows take such steps: with two
-    interior atoms there are 7 pieces, and a ones start halved three times
-    is 1/8 on each. So s is 1/(P + 1) unless r starts at or rises by that,
-    and 1/(P + 2) then, in both modes. No ascent row takes both steps: P is
-    odd (points and gaps alternate, with a point at each end), so 1/(P + 2)
-    is not dyadic like a start's steps, and a solver row's steps, alpha and
-    1 - alpha, sum to 1. Other rows may move s on to 1/(P + 3) and below.
+    The held-out row h is (2, 4, 2, 4, ...), no monotone row, and the
+    model's value there is :func:`dynration.evaluate.row_value`'s. A
+    rational model is anchored on ``cur``: its base is ``cur``'s value less
+    the model's value of ``cur``'s row t, r. So the check compares the
+    model's value of h - r with the evaluator's difference between h and r.
+    The values and steps of r lie in [0, 1], so h - r weighs every tail by
+    |+-2 - step| >= 1 and every piece's coefficient by h_p - r_p >= 1: the
+    check sees an error in any one tail or any one piece, whatever r is.
     """
     t, mode = lp.period, cur.market.mode
-    check = _held_out_for(cur.rows[t], mode)
+    check = tuple(4 if p % 2 else 2 for p in range(cur.partition.npieces))
     ev = cur.with_row(t, check).checked()
     want_rev, want_used = ev.revenue, ev.inventory_used
-    step = check[0]
-    # zero tails add nothing: a float tail is a difference of two sums that
-    # start at int 0, so it is never -0.0
-    got_rev = lp.base_revenue + step * sum(j for j, _ in lp.tails if j)
-    got_used = lp.base_used + step * sum(g for _, g in lp.tails if g)
+    j, g = row_value(check, lp.tails)
+    got_rev, got_used = lp.base_revenue + j, lp.base_used + g
     scale = max(1, abs(want_rev), abs(want_used))
     tol = 0 if mode == RATIONAL else 1e-8 * scale
     if not (abs(got_rev - want_rev) <= tol and abs(got_used - want_used) <= tol):

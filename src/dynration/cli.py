@@ -10,6 +10,12 @@ Subcommands:
 Exit codes: 0 success, 1 verification failure, 2 parse or validation error.
 All randomness is seeded and recorded in the run metadata; fixed seeds give
 byte-identical artifacts.
+
+Artifacts are rewritten in place (:func:`_write_artifact`): a re-run into
+the same directory overwrites each file's bytes and then cuts it to the new
+length, instead of first truncating it to zero as ``Path.write_text`` does.
+On ext4 that truncation is most of the cost of rewriting a small file, and
+closing a file truncated to zero also starts its writeback at once.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -78,6 +85,27 @@ def _outdir(args, market_path: Path) -> Path:
     return out
 
 
+def _write_artifact(path: Path, text: str):
+    """Write ``text`` to ``path`` as ``Path.write_text`` does, in place.
+
+    The file is opened write-only without ``O_TRUNC``, overwritten from its
+    start and then truncated to the new length, so a shorter text leaves no
+    stale tail. A new file gets ``write_text``'s mode bits (0o666 less the
+    umask); the bytes, encoding and newline handling are also its own.
+
+    Neither this nor ``write_text`` calls ``fsync``. A process stopped part
+    way leaves as much of the new text as was written, followed by the rest
+    of the old file. After a power loss or system crash, the file can have
+    the old or the new length with old, new or mixed bytes in each block,
+    which may still parse. On ext4, closing a file truncated to zero starts
+    its writeback at once (``auto_da_alloc``); an in-place rewrite skips
+    that too. Either way re-running the command restores the file.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as f:
+        f.write(text)
+        f.truncate()
+
+
 def _load_market(args):
     return parse_market(args.market.read_text(encoding="utf-8"), args.mode)
 
@@ -132,12 +160,12 @@ def _dispatch(args, market) -> int:
         ev = evaluate(market, report.profile)
         mech = extract(market, report.profile, ev)
         result = verify(market, report.profile, mech, tol=_tol(args, market), evaluation=ev)
-        (out / f"{stem}.profile.json").write_text(report_mod.profile_to_json(report.profile))
-        (out / f"{stem}.mechanism.json").write_text(mechanism_to_json(mech))
-        (out / f"{stem}.report.csv").write_text(report_mod.evaluation_csv(ev))
-        (out / f"{stem}.prices.csv").write_text(report_mod.price_path_csv(mech))
-        (out / f"{stem}.run.txt").write_text(
-            report_mod.solve_metadata(report, starts_requested=args.starts, mode=args.mode)
+        _write_artifact(out / f"{stem}.profile.json", report_mod.profile_to_json(report.profile))
+        _write_artifact(out / f"{stem}.mechanism.json", mechanism_to_json(mech))
+        _write_artifact(out / f"{stem}.report.csv", report_mod.evaluation_csv(ev))
+        _write_artifact(out / f"{stem}.prices.csv", report_mod.price_path_csv(mech))
+        _write_artifact(
+            out / f"{stem}.run.txt", report_mod.solve_metadata(report, starts_requested=args.starts, mode=args.mode)
         )
         print(f"revenue: {format_number(report.revenue)}")
         print(f"inventory_used: {format_number(report.inventory_used)}")
@@ -159,7 +187,7 @@ def _dispatch(args, market) -> int:
         out = _outdir(args, args.market)
         profile = report_mod.profile_from_json(args.profile.read_text(encoding="utf-8"), market.mode)
         ev = evaluate(market, profile)
-        (out / f"{stem}.report.csv").write_text(report_mod.evaluation_csv(ev))
+        _write_artifact(out / f"{stem}.report.csv", report_mod.evaluation_csv(ev))
         print(f"revenue: {format_number(ev.revenue)}")
         print(f"inventory_used: {format_number(ev.inventory_used)}")
         print(f"welfare: {format_number(ev.welfare)}")
@@ -177,7 +205,7 @@ def _dispatch(args, market) -> int:
             rep = best_response(market, mech, tol=_tol(args, market))
             result = VerificationResult(menu_violations(market, rep, tol=_tol(args, market)), rep)
         rep = result.report
-        (out / f"{stem}.equilibrium.csv").write_text(report_mod.verification_csv(market, rep))
+        _write_artifact(out / f"{stem}.equilibrium.csv", report_mod.verification_csv(market, rep))
         print(f"realized_revenue: {format_number(rep.realized_revenue)}")
         print(f"realized_sales: {format_number(rep.realized_sales)}")
         return _verdict(result)
@@ -186,7 +214,7 @@ def _dispatch(args, market) -> int:
         grid = OracleGrid(levels=tuple(args.levels.split(","))) if args.levels is not None else OracleGrid()
         res = brute_force_optimal(market, grid)
         out = _outdir(args, args.market)
-        (out / f"{stem}.oracle.profile.json").write_text(report_mod.profile_to_json(res.profile))
+        _write_artifact(out / f"{stem}.oracle.profile.json", report_mod.profile_to_json(res.profile))
         print(f"oracle_revenue: {format_number(res.revenue)}")
         print(f"candidates: {res.candidates}")
         return 0

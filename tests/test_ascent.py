@@ -295,17 +295,31 @@ def test_build_probes_in_float_mode_only(monkeypatch):
         assert batched and any(batched) == (mode == FLOAT), mode
 
 
-def test_held_out_row_rises_on_every_piece_in_the_mode_type():
-    # the affinity check weighs every piece's coefficient in both modes
+def test_held_out_row_weighs_every_tail_and_piece_by_at_least_one(monkeypatch):
+    # the check compares the model's value of h - r with the evaluator's;
+    # r's values and steps lie in [0, 1], so h = (2, 4, 2, 4, ...) weighs
+    # every tail (h - r's step onto its piece) and every piece (h_p - r_p)
+    # by at least 1
+    seen, with_row = [], Evaluation.with_row
+
+    def recording(self, t, row):
+        seen.append(row)
+        return with_row(self, t, row)
+
+    monkeypatch.setattr(Evaluation, "with_row", recording)
     for mode, kind in ((RATIONAL, F), (FLOAT, float)):
-        for npieces in (3, 5, 7):
-            for k in (npieces + 1, npieces + 2):
-                row = ascent._held_out_row(npieces, mode, k)
-                assert len(row) == npieces and all(type(x) is kind for x in row)
-                assert 0 < row[0] and all(a < b for a, b in zip(row, row[1:])) and row[-1] < 1
-    assert ascent._held_out_row(5, RATIONAL, 6) == tuple(F(p, 6) for p in range(1, 6))
-    assert ascent._held_out_row(5, FLOAT, 6) == tuple(p / 6 for p in range(1, 6))
-    assert ascent._held_out_row(5, RATIONAL, 7) == tuple(F(p, 7) for p in range(1, 6))
+        m = make_market(T=2, atoms=["1/3", "2/3"], mass=[[1, 1], [0, "1/2"]], inventory="3/2", mode=mode)
+        partition = segment_refinement((), m.atoms)
+        assert partition.npieces == 7
+        half, eighth = F(1, 2), F(1, 8)
+        for r in ((0,) * 7, (1,) * 7, (eighth,) * 7, tuple(F(p, 7) for p in range(7)), (0, 0, half, half, 1, 1, 1)):
+            r = tuple(map(kind, r))
+            build_coordinate_lp(evaluate_rows(m, partition, (r, r)), 1)
+            h = seen[-1]
+            assert h == (2, 4, 2, 4, 2, 4, 2)
+            d = [a - b for a, b in zip(h, r)]
+            assert min(d) >= 1, r
+            assert min(abs(b - a) for a, b in zip([0, *d], d)) >= 1, r
 
 
 def test_float_self_checks_reject_nan():
@@ -794,14 +808,6 @@ def test_solver_skips_only_pairs_that_cannot_be_budget_tight(kind):
         assert spelled(solve_coordinate(lp)) == spelled(_enumerated_solve(lp))
 
 
-def test_held_out_row_is_made_once_per_size_and_mode():
-    for mode in (RATIONAL, FLOAT):
-        for k in (8, 9):
-            assert ascent._held_out_row(7, mode, k) is ascent._held_out_row(7, mode, k)
-    assert ascent._held_out_row(7, RATIONAL, 8) is not ascent._held_out_row(7, FLOAT, 8)
-    assert ascent._held_out_row(7, RATIONAL, 8) is not ascent._held_out_row(7, RATIONAL, 9)
-
-
 @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
 def test_builds_and_trials_resume_from_the_current_evaluation(monkeypatch, mode):
     # every formula-layer call of the ascent is a one-period change of the
@@ -862,8 +868,7 @@ def test_builds_and_trials_resume_from_the_current_evaluation(monkeypatch, mode)
 
 def _held_out_cases(monkeypatch):
     """``(cur, t)`` of every build of short rational ascents: random markets with general lambdas or tied deltas and atoms at
-    0 and 1, and a market whose ones start shrinks to 1/8 on its 7 pieces,
-    the held-out check's default step."""
+    0 and 1, and a market whose ones start shrinks to 1/8 on its 7 pieces."""
     rng = random.Random(2203)
     markets = [_oracle_market(rng, RATIONAL) for _ in range(6)]
     atoms, mass = ["1/3", "2/3"], [[1, 1], [0, "1/2"]]
@@ -888,42 +893,35 @@ def test_a_perturbed_tail_fails_the_held_out_check(monkeypatch):
     # rational builds read their base off the current evaluation through
     # the tails, so a wrong tail moves the base too; raising any one tail's
     # revenue or usage by an exact nonzero amount must still fail the
-    # held-out check, for every t and f, also where the current row t
-    # steps by the default held-out step 1/(P + 1)
+    # held-out check, for every t and f, and so must raising one piece's
+    # coefficient, every tail f <= p by the same amount; also where the
+    # current row t starts at or steps by 1, the step nearest the check's
+    # own +-2
     rng = random.Random(2204)
     builds = _held_out_cases(monkeypatch)
-    seen_default_step = False
+    seen_unit_step = False
     for cur, t in builds:
         row, npieces = cur.rows[t], cur.partition.npieces
-        seen_default_step |= F(1, npieces + 1) in {row[0], *(b - a for a, b in zip(row, row[1:]))}
-        for f in range(npieces):
+        seen_unit_step |= 1 in {row[0], *(b - a for a, b in zip(row, row[1:]))}
+        perturbations = [{f} for f in range(npieces)] + [set(range(p + 1)) for p in range(1, npieces)]
+        for raised in perturbations:
             for which in (0, 1):
                 error = rng.choice([F(1, 10**9), F(1, 7), F(3, 2)])
 
                 def perturbed(cur, t):
                     _, _, tails = coordinate_tails(cur, t)
-                    tails = list(tails)
-                    tails[f] = tuple(x + error if k == which else x for k, x in enumerate(tails[f]))
+                    tails = tuple(
+                        tuple(x + error if k == which and f in raised else x for k, x in enumerate(tail))
+                        for f, tail in enumerate(tails)
+                    )
                     rev, used = row_value(cur.rows[t], tails)
-                    return cur.revenue - rev, cur.inventory_used - used, tuple(tails)
+                    return cur.revenue - rev, cur.inventory_used - used, tails
 
                 monkeypatch.setattr(ascent, "coordinate_tails", perturbed)
                 with pytest.raises(ascent.AffinityError, match="tail model off"):
                     build_coordinate_lp(cur, t)
                 monkeypatch.undo()
-    assert seen_default_step and len(builds) > 20
-
-
-def test_held_out_step_avoids_the_current_row_steps():
-    # the step is 1/(P + 1) unless the row starts at or rises by it
-    eighth, ninth = F(1, 8), F(1, 9)
-    for mode, row, k in (
-        (RATIONAL, (0,) * 7, 8), (RATIONAL, (1,) * 7, 8), (RATIONAL, (eighth,) * 7, 9),
-        (RATIONAL, (0, 0, eighth, eighth, 1, 1, 1), 9), (RATIONAL, (0, 0, F(1, 2), F(1, 2), 1, 1, 1), 8),
-        (RATIONAL, (eighth, 2 * eighth, 2 * eighth, 2 * eighth + ninth, 1, 1, 1), 10),
-        (FLOAT, (0.0,) * 6 + (0.125,), 9), (FLOAT, (0.125,) * 7, 9), (FLOAT, (1 / 3,) * 7, 8),
-    ):
-        assert ascent._held_out_for(row, mode) is ascent._held_out_row(7, mode, k), row
+    assert seen_unit_step and len(builds) > 20
 
 
 def _reference_shrink(market, partition, rows):

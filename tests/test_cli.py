@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import stat
 import subprocess
 import sys
 from fractions import Fraction
@@ -309,14 +310,62 @@ def test_missing_file_exit_code(tmp_path):
 
 
 def test_seeded_runs_are_byte_identical(market_files, tmp_path):
+    # also when a re-run rewrites each artifact in place over longer or
+    # shorter old contents
     ration, _ = market_files
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
-    for out in (out_a, out_b):
-        assert main(["solve", str(ration), "--out", str(out), "--seed", "11", "--starts", "5"]) == 0
-    for name in ("ex_ration.profile.json", "ex_ration.mechanism.json", "ex_ration.report.csv",
-                 "ex_ration.prices.csv", "ex_ration.run.txt"):
-        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+    names = ("ex_ration.profile.json", "ex_ration.mechanism.json", "ex_ration.report.csv",
+             "ex_ration.prices.csv", "ex_ration.run.txt")
+    solve = lambda out: main(["solve", str(ration), "--out", str(out), "--seed", "11", "--starts", "5"])
+    assert solve(out_b) == 0
+    for junk in (None, lambda size: b"junk\n" * (size // 5 + 20), lambda size: b"junk\n" * (size // 10)):
+        if junk is not None:
+            for name in names:
+                (out_a / name).write_bytes(junk((out_a / name).stat().st_size))
+        assert solve(out_a) == 0
+        for name in names:
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=lambda umask: f"umask{umask:03o}")
+def test_new_artifacts_get_write_text_permissions(market_files, tmp_path, umask):
+    ration, _ = market_files
+    old = os.umask(umask)
+    try:
+        assert main(["solve", str(ration), "--out", str(tmp_path / "out"), "--starts", "0"]) == 0
+        (tmp_path / "reference").write_text("x")
+    finally:
+        os.umask(old)
+    want = stat.S_IMODE((tmp_path / "reference").stat().st_mode)
+    made = sorted((tmp_path / "out").iterdir())
+    assert len(made) == 5 and {stat.S_IMODE(p.stat().st_mode) for p in made} == {want}
+
+
+def test_a_write_only_artifact_is_rewritten_as_write_text_would(market_files, tmp_path):
+    # the rewrite opens the file write-only, so it needs no read permission
+    # (as root with CAP_DAC_OVERRIDE this case runs trivially)
+    ration, _ = market_files
+    argv = ["solve", str(ration), "--out", str(tmp_path), "--starts", "0"]
+    assert main(argv) == 0
+    report = tmp_path / "ex_ration.report.csv"
+    want = report.read_bytes()
+    report.write_bytes(b"junk\n" * 1000)
+    report.chmod(0o200)
+    try:
+        assert main(argv) == 0
+    finally:
+        report.chmod(0o600)
+    assert report.read_bytes() == want
+
+
+def test_artifact_path_that_is_a_directory_is_an_error(market_files, tmp_path, capsys):
+    ration, _ = market_files
+    (tmp_path / "ex_ration.report.csv").mkdir()
+    assert main(["solve", str(ration), "--out", str(tmp_path), "--starts", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "ex_ration.report.csv" in captured.err and "Traceback" not in captured.err
 
 
 # Solved in float mode, this market's period-2 lottery quantity differs from
@@ -460,15 +509,17 @@ def _sha256(data: bytes) -> str:
 
 @pytest.mark.parametrize("mode", ["rational", "float"])
 def test_demo_artifacts_match_pinned_hashes(mode, tmp_path):
-    # sha256 of every solve artifact of the demo markets at the default --starts
-    got = {}
-    for market in sorted(DEMOS.glob("*.json")):
-        assert main(["solve", str(market), "--mode", mode, "--out", str(tmp_path)]) == 0
-        for suffix in SOLVE_ARTIFACTS:
-            name = f"{market.stem}.{suffix}"
-            got[f"{mode}/{name}"] = _sha256((tmp_path / name).read_bytes())
-    assert got == _pinned("demo_artifacts.sha256", mode)
-    assert len(got) == 15
+    # sha256 of every solve artifact of the demo markets at the default
+    # --starts, written anew and then rewritten in place
+    for _ in range(2):
+        got = {}
+        for market in sorted(DEMOS.glob("*.json")):
+            assert main(["solve", str(market), "--mode", mode, "--out", str(tmp_path)]) == 0
+            for suffix in SOLVE_ARTIFACTS:
+                name = f"{market.stem}.{suffix}"
+                got[f"{mode}/{name}"] = _sha256((tmp_path / name).read_bytes())
+        assert got == _pinned("demo_artifacts.sha256", mode)
+        assert len(got) == 15
 
 
 @pytest.mark.parametrize("mode", ["rational", "float"])
