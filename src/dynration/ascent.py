@@ -5,7 +5,8 @@ when the other periods are held fixed, so every per-period subproblem is a
 small exact program: maximize an affine functional of a monotone function
 ``h: [0, 1] -> [0, 1]`` under one affine inventory constraint. Its optimum
 is a step function with at most two jumps, and with exactly two it reaches
-one at the top; the solver enumerates that candidate family exhaustively.
+one at the top; the solver searches that candidate family, skipping only
+candidates that cannot win (:func:`solve_coordinate`).
 
 A run holds every rule as a row of piece values on one partition:
 :func:`coordinate_ascent` refines it once, from the market atoms alone.
@@ -227,6 +228,16 @@ def solve_coordinate(lp: CoordinateLP) -> CoordinateSolution:
     two-jump family, including the closed/open pair at one shared point).
     Ties break toward fewer steps, then less inventory, then tails starting
     on lower pieces: lower points first, closed before open.
+
+    A budget-tight pair mixes a tail over the budget with one under it, so
+    the pairs priced are those whose usages straddle the budget. A pair is
+    worth ``alpha j_a + (1 - alpha) j_b`` with 0 < alpha < 1, at most its
+    better tail, and on a tie it loses to the zero row or a single by its
+    key. So with a ``Fraction`` budget, a pair whose two tails are each
+    worth no more than the best zero, single or scaled candidate cannot win
+    and is skipped, and the straddling pairs need no test of alpha. Float
+    prices every straddling pair and tests alpha: a rounded mix can exceed
+    both its tails by an ulp, and a rounded alpha can reach 0 or 1.
     """
     budget = lp.budget
     feasible = lambda g: budget is None or g <= budget
@@ -241,27 +252,36 @@ def solve_coordinate(lp: CoordinateLP) -> CoordinateSolution:
             alpha = budget / gval
             candidates.append((alpha * j, 1, budget, (f,), (alpha,)))
     if budget is not None:
-        # a budget-tight pair mixes a tail over the budget with one under
-        # it; no other pair has 0 < alpha < 1. With a Fraction budget a zero
-        # usage or revenue of a tail takes no arithmetic.
+        # With a Fraction budget, worth[f] says whether tail f beats the best
+        # candidate so far; a pair of two tails that do not is skipped, and a
+        # zero usage or revenue of a tail takes no arithmetic.
         exact = isinstance(budget, Fraction)
-        over = [f for f, (_, g) in enumerate(lp.tails) if g > budget]
-        under = [f for f, (_, g) in enumerate(lp.tails) if g < budget]
-        for fa, (j_a, g_a) in enumerate(lp.tails):
-            others = under if g_a > budget else over if g_a < budget else ()
-            for fb in others[bisect_right(others, fa):]:
-                j_b, g_b = lp.tails[fb]
-                # the tail from fa dominates the tail from fb
-                alpha = budget / g_a if exact and not g_b else (budget - g_b) / (g_a - g_b)
-                if not 0 < alpha < 1:
-                    continue
-                if exact and not j_b:
-                    j = alpha * j_a
-                elif exact and not j_a:
-                    j = (1 - alpha) * j_b
-                else:
-                    j = alpha * j_a + (1 - alpha) * j_b
-                candidates.append((j, 2, budget, (fa, fb), (alpha, 1)))
+        bar = max(c[0] for c in candidates) if exact else None
+        worth = [not exact or j > bar for j, _ in lp.tails]
+        over, under = [], []
+        for f, (_, g) in enumerate(lp.tails):
+            if g > budget:
+                over.append(f)
+            elif g < budget:
+                under.append(f)
+        for side, others in ((over, under), (under, over)):
+            worthy = [f for f in others if worth[f]]
+            for fa in side:
+                pool = others if worth[fa] else worthy
+                j_a, g_a = lp.tails[fa]
+                for fb in pool[bisect_right(pool, fa):]:
+                    j_b, g_b = lp.tails[fb]
+                    # the tail from fa dominates the tail from fb
+                    alpha = budget / g_a if exact and not g_b else (budget - g_b) / (g_a - g_b)
+                    if not exact and not 0 < alpha < 1:
+                        continue
+                    if exact and not j_b:
+                        j = alpha * j_a
+                    elif exact and not j_a:
+                        j = (1 - alpha) * j_b
+                    else:
+                        j = alpha * j_a + (1 - alpha) * j_b
+                    candidates.append((j, 2, budget, (fa, fb), (alpha, 1)))
 
     best = None
     for cand in candidates:

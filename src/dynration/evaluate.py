@@ -56,7 +56,8 @@ t, with ``whole`` set, since ``cur`` holds Python scalars only. A scalar
 evaluation keeps its rows and its g tables (``gap_discounts``) for this;
 a batch keeps no g tables and has no one-period changes. The self-checks,
 f* against its closed form and usage against the cohort identity, run on
-any scalar evaluation, fresh or changed, through :meth:`Evaluation.checked`.
+any scalar evaluation, fresh or changed, through :meth:`Evaluation.checked`;
+on a change of a checked evaluation the closed form resumes after row t.
 
 Optimal rules are mostly exact 0s and 1s, so where a rule value is a Python
 scalar equal to 0 or 1 the layer takes the value its expression would give
@@ -74,8 +75,11 @@ array's shape (r = 1 against a carried array in ``g`` or ``f*``), and
 numpy rule values always take the full expression.
 
 A scalar evaluation in rational mode applies the same rule to the rest of
-its arithmetic, where most operands are exact 0s and 1s too. It does not
-divide a ``Fraction`` payment by a lambdaB_t of 1. Its revenue and usage
+its arithmetic, where most operands are exact 0s and 1s too. Its payments
+(:func:`_exact_payments`) skip the product by a delta_t of 1, the term
+``(1 - r) U_{t+1}`` where U_{t+1} is 0, the subtraction of a U_t of 0, and
+the division by lambdaB_t of a zero numerator or by a lambdaB_t of 1; the
+tests of delta_t and lambdaB_t run once per period. Its revenue and usage
 sums drop each product with a 0 and take the other operand of a 1, and
 skip ``lambdaS_t *`` at lambdaS_t = 1; they start from the deltas'
 ``Fraction`` zero, so a sum of no terms has the type of the full one. Its
@@ -131,10 +135,10 @@ why float builds probe the formula layer instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from operator import mul
+from operator import is_not, mul
 
 from .market import Market
 from .numeric import RATIONAL
@@ -204,6 +208,10 @@ class Evaluation:
     inventory_used: object
     rows: object           # R as evaluated
     gap_discounts: object  # [t][j] g_t on gap j, t = 0..T; None in a batch
+    # f* rows 0..t of with_row(t, ...) of a checked evaluation: its own row
+    # objects, which passed its closed-form check
+    reused_fstar: tuple = field(default=(), compare=False, repr=False)
+    passed_checks: bool = field(default=False, init=False, compare=False, repr=False)
 
     @property
     def welfare(self):
@@ -235,9 +243,16 @@ class Evaluation:
         return _layer(self.market, self.partition, (*self.rows[:t], row, *self.rows[t + 1:]), self, t)
 
     def checked(self) -> "Evaluation":
-        """This evaluation, after its self-checks over the full tables: f*
-        against its closed form, and usage against the cohort identity. A
-        batch evaluation has no self-checks (``ValueError``)."""
+        """This evaluation, after its self-checks: f* against its closed
+        form, and usage against the cohort identity over every period. A
+        batch evaluation has no self-checks (``ValueError``).
+
+        ``with_row(t, ...)`` of an evaluation that passed them takes its f*
+        rows 0..t over, as the same row objects; they read only the rules
+        before t, which are the same too, so they passed the closed form
+        already. The check asserts that they are those objects (``is``)
+        and resumes the closed form at row t + 1. Any other evaluation,
+        fresh or a change of an unchecked one, checks every row."""
         if self.gap_discounts is None:
             raise ValueError("a batch evaluation has no self-checks")
         market = self.market
@@ -250,7 +265,10 @@ class Evaluation:
             complements = ([1 - r for r in row] for row in self.r_at)
         keep = list(zip(*complements))
         mass = list(zip(*market.mass))
-        _check_fstar_closed_form(market, keep, mass, self.fstar)
+        reused = self.reused_fstar
+        if any(map(is_not, reused, self.fstar)):
+            raise EvaluatorInternalError("reused f* rows are not the checked evaluation's own")
+        _check_fstar_closed_form(market, keep, mass, self.fstar, len(reused))
 
         # Each cohort is served unless it survives every period from its arrival
         # on; the survival products are suffix products over t.
@@ -270,6 +288,7 @@ class Evaluation:
                     survive *= k
                     used_by_cohort += (1 - survive) * m
         _require_equal(self.inventory_used, used_by_cohort, market.mode, "inventory accounting")
+        self.passed_checks = True
         return self
 
 
@@ -335,12 +354,14 @@ def _layer(market: Market, partition: Partition, R, cur: Evaluation | None = Non
         gaps = [None] * T + [[delta[0] * 0] * ngaps]
         u_at_later, payments_later = [[u_points[T][k] for k in atom_k]], []
         fstar, first = [list(market.mass[0])], 0
+        reused = ()
     else:
         r_at = list(cur.r_at)
         r_at[t] = [R[t][pc] for pc in atom_pc]
         u_points, gaps = list(cur.u_points), list(cur.gap_discounts)
         u_at_later, payments_later = cur.u_at[t + 1:], cur.payments[t + 1:]
         fstar, first = cur.fstar[:t + 1], t
+        reused = tuple(fstar) if cur.passed_checks else ()
     plain = [_plain(row) for row in r_at]
     scalar = all(_plain(row) for row in R)  # a batch keeps no g tables
 
@@ -356,14 +377,12 @@ def _layer(market: Market, partition: Partition, R, cur: Evaluation | None = Non
 
     # payments of s <= t; later ones read neither row t nor U_t
     exact = scalar and market.mode == RATIONAL
+    zero = delta[0] * 0
     payments = []
     for d, lb, r_row, plain_r, u_next, u_now in zip(delta[:t + 1], lam_b, r_at, plain, u_at[1:], u_at):
         terms = zip(atoms, r_row, u_next, u_now)
-        if exact and lb == 1:
-            # / 1 keeps a Fraction, and turns the int 0 that U_{t+1} - U_t
-            # is at the point 0 into Fraction(0)
-            paid = [(d * a if r == 1 else x if r == 0 else d * a * r + (1 - r) * x) - u for a, r, x, u in terms]
-            payments.append([v if type(v) is Fraction else v / lb for v in paid])
+        if exact:
+            payments.append(_exact_payments(d, lb, terms, zero))
         elif plain_r:
             payments.append(
                 [((d * a if r == 1 else x if r == 0 else d * a * r + (1 - r) * x) - u) / lb for a, r, x, u in terms]
@@ -371,7 +390,6 @@ def _layer(market: Market, partition: Partition, R, cur: Evaluation | None = Non
         else:
             payments.append([(d * a * r + (1 - r) * x - u) / lb for a, r, x, u in terms])
     payments += payments_later
-    zero = delta[0] * 0
     if exact:
         revenue = zero
         for ls, p_row, f_row in zip(lam_s, payments, fstar):
@@ -382,7 +400,31 @@ def _layer(market: Market, partition: Partition, R, cur: Evaluation | None = Non
         revenue = sum(ls * sum(map(mul, p_row, f_row)) for ls, p_row, f_row in zip(lam_s, payments, fstar))
     used = _usage(r_at, fstar, zero, exact)
     gaps = gaps if scalar else None
-    return Evaluation(market, partition, u_points, r_at, u_at, fstar, payments, revenue, used, R, gaps)
+    return Evaluation(market, partition, u_points, r_at, u_at, fstar, payments, revenue, used, R, gaps, reused)
+
+
+def _exact_payments(d, lb, terms, zero) -> list:
+    """One period's payments ``(d a r + (1 - r) x - u) / lb`` from the
+    ``(a, r, x, u)`` of its atoms, x = U_{t+1} and u = U_t, without the
+    operations on an exact 0 or 1 (module docstring). Every payment is a
+    ``Fraction``: a zero numerator gives ``zero``, the deltas' Fraction 0,
+    and a nonzero one is a Fraction already, since the only int among the
+    operands is the 0 that U is at the point 0."""
+    unit_d, unit_b = d == 1, lb == 1
+    paid = []
+    for a, r, x, u in terms:
+        if r == 1:
+            v = a if unit_d else d * a
+        elif r == 0:
+            v = x
+        else:
+            v = (a if unit_d else d * a) * r
+            if x:
+                v += (1 - r) * x
+        if u:
+            v -= u
+        paid.append(zero if not v else v if unit_b else v / lb)
+    return paid
 
 
 def _extend_presence(market: Market, r_at, plain, fstar, first: int):
@@ -563,14 +605,15 @@ def evaluate_rows(market: Market, partition: Partition, R) -> Evaluation:
     return formula_layer(market, partition, R).checked()
 
 
-def _check_fstar_closed_form(market: Market, keep, mass, fstar):
+def _check_fstar_closed_form(market: Market, keep, mass, fstar, first: int = 0):
     # f*_t(v) must equal sum_j f_j(v) prod_{j <= k < t} (1 - r_k(v)); walking
     # j down from t extends the product by one factor per term. Once the
     # product is an exact 0 it stays 0, and adding m * 0 to the nonnegative
     # total leaves it as it is, so the walk stops there. In rational mode
-    # factors of 1 and masses of 0 take no arithmetic either.
+    # factors of 1 and masses of 0 take no arithmetic either. Rows before
+    # ``first`` are not checked.
     if market.mode == RATIONAL:
-        for t, row in enumerate(fstar):
+        for t, row in enumerate(fstar[first:], first):
             earlier = range(t - 1, -1, -1)
             for f, keep_i, mass_i in zip(row, keep, mass):
                 total, survive = mass_i[t], 1
@@ -586,7 +629,7 @@ def _check_fstar_closed_form(market: Market, keep, mass, fstar):
                 if f != total:
                     _require_equal(f, total, market.mode, f"fstar closed form at t={t}")
         return
-    for t, row in enumerate(fstar):
+    for t, row in enumerate(fstar[first:], first):
         earlier = range(t - 1, -1, -1)
         for f, keep_i, mass_i in zip(row, keep, mass):
             total, survive = mass_i[t], 1

@@ -790,10 +790,13 @@ def _enumerated_solve(lp):
 
 @pytest.mark.parametrize("kind", [F, float], ids=["fraction", "float"])
 def test_solver_skips_only_pairs_that_cannot_be_budget_tight(kind):
-    # the solver divides only for pairs whose usages straddle the budget;
-    # it must pick the enumeration's row, objective and usage, by type and
-    # repr (so by .hex() in float), on random models with forced ties in
-    # revenue and usage, budgets on a usage, at 0 and unbounded
+    # the solver divides only for pairs whose usages straddle the budget,
+    # and in exact arithmetic only for those with a tail worth more than
+    # the best zero, single or scaled candidate; it must pick the
+    # enumeration's row, objective and usage, by type and repr (so by
+    # .hex() in float), on random models with forced ties in revenue and
+    # usage, budgets on a usage, at 0 and unbounded, and models where a
+    # single within the budget is worth as much as every tail or more
     rng = random.Random(2111)
     spelled = lambda sol: [(type(x).__name__, repr(x)) for x in (*sol.row, *dataclasses.astuple(sol)[1:])]
     for _ in range(1500):
@@ -804,8 +807,36 @@ def test_solver_skips_only_pairs_that_cannot_be_budget_tight(kind):
             draw = lambda lo, hi: kind(lo) + (kind(hi) - kind(lo)) * kind(rng.randint(0, 10**6)) / 10**6
         tails = tuple((draw(-2, 2), draw(0, 3)) for _ in range(npieces))
         budget = rng.choice([None, kind(0), rng.choice(tails)[1], draw(0, 3), draw(0, 3)])
+        fits = [f for f, (_, g) in enumerate(tails) if budget is not None and g <= budget]
+        if fits and rng.random() < 0.3:
+            f, top = rng.choice(fits), max(j for j, _ in tails)
+            tails = tails[:f] + ((rng.choice([top, top + draw(0, 1)]), tails[f][1]),) + tails[f + 1:]
         lp = ascent.CoordinateLP(0, tails, budget, draw(-1, 1), draw(0, 1))
         assert spelled(solve_coordinate(lp)) == spelled(_enumerated_solve(lp))
+
+
+def test_an_exact_solve_prices_no_pair_whose_tails_a_single_matches(monkeypatch):
+    # budget 0: tails 1 and 3 fit and are worth 3, tails 0 and 2 are over
+    # the budget (so not scaled either) and worth less; every pair straddles
+    # the budget and none has a tail worth more than 3, so no pair is priced
+    # and the solve divides nothing, where the enumeration divides for each
+    # of its 6 pairs
+    lp = ascent.CoordinateLP(0, ((F(1), F(2)), (F(3), F(-1)), (F(2), F(1)), (F(3), F(-2))), F(0), F(0), F(0))
+    divisions = []
+    for name in ("__truediv__", "__rtruediv__"):
+        original = getattr(F, name)
+
+        def counting(a, b, original=original):
+            divisions.append((a, b))
+            return original(a, b)
+
+        monkeypatch.setattr(F, name, counting)
+    sol = solve_coordinate(lp)
+    assert divisions == []
+    want = _enumerated_solve(lp)
+    assert len(divisions) == 6
+    assert spelled([*sol.row, sol.objective, sol.used]) == spelled([*want.row, want.objective, want.used])
+    assert (sol.row, sol.objective, sol.used) == ((0, 0, 0, 1), 3, -2)
 
 
 @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])

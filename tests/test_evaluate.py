@@ -424,6 +424,78 @@ def test_self_checks_catch_a_perturbed_formula_layer(monkeypatch, mode, target):
         monkeypatch.undo()
 
 
+def _resumed_check_cases(mode, seed):
+    """``(market, partition, rows, t, new)`` on markets whose masses are all
+    positive: every row 1/2, and a row ``new`` of ones for a period t < T - 1,
+    so f*_{t+1} changes at every atom, and so does usage."""
+    rng = random.Random(seed)
+    half, one = (F(1, 2), 1) if mode == RATIONAL else (0.5, 1.0)
+    for _ in range(20):
+        T, natoms = rng.randint(2, 4), rng.randint(1, 3)
+        atoms = sorted(rng.sample([F(k, 8) for k in range(1, 9)], natoms))
+        mass = [[rng.choice([F(1, 2), 1, 2]) for _ in range(natoms)] for _ in range(T)]
+        m = make_market(T=T, atoms=atoms, mass=mass, inventory=rng.choice([None, 1]), mode=mode)
+        part = Partition(m.atoms)
+        yield m, part, ((half,) * part.npieces,) * T, rng.randrange(T - 1), (one,) * part.npieces
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_a_stale_reused_fstar_row_is_caught(monkeypatch, mode):
+    # a change of a checked evaluation skips the closed form on the f* rows
+    # 0..t it takes over; a change that also took f*_{t+1} over, which
+    # should have changed, must fail the recomputed rows' closed form, and
+    # where it counts that row as taken over too, the closed form of row
+    # t + 2 or, with no later row, the cohort identity; rows that are not
+    # the parent's own objects fail the check that they are
+    extend = evaluate_mod._extend_presence
+    for m, part, rows, t, new in _resumed_check_cases(mode, 2801):
+        parent = evaluate_rows(m, part, rows)
+        parent.with_row(t, new).checked()
+
+        def stale(market, r_at, plain, fstar, first):
+            fstar.append(parent.fstar[first + 1])
+            extend(market, r_at, plain, fstar, first + 1)
+
+        monkeypatch.setattr(evaluate_mod, "_extend_presence", stale)
+        child = parent.with_row(t, new)
+        monkeypatch.undo()
+        assert child.fstar[t + 1] is parent.fstar[t + 1]
+        with pytest.raises(EvaluatorInternalError, match=f"fstar closed form at t={t + 1}:"):
+            child.checked()
+        child.reused_fstar = tuple(child.fstar[:t + 2])
+        what = "inventory accounting" if t + 2 == m.T else f"fstar closed form at t={t + 2}:"
+        with pytest.raises(EvaluatorInternalError, match=what):
+            child.checked()
+        copied = dataclasses.replace(parent.with_row(t, new), fstar=[list(row) for row in parent.fstar])
+        with pytest.raises(EvaluatorInternalError, match=r"reused f\* rows are not the checked evaluation's own"):
+            copied.checked()
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_a_change_of_an_unchecked_evaluation_checks_every_fstar_row(monkeypatch, mode):
+    # only an evaluation that passed its checks lends its f* rows as
+    # checked: a change of a checked evaluation resumes the closed form at
+    # row t + 1, a change of an unchecked one checks from row 0, and so
+    # fails where the unchecked evaluation's f*_0 is off
+    eps = F(1, 97) if mode == RATIONAL else 1e-6
+    check, firsts = evaluate_mod._check_fstar_closed_form, []
+
+    def recording(market, keep, mass, fstar, first=0):
+        firsts.append(first)
+        check(market, keep, mass, fstar, first)
+
+    monkeypatch.setattr(evaluate_mod, "_check_fstar_closed_form", recording)
+    for m, part, rows, t, new in _resumed_check_cases(mode, 2802):
+        fresh = formula_layer(m, part, rows)
+        fresh.with_row(t, new).checked()
+        fresh.checked().with_row(t, new).checked()
+        assert firsts[-3:] == [0, 0, t + 1]
+        off = formula_layer(m, part, rows)
+        off.fstar[0] = [x + eps for x in off.fstar[0]]
+        with pytest.raises(EvaluatorInternalError, match="fstar closed form at t=0:"):
+            off.with_row(t, new).checked()
+
+
 def test_float_self_checks_reject_nan():
     # a NaN compares False with any tolerance, so each check must fail it
     nan = float("nan")
