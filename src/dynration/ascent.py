@@ -79,7 +79,7 @@ from .evaluate import (
     row_value,
 )
 from .market import Market
-from .numeric import RATIONAL, default_tol
+from .numeric import DEFAULT_TOL, RATIONAL
 from .stepfn import Partition, StepFunction, segment_refinement
 
 
@@ -354,7 +354,7 @@ def coordinate_ascent(
     initializations; everything is deterministic given ``seed``.
     """
     if tol is None:
-        tol = default_tol(market.mode)
+        tol = DEFAULT_TOL[market.mode]
     rng = random.Random(seed)
     partition = segment_refinement((), market.atoms)
     npieces = partition.npieces

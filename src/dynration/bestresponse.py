@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .evaluate import AllocationProfile, Evaluation, evaluate
 from .market import Market
 from .mechanism import PricedMechanism
-from .numeric import RATIONAL, default_tol
+from .numeric import DEFAULT_TOL, RATIONAL
 
 BUY_HIGH = "buyHigh"
 ENTER_LOTTERY = "enterLottery"
@@ -54,7 +54,7 @@ class VerificationResult:
 def _check_tol(market: Market, tol):
     """``tol`` if given; by default 0 in rational mode, where every check is
     exact, and the mode's tolerance in float mode."""
-    return tol if tol is not None else 0 if market.mode == RATIONAL else default_tol(market.mode)
+    return tol if tol is not None else 0 if market.mode == RATIONAL else DEFAULT_TOL[market.mode]
 
 
 def _in_tier(v, threshold, inclusive: bool) -> bool:

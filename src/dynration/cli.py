@@ -219,31 +219,28 @@ def _dispatch(args, market) -> int:
         print(f"candidates: {res.candidates}")
         return 0
 
-    if args.command == "compare":
-        # the oracle first: an oversized market fails before the ascent
-        posted = brute_force_optimal(market, OracleGrid(levels=("0", "1")))
-        report = coordinate_ascent(market, starts=args.starts, tol=_tol(args, market), seed=args.seed)
-        d = market.discounts
-        kappa = [d.lambda_s[t] / d.lambda_b[t] for t in range(market.T)]
-        if not market.inventory_never_binds:
-            benchmark = "n/a (finite inventory)"
-        elif any(b > a for a, b in zip(kappa, kappa[1:])):
-            # a cohort may earn more by screening over time, so the
-            # benchmark is no bound
-            benchmark = "n/a (lambdaS/lambdaB rises)"
-        else:
-            benchmark = format_number(non_anonymous_benchmark(market))
-        rows = [
-            ("anonymous optimum (solver)", format_number(report.revenue)),
-            ("posted prices only (oracle, levels {0,1})", format_number(posted.revenue)),
-            ("non-anonymous benchmark", benchmark),
-        ]
-        width = max(len(r[0]) for r in rows)
-        for name, shown in rows:
-            print(f"{name:<{width}}  {shown}")
-        return 0
-
-    raise AssertionError(f"unhandled command {args.command}")
+    # compare, the one command left; the oracle first, so that an
+    # oversized market fails before the ascent
+    posted = brute_force_optimal(market, OracleGrid(levels=("0", "1")))
+    report = coordinate_ascent(market, starts=args.starts, tol=_tol(args, market), seed=args.seed)
+    d = market.discounts
+    kappa = [d.lambda_s[t] / d.lambda_b[t] for t in range(market.T)]
+    if not market.inventory_never_binds:
+        benchmark = "n/a (finite inventory)"
+    elif any(b > a for a, b in zip(kappa, kappa[1:])):
+        # a cohort may earn more by screening over time, so the benchmark is no bound
+        benchmark = "n/a (lambdaS/lambdaB rises)"
+    else:
+        benchmark = format_number(non_anonymous_benchmark(market))
+    rows = [
+        ("anonymous optimum (solver)", format_number(report.revenue)),
+        ("posted prices only (oracle, levels {0,1})", format_number(posted.revenue)),
+        ("non-anonymous benchmark", benchmark),
+    ]
+    width = max(len(r[0]) for r in rows)
+    for name, shown in rows:
+        print(f"{name:<{width}}  {shown}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -89,9 +89,13 @@ whose survival is 1. The checks see the values of the full expressions,
 so each passes, or fails with the same message, exactly where it did.
 :func:`coordinate_tails` and :meth:`Partition.prefix_integrals` skip
 their exact 0s and 1s likewise. Float mode keeps the sums as
-``sum(map(mul, ...))`` and its checks as the plain loops: a float
+``ordered_sum(map(mul, ...))`` and its checks as the plain loops: a float
 product costs about as little as the test that would skip it, and the
 sums run their products in C, where a skipping loop runs in Python.
+:data:`~dynration.numeric.ordered_sum` adds left to right, as numpy adds
+arrays, where Python 3.12's ``sum`` compensates. Every float sum goes
+through it, so a batch column is bit for bit its scalar evaluation on
+every supported Python, with the same bits on each.
 
 :func:`evaluate` takes any profile, jumps anywhere in [0, 1], and refines
 its partition and rows; a caller that holds rows on one partition already,
@@ -141,7 +145,7 @@ from itertools import chain
 from operator import is_not, mul
 
 from .market import Market
-from .numeric import RATIONAL
+from .numeric import RATIONAL, ordered_sum
 from .stepfn import Partition, StepFunction, segment_refinement
 
 
@@ -221,7 +225,7 @@ class Evaluation:
         served = (
             delta[t] * m.atoms[i] * self.r_at[t][i] * self.fstar[t][i] for t in range(m.T) for i in range(m.num_atoms)
         )
-        return sum(served, delta[0] * 0)
+        return ordered_sum(served, delta[0] * 0)
 
     @property
     def negative_payments(self) -> list:
@@ -329,8 +333,10 @@ def formula_layer(market: Market, partition: Partition, R) -> Evaluation:
     arrays). ``R[t]`` may be an ndarray with the pieces on axis 0, and the
     periods' arrays may have different shapes that broadcast against each
     other. Each ``R[t]`` holds Python scalars only or numpy values only.
-    The operation order is fixed, so every array entry is bit for bit the
-    value that its own float scalars give.
+    The operation order is fixed, and every sum adds left to right through
+    :data:`~dynration.numeric.ordered_sum`, so on every supported Python
+    each array entry is bit for bit the value that its own float scalars
+    give.
     """
     return _layer(market, partition, R)
 
@@ -397,7 +403,8 @@ def _layer(market: Market, partition: Partition, R, cur: Evaluation | None = Non
             if period:
                 revenue += period if ls == 1 else ls * period
     else:
-        revenue = sum(ls * sum(map(mul, p_row, f_row)) for ls, p_row, f_row in zip(lam_s, payments, fstar))
+        periods = zip(lam_s, payments, fstar)
+        revenue = ordered_sum((ls * ordered_sum(map(mul, p_row, f_row), 0) for ls, p_row, f_row in periods), 0)
     used = _usage(r_at, fstar, zero, exact)
     gaps = gaps if scalar else None
     return Evaluation(market, partition, u_points, r_at, u_at, fstar, payments, revenue, used, R, gaps, reused)
@@ -441,7 +448,7 @@ def _extend_presence(market: Market, r_at, plain, fstar, first: int):
 
 def _usage(r_at, fstar, zero, exact: bool):
     r_all, f_all = chain.from_iterable(r_at), chain.from_iterable(fstar)
-    return _exact_dot(r_all, f_all, zero) if exact else sum(map(mul, r_all, f_all), zero)
+    return _exact_dot(r_all, f_all, zero) if exact else ordered_sum(map(mul, r_all, f_all), zero)
 
 
 def _exact_dot(xs, ys, zero):

@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .numeric import FLOAT, MODES, RATIONAL, NumberParseError, json_number, parse_number
+from .numeric import FLOAT, MODES, RATIONAL, NumberParseError, json_number, ordered_sum, parse_number
 
 
 class ParseError(ValueError):
@@ -84,10 +84,15 @@ class Market:
         return self.inventory is None
 
     @property
+    def total_mass(self):
+        """The total arrival mass, added left to right."""
+        return ordered_sum((x for row in self.mass for x in row), 0)
+
+    @property
     def inventory_never_binds(self) -> bool:
         """Whether supply is unbounded or at least the total arrival mass,
         which no usage exceeds (the cohort identity)."""
-        return self.unbounded or self.inventory >= sum(x for row in self.mass for x in row)
+        return self.unbounded or self.inventory >= self.total_mass
 
 
 def make_market(
@@ -167,8 +172,7 @@ def validate_market(m: Market) -> list[Violation]:
         # per unit, and so is the seller's weight lambdaS_t / lambdaB_t on
         # it. Past 1e300 a sum or a difference of such values could reach
         # inf or nan.
-        total = sum(x for row in m.mass for x in row)
-        bound = m.T * (len(m.atoms) + 1) * max(1.0, total) / min(m.discounts.lambda_b)
+        bound = m.T * (len(m.atoms) + 1) * max(1.0, m.total_mass) / min(m.discounts.lambda_b)
         if not bound <= 1e300:
             detail = f"T (n + 1) max(1, total mass) / min lambdaB = {bound:.3g} exceeds 1e300"
             out.append(Violation("BeyondFloatRange", detail))

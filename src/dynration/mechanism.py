@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 
 from .evaluate import AllocationProfile, Evaluation, evaluate
 from .market import Market, ParseError, load_json, read_number, require_array, require_bool, require_keys
-from .numeric import FLOAT, json_number
+from .numeric import FLOAT, json_number, ordered_sum
 
 CLOSED_MODE = "closed"
 POSTED = "posted"
@@ -179,7 +179,7 @@ def extract(market: Market, profile: AllocationProfile, evaluation: Evaluation |
 
 def _lottery_demand(market: Market, ev: Evaluation, t: int, prob):
     """Mass present at t on the atoms that period t serves with ``prob``."""
-    return sum(ev.fstar[t][i] for i in range(market.num_atoms) if ev.r_at[t][i] == prob)
+    return ordered_sum((ev.fstar[t][i] for i in range(market.num_atoms) if ev.r_at[t][i] == prob), 0)
 
 
 # -- files ------------------------------------------------------------------

@@ -27,7 +27,9 @@ rational route gives 0.0 and an error), non-finite floats, bools,
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import re
 from fractions import Fraction
 
@@ -42,6 +44,16 @@ MODES = (RATIONAL, FLOAT)
 # verification compares exactly.
 DEFAULT_TOL = {RATIONAL: Fraction(1, 10**9), FLOAT: 1e-7}
 
+
+# ``ordered_sum(values, start)`` is ``sum(values, start)`` added left to
+# right, one value at a time, as numpy adds arrays. From Python 3.12 ``sum``
+# adds floats with compensation (Neumaier), which changes the last bits;
+# ``reduce(add, values, start)`` gives 3.11's bits on every Python. Every
+# float sum whose value is output or compared goes through it, so a scalar
+# evaluation equals its batch column bit for bit, with the same bits on
+# every supported Python (``math.fsum`` rounds differently). Pass the
+# start: ``reduce`` has no default one.
+ordered_sum = functools.partial(functools.reduce, operator.add)
 
 # Fraction's string grammar without decimals or exponents: "p" or "p/q".
 _RATIO = re.compile(r"\s*([-+]?\d+(?:_\d+)*)(?:/(\d+(?:_\d+)*))?\s*")
@@ -100,7 +112,3 @@ def json_number(x):
         return int(rendered)
     except ValueError:
         return rendered
-
-
-def default_tol(mode: str):
-    return DEFAULT_TOL[mode]

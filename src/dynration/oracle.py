@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 from .evaluate import AllocationProfile, evaluate, evaluate_rows, formula_layer
 from .market import Market, MarketError, ParseError, make_market
-from .numeric import FLOAT, RATIONAL, parse_number
+from .numeric import FLOAT, RATIONAL, ordered_sum, parse_number
 from .stepfn import Partition, StepFunction
 
 
@@ -241,9 +241,8 @@ def _search_market(market: Market) -> Market:
     except (MarketError, ParseError) as err:
         refused = err
     unbounded = market.inventory_never_binds
-    total = sum(x for row in market.mass for x in row)
-    # 2^k >= total is the last k that shrinks max(1, total mass)
-    for k in range((math.ceil(max(total, 1)) - 1).bit_length() + 1):
+    # 2^k >= total mass is the last k that shrinks max(1, total mass)
+    for k in range((math.ceil(max(market.total_mass, 1)) - 1).bit_length() + 1):
         try:
             return copy(2**k)
         except (MarketError, ParseError):
@@ -354,7 +353,7 @@ def static_monopoly(pairs):
         raise ValueError("need at least one atom")
     best = None
     for k, (price, _) in enumerate(pairs):
-        rev = price * sum(mass for _, mass in pairs[k:])
+        rev = price * ordered_sum((mass for _, mass in pairs[k:]), 0)
         if best is None or rev > best[1]:
             best = (price, rev)
     return best

@@ -13,10 +13,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from dynration import AllocationProfile, CoordinateLP, Jump, StepFunction, make_market
-from dynration.ascent import _shrink_to_feasible
+from dynration import AllocationProfile, StepFunction, make_market
+from dynration.ascent import CoordinateLP, _shrink_to_feasible
 from dynration.numeric import RATIONAL
-from dynration.stepfn import segment_refinement
+from dynration.stepfn import Jump, segment_refinement
 
 ATOM_POOL = [Fraction(k, 12) for k in range(1, 13)]
 MASS_POOL = [Fraction(k, 4) for k in range(5)]

@@ -9,20 +9,19 @@ import pytest
 import dynration.ascent as ascent
 from dynration import (
     AllocationProfile,
-    Jump,
     Partition,
     StepFunction,
     brute_force_optimal,
-    build_coordinate_lp,
     coordinate_ascent,
     evaluate,
     make_market,
     normalize_staircase,
     solve_coordinate,
 )
+from dynration.ascent import build_coordinate_lp
 from dynration.evaluate import Evaluation, coordinate_tails, evaluate_rows, inventory_used, row_value
 from dynration.numeric import FLOAT, RATIONAL
-from dynration.stepfn import segment_refinement
+from dynration.stepfn import Jump, segment_refinement
 
 from gen import (
     MASS_POOL,
@@ -521,7 +520,7 @@ def _reference_ascent(market, *, starts, max_sweeps=40, seed=0):
 
     Returns the report and the number of models built.
     """
-    tol = ascent.default_tol(market.mode)
+    tol = ascent.DEFAULT_TOL[market.mode]
     rng = random.Random(seed)
     initials = [
         ("zero", AllocationProfile.zero(market.T)),

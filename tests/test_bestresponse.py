@@ -5,8 +5,6 @@ from fractions import Fraction as F
 
 from dynration import (
     AllocationProfile,
-    PeriodMenu,
-    PricedMechanism,
     StepFunction,
     best_response,
     coordinate_ascent,
@@ -18,6 +16,7 @@ from dynration import (
 )
 from dynration import bestresponse
 from dynration.bestresponse import BUY_HIGH, ENTER_LOTTERY, WAIT
+from dynration.mechanism import PeriodMenu, PricedMechanism
 from dynration.numeric import FLOAT
 from dynration.report import verification_csv
 

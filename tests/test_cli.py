@@ -437,6 +437,8 @@ RATION_PERIOD_2 = (
         pytest.param("profile", '[{"levels": [0], "jumps": {}}, {"levels": [0], "jumps": []}]', id="profile-jumps-not-array"),
         pytest.param("profile", '[{"levels": [0, 1], "jumps": [{"at": 1}]}, {"levels": [0], "jumps": []}]', id="profile-jump-missing-closed"),
         pytest.param("profile", "[[0], [0]]", id="profile-entry-not-object"),
+        pytest.param("profile", '[{"levels": [0, 1], "jumps": []}, {"levels": [0], "jumps": []}]', id="profile-levels-not-jumps-plus-one"),
+        pytest.param("profile", '[{"levels": [0, 1], "jumps": [{"at": 2, "closed": true}]}, {"levels": [0], "jumps": []}]', id="profile-jump-outside-unit-interval"),
         pytest.param("profile", '[{"levels": [0, 1], "jumps": [{"at": 1, "closed": "false"}]}, {"levels": [0], "jumps": []}]', id="profile-closed-string"),
         pytest.param("profile", '[{"levels": [0, 1], "jumps": [{"at": 1, "closed": 1}]}, {"levels": [0], "jumps": []}]', id="profile-closed-number"),
         pytest.param("mechanism", '[{"mode": "bogus"}, {"mode": "closed"}]', id="mechanism-unknown-mode"),
@@ -744,6 +746,35 @@ assert "numpy" not in sys.modules, "numpy loaded without an array to compute"
 run("solve", market, "--starts", "0", "--mode", "float")
 assert "numpy" in sys.modules, "a float solve ran without numpy"
 """
+
+
+def test_the_package_exports_what_the_cli_and_the_acceptance_suite_use():
+    # other names are imported from their submodules
+    assert dynration.__all__ == [
+        "AllocationProfile", "FLOAT", "MarketError", "OracleGrid", "ParseError", "Partition", "RATIONAL",
+        "StepFunction", "VerificationResult", "best_response", "brute_force_optimal", "coordinate_ascent",
+        "evaluate", "ex_ration", "ex_twogen", "extract", "format_number", "make_market", "mixture",
+        "non_anonymous_benchmark", "normalize_staircase", "parse_market", "parse_number", "serialize_market",
+        "solve_coordinate", "verify",
+    ]
+    assert all(hasattr(dynration, name) for name in dynration.__all__)
+    assert callable(dynration.evaluate) and not hasattr(dynration, "__version__")
+
+
+def test_the_module_runs_as_a_program(market_files, tmp_path):
+    # ``python -m dynration.cli`` runs main and exits with its code
+    ration, _ = market_files
+    src = str(Path(dynration.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+    def run(*argv):
+        argv = [sys.executable, "-m", "dynration.cli", *argv, "--out", str(tmp_path)]
+        return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+
+    solved = run("solve", str(ration), "--starts", "0")
+    assert solved.returncode == 0 and solved.stdout.startswith("revenue: 7/6\n"), solved.stderr
+    missing = run("eval", str(ration), str(tmp_path / "missing.profile.json"))
+    assert missing.returncode == 2 and missing.stderr.startswith("error: "), missing.stderr
 
 
 def test_only_array_code_loads_numpy(tmp_path):

@@ -4,6 +4,7 @@ import importlib
 import math
 import random
 from fractions import Fraction as F
+from operator import mul
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from dynration import (
     ex_ration,
     make_market,
     mixture,
-    segment_refinement,
 )
 from dynration import ascent
 from dynration.evaluate import (
@@ -31,6 +31,7 @@ from dynration.evaluate import (
 )
 from dynration.market import Market
 from dynration.report import evaluation_csv
+from dynration.stepfn import segment_refinement
 
 from gen import edge_market, edge_row, random_feasible_profile, random_market, random_profile, random_step, slopes
 from gen import spelled as _spelled
@@ -301,6 +302,8 @@ def test_report_rows_shape(ration_market, ration_optimum):
 def test_profile_length_mismatch(ration_market):
     with pytest.raises(ValueError):
         evaluate(ration_market, AllocationProfile.zero(3))
+    with pytest.raises(TypeError, match="profile entries must be StepFunction values"):
+        AllocationProfile((StepFunction.one(), [1]))
 
 
 def test_batch_columns_match_scalar_evaluation():
@@ -317,6 +320,41 @@ def test_batch_columns_match_scalar_evaluation():
             ev = evaluate_rows(m, part, [part.values(r) for r in prof.steps])
             assert float(batch.revenue[k]).hex() == ev.revenue.hex()
             assert float(batch.inventory_used[k]).hex() == ev.inventory_used.hex()
+
+
+def _left_to_right(values):
+    total = 0
+    for x in values:
+        total = total + x
+    return total
+
+
+def test_float_sums_add_left_to_right():
+    # From Python 3.12 sum() adds floats with compensation, while numpy adds
+    # arrays left to right. The layer's sums add left to right on every
+    # Python, so a scalar evaluation is its batch column, bit for bit. Here
+    # the small masses after a large one are lost one by one, not together.
+    m = make_market(
+        T=3, atoms=["1/2", "3/4", 1], mass=[[1, 6e-17, 1e-16], [1e-16, 0, 0], [1e-16, 0, 0]], mode=FLOAT
+    )
+    rows = (StepFunction.step(0.5),) * 3
+    ev = evaluate(m, AllocationProfile(rows))
+    d = m.discounts
+    periods = [ls * _left_to_right(map(mul, p, f)) for ls, p, f in zip(d.lambda_s, ev.payments, ev.fstar)]
+    used = [r * f for r_row, f_row in zip(ev.r_at, ev.fstar) for r, f in zip(r_row, f_row)]
+    served = [d.delta[t] * a * r * f for t in range(m.T) for a, r, f in zip(m.atoms, ev.r_at[t], ev.fstar[t])]
+    assert ev.revenue.hex() == _left_to_right(periods).hex()
+    assert ev.inventory_used.hex() == _left_to_right(used).hex()
+    assert ev.welfare.hex() == _left_to_right(served).hex()
+    # exactly rounded sums differ: within period 0, over the periods, and flat
+    assert math.fsum(map(mul, ev.payments[0], ev.fstar[0])) != periods[0]
+    assert math.fsum(periods) != ev.revenue
+    assert math.fsum(used) != ev.inventory_used
+    assert math.fsum(served) != ev.welfare
+    part = ev.partition
+    batch = formula_layer(m, part, [np.array([part.values(r)]).T for r in rows])
+    assert float(batch.revenue[0]).hex() == ev.revenue.hex()
+    assert float(batch.inventory_used[0]).hex() == ev.inventory_used.hex()
 
 
 def _leaves(f: Evaluation, key) -> list:

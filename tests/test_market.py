@@ -115,6 +115,10 @@ def test_parse_diagnostics():
         parse_market('{"T": 1, "atoms": [1], "mass": [["x"]], "inventory": 1, "delta": [1]}')
     with pytest.raises(ParseError, match="unknown keys"):
         parse_market('{"T": 1, "atoms": [1], "mass": [[1]], "inventory": 1, "delta": [1], "zzz": 0}')
+    with pytest.raises(ParseError, match="unknown numeric mode 'decimal'"):
+        parse_market('{"T": 1, "atoms": [1], "mass": [[1]], "inventory": 1, "delta": [1]}', "decimal")
+    with pytest.raises(ValueError, match="unknown numeric mode: 'decimal'"):
+        parse_number(1, "decimal")
 
 
 @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])

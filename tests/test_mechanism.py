@@ -6,9 +6,7 @@ import pytest
 
 from dynration import (
     AllocationProfile,
-    Jump,
     StepFunction,
-    TooManySteps,
     coordinate_ascent,
     evaluate,
     extract,
@@ -21,10 +19,12 @@ from dynration.mechanism import (
     POSTED_LOTTERY,
     UNREACHABLE_THRESHOLD,
     NegativePriceError,
+    TooManySteps,
     mechanism_from_json,
     mechanism_to_json,
 )
 from dynration.report import price_path_csv
+from dynration.stepfn import Jump
 
 from gen import random_market
 

@@ -9,8 +9,6 @@ import pytest
 
 from dynration import (
     AllocationProfile,
-    BoundedInventoryUnsupported,
-    InstanceTooLarge,
     OracleGrid,
     Partition,
     StepFunction,
@@ -22,12 +20,11 @@ from dynration import (
     non_anonymous_benchmark,
     oracle,
     serialize_market,
-    static_monopoly,
 )
 from dynration.evaluate import evaluate_rows, formula_layer
 from dynration.market import MarketError
 from dynration.numeric import FLOAT, RATIONAL
-from dynration.oracle import grid_candidates
+from dynration.oracle import BoundedInventoryUnsupported, InstanceTooLarge, grid_candidates, static_monopoly
 
 from gen import random_market
 
@@ -85,6 +82,8 @@ def test_static_monopoly_examples():
     pairs = [(F(1, 3), F(1, 3)), (F(2, 3), F(1, 3)), (1, F(1, 3))]
     assert static_monopoly(pairs) == (F(2, 3), F(4, 9))
     assert static_monopoly([(F(1, 2), 1), (1, 1)]) == (F(1, 2), 1)
+    with pytest.raises(ValueError, match="need at least one atom"):
+        static_monopoly([])
 
 
 def test_static_monopoly_price_is_an_atom():
@@ -607,6 +606,20 @@ def test_a_pooled_profile_beyond_the_exact_inventory_is_skipped(monkeypatch, mas
         if ev.inventory_used <= m.inventory and (want is None or ev.revenue > want[0]):
             want = (ev.revenue, _profile(m, reps, flat))
     assert (res.revenue, res.profile) == want and want[0] < free.revenue
+
+
+def test_a_search_that_finds_no_feasible_profile_fails_its_cross_check(monkeypatch, ration_market):
+    # the zero profile uses nothing, so a search whose chunks report every
+    # profile beyond the inventory has a fault of its own and says so
+    scored_chunks = oracle._scored_chunks
+
+    def beyond(market, candidates):
+        for first, revenue, used in scored_chunks(market, candidates):
+            yield first, revenue, used + market.inventory + 1
+
+    monkeypatch.setattr(oracle, "_scored_chunks", beyond)
+    with pytest.raises(AssertionError, match="no feasible profile; the zero profile is always feasible"):
+        brute_force_optimal(ration_market)
 
 
 def test_a_rational_search_builds_step_functions_for_its_result_only(monkeypatch):

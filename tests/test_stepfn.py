@@ -45,12 +45,16 @@ def test_eval_outside_domain():
         f.eval(F(3, 2))
     with pytest.raises(DomainError):
         f.eval(-1)
+    with pytest.raises(DomainError, match="partition points must lie in"):
+        Partition([F(3, 2)])
 
 
 def test_canonicalization_drops_zero_height_jumps():
     f = StepFunction([0, 0, 1], [Jump(F(1, 4), True), Jump(F(1, 2), True)])
     assert f.num_steps == 1
     assert f.jumps[0].at == F(1, 2)
+    # equal values hash alike, however they were spelled
+    assert f == StepFunction.step(F(1, 2)) and hash(f) == hash(StepFunction.step(F(1, 2)))
 
 
 def test_levels_must_be_monotone():
@@ -97,6 +101,8 @@ def test_from_values_round_trip():
         f = random_step(rng, atoms)
         part = Partition(atoms)
         assert StepFunction.from_values(part, part.values(f)) == f
+    with pytest.raises(ValueError, match="one value per partition piece"):
+        StepFunction.from_values(Partition(atoms), [0, 1])
 
 
 def test_mixture_is_pointwise():
