@@ -93,9 +93,24 @@ their exact 0s and 1s likewise. Float mode keeps the sums as
 product costs about as little as the test that would skip it, and the
 sums run their products in C, where a skipping loop runs in Python.
 :data:`~dynration.numeric.ordered_sum` adds left to right, as numpy adds
-arrays, where Python 3.12's ``sum`` compensates. Every float sum goes
-through it, so a batch column is bit for bit its scalar evaluation on
-every supported Python, with the same bits on each.
+arrays, where Python 3.12's ``sum`` compensates. Every scalar float sum
+goes through it, and every batch sum through :func:`_batch_sum`, which
+makes the same additions in the same order but adds each term in place
+into an accumulator of its own. So a batch column is bit for bit its
+scalar evaluation on every supported Python, with the same bits on each.
+A batch makes one column per profile at each step, so adding in place,
+and dropping each term and the g columns once they are read, keeps fewer
+columns alive at once; the grid oracle's peak is set by them.
+
+Off the exact route (in float mode and in any batch), the layer skips
+``lambdaS_t *`` on a period's revenue where lambdaS_t is exactly 1, and
+``/ lambdaB_t`` on a batch row's payments where lambdaB_t is exactly 1:
+``1.0 * x`` and ``x / 1.0`` are x for every float and every float array,
+so each skip keeps every bit. The period sums start from the deltas'
+zero, which adds as an int 0 does, so revenue has the type it had with
+the product, a float also for a market without atoms. A scalar row's
+payments keep the division: at an atom at 0 with r = 0 their numerator is
+the int 0 that U is at the point 0, which the division makes a float.
 
 :func:`evaluate` takes any profile, jumps anywhere in [0, 1], and refines
 its partition and rows; a caller that holds rows on one partition already,
@@ -333,10 +348,11 @@ def formula_layer(market: Market, partition: Partition, R) -> Evaluation:
     arrays). ``R[t]`` may be an ndarray with the pieces on axis 0, and the
     periods' arrays may have different shapes that broadcast against each
     other. Each ``R[t]`` holds Python scalars only or numpy values only.
-    The operation order is fixed, and every sum adds left to right through
-    :data:`~dynration.numeric.ordered_sum`, so on every supported Python
-    each array entry is bit for bit the value that its own float scalars
-    give.
+    The operation order is fixed, and every sum adds left to right, as
+    :data:`~dynration.numeric.ordered_sum` does (a batch's in place, into
+    arrays of its own: no array of ``R`` is written), so on every supported
+    Python each array entry is bit for bit the value that its own float
+    scalars give.
     """
     return _layer(market, partition, R)
 
@@ -376,6 +392,7 @@ def _layer(market: Market, partition: Partition, R, cur: Evaluation | None = Non
         if scalar:
             gaps[s] = g
         u_points[s] = partition.prefix_integrals(g)
+    del g  # a batch's g_s columns: nothing reads them once U_s is built
     u_at = [[u[k] for k in atom_k] for u in u_points[:t + 1]] + u_at_later
 
     # f*_{s+1} for s >= first: f*_0..f*_first do not read row t
@@ -393,6 +410,8 @@ def _layer(market: Market, partition: Partition, R, cur: Evaluation | None = Non
             payments.append(
                 [((d * a if r == 1 else x if r == 0 else d * a * r + (1 - r) * x) - u) / lb for a, r, x, u in terms]
             )
+        elif lb == 1:
+            payments.append([d * a * r + (1 - r) * x - u for a, r, x, u in terms])
         else:
             payments.append([(d * a * r + (1 - r) * x - u) / lb for a, r, x, u in terms])
     payments += payments_later
@@ -403,9 +422,10 @@ def _layer(market: Market, partition: Partition, R, cur: Evaluation | None = Non
             if period:
                 revenue += period if ls == 1 else ls * period
     else:
-        periods = zip(lam_s, payments, fstar)
-        revenue = ordered_sum((ls * ordered_sum(map(mul, p_row, f_row), 0) for ls, p_row, f_row in periods), 0)
-    used = _usage(r_at, fstar, zero, exact)
+        add = ordered_sum if scalar else _batch_sum
+        periods = (add(map(mul, p_row, f_row), zero) for p_row, f_row in zip(payments, fstar))
+        revenue = add(map(_scaled, lam_s, periods), zero)
+    used = _usage(r_at, fstar, zero, exact, scalar)
     gaps = gaps if scalar else None
     return Evaluation(market, partition, u_points, r_at, u_at, fstar, payments, revenue, used, R, gaps, reused)
 
@@ -446,9 +466,36 @@ def _extend_presence(market: Market, r_at, plain, fstar, first: int):
             fstar.append([m + f * (1 - r) for m, f, r in carry])
 
 
-def _usage(r_at, fstar, zero, exact: bool):
+def _usage(r_at, fstar, zero, exact: bool, scalar: bool):
     r_all, f_all = chain.from_iterable(r_at), chain.from_iterable(fstar)
-    return _exact_dot(r_all, f_all, zero) if exact else ordered_sum(map(mul, r_all, f_all), zero)
+    if exact:
+        return _exact_dot(r_all, f_all, zero)
+    return (ordered_sum if scalar else _batch_sum)(map(mul, r_all, f_all), zero)
+
+
+def _batch_sum(terms, start):
+    """``ordered_sum(terms, start)`` of batch columns: the same additions in
+    the same order, into the accumulator that the sum made itself, ``start``
+    plus the first term. A later term adds in place, unless it broadcasts
+    the accumulator to a larger shape: numpy then raises before it writes
+    anything, and that term takes ``total + term``. Each term is dropped
+    before the next one is made."""
+    total, owned = start, False
+    for x in terms:
+        if owned:
+            try:
+                total += x
+            except ValueError:
+                total = total + x
+        else:
+            total, owned = start + x, True
+        del x
+    return total
+
+
+def _scaled(ls, x):
+    """``ls * x``, or ``x`` itself at ls == 1, where ``1.0 * x`` is ``x``."""
+    return x if ls == 1 else ls * x
 
 
 def _exact_dot(xs, ys, zero):
@@ -473,7 +520,8 @@ def inventory_used(market: Market, partition: Partition, R):
     plain = [_plain(row) for row in r_at]
     fstar = [list(market.mass[0])]
     _extend_presence(market, r_at, plain, fstar, 0)
-    return _usage(r_at, fstar, market.discounts.delta[0] * 0, market.mode == RATIONAL and all(plain))
+    scalar = all(plain)
+    return _usage(r_at, fstar, market.discounts.delta[0] * 0, market.mode == RATIONAL and scalar, scalar)
 
 
 def row_value(row, tails):

@@ -107,11 +107,14 @@ def make_market(
 ) -> Market:
     """Build and validate a market, reading every number into ``mode``.
 
-    The one builder of a Market: a bad number or a non-array raises
-    ParseError naming its field, as does a ``T`` that is not an int (a bool
-    is none), a violated invariant MarketError. An omitted schedule is all
-    ones, one per mass row, since ``T`` bounds nothing.
+    The one builder of a Market: an unknown ``mode``, a bad number or a
+    non-array raises ParseError naming its field, as does a ``T`` that is
+    not an int (a bool is none), a violated invariant MarketError. An
+    omitted schedule is all ones, one per mass row, since ``T`` bounds
+    nothing.
     """
+    if mode not in MODES:
+        raise ParseError(f"unknown numeric mode {mode!r}")
     if not isinstance(T, int) or isinstance(T, bool):
         raise ParseError("T: must be an integer")
     atoms = read_numbers(atoms, "atoms", mode)
@@ -191,8 +194,8 @@ def validate_market(m: Market) -> list[Violation]:
 #   lambdaB    array of T numbers   (optional, defaults to all ones)
 #
 # parse_market checks only what the format adds (the keys, "inf", no null);
-# make_market checks that T is an integer and reads the numbers, and
-# validate_market checks every shape, order and range.
+# make_market checks the mode and that T is an integer and reads the
+# numbers, and validate_market checks every shape, order and range.
 
 _REQUIRED = ("T", "atoms", "mass", "inventory", "delta")
 _OPTIONAL = ("lambdaS", "lambdaB")
@@ -246,8 +249,6 @@ def read_numbers(raw, where: str, mode: str) -> tuple:
 
 def parse_market(text: str, mode: str = RATIONAL) -> Market:
     """Parse a market-spec document; fractions given as strings stay exact."""
-    if mode not in MODES:
-        raise ParseError(f"unknown numeric mode {mode!r}")
     doc = require_keys(load_json(text), "top level", _REQUIRED, _OPTIONAL)
     # make_market reads None as omitted; in a file, null is a bad value
     inventory = doc["inventory"]

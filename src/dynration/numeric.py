@@ -49,10 +49,15 @@ DEFAULT_TOL = {RATIONAL: Fraction(1, 10**9), FLOAT: 1e-7}
 # right, one value at a time, as numpy adds arrays. From Python 3.12 ``sum``
 # adds floats with compensation (Neumaier), which changes the last bits;
 # ``reduce(add, values, start)`` gives 3.11's bits on every Python. Every
-# float sum whose value is output or compared goes through it, so a scalar
-# evaluation equals its batch column bit for bit, with the same bits on
-# every supported Python (``math.fsum`` rounds differently). Pass the
-# start: ``reduce`` has no default one.
+# scalar float sum whose value is output or compared goes through it, and
+# the formula layer's batch sums make the same additions in the same order
+# (``evaluate._batch_sum``), so a scalar evaluation equals its batch column
+# bit for bit, with the same bits on every supported Python (``math.fsum``
+# rounds differently). Pass the start: ``reduce`` has no default one.
+# ``reduce`` holds the previous partial sum and term while it makes the
+# next term, one to two values more than a loop that drops them; on a
+# batch's numpy columns those are whole columns, so batch sums do not use
+# it, while on scalars its C loop is the faster.
 ordered_sum = functools.partial(functools.reduce, operator.add)
 
 # Fraction's string grammar without decimals or exponents: "p" or "p/q".

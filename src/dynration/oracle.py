@@ -42,9 +42,17 @@ canonical (lexicographic over per-period descriptors, earliest period
 most significant) and ties keep the first candidate, so oracle runs are
 reproducible and do not depend on the chunking.
 
-The grid search, :func:`brute_force_optimal` and :func:`_scored_chunks`, is
-the only numpy code here, and each imports numpy when called, so importing
-this module leaves it unloaded.
+Peak memory: call a chunk's array of one float per profile a full
+column. The formula layer keeps period 0's utilities at the partition
+points and its payments at the atoms, a full column each, and adds its
+revenue and usage sums in place, so on a T = 3, n = 2 market the
+search's traced peak is under nine full columns. A chunk's tables go
+before the next chunk is scored (:func:`_chunk_scores`), and the search
+writes its feasibility mask into the chunk's own revenue column.
+
+The grid search, :func:`brute_force_optimal`, :func:`_scored_chunks` and
+:func:`_chunk_scores`, is the only numpy code here, and each imports numpy
+when called, so importing this module leaves it unloaded.
 
 Baselines: the static monopoly price over one atom list, and the
 non-anonymous benchmark that treats each generation as its own market and
@@ -67,7 +75,7 @@ from .stepfn import Partition, StepFunction
 
 # Profiles per chunk of the search: the recursion keeps every period's
 # utility, presence and payment columns for a whole chunk, so the chunk
-# size bounds peak memory.
+# size bounds peak memory (module docstring).
 _CHUNK = 1 << 15
 
 # Instance caps: periods, atoms, and candidate profiles K^T.
@@ -183,7 +191,8 @@ def _scored_chunks(market: Market, candidates: list[list]):
     """Yield ``(first, revenue, used)`` over every candidate profile of a float market.
 
     ``first`` is the flat id of the chunk's first profile; ``revenue`` and
-    ``used`` hold one value per profile, in canonical order. Period t of
+    ``used`` hold one value per profile, in canonical order, in arrays that
+    nothing else holds, so the caller may write into them. Period t of
     profile ``id`` is ``candidates[(id // K**(T-1-t)) % K]``.
 
     Every period gets one numpy axis, so the recursion of period t runs
@@ -205,11 +214,25 @@ def _scored_chunks(market: Market, candidates: list[list]):
     tail = [columns.reshape((-1,) + tuple(K if a == t else 1 for a in range(T))) for t in range(1, T)]
     for lo in range(0, K, step):
         head = columns[:, lo : lo + step]
-        shape = head.shape[1:] + (K,) * (T - 1)
-        batch = formula_layer(market, partition, [head.reshape(head.shape + (1,) * (T - 1))] + tail)
-        # a market without atoms sums to scalars
-        revenue, used = (np.broadcast_to(x, shape).reshape(-1) for x in (batch.revenue, batch.inventory_used))
-        yield lo * inner, revenue, used
+        # no name here holds a chunk's scores or tables past its yield
+        yield (lo * inner, *_chunk_scores(market, partition, [head.reshape(head.shape + (1,) * (T - 1))] + tail))
+
+
+def _chunk_scores(market: Market, partition: Partition, R) -> tuple:
+    """Flat revenue and usage of one chunk's rows ``R``, arrays of their own.
+
+    The chunk's other tables go when this returns. A sum of the full shape
+    is the batch's own array, flattened as a view; one of a smaller shape
+    (a market without atoms sums to scalars) is broadcast and copied.
+    """
+    import numpy as np
+
+    batch = formula_layer(market, partition, R)
+    shape = np.broadcast_shapes(*(row.shape[1:] for row in R))
+    return tuple(
+        x.reshape(-1) if np.shape(x) == shape else np.broadcast_to(x, shape).flatten()
+        for x in (batch.revenue, batch.inventory_used)
+    )
 
 
 def _search_market(market: Market) -> Market:
@@ -298,7 +321,7 @@ def brute_force_optimal(market: Market, grid: OracleGrid | None = None) -> Oracl
                 feasible[skipped[(skipped >= first) & (skipped < first + len(used))] - first] = False
                 if not feasible.any():
                     continue
-                revenue = np.where(feasible, revenue, -np.inf)
+                revenue[~feasible] = -np.inf  # the chunk's own column (_chunk_scores)
             top = int(np.argmax(revenue))
             if revenue[top] > best_rev:
                 best_rev = revenue[top]

@@ -306,20 +306,78 @@ def test_profile_length_mismatch(ration_market):
         AllocationProfile((StepFunction.one(), [1]))
 
 
-def test_batch_columns_match_scalar_evaluation():
-    # the grid oracle feeds the recursion numpy columns, one entry per
-    # profile; each entry must be the scalar evaluation, bit for bit
+def _batch_markets():
+    """Float markets for batch tests: lambdas of 1, general lambdas, none of
+    whose lambdaS or lambdaB is all 1s, and a market without atoms."""
     rng = random.Random(17)
     for _ in range(8):
-        m = random_market(rng, mode=FLOAT, max_periods=4, max_atoms=4)
-        part = Partition(m.atoms)
-        profiles = [random_profile(rng, m) for _ in range(12)]
-        columns = [np.array([part.values(p.steps[t]) for p in profiles]).T for t in range(m.T)]
+        yield rng, random_market(rng, mode=FLOAT, max_periods=4, max_atoms=4)
+    general = 0
+    while general < 8:
+        m = random_market(rng, mode=FLOAT, max_periods=4, max_atoms=4, general_lambda=True)
+        d = m.discounts
+        if all(x == 1 for x in d.lambda_s) or all(x == 1 for x in d.lambda_b):
+            continue
+        general += 1
+        yield rng, m
+    yield rng, make_market(T=3, atoms=[], mass=[[]] * 3, inventory=1, delta=[1, "3/4", "1/2"], mode=FLOAT)
+
+
+def _batch_columns(rng, m, count=12):
+    part = Partition(m.atoms)
+    profiles = [random_profile(rng, m) for _ in range(count)]
+    return part, profiles, [np.array([part.values(p.steps[t]) for p in profiles]).T for t in range(m.T)]
+
+
+def test_batch_columns_match_scalar_evaluation():
+    # the grid oracle feeds the recursion numpy columns, one entry per
+    # profile; each entry must be the scalar evaluation, bit for bit, where
+    # the layer skips its lambdaS and lambdaB of 1 and where it does not
+    lambdas = set()
+    for rng, m in _batch_markets():
+        part, profiles, columns = _batch_columns(rng, m)
         batch = formula_layer(m, part, columns)
+        d = m.discounts
+        lambdas.update(zip(d.lambda_s, d.lambda_b))
         for k, prof in enumerate(profiles):
             ev = evaluate_rows(m, part, [part.values(r) for r in prof.steps])
-            assert float(batch.revenue[k]).hex() == ev.revenue.hex()
-            assert float(batch.inventory_used[k]).hex() == ev.inventory_used.hex()
+            for got, want in ((batch.revenue, ev.revenue), (batch.inventory_used, ev.inventory_used)):
+                # a market without atoms sums to the scalar its evaluation has
+                got = got[k] if m.num_atoms else got
+                assert type(want) is float and (m.num_atoms or type(got) is float)
+                assert float(got).hex() == want.hex()
+    assert {ls == 1 for ls, _ in lambdas} == {lb == 1 for _, lb in lambdas} == {True, False}
+
+
+def test_batch_sums_leave_the_callers_columns_as_they_were():
+    # the batch sums add in place into accumulators of their own, never into
+    # a column of R: read-only columns would raise, and writable ones keep
+    # every value
+    for rng, m in _batch_markets():
+        part, _, columns = _batch_columns(rng, m)
+        copies = [c.copy() for c in columns]
+        for c in columns[::2]:
+            c.flags.writeable = False
+        batch = formula_layer(m, part, columns)
+        assert all(np.array_equal(c, k) for c, k in zip(columns, copies))
+        again = formula_layer(m, part, copies)
+        assert np.array_equal(batch.revenue, again.revenue)
+        assert np.array_equal(batch.inventory_used, again.inventory_used)
+
+
+def test_a_failed_broadcast_add_leaves_its_accumulator_unchanged():
+    # the batch sums fall back to total + term when a term broadcasts the
+    # accumulator to a larger shape; numpy raises before it writes anything
+    total = np.array([[1.5], [2.5]])
+    with pytest.raises(ValueError):
+        total += np.array([[1.0, 2.0, 3.0]])
+    assert total.tolist() == [[1.5], [2.5]]
+    terms = [np.array([[1.0], [2.0]]), np.array([[0.5, 0.25]]), np.array([[1e-16, 0.0]])]
+    got = evaluate_mod._batch_sum(iter(terms), 0.0)
+    assert got.shape == (2, 2)
+    assert got.tobytes() == ((0.0 + terms[0]) + terms[1] + terms[2]).tobytes()
+    assert [t.tolist() for t in terms] == [[[1.0], [2.0]], [[0.5, 0.25]], [[1e-16, 0.0]]]
+    assert evaluate_mod._batch_sum(iter(()), 0.0) == 0.0
 
 
 def _left_to_right(values):

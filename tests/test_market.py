@@ -319,6 +319,16 @@ def test_null_inventory_and_schedules_are_rejected(key):
         parse_market(json.dumps(doc))
 
 
+@pytest.mark.parametrize("mode", ["decimal", None, "FLOAT"])
+def test_make_market_rejects_an_unknown_mode(mode):
+    # the one builder checks the mode, so a caller that skips parse_market
+    # gets the ParseError that parse_market's callers get
+    with pytest.raises(ParseError, match=f"^unknown numeric mode {mode!r}$"):
+        make_market(1, [1], [[1]], mode=mode)
+    with pytest.raises(ParseError, match=f"^unknown numeric mode {mode!r}$"):
+        parse_market('{"T": 1, "atoms": [1], "mass": [[1]], "inventory": 1, "delta": [1]}', mode)
+
+
 @pytest.mark.parametrize("T", [2.7, 2.0, "2", True, None, F(2)])
 def test_make_market_rejects_a_T_that_is_not_an_int(T):
     # a non-integer T is refused by name, never truncated to an int

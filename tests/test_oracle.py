@@ -680,3 +680,49 @@ def test_rational_all_ties_keep_a_bounded_pool(monkeypatch):
     revenue, used = _flat_search(_float_copy(m), reps)
     ids = np.flatnonzero((revenue >= revenue.max() - 1e-9) & (used <= 1 + 1e-9))[:512]
     assert pool == [_rows(m, reps, int(i)) for i in ids]
+
+
+def _audit_market(inventory):
+    """A float T = 3, n = 2 market on the four-level grid: K = 35
+    candidates per period, chunks of 26 x 35 x 35 profiles."""
+    m = make_market(
+        T=3, atoms=["1/3", "2/3"], mass=[[1, 1], [1, "1/2"], ["1/2", 1]], inventory=inventory,
+        delta=[1, "5/6", "2/3"], mode=FLOAT,
+    )
+    return m, OracleGrid(levels=("0", "1/3", "2/3", "1"))
+
+
+@pytest.mark.parametrize("inventory", [None, 2])
+def test_scores_repeat_across_searches_and_chunk_sizes(monkeypatch, inventory):
+    # the search writes into the columns a chunk hands it, and the sums add
+    # in place; neither may reach another chunk, a later search or the result
+    m, grid = _audit_market(inventory)
+    candidates, _ = grid_candidates(m, grid)
+    K = len(candidates)
+    want = None
+    for chunk in (1 << 15, K**2, 2 * K**2 + 1, 5 * K**2):
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        for _ in range(2):
+            got = [x.tobytes() for x in _kernel_search(m, candidates)]
+            res = brute_force_optimal(m, grid)
+            got += [res.revenue.hex(), res.profile]
+            want = want or got
+            assert got == want, chunk
+
+
+def test_the_float_search_peaks_within_nine_full_columns():
+    # a full column is one float per profile of a chunk; the search's peak,
+    # traced, is the formula layer's tables and sums for one chunk
+    m, grid = _audit_market(2)
+    candidates, _ = grid_candidates(m, grid)
+    K = len(candidates)
+    column = (oracle._CHUNK // K**2) * K**2 * 8
+    brute_force_optimal(m, grid)  # first-call caches are not the search's
+    tracemalloc.start()
+    try:
+        brute_force_optimal(m, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (K, column) == (35, 26 * 35 * 35 * 8)
+    assert peak <= 9 * column, peak / column
