@@ -1,58 +1,84 @@
 """Brute-force ground truth and classical baselines at desk scale.
 
-The grid oracle enumerates every monotone step profile whose jumps sit on
-the atom boundaries (both inclusion flags, realized as free point values
+The grid oracle searches the monotone step profiles whose jumps sit on the
+atom boundaries (both inclusion flags, realized as free point values
 between the neighboring segment levels) and whose levels come from a fixed
-grid, then maximizes exact revenue subject to the inventory cap. The
-grid's K per-period candidates give K^T profiles, and all of them are
-accounted for, but not all are built. No buyer values a unit above the
-top atom, so a rule's values past that atom's point reach neither revenue
-nor usage. Candidates that agree up to and including that point form a
-class, and only the class's first member in canonical order, its
-representative, is built and scored; the full grid never is. The first
-maximizer in canonical order is always a profile of representatives, so
-the result is the full grid's. K is counted once, in closed form, before
-anything is built: that count is the cap's and the result's, so an
+grid, and maximizes exact revenue subject to the inventory cap. A rule of
+the full grid takes a non-decreasing level on every gap and every atom's
+point; an atomless point takes a neighboring gap's level. The grid's K
+per-period candidates give K^T profiles, and all of them are accounted
+for, but only the lowered ones are built and scored: those with every gap
+and atomless point at the level of the atom point below it, and the lowest
+level below the first atom. That leaves one candidate per non-decreasing
+choice of levels on the atom points. K is counted once, in closed form,
+before anything is built: that count is the cap's and the result's, so an
 oversized grid is refused at once.
 
-The search scores the representatives in floating point with the
+Why a lowered profile does as well. Hold the other periods' rules fixed:
+revenue and usage are affine in period t's piece values, and
+:func:`dynration.evaluate.coordinate_tails` computes the coefficients.
+Write Delta_j = delta_t - g_{t+1}[j] >= 0 and w_j for gap j's width. A unit
+of the rule on gap j changes revenue by one term per period s <= t and
+atom i above the gap:
+
+* s < t: lambdaS_s / lambdaB_s * f*_{s,i} * w_j * Delta_j * P_{s+1}[j] * (r_s(gap j) - r_{s,i});
+* s = t: -lambdaS_t / lambdaB_t * f*_{t,i} * w_j * Delta_j.
+
+Each term is <= 0, since a monotone rule is no higher on a gap than at an
+atom above it: a rule raised on a gap only adds information rent. Usage
+reads a rule only at the atoms, so it does not change, and an atomless
+point carries no mass, so both its coefficients are 0. Lowering period t's
+gaps and atomless points keeps the rule monotone and on the grid, does not
+lower revenue and keeps usage. The terms are <= 0 whatever the other
+periods' monotone rules are, so lowering one period after another lowers a
+whole profile: every profile of the full grid scores no more than its
+lowered version, at the same usage, and lowering a maximizer gives a
+maximizer.
+
+Why the result is the full grid's. The canonical order is lexicographic
+over per-period descriptors, earliest period most significant; a period's
+descriptor is its gap levels, then its point values. Lowering moves no
+level up and leaves the atom points alone, so the first entry that it
+changes is a gap moved down: lowering never moves a profile later in
+that order. A first maximizer that was not lowered would have an earlier
+maximizer, its lowered version, so the first maximizer of the full grid is
+lowered, and it is the first maximizer of the lowered profiles. That is
+exact. The float search compares float scores, which may put an exact tie
+an ulp apart, and in rational mode the exact pass below settles near-ties.
+
+The search scores the lowered profiles in floating point with the
 evaluator's own recursion (:func:`dynration.evaluate.formula_layer`), fed
 numpy arrays in which each period's candidates lie on that period's own
 axis. Broadcasting then runs period t's backward recursion once per
 combination of periods t..T-1, not once per profile, and only the
 quantities that depend on every period (period-0 utilities, late
-presence, revenue and usage) reach the full profile count. Each chunk is
-a slice of period 0's candidates against every candidate of periods
-1..T-1, at most ``_CHUNK`` profiles, which bounds peak memory: the caps
-keep K^(T-1) within ``_CHUNK``, so a slice of one period-0 candidate
-always fits. On rational markets every representative profile within
-1e-9 of the float optimum (the first 512 in canonical order) is
-re-evaluated exactly, as its rows on the atom partition with the
-evaluator's self-checks, so the reported optimum is exact; when the float
-tolerance let every one of them past the inventory, the search runs again
-without them. Step functions come back only in the result: only the
-winner's rows become a profile. The float search runs on a float copy of
-the market. When only its masses or an inventory that covers every
-arrival put that copy beyond the float range, the copy drops such an
-inventory and divides the masses and the inventory by the smallest power
-of two that brings it in range (:func:`_search_market`); a rational
-market that no such power brings in range, as with a lambdaB below the
-floats, is refused with ``BeyondFloatRange``. Enumeration order is
-canonical (lexicographic over per-period descriptors, earliest period
-most significant) and ties keep the first candidate, so oracle runs are
-reproducible and do not depend on the chunking.
+presence, revenue and usage) reach the full profile count. The whole grid
+is one batch (:func:`_grid_scores`): for n atoms and L levels there are
+C(L + n - 1, n)^T lowered profiles, and the caps (T <= 3, n <= 3, and the
+full grid's K^T <= 4,000,000) admit at most 53,361 of them, 231^2 at T = 2
+with atoms at 0 and 1 and 21 levels. Its traced peak is 2.2 MB there and
+2.5 MB at T = 3 with atoms at 0, 1/2 and 1 and 5 levels, the two largest
+batches the caps admit. The search writes its feasibility mask into the
+batch's own revenue array.
 
-Peak memory: call a chunk's array of one float per profile a full
-column. The formula layer keeps period 0's utilities at the partition
-points and its payments at the atoms, a full column each, and adds its
-revenue and usage sums in place, so on a T = 3, n = 2 market the
-search's traced peak is under nine full columns. A chunk's tables go
-before the next chunk is scored (:func:`_chunk_scores`), and the search
-writes its feasibility mask into the chunk's own revenue column.
+On rational markets every lowered profile within 1e-9 of the float
+optimum (the first 512 in canonical order) is re-evaluated exactly, as its
+rows on the atom partition with the evaluator's self-checks, so the
+reported optimum is exact. When the float tolerance let every one of them
+past the inventory, they are masked in the same scores and the pool is
+drawn again: the grid is scored once. Step functions come back only in the
+result: only the winner's rows become a profile. The float search runs on
+a float copy of the market. When only its masses or an inventory that
+covers every arrival put that copy beyond the float range, the copy drops
+such an inventory and divides the masses and the inventory by the
+smallest power of two that brings it in range (:func:`_search_market`); a
+rational market that no such power brings in range, as with a lambdaB
+below the floats, is refused with ``BeyondFloatRange``. Ties keep the
+first profile in canonical order, so oracle runs are reproducible.
 
-The grid search, :func:`brute_force_optimal`, :func:`_scored_chunks` and
-:func:`_chunk_scores`, is the only numpy code here, and each imports numpy
-when called, so importing this module leaves it unloaded.
+The grid search, :func:`brute_force_optimal` and :func:`_grid_scores`, is
+the only numpy code here, and each imports numpy when called, so
+importing this module leaves it unloaded.
 
 Baselines: the static monopoly price over one atom list, and the
 non-anonymous benchmark that treats each generation as its own market and
@@ -62,21 +88,15 @@ never binds, :attr:`~dynration.market.Market.inventory_never_binds`).
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
 
 from .evaluate import AllocationProfile, evaluate, evaluate_rows, formula_layer
-from .market import Market, MarketError, ParseError, make_market
-from .numeric import FLOAT, RATIONAL, ordered_sum, parse_number
+from .market import Market, MarketError, ParseError, make_market, read_number
+from .numeric import FLOAT, RATIONAL, ordered_sum
 from .stepfn import Partition, StepFunction
 
-
-# Profiles per chunk of the search: the recursion keeps every period's
-# utility, presence and payment columns for a whole chunk, so the chunk
-# size bounds peak memory (module docstring).
-_CHUNK = 1 << 15
 
 # Instance caps: periods, atoms, and candidate profiles K^T.
 _MAX_PERIODS = 3
@@ -102,7 +122,7 @@ class OracleGrid:
     levels: tuple = ("0", "1/4", "1/2", "3/4", "1")
 
     def level_values(self, mode: str) -> list:
-        vals = sorted({parse_number(x, mode) for x in self.levels})
+        vals = sorted({read_number(x, f"levels[{i}]", mode) for i, x in enumerate(self.levels)})
         if vals[0] < 0 or vals[-1] > 1:
             raise ValueError("grid levels must lie in [0, 1]")
         if vals[0] != 0 or vals[-1] != 1:
@@ -112,68 +132,51 @@ class OracleGrid:
 
 @dataclass
 class OracleResult:
+    """The grid's best feasible profile and its exact revenue.
+
+    ``candidates`` counts the full grid's K^T profiles, all of them
+    accounted for; only the lowered ones are scored (module docstring).
+    """
+
     revenue: object
     profile: AllocationProfile
-    candidates: int  # the grid's K^T profiles, accounted for; one per class is scored
+    candidates: int
 
 
 def _period_candidates(market: Market, levels: list) -> list[list]:
-    """One piece-value vector per class of candidates, canonically ordered.
+    """The lowered candidates of one period: a piece-value vector per choice of levels on the atom points.
 
-    A candidate assigns a non-decreasing level to every open gap and, at
-    each atom boundary, any grid level between the neighboring gap levels
-    (that freedom is the closed/open flag choice, including the distinct
-    point value realized by a closed+open pair). Non-atom boundaries carry
-    no mass, so their value is pinned to a neighbor.
-
-    Candidates that agree up to and including the top atom's point form a
-    class: the formula layer reads a rule only at the atom points and
-    through the gaps below them, so a class's members score alike, exactly
-    and bit for bit in floats. Only each class's first candidate in
-    canonical order is built. It has the smallest gaps that its prefix
-    allows, so the top atom's point value also fills the gap above it and
-    every later piece: only the gaps up to that one are free, and the top
-    atom's point is pinned to the gap above like a massless point, unless
-    the point is 1. Without atoms there is one candidate.
+    The choices are the non-decreasing tuples of levels, one per atom, in
+    canonical order. Every gap and every atomless point takes the level of
+    the atom point below it, and the pieces below the first atom the lowest
+    level. These are the full grid's candidates with every gap at the level
+    of the point below it, in the full grid's order (module docstring);
+    without atoms there is one candidate, the zero row.
     """
-    pts = Partition(market.atoms).points
-    atoms = set(market.atoms)
-    ngaps = len(pts) - 1
-    top = pts.index(max(market.atoms)) if market.atoms else -1
+    points, atoms = Partition(market.atoms).points, set(market.atoms)
     out = []
-    for free in itertools.combinations_with_replacement(levels, min(ngaps, top + 1)):
-        gaps = free + (free[-1] if free else levels[0],) * (ngaps - len(free))
-        choice_sets = []
-        for k, p in enumerate(pts):
-            lo = gaps[k - 1] if k > 0 else None
-            hi = gaps[k] if k < ngaps else None
-            if p in atoms and (k < top or hi is None):
-                lo = lo if lo is not None else levels[0]
-                hi = hi if hi is not None else levels[-1]
-                choice_sets.append([x for x in levels if lo <= x <= hi])
-            else:
-                choice_sets.append([hi if hi is not None else lo])
-        for point_vals in itertools.product(*choice_sets):
-            pieces = []
-            for k in range(len(pts)):
-                pieces.append(point_vals[k])
-                if k < ngaps:
-                    pieces.append(gaps[k])
-            out.append(pieces)
+    for chosen in itertools.combinations_with_replacement(levels, len(atoms)):
+        pieces, level, at_atoms = [], levels[0], iter(chosen)
+        for p in points:
+            if p in atoms:
+                level = next(at_atoms)
+            pieces += (level, level)
+        out.append(pieces[:-1])
     return out
 
 
 def grid_candidates(market: Market, grid: OracleGrid) -> tuple[list[list], int]:
-    """The grid's class representatives on ``market`` and its K^T profiles, after the size caps.
+    """The grid's lowered candidates on ``market`` and its full K^T profiles, after the size caps.
 
     Raises :class:`InstanceTooLarge` when the market has too many periods or
-    atoms, or the K^T candidate profiles exceed the cap; callers that would
-    do other work before the search check here first. A candidate is a
-    non-decreasing choice of levels on its f free pieces (every gap and
-    every atom's point; other points are pinned), so L levels give
-    K = C(L + f - 1, f), counted before anything is built. Only one
-    candidate per class is built (:func:`_period_candidates`); the full
-    grid's K candidates never are.
+    atoms, or the full grid's K^T candidate profiles exceed the cap; callers
+    that would do other work before the search check here first. A
+    candidate of the full grid is a non-decreasing choice of levels on its
+    f free pieces (every gap and every atom's point; other points are
+    pinned), so L levels give K = C(L + f - 1, f), counted before anything
+    is built. Only the lowered candidates are built
+    (:func:`_period_candidates`), C(L + n - 1, n) of them for n atoms; the
+    full grid's K never are.
     """
     if market.T > _MAX_PERIODS:
         raise InstanceTooLarge(f"T={market.T} beyond oracle cap {_MAX_PERIODS}")
@@ -187,50 +190,25 @@ def grid_candidates(market: Market, grid: OracleGrid) -> tuple[list[list], int]:
     return _period_candidates(market, levels), total
 
 
-def _scored_chunks(market: Market, candidates: list[list]):
-    """Yield ``(first, revenue, used)`` over every candidate profile of a float market.
+def _grid_scores(market: Market, candidates: list[list]) -> tuple:
+    """Flat float revenue and usage of every profile of ``candidates``, in arrays of their own.
 
-    ``first`` is the flat id of the chunk's first profile; ``revenue`` and
-    ``used`` hold one value per profile, in canonical order, in arrays that
-    nothing else holds, so the caller may write into them. Period t of
-    profile ``id`` is ``candidates[(id // K**(T-1-t)) % K]``.
-
-    Every period gets one numpy axis, so the recursion of period t runs
-    once per combination of periods t..T-1 that the chunk needs, not once
-    per profile. Periods 1..T-1 hold all K candidates, and each chunk takes
-    a slice of ``_CHUNK // K**(T-1)`` of period 0's, at least one, so no
-    column exceeds ``_CHUNK`` values while the caps keep K**(T-1) within
-    ``_CHUNK``.
+    Profile ``id`` takes period t's rule from
+    ``candidates[(id // K**(T-1-t)) % K]``, so the ids run in canonical
+    order. Each period's candidates lie on that period's own numpy axis,
+    and the whole grid is one :func:`~dynration.evaluate.formula_layer`
+    batch. A sum of the full shape is the batch's own array, flattened as a
+    view; one of a smaller shape (a market without atoms sums to scalars)
+    is broadcast and copied. Either way the caller may write into them.
     """
     import numpy as np
 
-    K = len(candidates)
-    T = market.T
-    partition = Partition(market.atoms)
+    K, T = len(candidates), market.T
     columns = np.array([[float(x) for x in row] for row in candidates]).T  # (pieces, K)
-    inner = K ** (T - 1)
-    step = max(1, _CHUNK // inner)
-    # candidate axes after the piece axis: period 0's slice, then periods 1..T-1
-    tail = [columns.reshape((-1,) + tuple(K if a == t else 1 for a in range(T))) for t in range(1, T)]
-    for lo in range(0, K, step):
-        head = columns[:, lo : lo + step]
-        # no name here holds a chunk's scores or tables past its yield
-        yield (lo * inner, *_chunk_scores(market, partition, [head.reshape(head.shape + (1,) * (T - 1))] + tail))
-
-
-def _chunk_scores(market: Market, partition: Partition, R) -> tuple:
-    """Flat revenue and usage of one chunk's rows ``R``, arrays of their own.
-
-    The chunk's other tables go when this returns. A sum of the full shape
-    is the batch's own array, flattened as a view; one of a smaller shape
-    (a market without atoms sums to scalars) is broadcast and copied.
-    """
-    import numpy as np
-
-    batch = formula_layer(market, partition, R)
-    shape = np.broadcast_shapes(*(row.shape[1:] for row in R))
+    R = [columns.reshape((-1,) + tuple(K if a == t else 1 for a in range(T))) for t in range(T)]
+    batch = formula_layer(market, Partition(market.atoms), R)
     return tuple(
-        x.reshape(-1) if np.shape(x) == shape else np.broadcast_to(x, shape).flatten()
+        x.reshape(-1) if np.shape(x) == (K,) * T else np.broadcast_to(x, (K,) * T).flatten()
         for x in (batch.revenue, batch.inventory_used)
     )
 
@@ -277,12 +255,13 @@ def brute_force_optimal(market: Market, grid: OracleGrid | None = None) -> Oracl
     """Exact maximum of revenue over the grid, subject to the inventory cap.
 
     ``candidates`` in the result counts the grid's K^T profiles; only the
-    profiles of class representatives are scored, which returns the same
-    first maximizer. In rational mode the exact re-evaluation pool is the
-    first ``_POOL`` representative profiles within 1e-9 of the float best,
-    each evaluated as rows (:func:`~dynration.evaluate.evaluate_rows`);
-    when none of them is within the exact inventory, the search runs again
-    without them. Only the winner becomes step functions.
+    lowered profiles are scored, all in one batch (:func:`_grid_scores`),
+    which returns the same first maximizer (module docstring). In rational
+    mode the exact re-evaluation pool is the first ``_POOL`` of them within
+    1e-9 of the float best, each evaluated as rows
+    (:func:`~dynration.evaluate.evaluate_rows`); when none of them is
+    within the exact inventory, they are masked in the scores and the pool
+    is drawn again. Only the winner becomes step functions.
     A rational market is searched on a float copy (:func:`_search_market`),
     so one that the copy cannot bring in the float range raises
     :class:`~dynration.market.MarketError` (``BeyondFloatRange``).
@@ -291,78 +270,45 @@ def brute_force_optimal(market: Market, grid: OracleGrid | None = None) -> Oracl
 
     grid = grid or OracleGrid()
     candidates, total = grid_candidates(market, grid)
-    K = len(candidates)
-    T = market.T
+    K, T = len(candidates), market.T
 
     # the search runs in float: Fraction times an ndarray makes slow object arrays
     search = market if market.mode == FLOAT else _search_market(market)
-    inv = search.inventory
-    exact = market.mode == RATIONAL
-    ftol = 1e-9
+    revenue, used = _grid_scores(search, candidates)
+    if search.inventory is not None:
+        revenue[~(used <= search.inventory + 1e-9)] = -np.inf
+    del used
 
     # the market's own partition: the search's may hold float copies of its atoms
     part = Partition(market.atoms)
     strides = [K ** (T - 1 - t) for t in range(T)]
 
-    def rebuild(flat: int) -> AllocationProfile:
-        return AllocationProfile(tuple(StepFunction.from_values(part, candidates[(flat // s) % K]) for s in strides))
+    def rows(flat: int) -> list:
+        return [candidates[(flat // s) % K] for s in strides]
 
-    skipped = np.zeros(0, dtype=np.int64)  # pooled ids beyond the exact inventory
+    def rebuild(flat: int) -> AllocationProfile:
+        return AllocationProfile(tuple(StepFunction.from_values(part, row) for row in rows(flat)))
+
     while True:
-        # rational mode: per chunk, the ids and revenues within 1e-9 of the
-        # running best, a superset of those within 1e-9 of the final best.
-        # An entry with _POOL earlier kept entries of no lower revenue is
-        # never among the first _POOL of those, so it is dropped; ``heap``
-        # is a min-heap of the _POOL largest kept revenues.
-        best_rev, best_id, near, heap = -np.inf, None, [], []
-        for first, revenue, used in _scored_chunks(search, candidates):
-            if inv is not None:
-                feasible = used <= inv + ftol
-                feasible[skipped[(skipped >= first) & (skipped < first + len(used))] - first] = False
-                if not feasible.any():
-                    continue
-                revenue[~feasible] = -np.inf  # the chunk's own column (_chunk_scores)
-            top = int(np.argmax(revenue))
-            if revenue[top] > best_rev:
-                best_rev = revenue[top]
-                best_id = first + top
-            if exact:
-                keep = np.flatnonzero(revenue >= best_rev - 1e-9)
-                if len(heap) == _POOL:
-                    keep = keep[revenue[keep] > heap[0]]
-                kept = []
-                for k, r in zip(keep.tolist(), revenue[keep].tolist()):
-                    if len(heap) < _POOL:
-                        heapq.heappush(heap, r)
-                    elif r > heap[0]:
-                        heapq.heapreplace(heap, r)
-                    else:
-                        continue
-                    kept.append(k)
-                kept = np.array(kept, dtype=np.int64)
-                near.append((first + kept, revenue[kept]))
-        if best_id is None:
+        top = int(np.argmax(revenue))
+        if revenue[top] == -np.inf:
             raise AssertionError("no feasible profile; the zero profile is always feasible")
-        if not exact:
-            profile = rebuild(best_id)
+        if market.mode == FLOAT:
+            profile = rebuild(top)
             return OracleResult(evaluate(market, profile).revenue, profile, total)
 
         # exact re-evaluation of the float near-ties keeps the result exact:
-        # the first _POOL, in canonical order, within 1e-9 of the final best
-        ids = np.concatenate([i for i, _ in near])
-        revs = np.concatenate([r for _, r in near])
-        pool = ids[revs >= best_rev - 1e-9][:_POOL]
-        best_exact = None
+        # the first _POOL, in canonical order, within 1e-9 of the best
+        pool = np.flatnonzero(revenue >= revenue[top] - 1e-9)[:_POOL]
+        best = None
         for flat in pool.tolist():
-            ev = evaluate_rows(market, part, [candidates[(flat // s) % K] for s in strides])
-            if not market.unbounded and ev.inventory_used > market.inventory:
-                continue
-            if best_exact is None or ev.revenue > best_exact[0]:
-                best_exact = (ev.revenue, flat)
-        if best_exact is not None:
-            return OracleResult(best_exact[0], rebuild(best_exact[1]), total)
+            ev = evaluate_rows(market, part, rows(flat))
+            if (market.unbounded or ev.inventory_used <= market.inventory) and (best is None or ev.revenue > best[0]):
+                best = (ev.revenue, flat)
+        if best is not None:
+            return OracleResult(best[0], rebuild(best[1]), total)
         # every near-tie is feasible within the float tolerance only
-        skipped = np.concatenate([skipped, pool])
+        revenue[pool] = -np.inf
 
 
 def static_monopoly(pairs):

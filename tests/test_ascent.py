@@ -62,7 +62,7 @@ def test_three_atom_posted_price():
     strict=True,
     reason=(
         "the zero and ones starts both stop at 1: moving the sale from t = 1 to t = 2 "
-        "changes both periods at once (fix: ROADMAP item 4's posted warm starts)"
+        "changes both periods at once (fix: ROADMAP item 1's two-period escapes and item 3's posted starts)"
     ),
 )
 def test_ascent_leaves_the_sale_to_the_period_that_pays_more():
@@ -229,6 +229,42 @@ def test_coordinate_tails_match_the_probes_where_they_skip_arithmetic():
             base_revenue, base_used, tails = coordinate_tails(cur, t)
             want = _probed_lp(m, part, rows, t)
             assert spelled([(base_revenue, base_used), *tails]) == spelled([want["base"], *want["tails"]])
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_a_tail_from_a_gap_or_an_atomless_point_never_beats_the_next_tail(mode):
+    # a gap holds no mass, so raising a rule there only adds information
+    # rent: its revenue coefficient is <= 0 and its usage coefficient 0,
+    # and an atomless point's are both 0 (ROADMAP item 5). The grid oracle
+    # builds only the candidates with every gap at the level of the point
+    # below it on the strength of this. Exact in rational mode, within the
+    # held-out check's tolerance in float
+    rng = random.Random(3105)
+    kind = F if mode == RATIONAL else float
+    levels = [F(k, 8) for k in range(9)]
+    seen = dict.fromkeys(("general lambda", "tied delta", "bounded", "unbounded", "gap below", "atomless point"), False)
+    for k in range(150):
+        m = _oracle_market(rng, mode, unbounded=k % 2 == 0)
+        extra = {kind(F(rng.randint(1, 23), 24)) for _ in range(rng.randint(0, 2))}
+        part = Partition([*m.atoms, *extra])
+        rows = [tuple(sorted(kind(rng.choice(levels)) for _ in range(part.npieces))) for _ in range(m.T)]
+        cur = evaluate_rows(m, part, rows)
+        d = m.discounts
+        seen["general lambda"] |= set(d.lambda_s + d.lambda_b) != {1}
+        seen["tied delta"] |= len(set(d.delta)) < m.T
+        seen["bounded" if k % 2 else "unbounded"] = True
+        for t in range(m.T):
+            tails = build_coordinate_lp(cur, t).tails
+            for f, (rev, used) in enumerate(tails):
+                next_rev, next_used = tails[f + 1] if f + 1 < len(tails) else (0, 0)
+                tol = 0 if mode == RATIONAL else 1e-8 * max(1, abs(rev), abs(next_rev))
+                if f % 2:
+                    assert rev <= next_rev + tol and used == next_used, (m, t, f)
+                    seen["gap below"] |= rev < next_rev - tol
+                elif part.points[f // 2] not in m.atoms:
+                    assert abs(rev - next_rev) <= tol and used == next_used, (m, t, f)
+                    seen["atomless point"] = True
     assert all(seen.values()), seen
 
 

@@ -168,13 +168,15 @@ def test_oracle_command(market_files, tmp_path, capsys):
     assert (tmp_path / "ex_ration.oracle.profile.json").exists()
 
 
-@pytest.mark.parametrize("levels", ["", "0,,1", "1", "0,2,1"])
+@pytest.mark.parametrize("levels", ["", "0,,1", "1", "0,2,1", "0,x,1"])
 def test_oracle_bad_level_grid_exits_2(market_files, tmp_path, capsys, levels):
     _, twogen = market_files
     code = main(["oracle", str(twogen), "--out", str(tmp_path), "--levels", levels])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    # like every other bad number, a bad level says where it is
+    where = {"": "levels[0]: bad numeric literal", "0,,1": "levels[1]: ", "0,x,1": "levels[1]: bad numeric literal: 'x'"}
+    assert captured.err.startswith("error: " + where.get(levels, "")) and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err and not captured.out
 
 

@@ -1,5 +1,5 @@
-import heapq
 import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction as F
@@ -218,27 +218,57 @@ def test_counted_grid_size_is_the_built_one(monkeypatch, mode):
 
 @pytest.mark.parametrize("mode", [FLOAT, RATIONAL])
 def test_built_candidates_are_the_first_of_each_class(monkeypatch, mode):
-    # only representatives are built: each class's first member of the
-    # full grid, in order, next to the full grid's K^T
+    # a class is the full grid's candidates with the same values at the
+    # atom points; only its first member, the one with every gap at the
+    # level of the point below it, is built, in order, next to the full
+    # grid's K^T
     monkeypatch.setattr(oracle, "_MAX_CANDIDATES", float("inf"))
     for m in [*_kernel_markets(mode), *_edge_markets(mode)]:
+        pieces = [Partition(m.atoms).piece_of_point(a) for a in m.atoms]
         for L in (2, 3, 4, 5):
             grid = OracleGrid(levels=tuple(f"{k}/{L - 1}" for k in range(L)))
+            levels = grid.level_values(m.mode)
             full = _full_grid(m, grid)
-            reps, _ = _representatives(m, full)
-            assert grid_candidates(m, grid) == (reps, len(full) ** m.T), (m, L)
+            lowered = [row for row in full if _gaps_at_the_level_below(m, levels, row)]
+            first = {}
+            for row in full:
+                first.setdefault(tuple(row[k] for k in pieces), row)
+            assert list(first.values()) == lowered
+            assert len(lowered) == math.comb(L + m.num_atoms - 1, m.num_atoms)
+            assert grid_candidates(m, grid) == (lowered, len(full) ** m.T), (m, L)
 
 
-def test_caps_keep_later_periods_within_one_chunk():
-    # _scored_chunks slices period 0 only, so periods 1..T-1 of the largest
-    # grid the caps admit must fit in one chunk
+def test_caps_admit_at_most_53361_scored_profiles():
+    # the caps bound the full grid; the one batch the search scores holds
+    # the lowered candidates' profiles, at most 231^2 (T = 2, atoms at 0
+    # and 1, 21 levels). The scored count grows with L, so the largest L
+    # the caps admit is found by bisection on each market's shape
+    def admitted(m, L):
+        try:
+            candidates, _ = grid_candidates(m, OracleGrid(levels=tuple(f"{k}/{L - 1}" for k in range(L))))
+        except InstanceTooLarge:
+            return None
+        return len(candidates) ** m.T
+
+    worst = {}
     for T in range(1, oracle._MAX_PERIODS + 1):
-        K = round(oracle._MAX_CANDIDATES ** (1 / T))
-        while K**T > oracle._MAX_CANDIDATES:
-            K -= 1
-        while (K + 1) ** T <= oracle._MAX_CANDIDATES:
-            K += 1
-        assert K ** (T - 1) <= oracle._CHUNK, (T, K)
+        for n in range(1, oracle._MAX_ATOMS + 1):
+            inner = [F(k, 8) for k in range(1, n + 1)]
+            for ends in ((), (0,), (1,), (0, 1)):
+                if len(ends) > n:
+                    continue
+                atoms = sorted({*ends, *inner[: n - len(ends)]})
+                m = make_market(T=T, atoms=atoms, mass=[[1] * n] * T)
+                lo, hi = 2, 4
+                while admitted(m, hi) is not None:
+                    lo, hi = hi, 2 * hi
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    lo, hi = (mid, hi) if admitted(m, mid) is not None else (lo, mid)
+                worst[T, n, tuple(ends)] = (admitted(m, lo), lo)
+        # a market without atoms builds the zero row alone, at any L
+        assert admitted(make_market(T=T, atoms=[], mass=[[]] * T), 40) == 1
+    assert max(worst.values()) == (53361, 21) == worst[2, 2, (0, 1)], worst
 
 
 def test_oracle_deterministic(ration_market):
@@ -255,35 +285,25 @@ def test_float_mode_matches_rational(ration_market):
     assert abs(got.revenue - 7 / 6) < 1e-9
 
 
-def _flat_search(market, candidates):
+def _flat_search(market, candidates, gather=1 << 15):
     """Reference search: every profile's float revenue and usage, flat.
 
-    Each chunk of flat ids gathers period t's column of every profile,
-    ``columns[:, (ids // K**(T-1-t)) % K]``, so the recursion runs once per
-    profile and period, with no sharing between profiles.
+    The flat ids are taken ``gather`` at a time, and each batch gathers
+    period t's column of every profile, ``columns[:, (ids // K**(T-1-t)) % K]``,
+    so the recursion runs once per profile and period, with no sharing
+    between profiles.
     """
     K, T = len(candidates), market.T
     total = K**T
     columns = np.array([[float(x) for x in row] for row in candidates]).T
     strides = [K ** (T - 1 - t) for t in range(T)]
     revenue, used = [], []
-    for lo in range(0, total, 1 << 15):
-        ids = np.arange(lo, min(lo + (1 << 15), total))
+    for lo in range(0, total, gather):
+        ids = np.arange(lo, min(lo + gather, total))
         R = [columns[:, (ids // s) % K] for s in strides]
         batch = formula_layer(market, Partition(market.atoms), R)
         revenue.append(np.broadcast_to(batch.revenue, ids.shape))
         used.append(np.broadcast_to(batch.inventory_used, ids.shape))
-    return np.concatenate(revenue), np.concatenate(used)
-
-
-def _kernel_search(market, candidates):
-    revenue, used, nxt = [], [], 0
-    for first, rev, use in oracle._scored_chunks(market, candidates):
-        assert first == nxt and rev.shape == use.shape
-        nxt += len(rev)
-        revenue.append(rev)
-        used.append(use)
-    assert nxt == len(candidates) ** market.T
     return np.concatenate(revenue), np.concatenate(used)
 
 
@@ -358,22 +378,21 @@ def _full_grid(market, grid):
     return _full_candidates(market, grid.level_values(market.mode))
 
 
-def _representatives(market, candidates):
-    """``(reps, rep_of)``: each class's first candidate, and each candidate's class.
+def _gaps_at_the_level_below(market, levels, row):
+    """Whether every gap of ``row`` is at the level of the point below it,
+    and every piece below the first atom at the lowest level."""
+    first = Partition(market.atoms).piece_of_point(market.atoms[0]) if market.atoms else len(row)
+    return set(row[:first]) <= {levels[0]} and all(row[k] == row[k - 1] for k in range(1, len(row), 2))
 
-    A class is the candidates that agree on every piece up to and including
-    the top atom's point; ``rep_of[k]`` indexes candidate k's class in ``reps``.
-    """
-    cut = 0
-    if market.atoms:
-        cut = 2 * sum(p <= max(market.atoms) for p in Partition(market.atoms).points) - 1
-    index, reps = {}, []
-    for row in candidates:
-        key = tuple(row[:cut])
-        if key not in index:
-            index[key] = len(reps)
-            reps.append(row)
-    return reps, [index[tuple(row[:cut])] for row in candidates]
+
+def _lowered(market, levels, row):
+    """``row`` with every gap and atomless point at the level of the atom
+    point below it, or at the lowest level below the first atom."""
+    atoms, level, out = set(market.atoms), levels[0], list(row)
+    for k, p in enumerate(Partition(market.atoms).points):
+        level = row[2 * k] if p in atoms else level
+        out[2 * k : 2 * k + 2] = [level] * len(out[2 * k : 2 * k + 2])
+    return out
 
 
 def _small_grid(market):
@@ -381,35 +400,40 @@ def _small_grid(market):
     return OracleGrid(levels=levels)
 
 
-@pytest.mark.parametrize("chunk", [1 << 15, 3, 7, 200])
-def test_broadcast_kernel_matches_flat_gather(monkeypatch, chunk):
-    monkeypatch.setattr(oracle, "_CHUNK", chunk)
+@pytest.mark.parametrize("gather", [1 << 15, 3, 7, 200])
+def test_broadcast_kernel_matches_flat_gather(gather):
+    # the one batch, each period on its own axis, scores every profile as
+    # a gather of its own rows does, with any number of profiles per
+    # gather: a profile's floats do not depend on what shares its batch
     seen = set()
     for m in _kernel_markets():
         candidates = _full_grid(m, _small_grid(m))
-        if chunk < 1 << 15 and len(candidates) ** m.T > 1300:
+        if gather < 1 << 15 and len(candidates) ** m.T > 1300:
             continue
         seen.add((m.T, m.num_atoms))
-        want = _flat_search(m, candidates)
-        got = _kernel_search(m, candidates)
+        want = _flat_search(m, candidates, gather)
+        got = oracle._grid_scores(m, candidates)
+        assert not np.shares_memory(*got)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype
             assert g.dtype == np.float64 or not m.num_atoms
-            assert np.array_equal(g, w), (m, chunk)
+            assert g.flags.writeable and g.flags.c_contiguous
+            assert np.array_equal(g, w), (m, gather)
     assert {(T, n) for T in (1, 2, 3) for n in (0, 1)} <= seen
 
 
-@pytest.mark.parametrize("chunk", [1 << 15, 5, 64])
-def test_ties_return_the_first_profile_in_canonical_order(monkeypatch, chunk):
-    # the point value at a massless atom changes nothing, so ties are many
-    monkeypatch.setattr(oracle, "_CHUNK", chunk)
+@pytest.mark.parametrize("gather", [1 << 15, 5, 64])
+def test_ties_return_the_first_profile_in_canonical_order(gather):
+    # the point value at a massless atom changes nothing, so ties are many;
+    # the first maximizer is the same however many profiles the reference
+    # gathers at once, and it is the oracle's result
     for inventory in (None, 1):
         m = make_market(
             T=2, atoms=["1/3", "2/3", 1], mass=[[1, 0, 1], [0, 0, 1]], inventory=inventory, mode=FLOAT
         )
         grid = OracleGrid(levels=("0", "1/2", "1"))
         candidates = _full_grid(m, grid)
-        revenue, used = _flat_search(m, candidates)
+        revenue, used = _flat_search(m, candidates, gather)
         if inventory is not None:
             revenue = np.where(used <= inventory + 1e-9, revenue, -np.inf)
         first = int(np.argmax(revenue))
@@ -430,27 +454,27 @@ def _edge_markets(mode):
 
 
 @pytest.mark.parametrize("mode", [FLOAT, RATIONAL])
-def test_oracle_matches_the_full_grid(monkeypatch, mode):
-    # scoring one candidate per class returns the full grid's first
-    # feasible maximizer, and every profile scores as its representatives do
+def test_oracle_matches_the_full_grid(mode):
+    # scoring the lowered candidates returns the full grid's first feasible
+    # maximizer: every profile of the full grid scores no more than its
+    # lowered version and uses the same inventory, exactly in rational mode
     for m in [*_kernel_markets(mode), *_edge_markets(mode)]:
         grid = _small_grid(m)
+        levels = grid.level_values(m.mode)
         candidates = _full_grid(m, grid)
         K, T = len(candidates), m.T
         total = K**T
         if mode == RATIONAL and total > 1300:
             continue
-        search = _float_copy(m)
-        revenue, used = _flat_search(search, candidates)
-
-        reps, rep_of = _representatives(m, candidates)
-        rep_revenue, rep_used = _flat_search(search, reps)
+        built, _ = grid_candidates(m, grid)
+        low_of = np.array([built.index(_lowered(m, levels, row)) for row in candidates])
         ids = np.arange(total)
-        rep_ids = sum(np.array(rep_of)[(ids // K ** (T - 1 - t)) % K] * len(reps) ** (T - 1 - t) for t in range(T))
-        assert np.array_equal(revenue, rep_revenue[rep_ids]), m
-        assert np.array_equal(used, rep_used[rep_ids]), m
-
+        low_ids = sum(low_of[(ids // K ** (T - 1 - t)) % K] * len(built) ** (T - 1 - t) for t in range(T))
         if mode == FLOAT:
+            revenue, used = _flat_search(m, candidates)
+            low_revenue, low_used = _flat_search(m, built)
+            assert np.all(revenue <= low_revenue[low_ids] + 1e-12 * np.maximum(1, np.abs(revenue))), m
+            assert np.array_equal(used, low_used[low_ids]), m
             if m.inventory is not None:
                 revenue = np.where(used <= m.inventory + 1e-9, revenue, -np.inf)
             want = _profile(m, candidates, int(np.argmax(revenue)))
@@ -458,17 +482,16 @@ def test_oracle_matches_the_full_grid(monkeypatch, mode):
         else:
             # the exact maximum over every profile of the full grid
             part, best = Partition(m.atoms), None
+            low = [formula_layer(m, part, _rows(m, built, flat)) for flat in range(len(built) ** T)]
             for flat in range(total):
-                ev = formula_layer(m, part, [candidates[(flat // K ** (T - 1 - t)) % K] for t in range(T)])
+                ev = formula_layer(m, part, _rows(m, candidates, flat))
+                ev_low = low[low_ids[flat]]
+                assert ev.revenue <= ev_low.revenue and ev.inventory_used == ev_low.inventory_used, m
                 if (m.unbounded or ev.inventory_used <= m.inventory) and (best is None or ev.revenue > best[0]):
                     best = (ev.revenue, flat)
             want_revenue, want = best[0], _profile(m, candidates, best[1])
-        for chunk in (1 << 15, 7, 200):
-            if chunk < 1 << 15 and total > 1300:
-                continue
-            monkeypatch.setattr(oracle, "_CHUNK", chunk)
-            res = brute_force_optimal(m, grid)
-            assert (res.revenue, res.profile, res.candidates) == (want_revenue, want, total), (m, chunk)
+        res = brute_force_optimal(m, grid)
+        assert (res.revenue, res.profile, res.candidates) == (want_revenue, want, total), m
 
 
 def _exact_pool(monkeypatch, market, grid=None):
@@ -485,67 +508,55 @@ def _exact_pool(monkeypatch, market, grid=None):
     return pool, brute_force_optimal(market, grid)
 
 
-def test_near_tie_pool_does_not_depend_on_chunk_boundaries(monkeypatch):
-    rng = random.Random(5)
-    markets = [
-        # float near-ties of one exact optimum, spread over many chunks
-        make_market(T=2, atoms=["1/12", "5/12"], mass=[["1/2", "1/4"], ["1/2", "3/4"]]),
-        make_market(T=3, atoms=["5/6"], mass=[["3/4"]] * 3, delta=["5/6"] * 3),
-        make_market(
-            T=2, atoms=["7/12", "2/3"], mass=[["1/2", "1/2"], ["1/4", 1]], inventory="9/16", delta=["11/12"] * 2
-        ),
-    ]
-    markets += [random_market(rng, max_periods=3, max_atoms=2, general_lambda=k % 2 == 1) for k in range(4)]
-    grid = OracleGrid(levels=("0", "1/3", "2/3", "1"))
-    for m in markets:
-        K = len(_full_grid(m, grid))
-        runs = []
-        for chunk in (1 << 15, K ** (m.T - 1), K - 1, 3 * K + 1):
-            monkeypatch.setattr(oracle, "_CHUNK", chunk)
-            runs.append(_exact_pool(monkeypatch, m, grid))
-        pool, res = runs[0]
-        assert pool
-        for other_pool, other in runs[1:]:
-            assert other_pool == pool
-            assert (other.revenue, other.profile, other.candidates) == (
-                res.revenue, res.profile, res.candidates
-            )
+def _scored(monkeypatch):
+    """The candidate lists that searches score, one per scoring of a grid."""
+    scored, grid_scores = [], oracle._grid_scores
+    monkeypatch.setattr(oracle, "_grid_scores", lambda m, c: scored.append(c) or grid_scores(m, c))
+    return scored
+
+
+def _near_ties(market, candidates, size=512):
+    """Flat ids of the first ``size`` feasible profiles within 1e-9 of the
+    float best, with every feasible profile's float revenue."""
+    search = _float_copy(market)
+    revenue, used = _flat_search(search, candidates)
+    if not market.unbounded:
+        revenue = np.where(used <= search.inventory + 1e-9, revenue, -np.inf)
+    return np.flatnonzero(revenue >= revenue.max() - 1e-9)[:size], revenue
 
 
 def test_near_tie_pool_is_every_candidate_near_the_final_best(monkeypatch):
-    # a later chunk's best beats an earlier one by less than 1e-9; the
-    # earlier near-ties stay in the pool, and the first exact optimum wins
+    # a later profile's float score beats earlier ones by less than 1e-9;
+    # the earlier near-ties stay in the pool, and the first exact optimum wins
     m = make_market(
         T=3,
         atoms=["7/12", "2/3"],
         mass=[["3/4", 1], ["3/4", 0], [1, "1/4"]],
         delta=["11/12", "11/12", "2/3"],
     )
-    # the pool holds the first 512 representative profiles near the best
-    reps, _ = _representatives(m, _full_grid(m, OracleGrid()))
-    revenue, _ = _flat_search(_float_copy(m), reps)
-    ids = np.flatnonzero(revenue >= revenue.max() - 1e-9)[:512]
+    # the pool holds the first 512 lowered profiles near the best
+    built, _ = grid_candidates(m, OracleGrid())
+    ids, revenue = _near_ties(m, built)
+    assert revenue[ids[0]] < revenue.max()
+    scored = _scored(monkeypatch)
     pool, res = _exact_pool(monkeypatch, m)
-    assert pool == [_rows(m, reps, int(i)) for i in ids]
+    assert pool == [_rows(m, built, int(i)) for i in ids] and len(scored) == 1
     assert res.revenue == F(175, 96)
     sell = StepFunction.step(F(7, 12))
     assert res.profile == AllocationProfile((StepFunction.zero(), sell, sell))
 
 
 def test_a_full_pool_keeps_the_first_near_ties(monkeypatch):
-    # with a pool of 2 or 3, the search keeps the first _POOL representative
+    # with a pool of 2 or 3, the search keeps the first _POOL lowered
     # profiles within 1e-9 of the float best and returns the first exact
     # maximizer among them. Period 0 brings no buyers, so its rule is
     # irrelevant and every profile ties with K - 1 others exactly; period
     # 1's masses lie far below 1e-9, so its rules make distinct float
-    # near-ties, and a later, higher one replaces the lowest kept one
+    # near-ties, more than _POOL of them, and a later one outscores some
+    # pooled ones: the pool keeps order, not the highest scores
     rng = random.Random(2302)
-    replaced = []
-    heapreplace = heapq.heapreplace
-    monkeypatch.setattr(heapq, "heapreplace", lambda heap, x: (replaced.append(x), heapreplace(heap, x))[1])
-    monkeypatch.setattr(oracle, "_CHUNK", 8)
     grid = OracleGrid(levels=("0", "1/2", "1"))
-    markets_replacing = 0
+    later_higher = 0
     for _ in range(10):
         size = rng.choice((2, 3))
         monkeypatch.setattr(oracle, "_POOL", size)
@@ -553,98 +564,102 @@ def test_a_full_pool_keeps_the_first_near_ties(monkeypatch):
         atoms = sorted(rng.sample([F(k, 4) for k in range(1, 5)], 2))
         mass = [[0, 0], [eps * rng.randint(1, 3) for _ in atoms], [F(rng.randint(1, 4), 4) for _ in atoms]]
         m = make_market(T=3, atoms=atoms, mass=mass, inventory=rng.choice([None, sum(map(sum, mass)) / 2]))
-        reps, _ = _representatives(m, _full_grid(m, grid))
-        search = _float_copy(m)
-        revenue, used = _flat_search(search, reps)
-        if not m.unbounded:
-            revenue = np.where(used <= search.inventory + 1e-9, revenue, -np.inf)
-        want_ids = np.flatnonzero(revenue >= revenue.max() - 1e-9)[:size]
-        want_pool = [_rows(m, reps, int(i)) for i in want_ids]
+        built, _ = grid_candidates(m, grid)
+        all_ids, revenue = _near_ties(m, built, size=None)
+        want_ids = all_ids[:size]
+        assert len(all_ids) > size
+        later_higher += revenue[all_ids[size:]].max() > revenue[want_ids].min()
+        want_pool = [_rows(m, built, int(i)) for i in want_ids]
         want = None
         for i in want_ids:
-            profile = _profile(m, reps, int(i))
+            profile = _profile(m, built, int(i))
             ev = evaluate(m, profile)
             if (m.unbounded or ev.inventory_used <= m.inventory) and (want is None or ev.revenue > want[0]):
                 want = (ev.revenue, profile)
-        before = len(replaced)
         pool, res = _exact_pool(monkeypatch, m, grid)
         assert pool == want_pool and (res.revenue, res.profile) == want
-        markets_replacing += len(replaced) > before
-    assert markets_replacing >= 3
+    assert later_higher >= 3
 
 
-@pytest.mark.parametrize("mass, retried", [
-    ([[1, "1/2"], [0, "1/4"]], True),
-    ([["1/2", 1], [0, F(1, 10**11)]], False),
-], ids=["every-near-tie-beyond", "a-near-tie-within"])
-def test_a_pooled_profile_beyond_the_exact_inventory_is_skipped(monkeypatch, mass, retried):
+@pytest.mark.parametrize("atoms, mass, retried", [
+    (["1/2", 1], [[1, "1/2"], [0, "1/4"]], True),
+    (["1/2", 1], [["1/2", 1], [0, F(1, 10**11)]], False),
+    # the massless atom at 3/4 makes exact ties, so a pool beyond the
+    # inventory can hold more than one profile
+    (["1/2", "3/4", 1], [[1, 0, "1/2"], [0, 0, "1/4"]], True),
+], ids=["every-near-tie-beyond", "a-near-tie-within", "tied-near-ties-beyond"])
+def test_a_pooled_profile_beyond_the_exact_inventory_is_skipped(monkeypatch, atoms, mass, retried):
     # the inventory lies 1e-12 below the exact usage of the unbounded
     # optimum, so the float search, within its 1e-9, keeps that profile as
     # its best; the exact pass skips it. A near-tie that serves a mass of
-    # 1e-11 less is within the inventory; with none such, the search runs
-    # again without the pooled profiles. Either way the result is the exact
-    # first maximizer of the grid within the inventory
-    atoms, grid = ["1/2", 1], OracleGrid(levels=("0", "1/2", "1"))
+    # 1e-11 less is within the inventory; with none such, the search masks
+    # the pooled profiles in its one scored grid and pools again. Either
+    # way the result is the exact first maximizer of the grid within the
+    # inventory
+    grid = OracleGrid(levels=("0", "1/2", "1"))
     unbounded = make_market(T=2, atoms=atoms, mass=mass)
     free = brute_force_optimal(unbounded, grid)
     m = make_market(T=2, atoms=atoms, mass=mass, inventory=evaluate(unbounded, free.profile).inventory_used - F(1, 10**12))
-    evaluated, searches = [], []  # searches[k]: rows evaluated before search k
-    scored_chunks = oracle._scored_chunks
-    monkeypatch.setattr(oracle, "_scored_chunks", lambda *args: searches.append(len(evaluated)) or scored_chunks(*args))
+    evaluated = []
+    scored = _scored(monkeypatch)
     monkeypatch.setattr(oracle, "evaluate_rows", lambda *args: evaluated.append(args[2]) or evaluate_rows(*args))
     res = brute_force_optimal(m, grid)
-    pool = evaluated[:searches[1]] if retried else evaluated
+    built, _ = grid_candidates(m, grid)
+    ids, _ = _near_ties(m, built)
+    pool = [_rows(m, built, int(i)) for i in ids]
+    assert evaluated[: len(pool)] == pool and (len(evaluated) > len(pool)) == retried
+    # the retry masks the pooled profiles in the one scored grid
+    assert len(scored) == 1 and len({repr(rows) for rows in evaluated}) == len(evaluated)
     part = Partition(m.atoms)
     within = [evaluate_rows(m, part, rows).inventory_used <= m.inventory for rows in pool]
     free_rows = [part.values(f) for f in free.profile]
     assert free_rows in pool and not within[pool.index(free_rows)]
-    assert any(within) != retried and (len(searches) > 1) == retried
-    reps, _ = _representatives(m, _full_grid(m, grid))
+    assert any(within) != retried
     want = None
-    for flat in range(len(reps) ** m.T):
-        ev = evaluate(m, _profile(m, reps, flat))
+    for flat in range(len(built) ** m.T):
+        ev = evaluate(m, _profile(m, built, flat))
         if ev.inventory_used <= m.inventory and (want is None or ev.revenue > want[0]):
-            want = (ev.revenue, _profile(m, reps, flat))
+            want = (ev.revenue, _profile(m, built, flat))
     assert (res.revenue, res.profile) == want and want[0] < free.revenue
 
 
 def test_a_search_that_finds_no_feasible_profile_fails_its_cross_check(monkeypatch, ration_market):
-    # the zero profile uses nothing, so a search whose chunks report every
+    # the zero profile uses nothing, so a search whose scores put every
     # profile beyond the inventory has a fault of its own and says so
-    scored_chunks = oracle._scored_chunks
+    grid_scores = oracle._grid_scores
 
     def beyond(market, candidates):
-        for first, revenue, used in scored_chunks(market, candidates):
-            yield first, revenue, used + market.inventory + 1
+        revenue, used = grid_scores(market, candidates)
+        return revenue, used + market.inventory + 1
 
-    monkeypatch.setattr(oracle, "_scored_chunks", beyond)
+    monkeypatch.setattr(oracle, "_grid_scores", beyond)
     with pytest.raises(AssertionError, match="no feasible profile; the zero profile is always feasible"):
         brute_force_optimal(ration_market)
 
 
 def test_a_rational_search_builds_step_functions_for_its_result_only(monkeypatch):
     # every pooled profile is evaluated as rows; only the result becomes
-    # step functions, T of them, also when the search runs again without
-    # its exactly infeasible near-ties
-    built, searches = [], []
+    # step functions, T of them, also when the search pools again without
+    # its exactly infeasible near-ties. The grid is scored once either way
+    built = []
     from_values = StepFunction.from_values
     monkeypatch.setattr(
         StepFunction, "from_values", classmethod(lambda cls, part, values: built.append(values) or from_values(part, values))
     )
-    scored_chunks = oracle._scored_chunks
-    monkeypatch.setattr(oracle, "_scored_chunks", lambda *args: searches.append(1) or scored_chunks(*args))
+    scored = _scored(monkeypatch)
     three = OracleGrid(levels=("0", "1/2", "1"))
     cases = [
         (make_market(T=3, atoms=["7/12", "2/3"], mass=[["3/4", 1], ["3/4", 0], [1, "1/4"]],
-                     delta=["11/12", "11/12", "2/3"]), None, 35, 1),
+                     delta=["11/12", "11/12", "2/3"]), None, False),
         (make_market(T=2, atoms=["1/2", 1], mass=[[1, "1/2"], [0, "1/4"]], inventory=F(7, 4) - F(1, 10**12)),
-         three, 2, 3),
-        *((m, three, 1, 1) for m in _edge_markets(RATIONAL)),
+         three, True),
+        *((m, three, False) for m in _edge_markets(RATIONAL)),
     ]
-    for m, grid, min_pool, runs in cases:
-        del built[:], searches[:]
+    for m, grid, retried in cases:
+        del built[:], scored[:]
         pool, res = _exact_pool(monkeypatch, m, grid)
-        assert len(pool) >= min_pool and len(searches) == runs, m
+        first, _ = _near_ties(m, grid_candidates(m, grid or OracleGrid())[0])
+        assert len(pool) >= len(first) and (len(pool) > len(first)) == retried and len(scored) == 1, m
         part = Partition(m.atoms)
         assert built == [part.values(f) for f in res.profile] and len(built) == m.T, m
 
@@ -676,53 +691,43 @@ def test_rational_all_ties_keep_a_bounded_pool(monkeypatch):
     assert res.revenue == 0
     assert res.profile == AllocationProfile.zero(3)
     assert peak < 32 * 2**20
-    reps, _ = _representatives(m, _full_grid(m, OracleGrid()))
-    revenue, used = _flat_search(_float_copy(m), reps)
-    ids = np.flatnonzero((revenue >= revenue.max() - 1e-9) & (used <= 1 + 1e-9))[:512]
-    assert pool == [_rows(m, reps, int(i)) for i in ids]
+    built, _ = grid_candidates(m, OracleGrid())
+    ids, _ = _near_ties(m, built)
+    assert len(ids) == 512
+    assert pool == [_rows(m, built, int(i)) for i in ids]
 
 
-def _audit_market(inventory):
-    """A float T = 3, n = 2 market on the four-level grid: K = 35
-    candidates per period, chunks of 26 x 35 x 35 profiles."""
+@pytest.mark.parametrize("inventory", [None, 2])
+def test_scores_repeat_across_searches(inventory):
+    # the search writes into the arrays that the scoring hands it, and the
+    # sums add in place; neither may reach a later search or the result
     m = make_market(
         T=3, atoms=["1/3", "2/3"], mass=[[1, 1], [1, "1/2"], ["1/2", 1]], inventory=inventory,
         delta=[1, "5/6", "2/3"], mode=FLOAT,
     )
-    return m, OracleGrid(levels=("0", "1/3", "2/3", "1"))
-
-
-@pytest.mark.parametrize("inventory", [None, 2])
-def test_scores_repeat_across_searches_and_chunk_sizes(monkeypatch, inventory):
-    # the search writes into the columns a chunk hands it, and the sums add
-    # in place; neither may reach another chunk, a later search or the result
-    m, grid = _audit_market(inventory)
+    grid = OracleGrid(levels=("0", "1/3", "2/3", "1"))
     candidates, _ = grid_candidates(m, grid)
-    K = len(candidates)
     want = None
-    for chunk in (1 << 15, K**2, 2 * K**2 + 1, 5 * K**2):
-        monkeypatch.setattr(oracle, "_CHUNK", chunk)
-        for _ in range(2):
-            got = [x.tobytes() for x in _kernel_search(m, candidates)]
-            res = brute_force_optimal(m, grid)
-            got += [res.revenue.hex(), res.profile]
-            want = want or got
-            assert got == want, chunk
+    for _ in range(3):
+        got = [x.tobytes() for x in oracle._grid_scores(m, candidates)]
+        res = brute_force_optimal(m, grid)
+        got += [res.revenue.hex(), res.profile]
+        want = want or got
+        assert got == want
 
 
-def test_the_float_search_peaks_within_nine_full_columns():
-    # a full column is one float per profile of a chunk; the search's peak,
-    # traced, is the formula layer's tables and sums for one chunk
-    m, grid = _audit_market(2)
-    candidates, _ = grid_candidates(m, grid)
-    K = len(candidates)
-    column = (oracle._CHUNK // K**2) * K**2 * 8
+@pytest.mark.parametrize("T, atoms, L", [(2, [0, 1], 21), (3, [0, "1/2", 1], 5)], ids=["T2-L21", "T3-L5"])
+def test_the_float_search_peaks_within_3_mb_on_the_largest_admitted_grids(T, atoms, L):
+    # the caps' two largest batches (test_caps_admit_at_most_53361_scored_profiles):
+    # one batch of every scored profile peaks at 2.2 and 2.5 MB traced
+    m = make_market(T=T, atoms=atoms, mass=[[1, "1/2", "1/4"][: len(atoms)]] * T, inventory=1, mode=FLOAT)
+    grid = OracleGrid(levels=tuple(f"{k}/{L - 1}" for k in range(L)))
     brute_force_optimal(m, grid)  # first-call caches are not the search's
     tracemalloc.start()
     try:
-        brute_force_optimal(m, grid)
+        res = brute_force_optimal(m, grid)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (K, column) == (35, 26 * 35 * 35 * 8)
-    assert peak <= 9 * column, peak / column
+    assert res.candidates > oracle._MAX_CANDIDATES // 2
+    assert peak <= 3 * 2**20, peak / 2**20
