@@ -18,10 +18,11 @@ on the pieces ``>= f``, so the affine model of a period is the values of
 its tails, indexed by ``f``. How a build finds them depends on the market's
 mode:
 
-* float: all tails are measured in a single batched
-  :func:`dynration.evaluate.formula_layer` call, the period's rule carried
-  as one matrix with a row per piece and a column per tail, so every value
-  is the evaluator's own float, to the last bit;
+* float: :func:`dynration.evaluate.column_sums` measures every tail in one
+  whole-array pass over the current evaluation's tables, the tail probes
+  carried as one matrix with a row per piece and a column per tail, so
+  every value is the float that the evaluator gives for that probe, to the
+  last bit;
 * rational: one pass of :func:`dynration.evaluate.coordinate_tails` over
   the tables of the current rows' evaluation gives every tail's exact
   revenue and usage, the sum of the per-piece coefficients from its piece
@@ -29,9 +30,9 @@ mode:
   current row t. Exact arithmetic makes this equal to the probes' values,
   in any order of the operations.
 
-Only the float probe batch, :func:`_probed_tails` and :func:`_tail_probes`,
-uses numpy, and each imports it when called: importing this module and
-running a rational ascent leave numpy unloaded.
+Only a float build uses numpy, in :func:`_tail_probes` and
+:func:`dynration.evaluate.column_sums`, and each imports it when called:
+importing this module and running a rational ascent leave numpy unloaded.
 
 The solver's candidates are single tails and mixtures of two. Each build
 re-verifies affinity on a held-out row through the full evaluator, so a
@@ -48,12 +49,13 @@ The ascent's state is one evaluation, ``cur``, of its current rows; the
 memo key, the improvement test and every build read it, and nothing is
 passed beside it. Every evaluation of a sweep is a one-period change of
 it, ``cur.with_row(t, row)`` (:class:`dynration.evaluate.Evaluation`), bit
-for bit a fresh evaluation: a float build's probe batch, a build's
-held-out check, and a trial. The check and the trial run the evaluator's
-self-checks (``checked()``), and an accepted trial becomes ``cur``. A
-rational build evaluates nothing but its held-out check. A start's shrink
-tests each halving on its usage alone and evaluates only the rows it
-keeps; that evaluation and the winner's are fresh. No run's state is
+for bit a fresh evaluation: a build's held-out check, and a trial. The
+check and the trial run the evaluator's self-checks (``checked()``), and
+an accepted trial becomes ``cur``. A build evaluates nothing but its
+held-out check: a float build's probe pass gives the revenue and usage of
+the changes to its probes, bit for bit, without their tables. A start's
+shrink tests each halving on its usage alone and evaluates only the rows
+it keeps; that evaluation and the winner's are fresh. No run's state is
 kept beyond its call. One small module cache (16 entries) outlives it:
 :func:`_tail_probes`, the read-only float probe matrix of a piece count.
 It is a pure function of its argument, so a cached value is the one a
@@ -71,6 +73,7 @@ from fractions import Fraction
 from .evaluate import (
     AllocationProfile,
     Evaluation,
+    column_sums,
     coordinate_tails,
     effective_discounts,
     evaluate,
@@ -95,8 +98,8 @@ class CoordinateLP:
     coordinate, of the rule that is one on the pieces ``>= f``: the closed
     tail ``1[p_k <= x]`` at point k is ``tails[2k]``, the open tail
     ``1[p_k < x]`` is ``tails[2k + 1]`` (at the point 1 it is the zero rule
-    and has no entry). Float builds take the tails from probes of the
-    formula layer, rational builds from exact per-piece coefficients; both
+    and has no entry). Float builds take the tails from the formula layer's
+    sums at probes, rational builds from exact per-piece coefficients; both
     give the same values. A row is its first value times ``tails[0]`` plus
     each step up times the tail starting there. ``budget`` is the inventory
     headroom ``I - base_used`` (None when supply is unbounded); it already
@@ -145,11 +148,14 @@ def build_coordinate_lp(cur: Evaluation, t: int) -> CoordinateLP:
     """Measure the tails of period ``t``: probed in float mode, summed in rational mode.
 
     ``cur`` is the scalar evaluation of the current rows; the model reads
-    its rows outside period ``t``, and every evaluation of the build is a
-    one-period change of it. A rational build reads its whole model from
-    ``cur``'s tables. Jumps of optimal candidates may sit on the partition
-    points only (the functionals are affine in a jump's position between
-    points), so ``cur``'s partition must hold the market atoms.
+    its rows outside period ``t``. A float build measures the revenue and
+    usage of every tail probe in one whole-array pass over ``cur``'s tables
+    (:func:`dynration.evaluate.column_sums`), bit for bit those of
+    ``cur.with_row(t, probe)``; a rational build reads its whole model from
+    ``cur``'s tables. Either evaluates one row, the held-out check, as a
+    one-period change of ``cur``. Jumps of optimal candidates may sit on the
+    partition points only (the functionals are affine in a jump's position
+    between points), so ``cur``'s partition must hold the market atoms.
     """
     market = cur.market
     if market.mode == RATIONAL:
@@ -168,16 +174,10 @@ def build_coordinate_lp(cur: Evaluation, t: int) -> CoordinateLP:
 
 
 def _probed_tails(cur: Evaluation, t: int):
-    """Base and tails from one batched change of ``cur``'s period ``t`` to the tail probes."""
-    import numpy as np
-
+    """Base and tails from the revenue and usage of ``cur`` with period ``t`` changed to each tail probe."""
     npieces = cur.partition.npieces
-    batch = cur.with_row(t, _tail_probes(npieces))
-    # tolist() hands back Python scalars, so no numpy scalar reaches the
-    # model; without atoms the sums stay scalars and are repeated.
-    revenue, used = (
-        x.tolist() if isinstance(x, np.ndarray) else [x] * (npieces + 1) for x in (batch.revenue, batch.inventory_used)
-    )
+    # tolist() hands back Python scalars, so no numpy scalar reaches the model
+    revenue, used = (x.tolist() for x in column_sums(cur, t, _tail_probes(npieces)))
     base_rev, base_used = revenue[npieces], used[npieces]
     return base_rev, base_used, tuple((revenue[f] - base_rev, used[f] - base_used) for f in range(npieces))
 

@@ -149,7 +149,41 @@ s > t, where ``p_s`` and ``r_s`` do not; ``h`` multiplies ``U_{t+1}``, not
 ``U_t``). In ``Fraction`` arithmetic every operation is exact, so the model
 at any row equals the formula layer's value there, whatever the order of
 the operations; in floats the two would differ in the last bits, which is
-why float builds probe the formula layer instead.
+why float builds measure their tails with the layer's own operations.
+
+:func:`column_sums` is that measurement: the revenue and usage of
+``cur.with_row(t, c)`` for every column c of a matrix of candidate rows t,
+in one whole-array pass over ``cur``'s tables, with periods, atoms, gaps
+and points on the leading axes and the columns on the last. It makes a
+fixed number of numpy calls per period, where a batch through the layer
+makes some per gap and per atom. Its floats are the layer's bit for bit, by
+three rules:
+
+* Elementwise, it forms the layer's full expressions on the same operands,
+  grouped the same way: ``delta_s r + (1 - r) g_{s+1}``,
+  ``m + f* (1 - r)``, and ``(delta_s a) r + (1 - r) U_{s+1} - U_s`` then
+  ``/ lambdaB_s``, then ``lambdaS_s *`` on each period's revenue. Only the
+  two operands of an addition or a multiplication change sides, which
+  IEEE arithmetic leaves exact. The layer's shortcuts at exact 0s and 1s,
+  and its skips of ``* 1.0`` and ``/ 1.0``, give these expressions' values
+  (above), so one expression serves every rule value and every lambda.
+* Every sum is ``np.add.accumulate`` along one axis, which adds each entry
+  to the partial sum before it, left to right, as
+  :data:`~dynration.numeric.ordered_sum` does: each period's revenue over
+  its atoms, revenue over the periods, usage over (period, atom) in t-major
+  order, and U's prefix integrals over the gaps. ``np.add.reduce`` may add
+  pairwise (it does on one column), so no sum uses it.
+* Each sum starts from a leading zero entry, as the layer's sums start
+  from the deltas' zero and U from 0, so a first term of -0.0 gives 0.0
+  as it does there, and a market without atoms gives 0.0 as its sums of no
+  terms do.
+
+Like :meth:`Evaluation.with_row` it takes f* of s <= t, the payments of
+s > t, g_{t+1} and the other rows from ``cur``. It computes U_{t+1} at the
+points again, from g_{t+1} by the accumulation that made ``cur``'s, so
+that it is ``cur``'s bit for bit. The layer stays the one definition: tests
+compare the pass with ``with_row`` column by column, and numpy's
+accumulation with ``ordered_sum``.
 """
 
 from __future__ import annotations
@@ -645,6 +679,94 @@ def coordinate_tails(cur: Evaluation, t: int):
     tails = tuple(reversed(tails))
     rev, used = row_value(R[t], tails)
     return cur.revenue - rev, cur.inventory_used - used, tails
+
+
+def column_sums(cur: Evaluation, t: int, columns):
+    """Revenue and usage of ``cur.with_row(t, c)`` for every column c of ``columns``.
+
+    ``cur`` is a scalar float evaluation (``ValueError`` for a batch) and
+    ``columns`` a float matrix with the pieces on axis 0, one candidate row
+    t per column. One whole-array pass, with periods, atoms, gaps and
+    points on the leading axes and the columns on the last, gives two float
+    arrays with one entry per column, each bit for bit that column's
+    ``with_row(t, ...)`` (module docstring).
+    """
+    import numpy as np
+
+    if cur.gap_discounts is None:
+        raise ValueError("a batch evaluation has no one-period changes")
+    market, partition = cur.market, cur.partition
+    T, n, ncols = market.T, market.num_atoms, columns.shape[1]
+    d = market.discounts
+    J = len(partition.widths)
+    # the market's numbers and cur's tables, converted in one call and read
+    # through views: discounts, mass, r_at, f*, payments, atoms, the gaps'
+    # widths and g_{t+1}, then the rows before t
+    numbers = np.fromiter(
+        chain(d.delta, d.lambda_s, d.lambda_b, *market.mass, *cur.r_at, *cur.fstar, *cur.payments, market.atoms,
+              partition.widths, cur.gap_discounts[t + 1], *cur.rows[:t]),
+        float,
+        3 * T + 4 * T * n + n + 2 * J + t * partition.npieces,
+    )
+    k = 3 * T + 4 * T * n
+    delta, lam_s, lam_b = numbers[:3 * T].reshape(3, T, 1, 1)
+    mass, r_now, f_now, paid_now = numbers[3 * T:k].reshape(4, T, n, 1)
+    atoms = numbers[k:k + n].reshape(n, 1)
+    widths, g_next = numbers[k + n:k + n + 2 * J].reshape(2, J, 1)
+    earlier = numbers[k + n + 2 * J:].reshape(t, partition.npieces, 1)[:, 1::2]
+    atom_pc = np.array([partition.piece_of_point(a) for a in market.atoms], dtype=int)
+
+    # rules at the atoms in every period, and 1 - r
+    r_at = r_now.repeat(ncols, axis=2)
+    r_at[t] = columns.take(atom_pc, axis=0)
+    keep = 1 - r_at
+
+    # g_s on the gaps down from cur's g_{t+1}, delta_s r + (1 - r) g_{s+1}, for
+    # s <= t, in the buffer of U's integrals, where g[s] holds 1 - r until it is g_s
+    areas = np.zeros((t + 2, J + 1, ncols))
+    g = areas[:, 1:]
+    g[:t] = earlier
+    g[t] = columns[1::2]
+    g[t + 1] = g_next
+    rate = delta[:t + 1] * g[:t + 1]
+    np.subtract(1, g[:t + 1], out=g[:t + 1])
+    for s in range(t, -1, -1):
+        g[s] *= g[s + 1]
+        g[s] += rate[s]
+    del rate
+    # U_s at the points, from 0 at the point 0, and at the atoms, for s <= t + 1:
+    # U_{t+1} is cur's, made again by the accumulation that made it
+    g *= widths
+    u_at = np.add.accumulate(areas, axis=1, out=areas).take(atom_pc // 2, axis=1)
+    del areas, g
+
+    # f* of s <= t is cur's; f*_{s+1} = m_{s+1} + f*_s (1 - r_s) for s >= t
+    fstar = np.empty((T, n, ncols))
+    fstar[:t + 1] = f_now[:t + 1]
+    for s in range(t, T - 1):
+        np.multiply(fstar[s], keep[s], out=fstar[s + 1])
+        fstar[s + 1] += mass[s + 1]
+
+    # payments of s <= t, ((delta_s a) r + (1 - r) U_{s+1} - U_s) / lambdaB_s,
+    # and cur's of s > t, in the buffer of each period's sum over its atoms
+    terms = np.zeros((T, n + 1, ncols))
+    paid = terms[:, 1:]
+    np.multiply(delta[:t + 1] * atoms, r_at[:t + 1], out=paid[:t + 1])
+    paid[:t + 1] += keep[:t + 1] * u_at[1:]
+    paid[:t + 1] -= u_at[:-1]
+    paid[:t + 1] /= lam_b[:t + 1]
+    paid[t + 1:] = paid_now[t + 1:]
+    del keep, u_at
+    # every sum from a leading zero, added in order: each period's over its
+    # atoms, revenue over the periods, usage over (period, atom) t-major
+    paid *= fstar
+    del paid
+    periods = np.zeros((T + 1, ncols))
+    np.multiply(lam_s.reshape(T, 1), np.add.accumulate(terms, axis=1, out=terms)[:, -1], out=periods[1:])
+    del terms
+    used = np.zeros((T * n + 1, ncols))
+    np.multiply(r_at, fstar, out=used[1:].reshape(T, n, ncols))
+    return np.add.accumulate(periods, axis=0)[-1], np.add.accumulate(used, axis=0, out=used)[-1]
 
 
 def evaluate(market: Market, profile: AllocationProfile) -> Evaluation:

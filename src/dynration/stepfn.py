@@ -167,14 +167,14 @@ class Partition:
     which reduces all integrals and atom sums to per-piece arithmetic.
     """
 
-    __slots__ = ("points", "_widths", "_index")
+    __slots__ = ("points", "widths", "_index")
 
     def __init__(self, points: Iterable):
         pts = sorted(set(points) | {0, 1})
         if pts[0] < 0 or pts[-1] > 1:
             raise DomainError("partition points must lie in [0, 1]")
         self.points = tuple(pts)
-        self._widths = tuple(b - a for a, b in zip(pts, pts[1:]))  # gap k is p_{k+1} - p_k long
+        self.widths = tuple(b - a for a, b in zip(pts, pts[1:]))  # gap k is p_{k+1} - p_k long
         self._index = {p: k for k, p in enumerate(pts)}
 
     @property
@@ -215,7 +215,7 @@ class Partition:
         int or ``Fraction`` widths adds ``Fraction(0)`` at each gap, so that
         run takes no arithmetic; other values take the full accumulation.
         """
-        widths = self._widths
+        widths = self.widths
         zero = gap_values[0]  # one value per gap, and a partition has at least one gap
         if type(zero) is not Fraction or zero or isinstance(widths[0], float):
             return list(accumulate(map(mul, gap_values, widths), initial=0))

@@ -307,11 +307,12 @@ def test_tail_probes_are_one_read_only_matrix():
 
 
 def test_build_probes_in_float_mode_only(monkeypatch):
-    # rational builds sum exact coefficients and never hand the formula
-    # layer a batch, fresh or as a one-period change; float builds still probe
+    # a float build measures its tails in one whole-array pass and hands
+    # neither the formula layer nor a one-period change a batch; a rational
+    # build sums exact coefficients and never calls the pass
     evaluate_mod = importlib.import_module("dynration.evaluate")
-    batched = []
-    formula_layer, with_row = evaluate_mod.formula_layer, Evaluation.with_row
+    batched, passes = [], []
+    formula_layer, with_row, column_sums = evaluate_mod.formula_layer, Evaluation.with_row, ascent.column_sums
 
     def recording(market, partition, R):
         batched.append(any(isinstance(x, np.ndarray) for row in R for x in row))
@@ -321,13 +322,25 @@ def test_build_probes_in_float_mode_only(monkeypatch):
         batched.append(isinstance(row, np.ndarray))
         return with_row(self, t, row)
 
+    def recording_pass(cur, t, columns):
+        passes.append(t)
+        return column_sums(cur, t, columns)
+
     monkeypatch.setattr(evaluate_mod, "formula_layer", recording)
     monkeypatch.setattr(Evaluation, "with_row", recording_change)
+    monkeypatch.setattr(ascent, "column_sums", recording_pass)
     for mode in (RATIONAL, FLOAT):
-        batched.clear()
         rng = random.Random(34)
-        coordinate_ascent(_oracle_market(rng, mode), starts=2, seed=0)
-        assert batched and any(batched) == (mode == FLOAT), mode
+        m = _oracle_market(rng, mode)
+        cur = evaluate_rows(m, *_rows(m, _oracle_profile(rng, m), m.T - 1))
+        for t in range(m.T):
+            batched.clear()
+            passes.clear()
+            build_coordinate_lp(cur, t)
+            assert batched == [False] and passes == ([t] if mode == FLOAT else []), mode
+        batched.clear()
+        coordinate_ascent(m, starts=2, seed=0)
+        assert batched and not any(batched), mode
 
 
 def test_held_out_row_weighs_every_tail_and_piece_by_at_least_one(monkeypatch):
@@ -878,9 +891,10 @@ def test_an_exact_solve_prices_no_pair_whose_tails_a_single_matches(monkeypatch)
 def test_builds_and_trials_resume_from_the_current_evaluation(monkeypatch, mode):
     # every formula-layer call of the ascent is a one-period change of the
     # evaluation of its current rows, except those that evaluate a start
-    # and the winner; a rational build makes one, its held-out check, a
-    # float build two, a start's shrink evaluates only the rows it keeps,
-    # and the self-checks run on every start, held-out check and trial
+    # and the winner; a build makes one, its held-out check (a float build
+    # measures its tails without one), a start's shrink evaluates only the
+    # rows it keeps, and the self-checks run on every start, held-out check
+    # and trial
     evaluate_mod = importlib.import_module("dynration.evaluate")
     phase, calls, checked, spans = ["sweep"], [], [], []
     formula_layer, with_row, check = evaluate_mod.formula_layer, Evaluation.with_row, Evaluation.checked
@@ -925,7 +939,7 @@ def test_builds_and_trials_resume_from_the_current_evaluation(monkeypatch, mode)
         assert [name for name, _ in calls].count("winner") == 1
         assert [span for span in spans if span[0] == "start"] == [("start", 1, 1)] * 5
         builds = [span for span in spans if span[0] == "build"]
-        assert builds and builds == [("build", 1 if mode == RATIONAL else 2, 1)] * len(builds)
+        assert builds and builds == [("build", 1, 1)] * len(builds)
         sweep = [changed for name, changed in calls if name in ("sweep", "build")]
         assert sweep and all(sweep)
         trials = [name for name, _ in calls].count("sweep")

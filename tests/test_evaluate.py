@@ -20,10 +20,10 @@ from dynration import (
     make_market,
     mixture,
 )
-from dynration import ascent
 from dynration.evaluate import (
     Evaluation,
     EvaluatorInternalError,
+    column_sums,
     coordinate_tails,
     evaluate_rows,
     formula_layer,
@@ -33,7 +33,8 @@ from dynration.market import Market
 from dynration.report import evaluation_csv
 from dynration.stepfn import segment_refinement
 
-from gen import edge_market, edge_row, random_feasible_profile, random_market, random_profile, random_step, slopes
+from gen import MASS_POOL, edge_market, edge_row, random_feasible_profile, random_market, random_profile
+from gen import random_step, slopes
 from gen import spelled as _spelled
 
 # the module; the package's ``evaluate`` attribute is the function
@@ -710,8 +711,8 @@ def _reuse_cases(mode, seen):
 
     The markets are ``edge_market``'s plus two atomless ones; the new row
     is a scalar row of int, mode-number and fraction levels, a batch of
-    such rows as columns and, in float mode, the build's tail probes.
-    ``seen`` collects which edge cases came up.
+    such rows as columns and, in float mode, the tail probes (column f is
+    one on the pieces >= f). ``seen`` collects which edge cases came up.
     """
     rng = random.Random(2110)
     num = F if mode == RATIONAL else float
@@ -730,7 +731,7 @@ def _reuse_cases(mode, seen):
                 np.array([edge_row(rng, part.npieces, mode) for _ in range(3)], dtype=dtype).T,
             ]
             if mode == FLOAT:
-                news.append(ascent._tail_probes(part.npieces))
+                news.append(np.tri(part.npieces, part.npieces + 1))  # the tail probes
             for new in news:
                 yield m, part, rows, rows[:t] + (new,) + rows[t + 1:], t
 
@@ -766,6 +767,58 @@ def test_one_period_change_resumes_bit_for_bit(mode):
             assert _spelled(_kept(like.with_row(t, changed[t]).checked())) == _spelled(_kept(got))
             assert _spelled(_kept(got.with_row(t, rows[t]))) == _spelled(_kept(like))
     assert all(seen.values()) and set(seen) == {"T = 1", "atomless", "atom at 0", "atom at 1"}
+
+
+def test_column_sums_match_each_columns_scalar_change():
+    # the whole-array pass gives, for every column, the revenue and usage of
+    # the scalar one-period change to that column, by type and .hex(): on
+    # the tail probes and on matrices of fractional levels, some decreasing,
+    # so that payments go negative and a -0.0 product comes up
+    rng = random.Random(3201)
+    levels = [0.0, 1.0, 1 / 3, 0.5, 0.75, 0.2]
+    markets = [edge_market(rng, FLOAT, shortcuts=True) for _ in range(40)]
+    markets += [make_market(T=T, atoms=[], mass=[[]] * T, inventory=inv, mode=FLOAT) for T, inv in ((1, None), (3, 1))]
+    # no mass anywhere: a negative payment meets presence 0 in every term
+    markets += [make_market(T=T, atoms=atoms, mass=[[0] * len(atoms)] * T, inventory=None, mode=FLOAT)
+                for T, atoms in ((1, ["1/2"]), (2, ["1/3", "2/3"]))]
+    # eleven atoms and nine periods, where a pairwise sum of one column over
+    # the atoms or over the periods would differ
+    markets += [make_market(T=T, atoms=[F(k, 12) for k in range(1, 12)], inventory=2, mode=FLOAT,
+                            mass=[[rng.choice(MASS_POOL) for _ in range(11)] for _ in range(T)]) for T in (1, 3, 9) * 7]
+    seen = dict.fromkeys(("T = 1", "atomless", "atoms at 0 and 1", "zero-mass atom", "unit lambda among others",
+                          "tied delta", "int 0 and 1 in rows", "-0.0 product"), False)
+    hexed = lambda xs: [(type(x).__name__, x.hex()) for x in xs]
+    for m in markets:
+        d = m.discounts
+        part = Partition([*m.atoms, *(rng.randint(1, 23) / 24 for _ in range(rng.randint(0, 2)))])
+        npieces = part.npieces
+        rows = [edge_row(rng, npieces, FLOAT) for _ in range(m.T)]
+        if rng.random() < 0.5:
+            rows[rng.randrange(m.T)] = tuple(reversed(rows[0]))
+        for case, hit in (
+            ("T = 1", m.T == 1),
+            ("atomless", not m.atoms),
+            ("atoms at 0 and 1", {0, 1} <= set(m.atoms)),
+            ("zero-mass atom", any(not any(col) for col in zip(*m.mass))),
+            ("unit lambda among others", d.lambda_b[0] == 1 and set(d.lambda_s + d.lambda_b) != {1}),
+            ("tied delta", len(set(d.delta)) < m.T),
+            ("int 0 and 1 in rows", {(type(x), x) for row in rows for x in row} >= {(int, 0), (int, 1)}),
+        ):
+            seen[case] = seen[case] or hit
+        cur = evaluate_rows(m, part, rows)
+        for t in range(m.T):
+            fractional = [np.array([[rng.choice(levels) for _ in range(k)] for _ in range(npieces)]) for k in (1, 2, 5)]
+            for columns in (np.tri(npieces, npieces + 1), *fractional):
+                revenue, used = column_sums(cur, t, columns)
+                assert revenue.shape == used.shape == (columns.shape[1],)
+                assert revenue.dtype == used.dtype == np.float64
+                for column, got in zip(columns.T.tolist(), zip(revenue.tolist(), used.tolist())):
+                    ev = cur.with_row(t, column)
+                    assert hexed(got) == hexed([ev.revenue, ev.inventory_used])
+                    seen["-0.0 product"] |= any(p * f == 0 and math.copysign(1, p * f) < 0
+                                                for p_row, f_row in zip(ev.payments, ev.fstar)
+                                                for p, f in zip(p_row, f_row))
+    assert all(seen.values()), seen
 
 
 def _reference_coordinate_tails(market: Market, partition: Partition, R, t: int):

@@ -1,15 +1,17 @@
-"""Float-mode number reading: the native route against the Fraction route."""
+"""Float-mode number reading, the native route against the Fraction route, and the order of float sums."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynration import parse_market
-from dynration.numeric import FLOAT, RATIONAL, NumberParseError, parse_number
+from dynration.numeric import FLOAT, RATIONAL, NumberParseError, ordered_sum, parse_number
 
 from gen import random_market
 
@@ -113,3 +115,23 @@ def test_one_market_written_three_ways_parses_the_same():
         assert all(type(x) is float for x in first.atoms + first.discounts.delta)
         assert parse_market(_write(exact, ways[0]), RATIONAL) == exact
         assert parse_market(_write(exact, ways[1]), RATIONAL) == exact
+
+
+def test_accumulate_adds_along_an_axis_in_order():
+    # evaluate.column_sums sums with np.add.accumulate along axis 0 and 1;
+    # the last entry along the axis must be ordered_sum of the entries, left
+    # to right, bit for bit, with one column or several and with +-0.0
+    # terms (np.add.reduce does not give this at one column)
+    rng = random.Random(3202)
+    draw = lambda: rng.choice((0.0, -0.0, 1.0, rng.uniform(-1, 1) * 10.0 ** rng.randint(-12, 12)))
+    for _ in range(400):
+        n, k = rng.randint(1, 40), rng.choice((1, 1, 2, 3, 8, 17))
+        a = np.array([[draw() for _ in range(k)] for _ in range(n)])
+        want = [ordered_sum(col[1:], col[0]).hex() for col in zip(*a.tolist())]
+        assert [x.hex() for x in np.add.accumulate(a, axis=0)[-1].tolist()] == want
+        b = np.array([a, -a])
+        assert [x.hex() for x in np.add.accumulate(b, axis=1)[0, -1].tolist()] == want
+    # sums of +-0.0 keep the sign that left-to-right addition gives
+    for terms, sign in (((-0.0,), -1), ((-0.0, -0.0), -1), ((0.0, -0.0), 1), ((-0.0, 0.0), 1)):
+        got = np.add.accumulate(np.array(terms).reshape(-1, 1), axis=0)[-1, 0]
+        assert math.copysign(1, got) == sign == math.copysign(1, ordered_sum(terms[1:], terms[0]))
