@@ -98,10 +98,11 @@ class CoordinateLP:
     coordinate, of the rule that is one on the pieces ``>= f``: the closed
     tail ``1[p_k <= x]`` at point k is ``tails[2k]``, the open tail
     ``1[p_k < x]`` is ``tails[2k + 1]`` (at the point 1 it is the zero rule
-    and has no entry). Float builds take the tails from the formula layer's
-    sums at probes, rational builds from exact per-piece coefficients; both
-    give the same values. A row is its first value times ``tails[0]`` plus
-    each step up times the tail starting there. ``budget`` is the inventory
+    and has no entry). Float builds take the tails from
+    :func:`dynration.evaluate.column_sums` at the tail probes, rational
+    builds from exact per-piece coefficients; both give the same values. A
+    row is its first value times ``tails[0]`` plus each step up times the
+    tail starting there. ``budget`` is the inventory
     headroom ``I - base_used`` (None when supply is unbounded); it already
     contains the coordinate's own current usage.
     """

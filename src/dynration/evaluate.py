@@ -51,28 +51,30 @@ and recomputes the rest, and both sums over every period, with the same
 expressions in the same order. A value taken over is the one a fresh
 evaluation would compute from the same operands, and a value recomputed
 reads the same operands, so the result is bit for bit a fresh
-evaluation's. The resumed recursions start as a fresh one reaches period
-t, with ``whole`` set, since ``cur`` holds Python scalars only. A scalar
-evaluation keeps its rows and its g tables (``gap_discounts``) for this;
-a batch keeps no g tables and has no one-period changes. The self-checks,
-f* against its closed form and usage against the cohort identity, run on
-any scalar evaluation, fresh or changed, through :meth:`Evaluation.checked`;
-on a change of a checked evaluation the closed form resumes after row t.
+evaluation's. The row is one profile's row of Python scalars, like
+``cur``'s, so the resumed recursions take the shortcuts below as a fresh
+one does. A scalar evaluation keeps its rows and its g tables
+(``gap_discounts``) for this; a batch keeps no g tables and has no
+one-period changes. The self-checks, f* against its closed form and usage
+against the cohort identity, run on any scalar evaluation, fresh or
+changed, through :meth:`Evaluation.checked`; on a change of a checked
+evaluation the closed form resumes after row t.
 
-Optimal rules are mostly exact 0s and 1s, so where a rule value is a Python
-scalar equal to 0 or 1 the layer takes the value its expression would give
-without doing the arithmetic: ``g_t`` is ``g_{t+1}`` at r = 0 and
-``delta_t`` at r = 1, ``f*_t`` is ``f_t + f*_{t-1}`` at r = 0 and ``f_t``
-at r = 1, and the payment's ``delta_t v r + (1 - r) U_{t+1}`` is
-``U_{t+1}`` at r = 0 and ``delta_t v`` at r = 1. Each is bit for bit the
+Optimal rules are mostly exact 0s and 1s, so in an evaluation whose rows
+all hold Python scalars, where a rule value equals 0 or 1 the layer takes
+the value its expression would give without doing the arithmetic:
+``g_t`` is ``g_{t+1}`` at r = 0 and ``delta_t`` at r = 1, ``f*_t`` is
+``f_t + f*_{t-1}`` at r = 0 and ``f_t`` at r = 1, and the payment's
+``delta_t v r + (1 - r) U_{t+1}`` is ``U_{t+1}`` at r = 0 and
+``delta_t v`` at r = 1. Each is bit for bit the
 full expression: it drops a product with an exact 0 (``0 * x`` is 0 and
 ``y + 0`` is ``y``) and a product with an exact 1 (``1 * x`` is ``x``),
 exactly in ``Fraction`` arithmetic and in IEEE floats, since every value
 involved is finite and never -0.0 (none is negative). ``g_T`` is the
 deltas' zero, not an int 0, so a value handed on is of the kind the
-expression makes. The layer does not take a shortcut that would lose an
-array's shape (r = 1 against a carried array in ``g`` or ``f*``), and
-numpy rule values always take the full expression.
+expression makes. The layer decides this once per evaluation, from its
+rows: an evaluation with any numpy row takes the full expressions in every
+period, scalar rows included, so no shortcut can drop an array's shape.
 
 A scalar evaluation in rational mode applies the same rule to the rest of
 its arithmetic, where most operands are exact 0s and 1s too. Its payments
@@ -104,13 +106,14 @@ columns alive at once; the grid oracle's peak is set by them.
 
 Off the exact route (in float mode and in any batch), the layer skips
 ``lambdaS_t *`` on a period's revenue where lambdaS_t is exactly 1, and
-``/ lambdaB_t`` on a batch row's payments where lambdaB_t is exactly 1:
+``/ lambdaB_t`` on a batch's payments where lambdaB_t is exactly 1:
 ``1.0 * x`` and ``x / 1.0`` are x for every float and every float array,
 so each skip keeps every bit. The period sums start from the deltas'
 zero, which adds as an int 0 does, so revenue has the type it had with
-the product, a float also for a market without atoms. A scalar row's
-payments keep the division: at an atom at 0 with r = 0 their numerator is
-the int 0 that U is at the point 0, which the division makes a float.
+the product, a float also for a market without atoms. A scalar
+evaluation's payments keep the division: at an atom at 0 with r = 0 their
+numerator is the int 0 that U is at the point 0, which the division makes
+a float.
 
 :func:`evaluate` takes any profile, jumps anywhere in [0, 1], and refines
 its partition and rows; a caller that holds rows on one partition already,
@@ -199,7 +202,7 @@ from .stepfn import Partition, StepFunction, segment_refinement
 
 
 # Rule values of these types are Python scalars, whose exact 0 and 1 skip
-# their arithmetic in the formula layer.
+# their arithmetic in an evaluation whose every row holds them.
 _SCALARS = frozenset((int, float, Fraction))
 # 1 - r at a Fraction rule of exactly 0 or 1
 _ONE, _ZERO = Fraction(1), Fraction(0)
@@ -288,9 +291,10 @@ class Evaluation:
         ]
 
     def with_row(self, t: int, row) -> "Evaluation":
-        """The evaluation of these rows with row ``t`` replaced by ``row``, a
-        scalar row or a batch, resumed from these tables: bit for bit a fresh
-        evaluation (module docstring). A batch has no one-period changes."""
+        """The evaluation of these rows with row ``t`` replaced by ``row``,
+        one profile's row of Python scalars, resumed from these tables: bit
+        for bit a fresh evaluation (module docstring). A batch has no
+        one-period changes."""
         if self.gap_discounts is None:
             raise ValueError("a batch evaluation has no one-period changes")
         return _layer(self.market, self.partition, (*self.rows[:t], row, *self.rows[t + 1:]), self, t)
@@ -359,17 +363,18 @@ def effective_discounts(delta, R, top=None, g=None):
     recursion would make of an int 0 at its first step anyway, so that a
     rule of 0 can hand ``g_{t+1}`` on as it is. By default the recursion
     starts at ``top = T - 1``; given ``top`` and ``g = g_{top+1}``, which
-    must hold Python scalars, it resumes there.
+    must hold Python scalars, it resumes there. Where every row of ``R``
+    holds Python scalars it takes the shortcut at r = 0 and r = 1, and
+    otherwise the full expression in every period.
     """
     if top is None:
         top, g = len(R) - 1, [delta[0] * 0] * len(R[0])
-    whole = True  # g holds Python scalars
+    scalar = all(map(_plain, R))
     for t in range(top, -1, -1):
         row, d = R[t], delta[t]
-        if _plain(row):
-            g = [x if r == 0 else d if r == 1 and whole else d * r + (1 - r) * x for r, x in zip(row, g)]
+        if scalar:
+            g = [x if r == 0 else d if r == 1 else d * r + (1 - r) * x for r, x in zip(row, g)]
         else:
-            whole = False
             g = [d * r + (1 - r) * x for r, x in zip(row, g)]
         yield t, g
 
@@ -381,8 +386,10 @@ def formula_layer(market: Market, partition: Partition, R) -> Evaluation:
     numbers must be of the same kind as the entries (float with numpy
     arrays). ``R[t]`` may be an ndarray with the pieces on axis 0, and the
     periods' arrays may have different shapes that broadcast against each
-    other. Each ``R[t]`` holds Python scalars only or numpy values only.
-    The operation order is fixed, and every sum adds left to right, as
+    other. Each ``R[t]`` holds Python scalars only or numpy values only;
+    the exact 0/1 shortcuts run where every row holds Python scalars, and
+    any numpy row takes every period through the full expressions. The
+    operation order is fixed, and every sum adds left to right, as
     :data:`~dynration.numeric.ordered_sum` does (a batch's in place, into
     arrays of its own: no array of ``R`` is written), so on every supported
     Python each array entry is bit for bit the value that its own float
@@ -418,8 +425,7 @@ def _layer(market: Market, partition: Partition, R, cur: Evaluation | None = Non
         u_at_later, payments_later = cur.u_at[t + 1:], cur.payments[t + 1:]
         fstar, first = cur.fstar[:t + 1], t
         reused = tuple(fstar) if cur.passed_checks else ()
-    plain = [_plain(row) for row in r_at]
-    scalar = all(_plain(row) for row in R)  # a batch keeps no g tables
+    scalar = all(map(_plain, R))  # the one test for the shortcuts; a batch keeps no g tables
 
     # g_s and U_s for s <= t, resumed from g_{t+1}
     for s, g in effective_discounts(delta, [r[1::2] for r in R[:t + 1]], t, gaps[t + 1]):
@@ -430,17 +436,17 @@ def _layer(market: Market, partition: Partition, R, cur: Evaluation | None = Non
     u_at = [[u[k] for k in atom_k] for u in u_points[:t + 1]] + u_at_later
 
     # f*_{s+1} for s >= first: f*_0..f*_first do not read row t
-    _extend_presence(market, r_at, plain, fstar, first)
+    _extend_presence(market, r_at, scalar, fstar, first)
 
     # payments of s <= t; later ones read neither row t nor U_t
     exact = scalar and market.mode == RATIONAL
     zero = delta[0] * 0
     payments = []
-    for d, lb, r_row, plain_r, u_next, u_now in zip(delta[:t + 1], lam_b, r_at, plain, u_at[1:], u_at):
+    for d, lb, r_row, u_next, u_now in zip(delta[:t + 1], lam_b, r_at, u_at[1:], u_at):
         terms = zip(atoms, r_row, u_next, u_now)
         if exact:
             payments.append(_exact_payments(d, lb, terms, zero))
-        elif plain_r:
+        elif scalar:
             payments.append(
                 [((d * a if r == 1 else x if r == 0 else d * a * r + (1 - r) * x) - u) / lb for a, r, x, u in terms]
             )
@@ -488,15 +494,14 @@ def _exact_payments(d, lb, terms, zero) -> list:
     return paid
 
 
-def _extend_presence(market: Market, r_at, plain, fstar, first: int):
-    """Append f*_{s+1} to ``fstar``, which holds f*_0..f*_first, for every s >= ``first``."""
-    whole = True  # f* so far holds Python scalars
-    for m_row, r_row, plain_r in zip(market.mass[first + 1:], r_at[first:], plain[first:]):
+def _extend_presence(market: Market, r_at, scalar: bool, fstar, first: int):
+    """Append f*_{s+1} to ``fstar``, which holds f*_0..f*_first, for every s >= ``first``;
+    ``scalar`` takes the exact 0/1 shortcuts, for rows of Python scalars only."""
+    for m_row, r_row in zip(market.mass[first + 1:], r_at[first:]):
         carry = zip(m_row, fstar[-1], r_row)
-        if plain_r:
-            fstar.append([m + f if r == 0 else m if r == 1 and whole else m + f * (1 - r) for m, f, r in carry])
+        if scalar:
+            fstar.append([m + f if r == 0 else m if r == 1 else m + f * (1 - r) for m, f, r in carry])
         else:
-            whole = False
             fstar.append([m + f * (1 - r) for m, f, r in carry])
 
 
@@ -551,10 +556,9 @@ def inventory_used(market: Market, partition: Partition, R):
     """
     atom_pc = [partition.piece_of_point(a) for a in market.atoms]
     r_at = [[row[pc] for pc in atom_pc] for row in R]
-    plain = [_plain(row) for row in r_at]
+    scalar = all(map(_plain, R))
     fstar = [list(market.mass[0])]
-    _extend_presence(market, r_at, plain, fstar, 0)
-    scalar = all(plain)
+    _extend_presence(market, r_at, scalar, fstar, 0)
     return _usage(r_at, fstar, market.discounts.delta[0] * 0, market.mode == RATIONAL and scalar, scalar)
 
 

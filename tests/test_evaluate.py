@@ -549,9 +549,9 @@ def test_a_stale_reused_fstar_row_is_caught(monkeypatch, mode):
         parent = evaluate_rows(m, part, rows)
         parent.with_row(t, new).checked()
 
-        def stale(market, r_at, plain, fstar, first):
+        def stale(market, r_at, scalar, fstar, first):
             fstar.append(parent.fstar[first + 1])
-            extend(market, r_at, plain, fstar, first + 1)
+            extend(market, r_at, scalar, fstar, first + 1)
 
         monkeypatch.setattr(evaluate_mod, "_extend_presence", stale)
         child = parent.with_row(t, new)
@@ -660,13 +660,17 @@ def test_formula_layer_matches_the_reference_by_repr(mode):
     # the shortcuts skip arithmetic on exact 0 and 1 levels, masses and
     # lambdas; every table entry and both sums must still be what the full
     # expressions give, of the same type (and dtype and shape), on scalar
-    # rows, on the build's batch (one period as a pieces x probes matrix)
-    # and on the oracle's (every period an array with its candidates on an
-    # axis of its own), and so must the usage helper's usage
+    # rows, on a mixed batch (one period as a pieces x columns matrix, the
+    # others scalar rows) and on the oracle's (every period an array with
+    # its candidates on an axis of its own), and so must the usage helper's
+    # usage. An evaluation with any array row takes no shortcut, so a scalar
+    # 1 on a gap before the array row, or at an atom after it, must not
+    # drop the array's shape from g or f*
     rng = random.Random(2024)
     num = F if mode == RATIONAL else float
     dtype = object if mode == RATIONAL else float
-    seen = dict.fromkeys(("unit lambdas among others", "zero-mass atom", "int 0 and 1", "mode's 0 and 1"), False)
+    seen = dict.fromkeys(("unit lambdas among others", "zero-mass atom", "int 0 and 1", "mode's 0 and 1",
+                          "scalar 1 on a gap before the array row", "scalar 1 at an atom after the array row"), False)
     for _ in range(80):
         m = edge_market(rng, mode, shortcuts=True)
         part = Partition([*m.atoms, *(num(F(rng.randint(1, 23), 24)) for _ in range(rng.randint(0, 2)))])
@@ -686,6 +690,12 @@ def test_formula_layer_matches_the_reference_by_repr(mode):
         build = list(rows)
         build[t] = np.array(columns, dtype=dtype).T
         checks.append(build)
+        # g_s reads row s for s < t, f*_{s+1} for t < s < T - 1
+        atom_pc = [part.piece_of_point(a) for a in m.atoms]
+        seen["scalar 1 on a gap before the array row"] |= any(x == 1 for row in rows[:t] for x in row[1::2])
+        seen["scalar 1 at an atom after the array row"] |= any(
+            row[pc] == 1 for row in rows[t + 1:m.T - 1] for pc in atom_pc
+        )
 
         oracle = []
         for s in range(m.T):
@@ -710,13 +720,11 @@ def _reuse_cases(mode, seen):
     with a new row t and the same row objects elsewhere.
 
     The markets are ``edge_market``'s plus two atomless ones; the new row
-    is a scalar row of int, mode-number and fraction levels, a batch of
-    such rows as columns and, in float mode, the tail probes (column f is
-    one on the pieces >= f). ``seen`` collects which edge cases came up.
+    is one profile's row of int, mode-number and fraction levels, the only
+    row that ``with_row`` takes. ``seen`` collects which edge cases came up.
     """
     rng = random.Random(2110)
     num = F if mode == RATIONAL else float
-    dtype = object if mode == RATIONAL else float
     markets = [edge_market(rng, mode) for _ in range(30)]
     markets += [make_market(T=T, atoms=[], mass=[[]] * T, inventory=inv, mode=mode) for T, inv in ((1, None), (3, 1))]
     for m in markets:
@@ -726,14 +734,8 @@ def _reuse_cases(mode, seen):
         part = Partition([*m.atoms, *(num(F(rng.randint(1, 23), 24)) for _ in range(rng.randint(0, 2)))])
         rows = tuple(edge_row(rng, part.npieces, mode) for _ in range(m.T))
         for t in range(m.T):
-            news = [
-                edge_row(rng, part.npieces, mode),
-                np.array([edge_row(rng, part.npieces, mode) for _ in range(3)], dtype=dtype).T,
-            ]
-            if mode == FLOAT:
-                news.append(np.tri(part.npieces, part.npieces + 1))  # the tail probes
-            for new in news:
-                yield m, part, rows, rows[:t] + (new,) + rows[t + 1:], t
+            new = edge_row(rng, part.npieces, mode)
+            yield m, part, rows, rows[:t] + (new,) + rows[t + 1:], t
 
 
 def _kept(ev: Evaluation) -> list:
@@ -746,8 +748,8 @@ def test_one_period_change_resumes_bit_for_bit(mode):
     # period t only takes over the tables t cannot reach and recomputes the
     # rest; every table, sum and kept g table must be a fresh evaluation's,
     # by type, repr, dtype and shape, and so must the evaluation with row t
-    # zero, the coordinate model read from a resumed evaluation and, on
-    # scalar rows, the checked evaluation
+    # zero, the coordinate model read from a resumed evaluation and the
+    # checked evaluation
     seen = {}
     for m, part, rows, changed, t in _reuse_cases(mode, seen):
         like = formula_layer(m, part, rows)
@@ -756,16 +758,15 @@ def test_one_period_change_resumes_bit_for_bit(mode):
         zeroed = rows[:t] + ([0] * part.npieces,) + rows[t + 1:]
         fresh_zeroed = formula_layer(m, part, zeroed)
         assert _spelled(_kept(like.with_row(t, zeroed[t]))) == _spelled(_kept(fresh_zeroed))
-        if got.gap_discounts is not None:
-            # a scalar change: the model read from it is the one read from a
-            # fresh evaluation, and its tails are those read from like
-            model = coordinate_tails(got, t)
-            assert _spelled(model) == _spelled(coordinate_tails(formula_layer(m, part, changed), t))
-            assert _spelled(model[2]) == _spelled(coordinate_tails(like, t)[2])
-            # the checked change is the change, and resuming back from it
-            # gives the first rows
-            assert _spelled(_kept(like.with_row(t, changed[t]).checked())) == _spelled(_kept(got))
-            assert _spelled(_kept(got.with_row(t, rows[t]))) == _spelled(_kept(like))
+        # the model read from the change is the one read from a fresh
+        # evaluation, and its tails are those read from like
+        model = coordinate_tails(got, t)
+        assert _spelled(model) == _spelled(coordinate_tails(formula_layer(m, part, changed), t))
+        assert _spelled(model[2]) == _spelled(coordinate_tails(like, t)[2])
+        # the checked change is the change, and resuming back from it gives
+        # the first rows
+        assert _spelled(_kept(like.with_row(t, changed[t]).checked())) == _spelled(_kept(got))
+        assert _spelled(_kept(got.with_row(t, rows[t]))) == _spelled(_kept(like))
     assert all(seen.values()) and set(seen) == {"T = 1", "atomless", "atom at 0", "atom at 1"}
 
 
